@@ -17,6 +17,11 @@ Born distribution of the noise-degraded protocol run, which is what the
 exact mode computes; all outcome variables off the realized path are
 marginalized out (their alphabets are recorded for reporting).
 
+The port measurement also commutes with U (x) conj(U), so that channel is
+depolarizing: a leg of dimension d maps rho to lam rho + (1 - lam) I/d with
+lam = (d^2 F - 1)/(d^2 - 1) for the step's entanglement fidelity F, and the
+noisy run is the protocol's round loop with one such step per message.
+
 A second, one-way route replaces teleportation with remote state
 preparation on a shared maximally entangled pair and yields binary-flag
 correlations checked against a nonlinear communication inequality.
@@ -26,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from itertools import product
 from typing import Any, Callable, Iterator, Sequence
 
@@ -35,18 +39,15 @@ import numpy as np
 from ._threads import thread_map
 from .classicalcc import best_success_tree, distributional_cc
 from .classicalcc import best_success_one_way
-from .protocols import CommProtocol, MemorylessProtocol, TruthTable
+from .protocols import CommProtocol, MemorylessProtocol, TruthTable, _simulate
 from .remoteprep import index_cost_bits, rsp_povm
 from .states import (
     CapExceededError,
     InvariantError,
-    Povm,
     PureState,
     RegisterLayout,
-    _sym,
 )
-from .teleport import _branch_output, _branch_tensors, build_pbt_povm, \
-    build_resource
+from .teleport import depolarizing_parameter
 
 # Correlation rows must be normalized to this tolerance.
 ATOL_TABLE = 1e-9
@@ -213,142 +214,6 @@ class OutcomePath:
                     f"index {idx} at level {i} out of range [0, {count})")
 
 
-@lru_cache(maxsize=None)
-def _branch_kraus(n_ports: int, d: int) -> tuple[np.ndarray, ...]:
-    """Kraus operators of the normalized single-outcome channel of a
-    port-teleportation step with `n_ports` ports of dimension d.
-
-    By port symmetry every outcome is equally likely and induces the same
-    conditional channel, so one branch determines the whole step.  The
-    channel is read off the branch's action on half of a maximally
-    entangled pair.
-    """
-    res = build_resource(n_ports, d)
-    meas = build_pbt_povm(n_ports, d)
-    ref = np.eye(d, dtype=np.complex128) / math.sqrt(d)
-    branches = _branch_tensors(ref, res, meas)
-    prob, mat = _branch_output(branches[0], 1, n_ports, d,
-                               with_reference=True)
-    if abs(prob * n_ports - 1.0) > 1e-9:
-        raise InvariantError(
-            f"teleportation outcome not uniform: p={prob} for N={n_ports}")
-    choi = _sym(mat / prob)
-    w, v = np.linalg.eigh(choi)
-    kraus = []
-    cut = 1e-12 * max(w.max(), 1.0)
-    for lam, vec in zip(w, v.T):
-        if lam > cut:
-            kraus.append(math.sqrt(d * lam) * vec.reshape(d, d).T)
-    total = sum(k.conj().T @ k for k in kraus)
-    if np.max(np.abs(total - np.eye(d))) > 1e-8:
-        raise InvariantError("branch channel is not trace preserving")
-    return tuple(kraus)
-
-
-class _MixedWire:
-    """Density-matrix register machine for small protocol simulations."""
-
-    def __init__(self):
-        self.names: list[str] = []
-        self.dims: list[int] = []
-        self.rho = np.ones((1, 1), dtype=np.complex128)
-
-    def add(self, name: str, dim: int) -> None:
-        if dim <= 1:
-            return
-        ground = np.zeros((dim, dim), dtype=np.complex128)
-        ground[0, 0] = 1.0
-        self.rho = np.kron(self.rho, ground)
-        self.names.append(name)
-        self.dims.append(dim)
-
-    def _to_front(self, names: list[str]) -> int:
-        """Permute registers so `names` lead; returns their block size."""
-        axes = [self.names.index(n) for n in names]
-        rest = [i for i in range(len(self.dims)) if i not in axes]
-        order = axes + rest
-        if order != list(range(len(self.dims))):
-            total = self.rho.shape[0]
-            idx = np.arange(total).reshape(self.dims).transpose(order)
-            idx = idx.reshape(-1)
-            self.rho = self.rho[np.ix_(idx, idx)]
-            self.names = [self.names[i] for i in order]
-            self.dims = [self.dims[i] for i in order]
-        block = 1
-        for n in names:
-            block *= self.dims[self.names.index(n)]
-        return block
-
-    def apply(self, in_names, u: np.ndarray, out_regs) -> None:
-        in_names = [n for n in in_names if n in self.names]
-        block = self._to_front(in_names)
-        if u.shape != (block, block):
-            raise ValueError(
-                f"operator shape {u.shape} does not match register block "
-                f"dimension {block} for {in_names}")
-        rest = self.rho.shape[0] // block
-        big = np.kron(u, np.eye(rest))
-        self.rho = big @ self.rho @ big.conj().T
-        out_regs = [(n, d) for n, d in out_regs if d > 1]
-        keep = self.names[len(in_names):]
-        keep_dims = self.dims[len(in_names):]
-        self.names = [n for n, _ in out_regs] + keep
-        self.dims = [d for _, d in out_regs] + keep_dims
-
-    def channel(self, name: str, kraus) -> None:
-        d = self._to_front([name])
-        rest = self.rho.shape[0] // d
-        out = np.zeros_like(self.rho)
-        for k in kraus:
-            big = np.kron(k, np.eye(rest))
-            out += big @ self.rho @ big.conj().T
-        self.rho = out
-
-    def probs(self, names, povm: Povm) -> np.ndarray:
-        names = [n for n in names if n in self.names]
-        block = self._to_front(names)
-        rest = self.rho.shape[0] // block
-        t = self.rho.reshape(block, rest, block, rest)
-        reduced = np.einsum("irjr->ij", t)
-        return np.array([np.einsum("ij,ji->", e, reduced).real
-                         for e in povm.elements])
-
-
-def _chain_terminal(p: CommProtocol, x: int, y: int, s: PortSchedule,
-                    ideal: tuple[bool, ...]) -> np.ndarray:
-    """Terminal outcome distribution along the realized path.
-
-    Runs the protocol with each transmission replaced by the conditional
-    channel of its teleportation step (or left intact where the per-level
-    ideal mask bypasses it) and returns Bob's two Born probabilities at
-    the leaf.
-    """
-    wire = _MixedWire()
-    wire.add("A", p.a0_dim)
-    wire.add("B", p.b0_dim)
-    r = p.rounds
-    level = 0
-    for i in range(r):
-        wire.add("AncA", p.anc_a_dims[i])
-        wire.apply(["M", "A", "AncA"], p.alice_ops[i][x],
-                   [("M", p.m_out_dims[i]), ("A", p.a_dims[i])])
-        if not ideal[level]:
-            wire.channel("M", _branch_kraus(s.port_counts[level],
-                                            p.m_out_dims[i]))
-        level += 1
-        if i < r - 1:
-            wire.add("AncB", p.anc_b_dims[i])
-            wire.apply(["M", "B", "AncB"], p.bob_ops[i][y],
-                       [("M", p.m_back_dims[i]), ("B", p.b_dims[i])])
-            if not ideal[level]:
-                wire.channel("M", _branch_kraus(s.port_counts[level],
-                                                p.m_back_dims[i]))
-            level += 1
-    t = wire.probs(["M", "B"], p.observables[y])
-    t = np.clip(t, 0.0, None)
-    return t / t.sum()
-
-
 def _full_alphabets(s: PortSchedule) -> dict[str, Any]:
     """Alphabet bookkeeping for the complete outcome tuples (every port is
     acted on, so level i carries one index per node of the level above)."""
@@ -412,10 +277,14 @@ def generate_correlations(p: MemorylessProtocol, s: PortSchedule,
     counts = s.port_counts
     uniform = np.full(counts, 1.0 / math.prod(counts))
     streams = np.random.default_rng(seed).spawn(len(pairs))
+    # Computed before the pool so no two threads build one measurement.
+    lams = [1.0 if on else depolarizing_parameter(n, d)
+            for on, n, d in zip(mask, counts, s.port_dims)]
 
     def one_pair(job) -> np.ndarray:
         (x, y), rng = job
-        term = _chain_terminal(proto, x, y, s, mask)
+        term = np.clip(_simulate(proto, x, y, lams), 0.0, None)
+        term = term / term.sum()
         if mode == "exact":
             return uniform[..., np.newaxis] * term
         arr = np.zeros(counts + (2,))

@@ -30,6 +30,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
+from ._threads import thread_count
 from .bell import (
     ALPHABET_CAP, EXACT_MAX_ROUNDS, OneWayStats, PortSchedule, bell_value,
     build_linear_bell, generate_correlations, lhv_bound, nonlinear_bell_check,
@@ -588,6 +589,10 @@ def main(argv: list[str] | None = None) -> int:
                              "bell-certify, oneway, cc)")
         cfg = _load_config(args)
         _validate_config(cfg)
+        try:
+            thread_count()
+        except ValueError as e:
+            raise UsageError(str(e))
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -16,11 +16,11 @@ simulation is exact (Born probabilities, no sampling).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Sequence
 
 import numpy as np
 
-from .states import ATOL_UNITARY, InvariantError, Povm
+from .states import ATOL_UNITARY, InvariantError, Povm, _RegisterMachine
 
 ATOL_MU = 1e-12
 
@@ -205,76 +205,25 @@ class MemorylessProtocol:
         return self.proto.epsilon
 
 
-class _Wire:
-    """Mutable simulation state: flat vector plus named register dims."""
-
-    def __init__(self):
-        self.vec = np.ones(1, dtype=np.complex128)
-        self.names: list[str] = []
-        self.dims: list[int] = []
-
-    def add_reg(self, name: str, dim: int) -> None:
-        """Append a fresh register in state |0> (dimension 1 is a no-op)."""
-        if dim == 1:
-            return
-        zero = np.zeros(dim, dtype=np.complex128)
-        zero[0] = 1.0
-        self.vec = np.kron(self.vec, zero)
-        self.names.append(name)
-        self.dims.append(dim)
-
-    def apply(self, in_names: Iterable[str], u: np.ndarray,
-              out_regs: Iterable[tuple[str, int]]) -> None:
-        """Apply `u` to the named registers (in order), regrouping the image
-        into `out_regs`.  Absent (dim-1) names are skipped on both sides."""
-        in_names = [n for n in in_names if n in self.names]
-        axes = [self.names.index(n) for n in in_names]
-        rest = [i for i in range(len(self.dims)) if i not in axes]
-        d_in = 1
-        for a in axes:
-            d_in *= self.dims[a]
-        if u.shape != (d_in, d_in):
-            raise ValueError(
-                f"operator shape {u.shape} does not match register block "
-                f"dimension {d_in} for {in_names}")
-        t = self.vec.reshape(self.dims).transpose(axes + rest)
-        t = u @ t.reshape(d_in, -1)
-        out_regs = [(n, d) for n, d in out_regs if d > 1]
-        out_dims = [d for _, d in out_regs]
-        rest_dims = [self.dims[i] for i in rest]
-        self.vec = t.reshape(out_dims + rest_dims).reshape(-1)
-        self.names = [n for n, _ in out_regs] + [self.names[i] for i in rest]
-        self.dims = out_dims + rest_dims
-
-    def block_probabilities(self, names: Iterable[str], povm: Povm) -> np.ndarray:
-        """Born probabilities of a POVM on the named register block."""
-        names = [n for n in names if n in self.names]
-        axes = [self.names.index(n) for n in names]
-        rest = [i for i in range(len(self.dims)) if i not in axes]
-        d = 1
-        for a in axes:
-            d *= self.dims[a]
-        k = self.vec.reshape(self.dims).transpose(axes + rest).reshape(d, -1)
-        rho = k @ k.conj().T
-        return np.array([np.einsum("ij,ji->", e, rho).real
-                         for e in povm.elements])
-
-
-def _simulate(p: CommProtocol, x: int, y: int) -> tuple[np.ndarray, _Wire]:
-    wire = _Wire()
-    wire.add_reg("A", p.a0_dim)
-    wire.add_reg("B", p.b0_dim)
-    r = p.rounds
-    for i in range(r):
-        wire.add_reg("AncA", p.anc_a_dims[i])
-        wire.apply(["M", "A", "AncA"], p.alice_ops[i][x],
-                   [("M", p.m_out_dims[i]), ("A", p.a_dims[i])])
-        if i < r - 1:
-            wire.add_reg("AncB", p.anc_b_dims[i])
-            wire.apply(["M", "B", "AncB"], p.bob_ops[i][y],
-                       [("M", p.m_back_dims[i]), ("B", p.b_dims[i])])
-    probs = wire.block_probabilities(["M", "B"], p.observables[y])
-    return probs, wire
+def _simulate(p: CommProtocol, x: int, y: int,
+              lams: Sequence[float] = ()) -> np.ndarray:
+    """Bob's two Born probabilities on inputs (x, y).  The i-th transmitted
+    message (send order) passes through `depolarize(lams[i])` if given."""
+    reg = _RegisterMachine()
+    reg.add("A", p.a0_dim)
+    reg.add("B", p.b0_dim)
+    legs = iter(lams)
+    for i in range(p.rounds):
+        reg.add("AncA", p.anc_a_dims[i])
+        reg.apply(["M", "A", "AncA"], p.alice_ops[i][x],
+                  [("M", p.m_out_dims[i]), ("A", p.a_dims[i])])
+        reg.depolarize("M", next(legs, 1.0))
+        if i < p.rounds - 1:
+            reg.add("AncB", p.anc_b_dims[i])
+            reg.apply(["M", "B", "AncB"], p.bob_ops[i][y],
+                      [("M", p.m_back_dims[i]), ("B", p.b_dims[i])])
+            reg.depolarize("M", next(legs, 1.0))
+    return reg.probs(["M", "B"], p.observables[y])
 
 
 def run_exact(p: CommProtocol | MemorylessProtocol, x: int, y: int) -> float:
@@ -284,7 +233,7 @@ def run_exact(p: CommProtocol | MemorylessProtocol, x: int, y: int) -> float:
     size = p.truth.num_inputs
     if not (0 <= x < size and 0 <= y < size):
         raise ValueError(f"inputs must lie in [0, {size})")
-    probs, _ = _simulate(p, x, y)
+    probs = _simulate(p, x, y)
     return float(probs[int(p.truth.f[x, y])])
 
 

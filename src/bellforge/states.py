@@ -17,6 +17,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -330,6 +331,69 @@ def apply_on(state: State, u: np.ndarray, targets: Sequence[str]) -> State:
     t = _apply_matrix_to_axes(t, u.conj(), [n + a for a in axes], list(dims) * 2)
     d = layout.total_dim
     return MixedState(t.reshape(d, d), layout)
+
+
+class _RegisterMachine:
+    """Named registers, each starting in |0> (dimension 1 means absent): a
+    ket until the first lossy `depolarize`, then a density matrix."""
+
+    def __init__(self):
+        self.regs: dict[str, int] = {}  # name -> dimension, in kron order
+        self.state = np.ones(1, dtype=np.complex128)
+
+    def add(self, name: str, dim: int) -> None:
+        if dim > 1:  # kron with |0> (ket) or |0><0| (density matrix)
+            k = self.state.ndim
+            zero = np.eye(1, dim ** k).reshape((dim,) * k)
+            self.state = np.kron(self.state, zero)
+            self.regs[name] = dim
+
+    def _front(self, names: Iterable[str]) -> tuple[list[str], int, int]:
+        """Move the present `names` to the front of the kron order; return
+        them, their block dimension and the remaining dimension."""
+        names = [n for n in names if n in self.regs]
+        new = {n: self.regs[n] for n in names} | self.regs
+        pos, ndim = list(self.regs), self.state.ndim
+        axes = [j * len(pos) + pos.index(n) for j in range(ndim) for n in new]
+        t = self.state.reshape(list(self.regs.values()) * ndim).transpose(axes)
+        self.state, self.regs = t.reshape(self.state.shape), new
+        block = math.prod(new[n] for n in names)
+        return names, block, self.state.shape[0] // block
+
+    def apply(self, in_names: Iterable[str], u: np.ndarray,
+              out_regs: Iterable[tuple[str, int]]) -> None:
+        """Apply `u` to the named registers (in order), regrouping the image
+        into `out_regs`.  A density matrix takes u on the row block and
+        conj(u) on the column block: O(D^2 block), not kron's O(D^3)."""
+        in_names, block, rest = self._front(in_names)
+        if u.shape != (block, block):
+            raise ValueError(f"operator shape {u.shape} does not match "
+                             f"register block {in_names} of dimension {block}")
+        t = u @ self.state.reshape(block, -1)
+        if self.state.ndim == 2:
+            t = np.matmul(u.conj(), t.reshape(-1, block, rest))
+        self.state = t.reshape(self.state.shape)
+        kept = {n: d for n, d in self.regs.items() if n not in in_names}
+        self.regs = {n: d for n, d in out_regs if d > 1} | kept
+
+    def depolarize(self, name: str, lam: float) -> None:
+        """rho -> lam rho + (1 - lam) I/d (x) Tr_name rho (lam = 1: no-op)."""
+        if lam == 1.0 or name not in self.regs:
+            return
+        if self.state.ndim == 1:
+            self.state = np.outer(self.state, self.state.conj())
+        _, d, rest = self._front([name])
+        t = self.state.reshape(d, rest, d, rest)
+        self.state = lam * self.state + (1.0 - lam) * np.kron(
+            np.eye(d) / d, np.einsum("iris->rs", t))
+
+    def probs(self, names: Iterable[str], povm: Povm) -> np.ndarray:
+        """Born probabilities of a POVM on the named register block."""
+        _, block, rest = self._front(names)
+        t = self.state.reshape((block, rest) * self.state.ndim)
+        reduced = t @ t.conj().T if t.ndim == 2 else np.einsum("irjr->ij", t)
+        return np.array([np.einsum("ij,ji->", e, reduced).real
+                         for e in povm.elements])
 
 
 def reorder_registers(state: State, order: Sequence[str]) -> State:

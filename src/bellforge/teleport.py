@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .states import (
     MAX_TOTAL_DIM,
     CapExceededError,
+    InvariantError,
     MixedState,
     Povm,
     PureState,
@@ -219,8 +221,13 @@ def entanglement_fidelity(N: int, d: int, trials: int | None = None,
     teleported; the result is the fidelity of (reference (x) output) with
     |Phi+(d)>, averaged exactly over all N outcomes.  With `trials` set the
     average is instead estimated from that many sampled outcomes (the
-    per-outcome fidelities stay exact).
+    per-outcome fidelities stay exact).  Every outcome must have
+    probability 1/N to within 1e-9.  The cap d^(2N+2) <= 2**20 is checked
+    before the resource or the measurement is built.
     """
+    if d ** (2 * N + 2) > MAX_TOTAL_DIM:
+        raise CapExceededError(f"purified joint dimension d^(2N+2) = "
+                               f"{d ** (2 * N + 2)} exceeds {MAX_TOTAL_DIM}")
     resource = build_resource(N, d)
     meas = build_pbt_povm(N, d)
     phi = max_entangled(d).amplitudes
@@ -234,12 +241,27 @@ def entanglement_fidelity(N: int, d: int, trials: int | None = None,
         # <Phi| raw |Phi> / prob, computed without forming the quotient
         val = float(np.real(phi.conj() @ raw @ phi))
         fids[z - 1] = val / prob if prob > 1e-300 else 0.0
+    if np.max(np.abs(N * probs - 1.0)) > 1e-9:
+        raise InvariantError(f"teleportation outcomes not uniform for N={N}, "
+                             f"d={d}: {probs}")
     if trials is None:
         return float(np.sum(probs * fids) / probs.sum())
     rng = np.random.default_rng(seed)
     p = np.clip(probs, 0.0, None)
     draws = rng.choice(N, size=trials, p=p / p.sum())
     return float(np.mean(fids[draws]))
+
+
+@lru_cache(maxsize=None)
+def depolarizing_parameter(N: int, d: int) -> float:
+    """Contraction lam = (d^2 F - 1)/(d^2 - 1) of the depolarizing channel
+    rho -> lam rho + (1 - lam) I/d that each outcome induces.  Raises
+    InvariantError unless 0 <= lam <= 1 to 1e-9; smaller noise is clipped."""
+    lam = (d * d * entanglement_fidelity(N, d) - 1.0) / (d * d - 1.0)
+    if not -1e-9 <= lam <= 1.0 + 1e-9:
+        raise InvariantError(f"depolarizing parameter {lam} outside [0, 1] "
+                             f"for N={N}, d={d}")
+    return min(max(lam, 0.0), 1.0)
 
 
 def classical_cost(N: int) -> float:

@@ -16,9 +16,13 @@ from bellforge.classicalcc import best_success_tree
 from bellforge.protocols import (
     TruthTable, builtin_qrac, random_protocol, success_probability,
 )
-from bellforge.states import CapExceededError, InvariantError, MixedState
+from bellforge.states import (
+    CapExceededError, InvariantError, MixedState, _RegisterMachine,
+    random_density,
+)
 from bellforge.teleport import (
-    build_pbt_povm, build_resource, entanglement_fidelity, teleport_branches,
+    build_pbt_povm, build_resource, depolarizing_parameter,
+    entanglement_fidelity, teleport_branches,
 )
 from bellforge.transforms import to_memoryless, to_single_qubit_rounds
 
@@ -88,49 +92,49 @@ def eligible(corpus):
     return out
 
 
-class TestBranchKraus:
-    def test_completeness(self):
-        for n_ports, d in [(1, 2), (2, 2), (3, 2), (2, 3)]:
-            ks = bell._branch_kraus(n_ports, d)
-            total = sum(k.conj().T @ k for k in ks)
-            assert np.max(np.abs(total - np.eye(d))) < 1e-10
+def depolarized(rho: np.ndarray, lam: float) -> np.ndarray:
+    """`rho` after one depolarizing leg on the register machine."""
+    reg = _RegisterMachine()
+    reg.add("S", rho.shape[0])
+    reg.state = np.asarray(rho, dtype=complex)
+    reg.depolarize("S", lam)
+    return reg.state
 
-    def test_matches_direct_branch_simulation(self):
+
+class TestDepolarizingLeg:
+    """The depolarizing leg against the dense branch reference."""
+
+    @pytest.mark.parametrize("n_ports,d", [(1, 2), (2, 2), (3, 2), (2, 3),
+                                           (2, 4), (2, 8)])
+    def test_matches_teleport_branches(self, n_ports, d):
         rng = np.random.default_rng(31)
-        for n_ports, d in [(2, 2), (3, 2), (2, 3)]:
-            ks = bell._branch_kraus(n_ports, d)
-            res = build_resource(n_ports, d)
-            meas = build_pbt_povm(n_ports, d)
-            for _ in range(3):
-                amp = rng.normal(size=d) + 1j * rng.normal(size=d)
-                amp /= np.linalg.norm(amp)
-                rho = np.outer(amp, amp.conj())
-                branches = teleport_branches(
-                    MixedState(rho, [("S", d)]), res, meas)
-                for prob, out_state in branches:
-                    assert prob == pytest.approx(1.0 / n_ports, abs=1e-12)
-                direct = branches[0][1].matrix
-                via_kraus = sum(k @ rho @ k.conj().T for k in ks)
-                assert np.max(np.abs(direct - via_kraus)) < 1e-12
-                for _, other in branches[1:]:
-                    assert np.max(np.abs(other.matrix - direct)) < 1e-12
+        lam = depolarizing_parameter(n_ports, d)
+        res = build_resource(n_ports, d)
+        meas = build_pbt_povm(n_ports, d)
+        for rank in (1, d):
+            rho = random_density(d, rng, rank=rank)
+            branches = teleport_branches(MixedState(rho, [("S", d)]),
+                                         res, meas)
+            for prob, _ in branches:
+                assert prob == pytest.approx(1.0 / n_ports, abs=1e-12)
+            direct = branches[0][1].matrix
+            assert np.max(np.abs(depolarized(rho, lam) - direct)) < 1e-12
+            for _, other in branches[1:]:
+                assert np.max(np.abs(other.matrix - direct)) < 1e-12
 
     def test_single_port_fully_depolarizes(self):
         rng = np.random.default_rng(32)
         for d in (2, 3):
-            ks = bell._branch_kraus(1, d)
-            amp = rng.normal(size=d) + 1j * rng.normal(size=d)
-            amp /= np.linalg.norm(amp)
-            rho = np.outer(amp, amp.conj())
-            out = sum(k @ rho @ k.conj().T for k in ks)
+            lam = depolarizing_parameter(1, d)
+            rho = random_density(d, rng, rank=1)
+            out = depolarized(rho, lam)
             assert np.max(np.abs(out - np.eye(d) / d)) < 1e-12
 
     def test_qubit_depolarizing_parameter(self):
-        ground = np.zeros((2, 2), dtype=complex)
-        ground[0, 0] = 1.0
+        ground = np.diag([1.0, 0.0]).astype(complex)
         for n_ports, lam_frozen in DEPOL.items():
-            ks = bell._branch_kraus(n_ports, 2)
-            out = sum(k @ ground @ k.conj().T for k in ks)
+            out = depolarized(ground,
+                              depolarizing_parameter(n_ports, 2))
             lam = float(np.real(out[0, 0] - out[1, 1]))
             assert lam == pytest.approx(lam_frozen, abs=1e-12)
             fid = entanglement_fidelity(n_ports, 2)

@@ -37,11 +37,37 @@ def member3_protocol_file(tmp_path) -> str:
     return str(path)
 
 
+def assert_same_results(got, want, where):
+    """Floats within 1e-12, everything else equal, at every nesting."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), where
+        for key in want:
+            assert_same_results(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_results(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float) and abs(got - want) <= 1e-12, where
+    else:
+        assert type(got) is type(want) and got == want, where
+
+
 class TestConfigHandling:
     def test_no_command(self, capsys):
         code, _, err = run_cli(capsys)
         assert code == 1
         assert "command is required" in err
+
+    @pytest.mark.parametrize("cmd,value", [("bell-certify", "abc"),
+                                           ("oneway", "0")])
+    def test_bad_thread_count_is_usage_error(self, capsys, monkeypatch,
+                                             cmd, value):
+        monkeypatch.setenv("BELLFORGE_THREADS", value)
+        code, out, err = run_cli(capsys, cmd)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: BELLFORGE_THREADS")
 
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"
@@ -158,6 +184,10 @@ class TestBellCertify:
         assert "budget_bits=3 >= classical_need=2" in res["explanation"]
         assert res["classical"]["used"] == "exact"
         assert res["classical"]["exact"]["delta"] == pytest.approx(0.5)
+        with open(os.path.join(REPO, "docs", "examples", "v1",
+                               "report_bell_certify.json")) as fh:
+            shipped = json.load(fh)["results"]
+        assert_same_results(res, shipped, "results")
 
     def test_constant_protocol_degenerate(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"

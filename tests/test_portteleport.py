@@ -1,12 +1,15 @@
 """Tests for port-based teleportation: resource, PGM, execution, fidelity."""
 
+import importlib
 import math
+import time
 
 import numpy as np
 import pytest
 
 from bellforge.states import (
     CapExceededError,
+    InvariantError,
     MixedState,
     _sym,
     embed_operator,
@@ -21,6 +24,7 @@ from bellforge.teleport import (
     build_pbt_povm,
     build_resource,
     classical_cost,
+    depolarizing_parameter,
     entanglement_fidelity,
     teleport,
     teleport_branches,
@@ -228,6 +232,33 @@ def test_entanglement_fidelity_sampled_mode():
     est2 = entanglement_fidelity(3, 2, trials=4000, seed=7)
     assert est1 == est2
     assert abs(est1 - exact) < 0.02
+
+
+@pytest.mark.parametrize("N,d", [(2, 32), (10, 2)])
+def test_fidelity_cap_refuses_before_building(N, d):
+    # d^(2N+2) is 2^30 and 2^22.  Both pass the resource and measurement
+    # caps, so the refusal must come before those are built: a 32768-dim
+    # measurement at (2, 32) would need 17 GB per element.
+    start = time.monotonic()
+    with pytest.raises(CapExceededError, match="exceeds"):
+        entanglement_fidelity(N, d)
+    with pytest.raises(CapExceededError, match="exceeds"):
+        depolarizing_parameter(N, d)
+    assert time.monotonic() - start < 1.0
+
+
+def test_depolarizing_parameter_range_guard(monkeypatch):
+    # The package re-exports the function `teleport`, which shadows the
+    # submodule of the same name as a package attribute.
+    tp = importlib.import_module("bellforge.teleport")
+    raw = depolarizing_parameter.__wrapped__
+    for fid, lam in ((0.25, 0.0), (1.0, 1.0)):
+        monkeypatch.setattr(tp, "entanglement_fidelity", lambda N, d: fid)
+        assert raw(2, 2) == lam
+    for fid in (0.2, 1.01):
+        monkeypatch.setattr(tp, "entanglement_fidelity", lambda N, d: fid)
+        with pytest.raises(InvariantError, match="outside"):
+            raw(2, 2)
 
 
 # ---------------------------------------------------------------- cost

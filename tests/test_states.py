@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bellforge.states import (
     CapExceededError,
@@ -22,6 +23,7 @@ from bellforge.states import (
     random_unitary,
     reorder_registers,
     tensor,
+    _RegisterMachine,
 )
 
 
@@ -228,6 +230,104 @@ def test_reorder_registers_preserves_physics():
     for name in ("A", "B", "C"):
         assert np.allclose(partial_trace(rho, [name]).matrix,
                            partial_trace(flipped, [name]).matrix, atol=1e-12)
+
+
+# -------------------------------------------------------- register machine
+
+def to_front(rho, names, dims, front):
+    """`rho` as a matrix with the registers `front` moved ahead of the
+    rest; returns it with the new register order."""
+    axes = [names.index(n) for n in front]
+    order = axes + [i for i in range(len(dims)) if i not in axes]
+    n = len(dims)
+    t = rho.reshape(dims * 2).transpose(order + [n + i for i in order])
+    return t.reshape(rho.shape), [names[i] for i in order]
+
+
+def weyl_operators(d):
+    """The d^2 clock-and-shift unitaries; averaging W rho W^dag over them
+    replaces rho by I/d times its trace."""
+    x = np.roll(np.eye(d), 1, axis=0)
+    z = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    return [np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
+            for a in range(d) for b in range(d)]
+
+
+def test_register_machine_skips_trivial_and_stays_pure():
+    reg = _RegisterMachine()
+    reg.add("A", 1)
+    reg.add("B", 2)
+    reg.add("C", 1)
+    assert reg.regs == {"B": 2}
+    reg.apply(["A", "B", "C"], np.array([[0, 1], [1, 0]], dtype=complex),
+              [("B", 2), ("C", 1)])
+    reg.depolarize("B", 1.0)
+    assert np.allclose(reg.state, [0, 1])  # still a ket
+    reg.depolarize("B", 0.0)
+    assert np.allclose(reg.state, np.eye(2) / 2, atol=1e-15)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.data())
+def test_register_machine_matches_dense_references(data):
+    # One machine runs on a ket, a twin on a density matrix from the
+    # start; each step is checked against a dense reference (conjugation
+    # by kron(u, I), the Weyl twirl), and both twins must agree.
+    dims = data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    pure, mixed = _RegisterMachine(), _RegisterMachine()
+    for i, d in enumerate(dims):
+        pure.add(f"R{i}", d)
+        mixed.add(f"R{i}", d)
+    mixed.state = np.outer(mixed.state, mixed.state.conj())
+    for _ in range(data.draw(st.integers(1, 4))):
+        names, dims = list(mixed.regs), list(mixed.regs.values())
+        rho = mixed.state
+        if data.draw(st.booleans()):
+            k = data.draw(st.integers(1, len(names)))
+            front = data.draw(st.permutations(names))[:k]
+            in_dims = [dims[names.index(n)] for n in front]
+            block = int(np.prod(in_dims))
+            if data.draw(st.booleans()):
+                out = [(front[0], block)]
+            else:
+                out = list(zip(front, data.draw(st.permutations(in_dims))))
+            u = random_unitary(block, rng)
+            ref, order = to_front(rho, names, dims, front)
+            big = np.kron(u, np.eye(rho.shape[0] // block))
+            ref = big @ ref @ big.conj().T
+            for reg in (pure, mixed):
+                reg.apply(front, u, out)
+            assert list(mixed.regs) == [n for n, _ in out] + order[k:]
+        else:
+            name = data.draw(st.sampled_from(names))
+            lam = float(rng.uniform())
+            ref, _ = to_front(rho, names, dims, [name])
+            rest = np.eye(rho.shape[0] // dims[names.index(name)])
+            weyl = [np.kron(w, rest) for w in weyl_operators(
+                dims[names.index(name)])]
+            twirl = sum(w @ ref @ w.conj().T for w in weyl) / len(weyl)
+            ref = lam * ref + (1.0 - lam) * twirl
+            for reg in (pure, mixed):
+                reg.depolarize(name, lam)
+        assert np.max(np.abs(mixed.state - ref)) < 1e-12
+        assert abs(np.trace(mixed.state) - 1.0) < 1e-12
+        dense = pure.state
+        if dense.ndim == 1:
+            assert abs(np.linalg.norm(dense) - 1.0) < 1e-12
+            dense = np.outer(dense, dense.conj())
+        assert pure.regs == mixed.regs
+        assert np.max(np.abs(dense - mixed.state)) < 1e-12
+        k = data.draw(st.integers(1, len(mixed.regs)))
+        block_names = data.draw(st.permutations(list(mixed.regs)))[:k]
+        block = int(np.prod([mixed.regs[n] for n in block_names]))
+        v = random_unitary(block, rng)
+        proj = v[:, :1] @ v[:, :1].conj().T
+        povm = Povm([proj, np.eye(block) - proj])
+        p_pure = pure.probs(block_names, povm)
+        p_mixed = mixed.probs(block_names, povm)
+        assert np.max(np.abs(p_pure - p_mixed)) < 1e-12
+        assert abs(p_mixed.sum() - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------- measure
