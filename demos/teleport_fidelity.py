@@ -1,7 +1,7 @@
 """Port-teleportation fidelity curve against its exact floor.
 
-Builds the square-root port measurement for 1..8 ports on qubits, prints
-the entanglement-derived average fidelity of each channel next to the
+Prints the entanglement fidelity of square-root port teleportation on
+qubits for 1..8 ports, from its Young-diagram closed form, next to the
 1 - d^2/N floor, and marks the rows where the floor is vacuous (N < d^2).
 The channel becomes perfect only as the port count grows, and its output
 on a qubit is depolarizing with contraction (4F - 1)/3.

@@ -266,12 +266,7 @@ def cmd_pbt_bench(cfg: dict[str, Any],
         holds = vacuous or fid >= bound - 1e-12
         all_hold = all_hold and holds
         povm = build_pbt_povm(n, d).elements
-        total = np.zeros((povm.dim, povm.dim), dtype=np.complex128)
-        min_eig = math.inf
-        for e in povm.elements:
-            total += e
-            min_eig = min(min_eig, float(np.linalg.eigvalsh(e).min()))
-        comp_dev = float(np.max(np.abs(total - np.eye(povm.dim))))
+        comp_dev, min_eig = povm.completeness_dev, povm.min_eigenvalue
         rows.append({
             "ports": n, "dimension": d,
             "fidelity": fid, "method": "exact",

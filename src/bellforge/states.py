@@ -199,7 +199,9 @@ class Povm:
 
     `atol` loosens the completeness/positivity check where a caller builds
     elements through long chains of linear algebra (the port measurement
-    uses 1e-9).
+    uses 1e-9).  The margins the check found stay on the object:
+    `min_eigenvalue`, the least eigenvalue of any element's Hermitian part,
+    and `completeness_dev`, max |sum of elements - I|.
     """
 
     def __init__(self, elements: Sequence[np.ndarray], atol: float = ATOL_POVM):
@@ -208,6 +210,7 @@ class Povm:
             raise ValueError("POVM needs at least one element")
         d = elems[0].shape[0]
         total = np.zeros((d, d), dtype=np.complex128)
+        least = math.inf
         for e in elems:
             if e.shape != (d, d):
                 raise ValueError("POVM elements must share one square shape")
@@ -216,13 +219,17 @@ class Povm:
             min_eig = float(np.linalg.eigvalsh(_sym(e)).min())
             if min_eig < -atol:
                 raise InvariantError(f"POVM element eigenvalue {min_eig} < 0")
+            least = min(least, min_eig)
             total += e
-        if np.max(np.abs(total - np.eye(d))) > atol:
+        completeness_dev = float(np.max(np.abs(total - np.eye(d))))
+        if completeness_dev > atol:
             raise InvariantError("POVM elements do not sum to identity")
         for e in elems:
             e.setflags(write=False)
         self.elements = elems
         self.dim = d
+        self.min_eigenvalue = least
+        self.completeness_dev = completeness_dev
 
     def __len__(self) -> int:
         return len(self.elements)

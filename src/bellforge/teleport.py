@@ -13,6 +13,17 @@ The measurement operators follow the pretty-good-measurement recipe
 with the inverse square root taken on the support of S (eigenvalues below
 1e-12 of the largest are treated as zero) and the off-support identity
 shared uniformly so the family is complete.
+
+`entanglement_fidelity` never builds that measurement.  For this scheme the
+entanglement fidelity has a closed form over Young diagrams
+  F = d^-(N+2) sum_{alpha |- N-1} (sum_{mu = alpha + box} sqrt(d_mu m_mu))^2
+with d_mu and m_mu the dimensions of the symmetric-group and U(d) irreps
+labelled by mu (diagrams with at most d rows), from Studzinski, Strelchuk,
+Mozrzymas and Horodecki, Sci. Rep. 7, 10871 (2017); for d = 2 it is the
+formula of Ishizaka and Hiroshima, PRL 101, 240501 (2008).  The dense
+computation over the measurement's outcome branches is kept as
+`dense_entanglement_fidelity`, the reference the closed form is tested
+against.
 """
 
 from __future__ import annotations
@@ -67,12 +78,16 @@ def _port_names(prefix: str, N: int) -> list[str]:
     return [f"{prefix}{i}" for i in range(1, N + 1)]
 
 
-def build_resource(N: int, d: int) -> PbtResource:
-    """N fresh maximally entangled pairs, pair i on (A_i, B_i)."""
+def _check_ports(N: int, d: int) -> None:
     if N < 1:
         raise ValueError(f"port count N={N} must be >= 1")
     if d < 2:
         raise ValueError(f"port dimension d={d} must be >= 2")
+
+
+def build_resource(N: int, d: int) -> PbtResource:
+    """N fresh maximally entangled pairs, pair i on (A_i, B_i)."""
+    _check_ports(N, d)
     total = d ** (2 * N)
     if total > MAX_TOTAL_DIM:
         raise CapExceededError(
@@ -88,10 +103,7 @@ def build_resource(N: int, d: int) -> PbtResource:
 
 def build_pbt_povm(N: int, d: int) -> PbtMeasurement:
     """Pretty-good measurement for N ports of dimension d."""
-    if N < 1:
-        raise ValueError(f"port count N={N} must be >= 1")
-    if d < 2:
-        raise ValueError(f"port dimension d={d} must be >= 2")
+    _check_ports(N, d)
     dim = d ** (N + 1)
     if dim > MAX_TOTAL_DIM:
         raise CapExceededError(
@@ -152,7 +164,7 @@ def _branch_tensors(psi_in: np.ndarray, resource: PbtResource,
     out = []
     for elem in meas.elements.elements:
         root = psd_sqrt(elem)
-        branch = np.einsum("mk,rkb->rmb", root, joint)
+        branch = np.matmul(root, joint)
         out.append(branch.reshape((psi_in.shape[0], d * dn) + (d,) * N))
     return out
 
@@ -213,9 +225,61 @@ def teleport(input_state: MixedState, resource: PbtResource,
     return z, branches[z - 1][1]
 
 
-def entanglement_fidelity(N: int, d: int, trials: int | None = None,
-                          seed: int | None = None) -> float:
+def _partitions(n: int, rows: int, largest: int | None = None):
+    """Partitions of n into at most `rows` parts, as non-increasing tuples."""
+    if n == 0:
+        yield ()
+        return
+    if rows == 0:
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - first, rows - 1, first):
+            yield (first,) + rest
+
+
+def _log_irrep_dims(shape: tuple[int, ...], d: int) -> float:
+    """log(d_mu m_mu) for the Young diagram `shape` (trailing zero rows
+    allowed): the symmetric-group irrep dimension n!/prod(hooks) times the
+    U(d) irrep dimension prod(d + content)/prod(hooks), by the hook-length
+    and hook-content formulas."""
+    cols = [sum(1 for r in shape if r > j) for j in range(shape[0])]
+    log = math.lgamma(sum(shape) + 1)
+    for i, r in enumerate(shape):
+        for j in range(r):
+            hook = (r - j) + (cols[j] - i) - 1
+            log += math.log(d + j - i) - 2.0 * math.log(hook)
+    return log
+
+
+def entanglement_fidelity(N: int, d: int) -> float:
     """Fidelity of teleporting one half of a fresh maximally entangled pair.
+
+    Evaluates the Young-diagram closed form in the module docstring in log
+    space, each term scaled by d^-(N+2)/2 so that no intermediate exceeds
+    1.  The cap d^(2N+2) <= 2**20 of `dense_entanglement_fidelity` applies
+    here too, so both accept the same (N, d).
+    """
+    if d ** (2 * N + 2) > MAX_TOTAL_DIM:
+        raise CapExceededError(f"purified joint dimension d^(2N+2) = "
+                               f"{d ** (2 * N + 2)} exceeds {MAX_TOTAL_DIM}")
+    _check_ports(N, d)
+    log_scale = (N + 2) * math.log(d)
+    total = 0.0
+    for alpha in _partitions(N - 1, d):
+        rows = alpha + (0,)
+        inner = 0.0
+        for row in range(min(len(rows), d)):
+            if row and rows[row] == rows[row - 1]:
+                continue  # a box here would break the non-increasing rows
+            mu = rows[:row] + (rows[row] + 1,) + rows[row + 1:]
+            inner += math.exp(0.5 * (_log_irrep_dims(mu, d) - log_scale))
+        total += inner * inner
+    return total
+
+
+def dense_entanglement_fidelity(N: int, d: int, trials: int | None = None,
+                                seed: int | None = None) -> float:
+    """Reference for `entanglement_fidelity` from the outcome branches.
 
     The sender's half of |Phi+(d)>, held against an external reference, is
     teleported; the result is the fidelity of (reference (x) output) with
@@ -255,7 +319,8 @@ def entanglement_fidelity(N: int, d: int, trials: int | None = None,
 @lru_cache(maxsize=None)
 def depolarizing_parameter(N: int, d: int) -> float:
     """Contraction lam = (d^2 F - 1)/(d^2 - 1) of the depolarizing channel
-    rho -> lam rho + (1 - lam) I/d that each outcome induces.  Raises
+    rho -> lam rho + (1 - lam) I/d that each outcome induces, with F from
+    the closed-form `entanglement_fidelity`.  Raises
     InvariantError unless 0 <= lam <= 1 to 1e-9; smaller noise is clipped."""
     lam = (d * d * entanglement_fidelity(N, d) - 1.0) / (d * d - 1.0)
     if not -1e-9 <= lam <= 1.0 + 1e-9:

@@ -1,8 +1,8 @@
 """Tests for port-based teleportation: resource, PGM, execution, fidelity."""
 
-import importlib
 import math
 import time
+import types
 
 import numpy as np
 import pytest
@@ -20,10 +20,12 @@ from bellforge.states import (
     reorder_registers,
     tensor,
 )
+import bellforge.teleport as tp
 from bellforge.teleport import (
     build_pbt_povm,
     build_resource,
     classical_cost,
+    dense_entanglement_fidelity,
     depolarizing_parameter,
     entanglement_fidelity,
     teleport,
@@ -226,10 +228,61 @@ def test_entanglement_fidelity_meets_inverse_port_bound():
         assert FIDELITY_FIXTURES[(N, 2)] >= 1 - 4 / N
 
 
+def pbt_fidelity_qubit(n: int) -> float:
+    """Ishizaka-Hiroshima closed form for d = 2 and n ports (PRL 101,
+    240501, 2008)."""
+    total = 0.0
+    for k in range(n + 1):
+        term = ((n - 2 * k - 1) / math.sqrt(k + 1)
+                + (n - 2 * k + 1) / math.sqrt(n - k + 1))
+        total += math.comb(n, k) * term * term
+    return total / 2 ** (n + 3)
+
+
+@pytest.mark.parametrize("N,d", [(N, 2) for N in range(1, 8)]
+                         + [(N, 3) for N in range(1, 5)]
+                         + [(N, 4) for N in range(1, 4)]
+                         + [(N, 8) for N in range(1, 3)])
+def test_closed_form_matches_dense_reference(N, d):
+    assert entanglement_fidelity(N, d) == pytest.approx(
+        dense_entanglement_fidelity(N, d), abs=1e-12)
+
+
+@pytest.mark.parametrize("N", range(1, 10))
+def test_closed_form_matches_qubit_formula(N):
+    assert entanglement_fidelity(N, 2) == pytest.approx(
+        pbt_fidelity_qubit(N), abs=1e-12)
+
+
+def test_closed_form_builds_no_measurement(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense port-teleportation path reached")
+
+    monkeypatch.setattr(tp, "build_pbt_povm", refuse)
+    monkeypatch.setattr(tp, "_branch_tensors", refuse)
+    assert entanglement_fidelity(9, 2) == pytest.approx(
+        pbt_fidelity_qubit(9), abs=1e-12)
+    assert depolarizing_parameter.__wrapped__(8, 2) == pytest.approx(
+        (4.0 * pbt_fidelity_qubit(8) - 1.0) / 3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("fidelity",
+                         [entanglement_fidelity, dense_entanglement_fidelity])
+def test_fidelity_argument_validation(fidelity):
+    with pytest.raises(ValueError, match="port count N=0 must be >= 1"):
+        fidelity(0, 2)
+    with pytest.raises(ValueError, match="port dimension d=1 must be >= 2"):
+        fidelity(1, 1)
+    for N, d in ((2, 32), (10, 2), (4, 8), (6, 4), (6, 3)):
+        with pytest.raises(CapExceededError, match=f"= {d ** (2 * N + 2)} "
+                           f"exceeds 1048576"):
+            fidelity(N, d)
+
+
 def test_entanglement_fidelity_sampled_mode():
-    exact = entanglement_fidelity(3, 2)
-    est1 = entanglement_fidelity(3, 2, trials=4000, seed=7)
-    est2 = entanglement_fidelity(3, 2, trials=4000, seed=7)
+    exact = dense_entanglement_fidelity(3, 2)
+    est1 = dense_entanglement_fidelity(3, 2, trials=4000, seed=7)
+    est2 = dense_entanglement_fidelity(3, 2, trials=4000, seed=7)
     assert est1 == est2
     assert abs(est1 - exact) < 0.02
 
@@ -247,10 +300,14 @@ def test_fidelity_cap_refuses_before_building(N, d):
     assert time.monotonic() - start < 1.0
 
 
+def test_package_attribute_is_the_teleport_module():
+    import bellforge
+    assert isinstance(tp, types.ModuleType)
+    assert bellforge.teleport is tp
+    assert tp.entanglement_fidelity is entanglement_fidelity
+
+
 def test_depolarizing_parameter_range_guard(monkeypatch):
-    # The package re-exports the function `teleport`, which shadows the
-    # submodule of the same name as a package attribute.
-    tp = importlib.import_module("bellforge.teleport")
     raw = depolarizing_parameter.__wrapped__
     for fid, lam in ((0.25, 0.0), (1.0, 1.0)):
         monkeypatch.setattr(tp, "entanglement_fidelity", lambda N, d: fid)
