@@ -144,38 +144,50 @@ def _require(cond: bool, message: str) -> None:
         raise UsageError(message)
 
 
+def _is_int(v: Any) -> bool:
+    """A JSON integer; JSON true/false load as bool, a subclass of int."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v: Any) -> bool:
+    """A finite JSON number (Python's json module also loads NaN and
+    Infinity, which no report can echo back)."""
+    return (_is_int(v) or isinstance(v, float)) and math.isfinite(v)
+
+
 def _validate_config(cfg: dict[str, Any]) -> None:
     cmd = cfg["command"]
     _require(cfg["format"] in ("json", "csv"),
              f"format must be json or csv, got {cfg['format']!r}")
     if cfg["seed"] is not None:
-        _require(isinstance(cfg["seed"], int) and 0 <= cfg["seed"] < 2 ** 64,
+        _require(_is_int(cfg["seed"]) and 0 <= cfg["seed"] < 2 ** 64,
                  f"seed must be an integer in [0, 2^64), got {cfg['seed']!r}")
-    _require(isinstance(cfg["tolerances"], dict),
+    _require(isinstance(cfg["tolerances"], dict)
+             and all(map(_is_number, cfg["tolerances"].values())),
              "tolerances must be an object of name -> number")
     if cfg["out"] is not None:
         parent = os.path.dirname(os.path.abspath(cfg["out"]))
         _require(os.path.isdir(parent),
                  f"output directory does not exist: {parent}")
     if cmd == "pbt-bench":
-        _require(isinstance(cfg["d"], int) and cfg["d"] >= 2,
+        _require(_is_int(cfg["d"]) and cfg["d"] >= 2,
                  f"d must be an integer >= 2, got {cfg['d']!r}")
         ports = cfg["ports"]
         _require(isinstance(ports, list) and len(ports) > 0,
                  "ports must be a non-empty list of integers")
-        _require(all(isinstance(n, int) and n >= 1 for n in ports),
+        _require(all(_is_int(n) and n >= 1 for n in ports),
                  "every port count must be an integer >= 1")
     elif cmd == "bell-certify":
         _validate_protocol_ref(cfg["protocol"])
         sched = cfg["schedule"]
         if sched is not None:
             _require(isinstance(sched, list) and len(sched) > 0
-                     and all(isinstance(n, int) and n >= 1 for n in sched),
+                     and all(_is_int(n) and n >= 1 for n in sched),
                      "schedule must be a non-empty list of integers >= 1")
         _require(cfg["mode"] in ("exact", "sampled"),
                  f"mode must be exact or sampled, got {cfg['mode']!r}")
         if cfg["trials"] is not None:
-            _require(isinstance(cfg["trials"], int) and cfg["trials"] >= 1,
+            _require(_is_int(cfg["trials"]) and cfg["trials"] >= 1,
                      f"trials must be an integer >= 1, got {cfg['trials']!r}")
     elif cmd == "oneway":
         _validate_protocol_ref(cfg["protocol"])
@@ -183,9 +195,9 @@ def _validate_config(cfg: dict[str, Any]) -> None:
         _require(isinstance(deltas, list) and len(deltas) > 0,
                  "deltas must be a non-empty list")
         for d in deltas:
-            _require(isinstance(d, (int, float)) and 0.0 < d < 1.0,
+            _require(_is_number(d) and 0.0 < d < 1.0,
                      f"delta {d!r} must lie strictly between 0 and 1")
-        _require(isinstance(cfg["k"], (int, float)) and cfg["k"] >= 1,
+        _require(_is_number(cfg["k"]) and cfg["k"] >= 1,
                  f"k must be a number >= 1, got {cfg['k']!r}")
         if cfg["sweep_file"] is not None:
             _require(os.path.isfile(cfg["sweep_file"]),
@@ -198,7 +210,7 @@ def _validate_config(cfg: dict[str, Any]) -> None:
                      f"function must be qrac, eq1, or a truth-table file; "
                      f"no file at {fn!r}")
         if cfg["bits"] is not None:
-            _require(isinstance(cfg["bits"], int) and cfg["bits"] >= 0,
+            _require(_is_int(cfg["bits"]) and cfg["bits"] >= 0,
                      f"bits must be an integer >= 0, got {cfg['bits']!r}")
         _require(cfg["method"] in ("one_way", "tree"),
                  f"method must be one_way or tree, got {cfg['method']!r}")
@@ -235,7 +247,7 @@ def _resolve_protocol(ref: str) -> CommProtocol:
         return _const_protocol()
     try:
         return load_protocol(ref)
-    except (ValueError, KeyError, json.JSONDecodeError) as e:
+    except (ValueError, KeyError, TypeError) as e:
         raise UsageError(f"cannot load protocol {ref!r}: {e}")
 
 
@@ -248,7 +260,7 @@ def _resolve_truth(ref: str) -> TruthTable:
     try:
         with open(ref, "r", encoding="utf-8") as fh:
             return truth_from_dict(json.load(fh))
-    except (ValueError, KeyError, json.JSONDecodeError) as e:
+    except (ValueError, KeyError, TypeError) as e:
         raise UsageError(f"cannot load truth table {ref!r}: {e}")
 
 
@@ -393,13 +405,14 @@ def _sweep_boxes(t: TruthTable, doc: dict[str, Any]):
         raise UsageError("sweep file needs boxes: \"deterministic\" or a "
                          "list of {flag, answer} objects")
     for i, box in enumerate(boxes):
-        flag = tuple(box.get("flag", ()))
-        answer = tuple(box.get("answer", ()))
-        if len(flag) != size or len(answer) != size \
-                or not all(v in (0, 1) for v in flag + answer):
+        box = box if isinstance(box, dict) else {}
+        flag, answer = box.get("flag"), box.get("answer")
+        if not (isinstance(flag, list) and isinstance(answer, list)
+                and len(flag) == size and len(answer) == size
+                and all(_is_int(v) and v in (0, 1) for v in flag + answer)):
             raise UsageError(f"sweep box {i} needs 0/1 lists of length "
                              f"{size} for flag and answer")
-        yield flag, answer
+        yield tuple(flag), tuple(answer)
 
 
 def _run_sweep(t: TruthTable, path: str,
@@ -409,11 +422,14 @@ def _run_sweep(t: TruthTable, path: str,
             doc = json.load(fh)
         except json.JSONDecodeError as e:
             raise UsageError(f"sweep file is not valid JSON: {e}")
-    if doc.get("format") != "bellforge-oneway-sweep":
+    if not isinstance(doc, dict) \
+            or doc.get("format") != "bellforge-oneway-sweep":
         raise UsageError("sweep file is missing its format tag")
     sweep_deltas = doc.get("deltas", deltas)
+    _require(isinstance(sweep_deltas, list) and len(sweep_deltas) > 0,
+             "sweep deltas must be a non-empty list")
     for d in sweep_deltas:
-        _require(isinstance(d, (int, float)) and 0.0 < d < 1.0,
+        _require(_is_number(d) and 0.0 < d < 1.0,
                  f"sweep delta {d!r} must lie strictly between 0 and 1")
     count = 0
     failures = 0

@@ -20,7 +20,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .states import ATOL_UNITARY, InvariantError, Povm, _RegisterMachine
+from .states import InvariantError, Povm, _RegisterMachine, _check_unitary
 
 ATOL_MU = 1e-12
 
@@ -30,14 +30,6 @@ def _as_matrix(m) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
-
-
-def _check_unitary_dim(u: np.ndarray, dim: int, what: str) -> None:
-    if u.shape != (dim, dim):
-        raise ValueError(f"{what}: shape {u.shape}, expected ({dim}, {dim})")
-    dev = np.max(np.abs(u.conj().T @ u - np.eye(dim)))
-    if dev > ATOL_UNITARY:
-        raise InvariantError(f"{what}: not unitary (deviation {dev})")
 
 
 @dataclass(frozen=True)
@@ -138,7 +130,7 @@ class CommProtocol:
                 raise ValueError(
                     f"alice round {i + 1}: in dim {d_in} != out dim {d_out}")
             for x, u in self.alice_ops[i].items():
-                _check_unitary_dim(u, d_in, f"alice_ops[{i}][{x}]")
+                _check_unitary(u, d_in, f"alice_ops[{i}][{x}]")
         for i in range(r - 1):
             d_in = self.m_out_dims[i] \
                 * (self.b_dims[i - 1] if i else self.b0_dim) \
@@ -148,7 +140,7 @@ class CommProtocol:
                 raise ValueError(
                     f"bob round {i + 1}: in dim {d_in} != out dim {d_out}")
             for y, u in self.bob_ops[i].items():
-                _check_unitary_dim(u, d_in, f"bob_ops[{i}][{y}]")
+                _check_unitary(u, d_in, f"bob_ops[{i}][{y}]")
         obs = dict(self.observables)
         if set(obs) != set(range(size)):
             raise ValueError(f"observables: need one POVM per input 0..{size - 1}")

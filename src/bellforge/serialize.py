@@ -53,6 +53,8 @@ def truth_to_dict(t: TruthTable) -> dict[str, Any]:
 
 
 def truth_from_dict(d: dict[str, Any]) -> TruthTable:
+    if not isinstance(d, dict):
+        raise ValueError("a truth table must be a JSON object")
     return TruthTable(n=int(d["n"]), f=np.asarray(d["f"]),
                       mu=np.asarray(d["mu"], dtype=np.float64))
 
@@ -85,7 +87,7 @@ def protocol_to_dict(p: CommProtocol) -> dict[str, Any]:
 
 
 def protocol_from_dict(d: dict[str, Any]) -> CommProtocol:
-    if d.get("format") != "bellforge-protocol":
+    if not isinstance(d, dict) or d.get("format") != "bellforge-protocol":
         raise ValueError("not a protocol document (missing format tag)")
     if int(d.get("schema_version", 0)) > SCHEMA_VERSION:
         raise ValueError(f"protocol schema version {d['schema_version']} "

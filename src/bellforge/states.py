@@ -13,6 +13,15 @@ Conventions used throughout:
 * measurements update via the Lueders rule sqrt(E) rho sqrt(E) / p,
 * Hermitian matrices are symmetrized as (M + M^dag)/2 before any
   eigendecomposition.
+
+One engine, `_RegisterMachine`, does the bookkeeping of named registers: it
+moves named axes to the front of the kron order, applies a matrix to that
+block and regroups the image into new registers.  Protocol runs drive it on
+a ket or a density matrix.  In operator mode it starts from the identity,
+held as the ket sum_i |i>|i> with a trailing column register, so the same
+steps compose the unitaries that the protocol rewrites build.  The public
+helpers `apply_on`, `reorder_registers`, `partial_trace` and
+`embed_operator` are thin wrappers over it.
 """
 
 from __future__ import annotations
@@ -101,7 +110,7 @@ class RegisterLayout:
         return self._total
 
     def dim(self, name: str) -> int:
-        return self._regs[self._index[name]][1]
+        return self._regs[self.axis(name)][1]
 
     def axis(self, name: str) -> int:
         try:
@@ -255,6 +264,135 @@ def tensor(a: State, b: State) -> State:
     return MixedState(np.kron(ma, mb), layout)
 
 
+def _check_unitary(u: np.ndarray, dim: int, what: str = "operator"
+                   ) -> np.ndarray:
+    u = np.asarray(u, dtype=np.complex128)
+    if u.shape != (dim, dim):
+        raise ValueError(f"{what}: shape {u.shape}, expected ({dim}, {dim})")
+    dev = np.max(np.abs(u.conj().T @ u - np.eye(dim)))
+    if dev > ATOL_UNITARY:
+        raise InvariantError(f"{what}: not unitary (deviation {dev})")
+    return u
+
+
+_COLUMN = object()  # operator mode's trailing column register
+
+
+class _RegisterMachine:
+    """Named registers in kron order (`regs`: name -> dimension; dimension
+    1 means absent and is never stored) over one array, `state`.
+
+    `state` is a ket whose new registers start in |0>, and a density matrix
+    after the first lossy `depolarize`.  In operator mode (`identity`) it is
+    the ket sum_i |i>|i> of a D x D operator, whose second factor is a
+    trailing column register that no call names; `apply` then composes onto
+    the operator and `matrix` reads it out.  `_front` is the only place
+    where named axes are permuted.
+    """
+
+    def __init__(self, regs: Iterable[tuple] = (),
+                 state: np.ndarray | None = None):
+        if state is None:
+            state = np.ones(1, dtype=np.complex128)
+        self.regs = {n: d for n, d in regs if d > 1}
+        self.state = state
+
+    @classmethod
+    def identity(cls, regs: Iterable[tuple]) -> "_RegisterMachine":
+        """Operator mode, starting from the identity on `regs`."""
+        regs = list(regs)
+        total = math.prod(d for _, d in regs)
+        return cls(regs + [(_COLUMN, total)],
+                   np.eye(total, dtype=np.complex128).reshape(-1))
+
+    def add(self, name: str, dim: int) -> None:
+        if dim > 1:  # kron with |0> (ket) or |0><0| (density matrix)
+            k = self.state.ndim
+            zero = np.eye(1, dim ** k).reshape((dim,) * k)
+            self.state = np.kron(self.state, zero)
+            self.regs[name] = dim
+
+    def rename(self, old, new) -> None:
+        """Re-key register `old` as `new` (no-op when `old` is absent)."""
+        self.regs = {(new if n == old else n): d for n, d in self.regs.items()}
+
+    def _front(self, names: Iterable) -> tuple[list, int, int]:
+        """Move the present `names` to the front of the kron order; return
+        them, their block dimension and the remaining dimension."""
+        names = [n for n in names if n in self.regs]
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate registers in {names}")
+        new = {n: self.regs[n] for n in names} | self.regs
+        pos, ndim = list(self.regs), self.state.ndim
+        axes = [j * len(pos) + pos.index(n) for j in range(ndim) for n in new]
+        t = self.state.reshape(list(self.regs.values()) * ndim).transpose(axes)
+        self.state, self.regs = t.reshape(self.state.shape), new
+        block = math.prod(new[n] for n in names)
+        return names, block, self.state.shape[0] // block
+
+    def apply(self, in_names: Iterable, u: np.ndarray | None,
+              out_regs: Iterable[tuple]) -> None:
+        """Apply `u` to the named registers (in order) and regroup the image
+        into `out_regs`; `u=None` only regroups.  A density matrix takes u
+        on the row block and conj(u) on the column block: O(D^2 block), not
+        kron's O(D^3)."""
+        in_names, block, rest = self._front(in_names)
+        out_regs = list(out_regs)
+        if math.prod(d for _, d in out_regs) != block:
+            raise ValueError(f"cannot regroup registers {in_names} of "
+                             f"dimension {block} into {out_regs}")
+        if u is not None:
+            if u.shape != (block, block):
+                raise ValueError(f"operator shape {u.shape} does not match "
+                                 f"register block {in_names} of dimension "
+                                 f"{block}")
+            t = u @ self.state.reshape(block, -1)
+            if self.state.ndim == 2:
+                t = np.matmul(u.conj(), t.reshape(-1, block, rest))
+            self.state = t.reshape(self.state.shape)
+        kept = {n: d for n, d in self.regs.items() if n not in in_names}
+        self.regs = {n: d for n, d in out_regs if d > 1} | kept
+
+    def matrix(self, order: Iterable) -> np.ndarray:
+        """Operator mode: the D x D operator with its rows in register
+        `order`, which must name every present register."""
+        names, block, rest = self._front(order)
+        if block != rest:  # only then is the column register all that is left
+            raise ValueError(
+                f"read-out order {names} does not name every register of "
+                f"{[n for n in self.regs if n is not _COLUMN]}")
+        return self.state.reshape(block, rest)
+
+    def depolarize(self, name: str, lam: float) -> None:
+        """rho -> lam rho + (1 - lam) I/d (x) Tr_name rho (lam = 1: no-op)."""
+        if lam == 1.0 or name not in self.regs:
+            return
+        if self.state.ndim == 1:
+            self.state = np.outer(self.state, self.state.conj())
+        _, d, rest = self._front([name])
+        t = self.state.reshape(d, rest, d, rest)
+        self.state = lam * self.state + (1.0 - lam) * np.kron(
+            np.eye(d) / d, np.einsum("iris->rs", t))
+
+    def reduced(self, names: Iterable) -> np.ndarray:
+        """Reduced density matrix of the named register block (in order)."""
+        _, block, rest = self._front(names)
+        t = self.state.reshape((block, rest) * self.state.ndim)
+        return t @ t.conj().T if t.ndim == 2 else np.einsum("irjr->ij", t)
+
+    def probs(self, names: Iterable, povm: Povm) -> np.ndarray:
+        """Born probabilities of a POVM on the named register block."""
+        reduced = self.reduced(names)
+        return np.array([np.einsum("ij,ji->", e, reduced).real
+                         for e in povm.elements])
+
+
+def _machine(state: State) -> _RegisterMachine:
+    """A register machine holding `state` in its layout order."""
+    data = state.amplitudes if isinstance(state, PureState) else state.matrix
+    return _RegisterMachine(state.layout.registers, data)
+
+
 def partial_trace(state: State, keep: Sequence[str]) -> MixedState:
     """Trace out all registers not named in `keep`.
 
@@ -268,50 +406,9 @@ def partial_trace(state: State, keep: Sequence[str]) -> MixedState:
         raise KeyError(f"unknown registers in keep: {sorted(unknown)}")
     if not keep_set:
         raise ValueError("must keep at least one register")
-    keep_axes = [i for i, (n, _) in enumerate(layout.registers) if n in keep_set]
-    drop_axes = [i for i in range(len(layout)) if i not in keep_axes]
-    dims = layout.dims
-    keep_dim = int(np.prod([dims[i] for i in keep_axes], dtype=np.int64))
-    drop_dim = layout.total_dim // keep_dim
-    new_layout = RegisterLayout([layout.registers[i] for i in keep_axes])
-    if isinstance(state, PureState):
-        t = state.amplitudes.reshape(dims)
-        t = np.transpose(t, keep_axes + drop_axes).reshape(keep_dim, drop_dim)
-        rho = t @ t.conj().T
-        return MixedState(rho, new_layout)
-    t = state.matrix.reshape(dims + dims)
-    n = len(dims)
-    order = (keep_axes + drop_axes + [n + i for i in keep_axes]
-             + [n + i for i in drop_axes])
-    t = np.transpose(t, order).reshape(keep_dim, drop_dim, keep_dim, drop_dim)
-    rho = np.einsum("ikjk->ij", t)
-    return MixedState(rho, new_layout)
-
-
-def _check_unitary(u: np.ndarray, dim: int) -> np.ndarray:
-    u = np.asarray(u, dtype=np.complex128)
-    if u.shape != (dim, dim):
-        raise ValueError(f"operator shape {u.shape} != ({dim}, {dim})")
-    dev = np.max(np.abs(u.conj().T @ u - np.eye(dim)))
-    if dev > ATOL_UNITARY:
-        raise InvariantError(f"operator not unitary (deviation {dev})")
-    return u
-
-
-def _apply_matrix_to_axes(vec_t: np.ndarray, op: np.ndarray,
-                          axes: Sequence[int], dims: Sequence[int]) -> np.ndarray:
-    """Apply `op` on the given tensor axes of a state tensor (ket side)."""
-    n = vec_t.ndim
-    axes = list(axes)
-    rest = [i for i in range(n) if i not in axes]
-    d_op = int(np.prod([dims[i] for i in axes], dtype=np.int64))
-    t = np.transpose(vec_t, axes + rest)
-    shape_after = t.shape
-    t = t.reshape(d_op, -1)
-    t = op @ t
-    t = t.reshape(shape_after)
-    inv = np.argsort(axes + rest)
-    return np.transpose(t, inv)
+    kept = [r for r in layout.registers if r[0] in keep_set]
+    rho = _machine(state).reduced([n for n, _ in kept])
+    return MixedState(rho, RegisterLayout(kept))
 
 
 def apply_on(state: State, u: np.ndarray, targets: Sequence[str]) -> State:
@@ -324,83 +421,11 @@ def apply_on(state: State, u: np.ndarray, targets: Sequence[str]) -> State:
     targets = list(targets)
     if len(set(targets)) != len(targets):
         raise ValueError("duplicate target registers")
-    axes = [layout.axis(n) for n in targets]
-    d_op = layout.subset_dim(targets)
-    u = _check_unitary(u, d_op)
-    dims = layout.dims
-    if isinstance(state, PureState):
-        t = state.amplitudes.reshape(dims)
-        t = _apply_matrix_to_axes(t, u, axes, dims)
-        return PureState(t.reshape(-1), layout)
-    n = len(dims)
-    t = state.matrix.reshape(dims + dims)
-    t = _apply_matrix_to_axes(t, u, axes, list(dims) * 2)
-    t = _apply_matrix_to_axes(t, u.conj(), [n + a for a in axes], list(dims) * 2)
-    d = layout.total_dim
-    return MixedState(t.reshape(d, d), layout)
-
-
-class _RegisterMachine:
-    """Named registers, each starting in |0> (dimension 1 means absent): a
-    ket until the first lossy `depolarize`, then a density matrix."""
-
-    def __init__(self):
-        self.regs: dict[str, int] = {}  # name -> dimension, in kron order
-        self.state = np.ones(1, dtype=np.complex128)
-
-    def add(self, name: str, dim: int) -> None:
-        if dim > 1:  # kron with |0> (ket) or |0><0| (density matrix)
-            k = self.state.ndim
-            zero = np.eye(1, dim ** k).reshape((dim,) * k)
-            self.state = np.kron(self.state, zero)
-            self.regs[name] = dim
-
-    def _front(self, names: Iterable[str]) -> tuple[list[str], int, int]:
-        """Move the present `names` to the front of the kron order; return
-        them, their block dimension and the remaining dimension."""
-        names = [n for n in names if n in self.regs]
-        new = {n: self.regs[n] for n in names} | self.regs
-        pos, ndim = list(self.regs), self.state.ndim
-        axes = [j * len(pos) + pos.index(n) for j in range(ndim) for n in new]
-        t = self.state.reshape(list(self.regs.values()) * ndim).transpose(axes)
-        self.state, self.regs = t.reshape(self.state.shape), new
-        block = math.prod(new[n] for n in names)
-        return names, block, self.state.shape[0] // block
-
-    def apply(self, in_names: Iterable[str], u: np.ndarray,
-              out_regs: Iterable[tuple[str, int]]) -> None:
-        """Apply `u` to the named registers (in order), regrouping the image
-        into `out_regs`.  A density matrix takes u on the row block and
-        conj(u) on the column block: O(D^2 block), not kron's O(D^3)."""
-        in_names, block, rest = self._front(in_names)
-        if u.shape != (block, block):
-            raise ValueError(f"operator shape {u.shape} does not match "
-                             f"register block {in_names} of dimension {block}")
-        t = u @ self.state.reshape(block, -1)
-        if self.state.ndim == 2:
-            t = np.matmul(u.conj(), t.reshape(-1, block, rest))
-        self.state = t.reshape(self.state.shape)
-        kept = {n: d for n, d in self.regs.items() if n not in in_names}
-        self.regs = {n: d for n, d in out_regs if d > 1} | kept
-
-    def depolarize(self, name: str, lam: float) -> None:
-        """rho -> lam rho + (1 - lam) I/d (x) Tr_name rho (lam = 1: no-op)."""
-        if lam == 1.0 or name not in self.regs:
-            return
-        if self.state.ndim == 1:
-            self.state = np.outer(self.state, self.state.conj())
-        _, d, rest = self._front([name])
-        t = self.state.reshape(d, rest, d, rest)
-        self.state = lam * self.state + (1.0 - lam) * np.kron(
-            np.eye(d) / d, np.einsum("iris->rs", t))
-
-    def probs(self, names: Iterable[str], povm: Povm) -> np.ndarray:
-        """Born probabilities of a POVM on the named register block."""
-        _, block, rest = self._front(names)
-        t = self.state.reshape((block, rest) * self.state.ndim)
-        reduced = t @ t.conj().T if t.ndim == 2 else np.einsum("irjr->ij", t)
-        return np.array([np.einsum("ij,ji->", e, reduced).real
-                         for e in povm.elements])
+    u = _check_unitary(u, layout.subset_dim(targets))
+    reg = _machine(state)
+    reg.apply(targets, u, [(n, layout.dim(n)) for n in targets])
+    reg._front(layout.names)
+    return type(state)(reg.state, layout)
 
 
 def reorder_registers(state: State, order: Sequence[str]) -> State:
@@ -408,17 +433,10 @@ def reorder_registers(state: State, order: Sequence[str]) -> State:
     layout = state.layout
     if sorted(order) != sorted(layout.names):
         raise ValueError(f"order {order} is not a permutation of {layout.names}")
-    axes = [layout.axis(n) for n in order]
-    new_layout = RegisterLayout([layout.registers[i] for i in axes])
-    dims = layout.dims
-    if isinstance(state, PureState):
-        t = state.amplitudes.reshape(dims).transpose(axes)
-        return PureState(t.reshape(-1), new_layout)
-    n = len(dims)
-    t = state.matrix.reshape(dims + dims)
-    t = np.transpose(t, axes + [n + a for a in axes])
-    d = layout.total_dim
-    return MixedState(t.reshape(d, d), new_layout)
+    reg = _machine(state)
+    reg._front(order)
+    return type(state)(reg.state,
+                       RegisterLayout((n, layout.dim(n)) for n in order))
 
 
 def embed_operator(op: np.ndarray, layout, targets: Sequence[str]) -> np.ndarray:
@@ -429,23 +447,13 @@ def embed_operator(op: np.ndarray, layout, targets: Sequence[str]) -> np.ndarray
     """
     layout = _as_layout(layout)
     targets = list(targets)
-    axes = [layout.axis(n) for n in targets]
     d_op = layout.subset_dim(targets)
     op = np.asarray(op, dtype=np.complex128)
     if op.shape != (d_op, d_op):
         raise ValueError(f"operator shape {op.shape} != ({d_op}, {d_op})")
-    dims = layout.dims
-    rest_axes = [i for i in range(len(dims)) if i not in axes]
-    rest_dim = int(np.prod([dims[i] for i in rest_axes], dtype=np.int64))
-    big = np.kron(op, np.eye(rest_dim, dtype=np.complex128))
-    # big is indexed by (targets, rest); permute into layout order.
-    perm = axes + rest_axes
-    inv = np.argsort(perm)
-    t = big.reshape([dims[i] for i in perm] * 2)
-    n = len(dims)
-    t = np.transpose(t, list(inv) + [n + i for i in inv])
-    d = layout.total_dim
-    return t.reshape(d, d)
+    reg = _RegisterMachine.identity(layout.registers)
+    reg.apply(targets, op, [(n, layout.dim(n)) for n in targets])
+    return reg.matrix(layout.names)
 
 
 def measure(rho: MixedState, povm: Povm, rng: np.random.Generator

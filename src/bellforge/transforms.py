@@ -14,12 +14,12 @@ transmission, so nothing but blank |0> pads ever stays behind.
 from __future__ import annotations
 
 import dataclasses
-from math import ceil, log2
+from math import ceil, log2, prod
 
 import numpy as np
 
 from .protocols import CommProtocol, MemorylessProtocol
-from .states import InvariantError, Povm
+from .states import InvariantError, Povm, _RegisterMachine
 
 SPAN_RTOL = 1e-5  # singular-value cutoff; squares to the 1e-10 Gram tolerance
 
@@ -29,90 +29,6 @@ def _log2_exact(d: int, what: str) -> int:
     if d < 1 or (1 << q) != d:
         raise ValueError(f"{what}: dimension {d} is not a power of 2")
     return q
-
-
-def _prod(xs) -> int:
-    out = 1
-    for x in xs:
-        out *= int(x)
-    return out
-
-
-class _Ctx:
-    """Running unitary over an ordered list of named tensor factors.
-
-    Bookkeeping (renaming or refactoring an axis) is free; permutations and
-    embedded operators compose into the matrix.  Dimension-1 factors are
-    never materialized.
-    """
-
-    def __init__(self, dims, tags):
-        pairs = [(t, int(d)) for t, d in zip(tags, dims) if d > 1]
-        self.tags = [t for t, _ in pairs]
-        self.dims = [d for _, d in pairs]
-        self.u = np.eye(_prod(self.dims), dtype=np.complex128)
-
-    def _front(self, tags) -> None:
-        pos = [self.tags.index(t) for t in tags]
-        rest = [i for i in range(len(self.tags)) if i not in pos]
-        order = pos + rest
-        if order != list(range(len(order))):
-            arr = np.arange(len(self.u)).reshape(self.dims).transpose(order)
-            self.u = self.u[arr.reshape(-1), :]
-            self.tags = [self.tags[i] for i in order]
-            self.dims = [self.dims[i] for i in order]
-
-    def rename(self, old, new) -> None:
-        if old in self.tags:
-            self.tags[self.tags.index(old)] = new
-
-    def refactor(self, tag, new_dims, new_tags) -> None:
-        """Reinterpret one axis as a row-major product of factors."""
-        if tag not in self.tags:
-            if _prod(new_dims) != 1:
-                raise ValueError(f"refactor: absent axis {tag}")
-            return
-        i = self.tags.index(tag)
-        if _prod(new_dims) != self.dims[i]:
-            raise ValueError(f"refactor: {new_dims} != dim {self.dims[i]}")
-        keep = [(t, d) for t, d in zip(new_tags, new_dims) if d > 1]
-        self.tags[i:i + 1] = [t for t, _ in keep]
-        self.dims[i:i + 1] = [d for _, d in keep]
-
-    def merge(self, tags, new_tag) -> None:
-        """Group the named axes (in order) into one axis."""
-        tags = [t for t in tags if t in self.tags]
-        if not tags:
-            return
-        self._front(tags)
-        k = len(tags)
-        d = _prod(self.dims[:k])
-        self.tags[:k] = [new_tag]
-        self.dims[:k] = [d]
-
-    def apply(self, op, in_tags, out_dims, out_tags) -> None:
-        in_tags = [t for t in in_tags if t in self.tags]
-        self._front(in_tags)
-        k = len(in_tags)
-        d_op = _prod(self.dims[:k])
-        if op.shape != (d_op, d_op):
-            raise ValueError(
-                f"operator shape {op.shape} does not match block {d_op}")
-        total = len(self.u)
-        self.u = (op @ self.u.reshape(d_op, -1)).reshape(total, total)
-        keep = [(t, int(d)) for t, d in zip(out_tags, out_dims) if d > 1]
-        self.tags[:k] = [t for t, _ in keep]
-        self.dims[:k] = [d for _, d in keep]
-
-    def finish(self, tag_order) -> np.ndarray:
-        tag_order = [t for t in tag_order if t in self.tags]
-        if sorted(map(str, tag_order)) != sorted(map(str, self.tags)):
-            raise ValueError(f"finish: {tag_order} != axes {self.tags}")
-        self._front(tag_order)
-        return self.u
-
-    def dim_of(self, tag) -> int:
-        return self.dims[self.tags.index(tag)] if tag in self.tags else 1
 
 
 def _message_blocks(p: CommProtocol):
@@ -240,38 +156,29 @@ def src_dims_at(p: CommProtocol, party: str, ell: int) -> int:
 
 def _build_round_op(p: CommProtocol, party: str, plan: _RoundPlan,
                     v: int) -> np.ndarray:
-    dims = ([2] if plan.has_sh_in else []) \
-        + [d for _, d in plan.in_mem] + [d for _, d in plan.anc]
-    tags = (["sh"] if plan.has_sh_in else []) \
-        + [t for t, _ in plan.in_mem] + [t for t, _ in plan.anc]
-    ctx = _Ctx(dims, tags)
+    sh = [("sh", 2)] if plan.has_sh_in else []
+    reg = _RegisterMachine.identity(sh + plan.in_mem + plan.anc)
     if plan.absorb is not None:
-        ctx.rename("sh", plan.absorb)
+        reg.rename("sh", plan.absorb)
     elif plan.has_sh_in:
-        ctx.rename("sh", "bounce")
+        reg.rename("sh", "bounce")
     if plan.fire is not None:
         ell, sel, out_dims, out_tags = plan.fire
         ops = p.alice_ops if party == "A" else p.bob_ops
-        ctx.apply(ops[ell][v], sel, out_dims, out_tags)
+        reg.apply(sel, ops[ell][v], zip(out_tags, out_dims))
     if plan.bounce_to is not None:
-        ctx.rename("bounce", plan.bounce_to)
-    ctx.rename(plan.sh_out, "sh")
-    return ctx.finish(["sh"] + [t for t, _ in plan.out_mem])
+        reg.rename("bounce", plan.bounce_to)
+    reg.rename(plan.sh_out, "sh")
+    return reg.matrix(["sh"] + [t for t, _ in plan.out_mem])
 
 
 def _split_observable(p: CommProtocol, msgs, bob_ledger, y) -> Povm:
     last = len(msgs) - 1
     _, m_dim, q = msgs[last]
-    dims = [2] + [d for _, d in bob_ledger]
-    tags = ["sh"] + [t for t, _ in bob_ledger]
-    ctx = _Ctx(dims, tags)
-    front = [("q", last, j) for j in range(q - 1)] + ["sh"]
-    src_tag = ("src", p.rounds - 2)
-    if p.rounds == 1:
-        src_tag = ("src", -1)
-    if ctx.dim_of(src_tag) > 1:
-        front.append(src_tag)
-    perm = ctx.finish(front + [t for t in ctx.tags if t not in front])
+    src_tag = ("src", p.rounds - 2)  # ("src", -1): Bob's initial memory
+    front = [("q", last, j) for j in range(q - 1)] + ["sh", src_tag]
+    reg = _RegisterMachine.identity([("sh", 2)] + bob_ledger)
+    perm = reg.matrix(front + [t for t, _ in bob_ledger if t not in front])
     d_total = len(perm)
     b_dim = src_dims_at(p, "B", p.rounds - 2)
     d_meas = m_dim * b_dim
@@ -315,10 +222,10 @@ def to_single_qubit_rounds(p: CommProtocol) -> CommProtocol:
         truth=p.truth, rounds=rounds,
         a0_dim=p.a0_dim, b0_dim=p.b0_dim,
         m_out_dims=(2,) * rounds, m_back_dims=(2,) * (rounds - 1),
-        a_dims=tuple(_prod(d for _, d in plan.out_mem) for plan in plans_a),
-        b_dims=tuple(_prod(d for _, d in plan.out_mem) for plan in plans_b),
-        anc_a_dims=tuple(_prod(d for _, d in plan.anc) for plan in plans_a),
-        anc_b_dims=tuple(_prod(d for _, d in plan.anc) for plan in plans_b),
+        a_dims=tuple(prod(d for _, d in plan.out_mem) for plan in plans_a),
+        b_dims=tuple(prod(d for _, d in plan.out_mem) for plan in plans_b),
+        anc_a_dims=tuple(prod(d for _, d in plan.anc) for plan in plans_a),
+        anc_b_dims=tuple(prod(d for _, d in plan.anc) for plan in plans_b),
         alice_ops=alice_ops, bob_ops=bob_ops,
         observables=observables, epsilon=p.epsilon, meta=meta)
 
@@ -514,71 +421,54 @@ def to_memoryless(p: CommProtocol) -> MemorylessProtocol:
         d_prev, d_cur = dims_a[t], dims_a[t + 1]
         anc_split = p.anc_a_dims[t]
         if t == 0:
-            ctx = _Ctx([2 ** ka, 2], ["amb", "anc"])
-            ctx.refactor("amb", [d_prev, 2 ** ka // d_prev], ["spA", "pad"])
-            ctx.merge(["pad", "anc"], "pool")
-            ctx.refactor("pool", [anc_split, 2 ** (ka + 1) // d_prev // anc_split],
-                         ["sanc", "left"])
+            reg = _RegisterMachine.identity([("amb", 2 ** ka), ("anc", 2)])
+            pool = 2 ** (ka + 1) // d_prev  # memory pad and fresh ancilla
         else:
-            b_prev = beta[t - 1]
-            ctx = _Ctx([2, 2 ** alpha[t - 1], 2 ** b_prev,
-                        2 ** (ka - alpha[t - 1])],
-                       ["sh", "cA", "cB", "blank"])
-            ctx.merge(["cA", "blank"], "camb")
-            ctx.apply(coms_a[x][t - 1].conj().T, ["camb"],
-                      [2 ** ka], ["amb"])
-            ctx.refactor("amb", [d_prev, 2 ** ka // d_prev], ["spA", "pad"])
-            ctx.refactor("pad", [anc_split, 2 ** ka // d_prev // anc_split],
-                         ["sanc", "left"])
-        ctx.apply(p.alice_ops[t][x], ["sh", "spA", "sanc"],
-                  [2, d_cur], ["sh", "spA2"])
-        ctx.merge(["spA2", "left"], "camb2")
-        ctx.apply(coms_a[x][t], ["camb2"], [2 ** ka], ["amb2"])
-        ctx.refactor("amb2", [2 ** alpha[t], 2 ** (ka - alpha[t])],
-                     ["cA2", "blank2"])
-        order = ["sh", "cA2"] + (["cB"] if t > 0 else []) + ["blank2"]
-        return ctx.finish(order)
+            a_prev = alpha[t - 1]
+            reg = _RegisterMachine.identity(
+                [("sh", 2), ("cA", 2 ** a_prev), ("cB", 2 ** beta[t - 1]),
+                 ("blank", 2 ** (ka - a_prev))])
+            reg.apply(["cA", "blank"], coms_a[x][t - 1].conj().T,
+                      [("amb", 2 ** ka)])
+            pool = 2 ** ka // d_prev
+        reg.apply(["amb", "anc"], None, [("spA", d_prev), ("sanc", anc_split),
+                                         ("left", pool // anc_split)])
+        reg.apply(["sh", "spA", "sanc"], p.alice_ops[t][x],
+                  [("sh", 2), ("spA2", d_cur)])
+        reg.apply(["spA2", "left"], coms_a[x][t],
+                  [("cA2", 2 ** alpha[t]), ("blank2", 2 ** (ka - alpha[t]))])
+        return reg.matrix(["sh", "cA2", "cB", "blank2"])
+
+    def bob_input(t: int, y: int) -> _RegisterMachine:
+        """Bob's round-t input (shuttle, Alice's compressed memory, his own)
+        with his memory decompressed into "bamb"."""
+        if t == 0:
+            return _RegisterMachine.identity(
+                [("sh", 2), ("cA", 2 ** alpha[0]), ("bamb", 2 ** kb)])
+        reg = _RegisterMachine.identity(
+            [("sh", 2), ("cA", 2 ** alpha[t]), ("cB", 2 ** beta[t - 1]),
+             ("bblank", 2 ** (kb - beta[t - 1]))])
+        reg.apply(["cB", "bblank"], coms_b[y][t - 1].conj().T,
+                  [("bamb", 2 ** kb)])
+        return reg
 
     def bob_round(t: int, y: int) -> np.ndarray:
         d_prev, d_cur = dims_b[t], dims_b[t + 1]
         anc_split = p.anc_b_dims[t]
-        if t == 0:
-            ctx = _Ctx([2, 2 ** alpha[0], 2 ** kb], ["sh", "cA", "bamb"])
-        else:
-            ctx = _Ctx([2, 2 ** alpha[t], 2 ** beta[t - 1],
-                        2 ** (kb - beta[t - 1])],
-                       ["sh", "cA", "cB", "bblank"])
-            ctx.merge(["cB", "bblank"], "cbmb")
-            ctx.apply(coms_b[y][t - 1].conj().T, ["cbmb"], [2 ** kb], ["bamb"])
-        ctx.refactor("bamb", [d_prev, 2 ** kb // d_prev], ["spB", "pad"])
-        ctx.refactor("pad", [anc_split, 2 ** kb // d_prev // anc_split],
-                     ["sanc", "left"])
-        ctx.apply(p.bob_ops[t][y], ["sh", "spB", "sanc"],
-                  [2, d_cur], ["sh", "spB2"])
-        ctx.merge(["spB2", "left"], "cbmb2")
-        ctx.apply(coms_b[y][t], ["cbmb2"], [2 ** kb], ["bamb2"])
-        ctx.refactor("bamb2", [2 ** beta[t], 2 ** (kb - beta[t])],
-                     ["cB2", "bblank2"])
-        return ctx.finish(["sh", "cA", "cB2", "bblank2"])
+        reg = bob_input(t, y)
+        reg.apply(["bamb"], None, [("spB", d_prev), ("sanc", anc_split),
+                                   ("left", 2 ** kb // d_prev // anc_split)])
+        reg.apply(["sh", "spB", "sanc"], p.bob_ops[t][y],
+                  [("sh", 2), ("spB2", d_cur)])
+        reg.apply(["spB2", "left"], coms_b[y][t],
+                  [("cB2", 2 ** beta[t]), ("bblank2", 2 ** (kb - beta[t]))])
+        return reg.matrix(["sh", "cA", "cB2", "bblank2"])
 
     def final_observable(y: int) -> Povm:
-        a_last = alpha[q_rounds - 1]
-        if q_rounds == 1:
-            dims = [2, 2 ** a_last, 2 ** kb]
-            tags = ["sh", "cA", "bamb"]
-            ctx = _Ctx(dims, tags)
-        else:
-            b_last = beta[q_rounds - 2]
-            ctx = _Ctx([2, 2 ** a_last, 2 ** b_last, 2 ** (kb - b_last)],
-                       ["sh", "cA", "cB", "bblank"])
-            ctx.merge(["cB", "bblank"], "cbmb")
-            ctx.apply(coms_b[y][q_rounds - 2].conj().T, ["cbmb"],
-                      [2 ** kb], ["bamb"])
-        d_b = dims_b[q_rounds - 1]
-        ctx.refactor("bamb", [d_b, 2 ** kb // d_b], ["spB", "pad"])
-        v = ctx.finish(["sh", "spB"]
-                       + [t for t in ctx.tags if t not in ("sh", "spB")])
-        rest = len(v) // (2 * d_b)
+        # Bob measures the shuttle and his source memory, the leading
+        # d_b factor of "bamb"; the rest of the bundle is idle.
+        v = bob_input(q_rounds - 1, y).matrix(["sh", "bamb", "cA"])
+        rest = len(v) // (2 * dims_b[q_rounds - 1])
         elements = [v.conj().T @ np.kron(e, np.eye(rest)) @ v
                     for e in p.observables[y].elements]
         return Povm(elements)

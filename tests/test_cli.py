@@ -109,6 +109,45 @@ class TestConfigHandling:
         code, _, err = run_cli(capsys, "cc", "--format", "xml")
         assert code == 1
 
+    SWEEP = "bellforge-oneway-sweep"
+
+    @pytest.mark.parametrize("cmd,cfg,files", [
+        ("pbt-bench", {"tolerances": {"povm_completeness": "abc"}}, {}),
+        ("pbt-bench", {"tolerances": {"povm_positivity": float("nan")}}, {}),
+        ("pbt-bench", {"seed": True}, {}),
+        ("pbt-bench", {"ports": [True]}, {}),
+        ("bell-certify", {"trials": True}, {}),
+        ("bell-certify", {"schedule": [True]}, {}),
+        ("cc", {"bits": True}, {}),
+        ("oneway", {"k": True}, {}),
+        ("oneway", {"sweep_file": "s.json"}, {"s.json": [1, 2]}),
+        ("oneway", {"sweep_file": "s.json"},
+         {"s.json": {"format": SWEEP, "boxes": [1, 2]}}),
+        ("oneway", {"sweep_file": "s.json"},
+         {"s.json": {"format": SWEEP,
+                     "boxes": [{"flag": 1, "answer": [0, 0, 0, 0]}]}}),
+        ("oneway", {"sweep_file": "s.json"},
+         {"s.json": {"format": SWEEP, "boxes": "deterministic",
+                     "deltas": []}}),
+        ("cc", {"function": "t.json"}, {"t.json": [1, 2]}),
+        ("bell-certify", {"protocol": "p.json"}, {"p.json": [1, 2]}),
+    ], ids=["tolerance-string", "tolerance-nan", "seed-bool", "ports-bool",
+            "trials-bool", "schedule-bool", "bits-bool", "k-bool",
+            "sweep-array", "sweep-box-not-object", "sweep-flag-not-list",
+            "sweep-deltas-empty", "truth-table-array", "protocol-array"])
+    def test_malformed_input_is_usage_error(self, capsys, tmp_path, cmd,
+                                            cfg, files):
+        for name, doc in files.items():
+            (tmp_path / name).write_text(json.dumps(doc))
+        cfg = {k: str(tmp_path / v) if isinstance(v, str) and v in files
+               else v for k, v in cfg.items()}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, cmd, "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestPbtBench:
     def test_default_report(self, capsys):

@@ -330,6 +330,103 @@ def test_register_machine_matches_dense_references(data):
         assert abs(p_mixed.sum() - 1.0) < 1e-12
 
 
+
+def test_register_machine_rejects_mismatched_regroup():
+    reg = _RegisterMachine()
+    reg.add("A", 2)
+    reg.add("B", 3)
+    with pytest.raises(ValueError, match="regroup"):
+        reg.apply(["A"], np.eye(2), [("A", 3)])
+    with pytest.raises(ValueError, match="regroup"):
+        reg.apply(["A", "B"], None, [("C", 4)])
+    assert reg.regs == {"A": 2, "B": 3}
+
+
+def test_operator_mode_rename_and_read_out():
+    reg = _RegisterMachine.identity([("A", 2), ("B", 1), ("C", 3)])
+    reg.rename("A", "X")
+    reg.rename("B", "Y")  # absent: no-op
+    assert list(reg.regs)[:2] == ["X", "C"]
+    assert np.array_equal(reg.matrix(["X", "Y", "C"]), np.eye(6))
+    with pytest.raises(ValueError, match="does not name every register"):
+        reg.matrix(["C"])
+
+
+def embedded(op, dims, axes):
+    """Reference for embed_operator by index arithmetic alone: entry (i, j)
+    is op at the target digits of i and j when i and j agree elsewhere."""
+    digits = np.array(np.unravel_index(np.arange(int(np.prod(dims))), dims))
+    rest = [a for a in range(len(dims)) if a not in axes]
+    t = np.ravel_multi_index(digits[axes], [dims[a] for a in axes])
+    r = np.ravel_multi_index(digits[rest], [dims[a] for a in rest]) \
+        if rest else np.zeros_like(t)
+    return op[np.ix_(t, t)] * (r[:, None] == r[None, :])
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_register_helpers_match_dense_references(data):
+    # Random layouts, targets and orders.  The public register helpers and
+    # the machine's operator-mode read-out are checked against references
+    # that never touch the machine: index arithmetic, np.transpose, einsum.
+    dims = data.draw(st.lists(st.integers(2, 3), min_size=1, max_size=4))
+    names = data.draw(st.permutations("ABCD"))[:len(dims)]
+    lay = RegisterLayout(zip(names, dims))
+    n, total = len(dims), lay.total_dim
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    targets = data.draw(st.permutations(names))[:data.draw(st.integers(1, n))]
+    axes = [names.index(t) for t in targets]
+    rest = [m for m in names if m not in targets]
+    order = data.draw(st.permutations(names))
+    perm = [names.index(m) for m in order]
+    u = random_unitary(lay.subset_dim(targets), rng)
+    big = embedded(u, dims, axes)
+
+    def rows_in(row_axes):
+        return big.reshape(dims + [total]).transpose(row_axes + [n]) \
+            .reshape(total, total)
+
+    assert np.max(np.abs(embed_operator(u, lay, targets) - big)) < 1e-12
+    reg = _RegisterMachine.identity(lay.registers)
+    reg.apply(targets, u, [(t, lay.dim(t)) for t in targets])
+    assert np.max(np.abs(reg.matrix(order) - rows_in(perm))) < 1e-12
+    rest_order = data.draw(st.permutations(rest))
+    reg = _RegisterMachine.identity(lay.registers)
+    reg.apply(targets, u, [("G", len(u))])
+    assert np.max(np.abs(reg.matrix(["G"] + rest_order) - rows_in(
+        axes + [names.index(m) for m in rest_order]))) < 1e-12
+
+    psi = ket(*(rng.normal(size=total) + 1j * rng.normal(size=total)))
+    kept = sorted(axes)
+    kd = int(np.prod([dims[a] for a in kept]))
+    cols = [n + a if a in axes else a for a in range(n)]  # traced: shared
+    for s in (PureState(psi, lay),
+              MixedState(random_density(total, rng), lay)):
+        pure = isinstance(s, PureState)
+        rho = np.outer(psi, psi.conj()) if pure else s.matrix
+        out = apply_on(s, u, targets)
+        assert out.layout == lay
+        if pure:
+            assert np.max(np.abs(out.amplitudes - big @ psi)) < 1e-12
+        else:
+            ref = big @ rho @ big.conj().T
+            assert np.max(np.abs(out.matrix - ref)) < 1e-12
+        moved = reorder_registers(s, order)
+        assert moved.layout.names == tuple(order)
+        if pure:
+            ref = psi.reshape(dims).transpose(perm).reshape(-1)
+            assert np.array_equal(moved.amplitudes, ref)
+        else:
+            ref = rho.reshape(dims * 2).transpose(
+                perm + [n + p for p in perm]).reshape(total, total)
+            assert np.array_equal(moved.matrix, ref)
+        red = partial_trace(s, targets)
+        assert red.layout.names == tuple(names[a] for a in kept)
+        ref = np.einsum(rho.reshape(dims * 2), list(range(n)) + cols,
+                        kept + [n + a for a in kept]).reshape(kd, kd)
+        assert np.max(np.abs(red.matrix - ref)) < 1e-12
+
+
 # ---------------------------------------------------------------- measure
 
 def test_measure_definite_outcome():
