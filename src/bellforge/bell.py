@@ -37,8 +37,9 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from ._threads import thread_map
-from .classicalcc import best_success_tree, distributional_cc
-from .classicalcc import best_success_one_way
+from .classicalcc import (
+    _best_response, _capped, _weights, best_success_one_way,
+    best_success_tree, distributional_cc)
 from .protocols import CommProtocol, MemorylessProtocol, TruthTable, _simulate
 from .remoteprep import index_cost_bits, rsp_povm
 from .states import (
@@ -57,8 +58,9 @@ ATOL_TABLE = 1e-9
 EXACT_MAX_ROUNDS = 2
 ALPHABET_CAP = 2 ** 16
 
-# Deterministic local-strategy searches may enumerate at most this many
-# strategy combinations after greedy-leaf factoring.
+# The exact local bound may enumerate at most this many Alice index maps,
+# (n1 * n3^n2)^|X|, solving Bob's labels and leaf bits per map;
+# `lhv_strategies` counts every full strategy against it.
 LHV_CAP = 10 ** 7
 
 # Coefficient of the budget-ratio bound sqrt(classical/quantum).
@@ -431,43 +433,17 @@ def _digits(value: int, slots: int, base: int) -> np.ndarray:
 def _lhv_exact(t: TruthTable, s: PortSchedule) -> float:
     """Best functional value over deterministic local strategies.
 
-    Leaf bits are filled greedily per (y, leaf), which is exact; the
-    remaining index labels are enumerated outright.
+    This is the communication search of `classicalcc` with port-count leg
+    alphabets, (n1, 1, 1) for one level and (n1, n2, n3) for three, since
+    only a3[x, a1[x], .] is ever read: Alice's (n1 * n3^n2)^|X| index maps,
+    at most LHV_CAP, against Bob's exact best labels and leaf bits.
     """
-    size, per_x, per_y = _strategy_spaces(t, s)
-    space = per_x ** size * per_y ** size
-    if space > LHV_CAP:
+    if s.levels not in (1, 3):
         raise CapExceededError(
-            f"deterministic strategy space {space} exceeds {LHV_CAP}")
-    w = np.stack([np.where(t.f == b, t.mu, 0.0) for b in (0, 1)])
-    if s.levels == 1:
-        n1 = s.port_counts[0]
-        best = 0.0
-        for amap in product(range(n1), repeat=size):
-            acc = np.zeros((size, n1, 2))
-            for x in range(size):
-                acc[:, amap[x], :] += w[:, x, :].T
-            best = max(best, float(acc.max(axis=2).sum()))
-        return best
-    n1, n2, n3 = s.port_counts
-    a_choices = []
-    for cid in range(per_x):
-        a1 = cid % n1
-        a3 = _digits(cid // n1, n1 * n2, n3).reshape(n1, n2)
-        a_choices.append((a1, a3))
-    b_choices = [_digits(rid, n1, n2) for rid in range(per_y)]
-    best = 0.0
-    for aidx in product(range(per_x), repeat=size):
-        picks = [a_choices[c] for c in aidx]
-        for bidx in product(range(per_y), repeat=size):
-            acc = np.zeros((size, n1, n2, n3, 2))
-            for x in range(size):
-                a1, a3 = picks[x]
-                for y in range(size):
-                    i2 = b_choices[bidx[y]][a1]
-                    acc[y, a1, i2, a3[a1, i2], :] += w[:, x, y]
-            best = max(best, float(acc.max(axis=4).sum()))
-    return best
+            f"local-strategy search supports 1 or 3 levels, got {s.levels}")
+    legs = (s.port_counts + (1, 1))[:3]
+    return _best_response(_weights(t), _capped(
+        t.num_inputs, legs, LHV_CAP, "deterministic strategy space"))
 
 
 def lhv_bound(functional: BellFunctional, method: str = "exact",

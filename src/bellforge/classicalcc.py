@@ -10,6 +10,16 @@ Bob's input, so its optimum decomposes pointwise.  Shared randomness never
 helps against a fixed distribution (the value is linear in the strategy
 mixture), so the deterministic optimum is the optimum.
 
+Bob's reply is solved the same way, so only Alice's maps are enumerated.
+In a protocol of up to three legs Alice sends k1 = m1[x], Bob answers
+k2 = m2[y, k1] and Alice sends k3 = m3[x, k2]; one-way is a2 = a3 = 1 for
+leg alphabets (a1, a2, a3).  With Alice's maps fixed, each choice of Bob's
+(k2 per (y, k1), b per (y, k1, k2, k3)) touches its own terms of the score,
+so his best response is exact: value = sum_{y,k1} max_k2 sum_k3 max_b S,
+S[b, y, k1, k2, k3] = sum_x mu(x, y) [f(x, y) = b] [m1[x] = k1]
+[m3[x, k2] = k3].  Each x picks one of a1 * a3^a2 choices, so a search
+walks (a1 * a3^a2)^|X| Alice maps, which is what the caps count.
+
 The searched quantity is distributional: the best average success under mu
 for a fixed budget.  Its inverse (minimum bits to reach a target success)
 is a lower-bound surrogate for worst-case complexity, and reports built on
@@ -25,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -33,12 +44,15 @@ from ._threads import thread_map
 from .protocols import TruthTable
 from .states import CapExceededError
 
-# Hard cap on the number of deterministic strategies any single search may
-# enumerate (after the greedy-decision factoring).
+# Hard cap on the number of Alice maps any single search may enumerate,
+# (a1 * a3^a2)^|X| for leg alphabets (a1, a2, a3); Bob's reply and decision
+# are solved exactly per enumerated map.
 ENUM_CAP = 10 ** 8
 
-# Batch size for vectorized map enumeration.
+# Batch size for vectorized map enumeration; batches shrink so that one
+# batch's one-hot and score blocks hold at most _BLOCK float64 entries.
 _CHUNK = 8192
+_BLOCK = 2 ** 21
 
 # Guard subtracted before ceilings of exact rational expressions, so that
 # float noise (e.g. 3/(1/6)^2 evaluating to 108.00000000000001) does not
@@ -64,8 +78,51 @@ def _maps(start: int, stop: int, slots: int, alphabet: int) -> np.ndarray:
     return out
 
 
-def _one_hot(maps: np.ndarray, alphabet: int) -> np.ndarray:
-    return (maps[..., np.newaxis] == np.arange(alphabet)).astype(np.float64)
+def _capped(nx: int, legs: tuple[int, int, int], cap: int,
+            what: str) -> tuple[int, int, int]:
+    """Return `legs` if its (a1 * a3^a2)^nx Alice maps fit in `cap`."""
+    a1, a2, a3 = legs
+    count = (a1 * a3 ** a2) ** nx
+    if count > cap:
+        raise CapExceededError(
+            f"{what}: ({a1}*{a3}^{a2})^{nx} = {count} Alice maps exceeds "
+            f"{cap}")
+    return legs
+
+
+@lru_cache(maxsize=32)
+def _choice_table(a1: int, a2: int, a3: int) -> np.ndarray:
+    """Read-only one-hot rows (k1, k2, k3) of Alice's per-input choices:
+    choice p sends k1 = p % a1 and answers k2 with digit k2 of p // a1."""
+    p = np.arange(a1 * a3 ** a2)
+    k1 = p % a1
+    k3 = _maps(0, a3 ** a2, a2, a3)[p // a1]          # (choices, a2)
+    hot = (k1[:, None, None, None] == np.arange(a1)[:, None, None]) & \
+        (k3[:, None, :, None] == np.arange(a3))
+    table = hot.astype(np.float64).reshape(len(p), -1)
+    table.flags.writeable = False
+    return table
+
+
+def _best_response(w: np.ndarray, legs: tuple[int, int, int]) -> float:
+    """Best score of deterministic protocols with leg alphabets `legs` on
+    weights W[b, x, y]: every Alice map against Bob's exact best response
+    (module docstring).  Callers cap the map count with `_capped` first."""
+    a1, a2, a3 = legs
+    _, nx, ny = w.shape
+    hot = _choice_table(a1, a2, a3)
+    choices, cells = hot.shape
+    total = choices ** nx
+    rows = max(1, min(_CHUNK, _BLOCK // ((nx + 2 * ny) * cells)))
+    wt = w.transpose(1, 0, 2).reshape(nx, 2 * ny)           # (x, b y)
+
+    def run_chunk(start: int) -> float:
+        g = hot[_maps(start, min(start + rows, total), nx, choices)]
+        s = np.matmul(g.transpose(0, 2, 1), wt).reshape(-1, a1, a2, a3, 2, ny)
+        vals = s.max(axis=4).sum(axis=3).max(axis=2).sum(axis=(1, 2))
+        return float(vals.max())
+
+    return max(thread_map(run_chunk, range(0, total, rows)))
 
 
 def best_success_one_way(t: TruthTable, bits: int) -> float:
@@ -82,21 +139,8 @@ def best_success_one_way(t: TruthTable, bits: int) -> float:
     if m_count >= nx:
         # Sending x itself lets the decision rule output f(x, y) directly.
         return 1.0
-    total = m_count ** nx
-    if total > ENUM_CAP:
-        raise CapExceededError(
-            f"one-way strategy space {m_count}^{nx} = {total} exceeds "
-            f"{ENUM_CAP}")
-    w = _weights(t)
-
-    def run_chunk(start: int) -> float:
-        stop = min(start + _CHUNK, total)
-        hot = _one_hot(_maps(start, stop, nx, m_count), m_count)  # (c, x, m)
-        scores = np.einsum("cxm,bxy->cbmy", hot, w)      # (c, b, m, y)
-        return float(scores.max(axis=1).sum(axis=(1, 2)).max())
-
-    starts = list(range(0, total, _CHUNK))
-    return max(thread_map(run_chunk, starts))
+    legs = _capped(nx, (m_count, 1, 1), ENUM_CAP, "one-way strategy space")
+    return _best_response(_weights(t), legs)
 
 
 def _genuine_splits(bits: int) -> list[tuple[int, int, int]]:
@@ -114,38 +158,17 @@ def _genuine_splits(bits: int) -> list[tuple[int, int, int]]:
     return out
 
 
+def _split_legs(t: TruthTable, c1: int, c2: int,
+                c3: int) -> tuple[int, int, int]:
+    return _capped(t.num_inputs, (2 ** c1, 2 ** c2, 2 ** c3), ENUM_CAP,
+                   f"tree strategy space for split ({c1},{c2},{c3})")
+
+
 def _tree_split_value(t: TruthTable, c1: int, c2: int, c3: int) -> float:
     """Best success over deterministic three-leg protocols with leg budgets
-    (c1, c2, c3); decisions greedy per (y, first message, last message)."""
-    nx = t.num_inputs
-    ny = t.num_inputs
-    m1a, m2a, m3a = 2 ** c1, 2 ** c2, 2 ** c3
-    n1 = m1a ** nx
-    n2 = m2a ** (ny * m1a)
-    n3 = m3a ** (nx * m2a)
-    if n1 * n2 * n3 > ENUM_CAP:
-        raise CapExceededError(
-            f"tree strategy space {n1}*{n2}*{n3} for split "
-            f"({c1},{c2},{c3}) exceeds {ENUM_CAP}")
-    w = _weights(t)
-    m1_all = _maps(0, n1, nx, m1a)
-    m2_all = _maps(0, n2, ny * m1a, m2a).reshape(n2, ny, m1a)
-    xs = np.arange(nx)
-    best = 0.0
-    for m1 in m1_all:
-        mask1 = _one_hot(m1, m1a)                        # (x, k1)
-        for m2 in m2_all:
-            reply = m2[:, m1].T                          # (x, y): m2[y, m1[x]]
-            for start in range(0, n3, _CHUNK):
-                stop = min(start + _CHUNK, n3)
-                m3 = _maps(start, stop, nx * m2a, m3a).reshape(
-                    stop - start, nx, m2a)
-                hot3 = _one_hot(m3, m3a)                 # (c, x, r, k3)
-                sel = hot3[:, xs[:, np.newaxis], reply, :]   # (c, x, y, k3)
-                scores = np.einsum("bxy,xk,cxyj->cbykj", w, mask1, sel)
-                vals = scores.max(axis=1).sum(axis=(1, 2, 3))
-                best = max(best, float(vals.max()))
-    return best
+    (c1, c2, c3), enumerating the (2^c1 * 2^(c3 * 2^c2))^|X| Alice maps (at
+    most ENUM_CAP) against Bob's exact best response."""
+    return _best_response(_weights(t), _split_legs(t, c1, c2, c3))
 
 
 def best_success_tree(t: TruthTable, bits: int, rounds: int = 2) -> float:
@@ -154,7 +177,8 @@ def best_success_tree(t: TruthTable, bits: int, rounds: int = 2) -> float:
     help since Bob decides).
 
     With rounds=1 this is the one-way optimum.  Interactive splits are
-    searched exhaustively with greedy final decisions.
+    searched exhaustively, after every split's map count has been checked
+    against ENUM_CAP.
     """
     if bits < 0:
         raise ValueError(f"bits={bits} must be >= 0")
@@ -163,7 +187,10 @@ def best_success_tree(t: TruthTable, bits: int, rounds: int = 2) -> float:
     best = best_success_one_way(t, bits)
     if rounds == 1 or best >= 1.0 - 1e-15:
         return best
-    for c1, c2, c3 in _genuine_splits(bits):
+    splits = _genuine_splits(bits)
+    for split in splits:
+        _split_legs(t, *split)
+    for c1, c2, c3 in splits:
         best = max(best, _tree_split_value(t, c1, c2, c3))
     return best
 

@@ -487,10 +487,15 @@ def cmd_cc(cfg: dict[str, Any],
     cc_table = build_cc_table(t, max_bits=bits, method=method)
     rows = [{"bits": c, "success": v, "method": "cc_derived"}
             for c, v in cc_table.success]
-    two_thirds = distributional_cc(t, 2.0 / 3.0, method=method)
+
+    def need(p: float) -> float:
+        c = cc_table.min_bits(p)
+        return c if math.isfinite(c) else distributional_cc(t, p, method)
+
+    two_thirds = need(2.0 / 3.0)
     pump_rows = []
     for eps in _PUMPING_EPSILONS:
-        c_eps = distributional_cc(t, 0.5 + eps, method=method)
+        c_eps = need(0.5 + eps)
         bound = pumping_bound(c_eps, eps) if math.isfinite(c_eps) \
             else math.inf
         pump_rows.append({

@@ -583,6 +583,16 @@ class TestLhvBound:
         assert calls == [1]
         assert delta == pytest.approx(0.25, abs=1e-12)
 
+    def test_two_bit_three_level_exact_bound(self):
+        # The cap counts Alice's (2 * 2^2)^4 = 4096 index maps; counting
+        # Bob's and every a3 entry (32^4 * 4^4 = 2.7e8) refused this.
+        truth = builtin_qrac().truth
+        one = bell.lhv_bound(bell.build_linear_bell(
+            truth, bell.PortSchedule((2,), (2,))), "exact")
+        three = bell.lhv_bound(bell.build_linear_bell(
+            truth, bell.PortSchedule((2, 2, 2), (2, 2, 2))), "exact")
+        assert one - 1e-12 <= three <= 0.5
+
     def test_validation_and_caps(self):
         truth = builtin_qrac().truth
         func = bell.build_linear_bell(truth, bell.PortSchedule((2,), (2,)))

@@ -371,6 +371,37 @@ class TestCc:
         code, _, err = run_cli(capsys, "cc", "--config", str(cfg))
         assert code == 1
 
+    def test_targets_read_from_budget_table(self, capsys, tmp_path,
+                                             monkeypatch):
+        # Inner product on 3 bits with y = 0 left out: 1 bit reaches
+        # 0.607 and 0.625 but not 2/3, which needs 2 bits.  Every target
+        # must come from the 0..2-bit table, one search per budget.
+        from bellforge import classicalcc
+        from bellforge.protocols import TruthTable
+        x = np.arange(8)
+        f = np.array([[bin(a & b).count("1") % 2 for b in x] for a in x])
+        mu = np.ones((8, 8))
+        mu[:, 0] = 0.0
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps(sz.truth_to_dict(
+            TruthTable(n=3, f=f, mu=mu / mu.sum()))))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"function": str(path), "bits": 2}))
+        searched = []
+        search = classicalcc.best_success_one_way
+
+        def counting(t, bits):
+            searched.append(bits)
+            return search(t, bits)
+
+        monkeypatch.setattr(classicalcc, "best_success_one_way", counting)
+        code, out, _ = run_cli(capsys, "cc", "--config", str(cfg))
+        assert code == 0
+        assert searched == [0, 1, 2]
+        res = json.loads(out)["results"]
+        assert [row["bits_at_target"] for row in res["pumping"]] == [1, 1, 2]
+        assert all(row["bits_at_two_thirds"] == 2 for row in res["pumping"])
+
     def test_csv_table(self, capsys):
         code, out, _ = run_cli(capsys, "cc", "--format", "csv")
         assert code == 0
