@@ -38,8 +38,8 @@ import numpy as np
 
 from ._threads import thread_map
 from .classicalcc import (
-    _best_response, _capped, _weights, best_success_one_way,
-    best_success_tree, distributional_cc)
+    BudgetOracle, _best_response, _capped, _weights, best_success_one_way,
+    best_success_tree)
 from .protocols import CommProtocol, MemorylessProtocol, TruthTable, _simulate
 from .remoteprep import index_cost_bits, rsp_povm
 from .states import (
@@ -682,17 +682,13 @@ def nonlinear_bell_check(stats: OneWayStats, delta: float,
     """Check the nonlinear inequality at abort weight delta.
 
     `oracle(target)` must return the minimum bits for the stats' function
-    to reach the target success under its distribution; by default the
-    one-way search oracle is used.
+    to reach the target success under its distribution; by default a
+    one-way `BudgetOracle` for the stats' table answers the call's queries.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta={delta} must lie in (0, 1)")
     if oracle is None:
-        truth = stats.truth
-
-        def oracle(target: float) -> float:
-            return distributional_cc(truth, target)
-
+        oracle = BudgetOracle(stats.truth)
     target = (1.0 - delta) * stats.p_b + delta / 2.0
     rhs = oracle(target)
     if math.isinf(rhs):
@@ -730,12 +726,12 @@ def observation_bound(p_succ: float, truth: TruthTable,
     """Communication lower bound max over delta of
     oracle((1-delta) p + delta/2) - log2 log2 (1/delta), minus 2.
 
-    Negative results mean the bound is vacuous at the probed scale."""
+    Negative results mean the bound is vacuous at the probed scale.  By
+    default a one-way `BudgetOracle` for `truth` is the oracle."""
     if not 0.0 <= p_succ <= 1.0:
         raise ValueError(f"success {p_succ} outside [0, 1]")
     if oracle is None:
-        def oracle(target: float) -> float:
-            return distributional_cc(truth, target)
+        oracle = BudgetOracle(truth)
     best = -math.inf
     for delta in deltas:
         if not 0.0 < delta <= 0.5:

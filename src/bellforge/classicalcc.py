@@ -23,7 +23,14 @@ walks (a1 * a3^a2)^|X| Alice maps, which is what the caps count.
 The searched quantity is distributional: the best average success under mu
 for a fixed budget.  Its inverse (minimum bits to reach a target success)
 is a lower-bound surrogate for worst-case complexity, and reports built on
-top of these oracles label it as such.
+top of these oracles label it as such.  A :class:`BudgetOracle` answers
+that inverse for one table and method from a memo of searched budgets.
+It searches budgets in ascending order, each at most once, and only as
+far as the current target needs, so the many targets of a sweep cost a
+handful of searches.  The memo is lazy rather than a full table because
+search cost grows steeply with the budget: on an n = 4 table one-way
+budget 2 is already past ENUM_CAP, while a target that budget 0 reaches
+needs one map.
 
 Alongside the search live the standard repetition helpers: Chernoff repeat
 counts, majority-vote amplification, and the quadratic "pumping" relation
@@ -36,7 +43,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -53,6 +60,10 @@ ENUM_CAP = 10 ** 8
 # batch's one-hot and score blocks hold at most _BLOCK float64 entries.
 _CHUNK = 8192
 _BLOCK = 2 ** 21
+
+# A budget reaches target success p when its best success is at least
+# p - _TARGET_SLACK, so float noise in a searched optimum never costs a bit.
+_TARGET_SLACK = 1e-12
 
 # Guard subtracted before ceilings of exact rational expressions, so that
 # float noise (e.g. 3/(1/6)^2 evaluating to 108.00000000000001) does not
@@ -195,25 +206,68 @@ def best_success_tree(t: TruthTable, bits: int, rounds: int = 2) -> float:
     return best
 
 
-def distributional_cc(t: TruthTable, p: float, method: str = "one_way",
-                      max_bits: int | None = None) -> float:
-    """Minimum bits whose best success reaches p - 1e-12; inf if no budget
-    up to `max_bits` (default n, where success 1 is always reachable
-    one-way) gets there."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"target success p={p} must lie in [0, 1]")
-    searchers: dict[str, Callable[[TruthTable, int], float]] = {
-        "one_way": best_success_one_way,
-        "tree": best_success_tree,
-    }
-    if method not in searchers:
-        raise ValueError(f"unknown method {method!r}")
-    if max_bits is None:
-        max_bits = t.n
-    for c in range(max_bits + 1):
-        if searchers[method](t, c) >= p - 1e-12:
+def _least_budget(rows: Iterable[tuple[int, float]], p: float) -> float:
+    """The inverse rule: the first budget c of (c, success) rows whose
+    success reaches p - _TARGET_SLACK, or inf.  Rows are consumed only as
+    far as the answer."""
+    for c, val in rows:
+        if val >= p - _TARGET_SLACK:
             return c
     return math.inf
+
+
+class BudgetOracle:
+    """p -> minimum bits whose best success reaches p, for one table and
+    method; inf if no budget up to `max_bits` (default n, where success 1
+    is always reachable one-way) gets there.
+
+    Searched successes are memoised per budget, searched in ascending order
+    and only as far as a query or `success` needs (module docstring).  The
+    memo lives as long as the oracle, so a caller shares one oracle across
+    the queries of one command and nothing outlives it.
+    """
+
+    def __init__(self, t: TruthTable, method: str = "one_way",
+                 max_bits: int | None = None):
+        if method not in ("one_way", "tree"):
+            raise ValueError(f"unknown method {method!r}")
+        self.t = t
+        self.method = method
+        self.max_bits = t.n if max_bits is None else max_bits
+        self._searched: list[float] = []
+
+    def success(self, bits: int) -> float:
+        """Best success at `bits`, searching any smaller budget not yet
+        searched first."""
+        # Looked up per call, so that a replacement of the module attribute
+        # (a test spy or a timing wrapper) sees every search.
+        search = best_success_one_way if self.method == "one_way" else \
+            best_success_tree
+        while len(self._searched) <= bits:
+            self._searched.append(search(self.t, len(self._searched)))
+        return self._searched[bits]
+
+    def __call__(self, p: float) -> float:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"target success p={p} must lie in [0, 1]")
+        return _least_budget(
+            ((c, self.success(c)) for c in range(self.max_bits + 1)), p)
+
+    def table(self, max_bits: int | None = None) -> "CCQueryResult":
+        """Budget table over 0..max_bits (default the oracle's), read from
+        and filling the same memo."""
+        if max_bits is None:
+            max_bits = self.max_bits
+        rows = tuple((c, self.success(c)) for c in range(max_bits + 1))
+        return CCQueryResult(key=_table_key(self.t), method=self.method,
+                             success=rows)
+
+
+def distributional_cc(t: TruthTable, p: float, method: str = "one_way",
+                      max_bits: int | None = None) -> float:
+    """Minimum bits whose best success reaches p: one query of a fresh
+    :class:`BudgetOracle`."""
+    return BudgetOracle(t, method, max_bits)(p)
 
 
 def _table_key(t: TruthTable) -> str:
@@ -236,23 +290,14 @@ class CCQueryResult:
     success: tuple[tuple[int, float], ...]
 
     def min_bits(self, p: float) -> float:
-        """Inverse lookup: least tabulated budget reaching p - 1e-12."""
-        for c, val in self.success:
-            if val >= p - 1e-12:
-                return c
-        return math.inf
+        """Inverse lookup: least tabulated budget reaching p."""
+        return _least_budget(self.success, p)
 
 
 def build_cc_table(t: TruthTable, max_bits: int | None = None,
                    method: str = "one_way") -> CCQueryResult:
-    if method not in ("one_way", "tree"):
-        raise ValueError(f"unknown method {method!r}")
-    if max_bits is None:
-        max_bits = t.n
-    searcher = best_success_one_way if method == "one_way" else \
-        best_success_tree
-    rows = tuple((c, searcher(t, c)) for c in range(max_bits + 1))
-    return CCQueryResult(key=_table_key(t), method=method, success=rows)
+    """Budget table over 0..max_bits (default n)."""
+    return BudgetOracle(t, method).table(max_bits)
 
 
 def chernoff_repeats(epsilon: float) -> int:

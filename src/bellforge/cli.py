@@ -37,7 +37,7 @@ from .bell import (
     observation_bound, one_way_correlations, one_way_linear_bell,
 )
 from .classicalcc import (
-    build_cc_table, chernoff_repeats, distributional_cc, pumping_bound,
+    BudgetOracle, chernoff_repeats, distributional_cc, pumping_bound,
 )
 from .protocols import (
     CommProtocol, TruthTable, builtin_qrac, success_probability,
@@ -415,8 +415,8 @@ def _sweep_boxes(t: TruthTable, doc: dict[str, Any]):
         yield tuple(flag), tuple(answer)
 
 
-def _run_sweep(t: TruthTable, path: str,
-               deltas: list[float]) -> dict[str, Any]:
+def _run_sweep(t: TruthTable, path: str, deltas: list[float],
+               oracle: BudgetOracle) -> dict[str, Any]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -438,7 +438,7 @@ def _run_sweep(t: TruthTable, path: str,
         stats = _box_stats(t, flag, answer)
         count += 1
         for delta in sweep_deltas:
-            chk = nonlinear_bell_check(stats, float(delta))
+            chk = nonlinear_bell_check(stats, float(delta), oracle)
             margin = chk.lhs_bits - chk.rhs_bits
             worst = min(worst, margin)
             if not chk.holds:
@@ -455,13 +455,16 @@ def cmd_oneway(cfg: dict[str, Any],
         table, stats = one_way_correlations(source)
     except ValueError as e:
         raise UsageError(str(e))
+    # Every check, the observation bound and the sweep ask one table.
+    oracle = BudgetOracle(source.truth)
     checks = []
     for delta in cfg["deltas"]:
-        chk = nonlinear_bell_check(stats, float(delta))
+        chk = nonlinear_bell_check(stats, float(delta), oracle)
         row = dataclasses.asdict(chk)
         row["method"] = "cc_derived"
         checks.append(row)
-    obs = observation_bound(success_probability(source), source.truth)
+    obs = observation_bound(success_probability(source), source.truth,
+                            oracle)
     merged = one_way_linear_bell(table, stats, k=float(cfg["k"]))
     results = {
         "p_a": {"value": stats.p_a, "method": "exact"},
@@ -472,7 +475,7 @@ def cmd_oneway(cfg: dict[str, Any],
     }
     if cfg["sweep_file"] is not None:
         results["sweep"] = _run_sweep(source.truth, cfg["sweep_file"],
-                                      cfg["deltas"])
+                                      cfg["deltas"], oracle)
     return results, 0
 
 
@@ -484,14 +487,13 @@ def cmd_cc(cfg: dict[str, Any],
                          f"cc supports n <= 3")
     bits = cfg["bits"] if cfg["bits"] is not None else t.n
     method = cfg["method"]
-    cc_table = build_cc_table(t, max_bits=bits, method=method)
+    # The table rows and the targets share one memo, so each budget is
+    # searched once.  n bits always reach success 1, so the oracle's
+    # default range answers every target a longer table would.
+    need = BudgetOracle(t, method)
+    cc_table = need.table(bits)
     rows = [{"bits": c, "success": v, "method": "cc_derived"}
             for c, v in cc_table.success]
-
-    def need(p: float) -> float:
-        c = cc_table.min_bits(p)
-        return c if math.isfinite(c) else distributional_cc(t, p, method)
-
     two_thirds = need(2.0 / 3.0)
     pump_rows = []
     for eps in _PUMPING_EPSILONS:

@@ -13,7 +13,9 @@ import math
 import numpy as np
 import pytest
 
+from bellforge import classicalcc
 from bellforge.classicalcc import (
+    BudgetOracle,
     CCQueryResult,
     ENUM_CAP,
     _genuine_splits,
@@ -59,6 +61,31 @@ def random_truth(rng: np.random.Generator, n: int) -> TruthTable:
     f = rng.integers(0, 2, size=(size, size)).astype(np.int8)
     mu = rng.random((size, size))
     return TruthTable(n=n, f=f, mu=mu / mu.sum())
+
+
+def distributional_cc_reference(t: TruthTable, p: float,
+                                method: str) -> float:
+    """The search loop `distributional_cc` ran before the budget oracle:
+    every query restarts at budget 0 and keeps nothing."""
+    search = {"one_way": best_success_one_way,
+              "tree": best_success_tree}[method]
+    for c in range(t.n + 1):
+        if search(t, c) >= p - 1e-12:
+            return c
+    return math.inf
+
+
+def spy_searches(monkeypatch, name: str = "best_success_one_way") -> list:
+    """Record the budget of every call to the searcher `name`."""
+    searched = []
+    search = getattr(classicalcc, name)
+
+    def counting(t, bits, *args):
+        searched.append(bits)
+        return search(t, bits, *args)
+
+    monkeypatch.setattr(classicalcc, name, counting)
+    return searched
 
 
 class TestOneWay:
@@ -206,6 +233,60 @@ class TestCCTable:
     def test_bad_method(self):
         with pytest.raises(ValueError, match="method"):
             build_cc_table(qrac_truth(), method="oracle")
+
+
+class TestBudgetOracle:
+    @pytest.mark.parametrize("n, method, seed", [
+        (1, "one_way", 31), (2, "one_way", 32), (3, "one_way", 33),
+        (1, "tree", 34), (2, "tree", 35), (3, "tree", 36),
+    ])
+    def test_matches_reference_and_table(self, n, method, seed):
+        rng = np.random.default_rng(seed)
+        t = random_truth(rng, n)
+        table = build_cc_table(t, method=method)
+        targets = [0.0, 1.0] + [
+            v + e for _, v in table.success for e in (-1e-12, 0.0, 1e-12)
+            if 0.0 <= v + e <= 1.0]
+        want = [distributional_cc_reference(t, p, method) for p in targets]
+        assert [table.min_bits(p) for p in targets] == want
+        oracle = BudgetOracle(t, method)
+        assert [oracle(p) for p in targets] == want
+        assert [distributional_cc(t, p, method) for p in targets] == want
+        # Memo state left by earlier queries must not change any answer.
+        order = rng.permutation(len(targets))
+        shuffled = BudgetOracle(t, method)
+        assert [shuffled(targets[i]) for i in order] == \
+            [want[i] for i in order]
+
+    def test_each_budget_searched_once(self, monkeypatch):
+        searched = spy_searches(monkeypatch)
+        oracle = BudgetOracle(qrac_truth())
+        assert [oracle(p) for p in (0.6, 0.5, 1.0, 0.75, 0.76, 1.0)] == \
+            [1, 0, 2, 1, 2, 2]
+        assert searched == [0, 1, 2]
+
+    def test_search_stops_at_answer(self, monkeypatch):
+        searched = spy_searches(monkeypatch, "best_success_tree")
+        assert BudgetOracle(qrac_truth(), "tree")(0.7) == 1
+        assert searched == [0, 1]
+
+    def test_lazy_past_enum_cap(self, monkeypatch):
+        # One-way budget 2 on n = 4 is 4^16 Alice maps, over ENUM_CAP, so
+        # a full table is refused while a target budget 0 reaches is not.
+        t = random_truth(np.random.default_rng(37), 4)
+        with pytest.raises(CapExceededError):
+            build_cc_table(t)
+        searched = spy_searches(monkeypatch)
+        assert BudgetOracle(t)(0.5) == 0
+        assert searched == [0]
+
+    def test_table_shares_memo(self, monkeypatch):
+        searched = spy_searches(monkeypatch)
+        oracle = BudgetOracle(qrac_truth())
+        assert oracle.table(1).success == ((0, 0.5), (1, 0.75))
+        assert oracle(1.0) == 2
+        assert oracle.table().success == ((0, 0.5), (1, 0.75), (2, 1.0))
+        assert searched == [0, 1, 2]
 
 
 class TestChernoff:

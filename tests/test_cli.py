@@ -37,6 +37,21 @@ def member3_protocol_file(tmp_path) -> str:
     return str(path)
 
 
+def spy_one_way(monkeypatch, *modules) -> list:
+    """Record the budget of every one-way search made through `modules`."""
+    from bellforge import classicalcc
+    searched = []
+    search = classicalcc.best_success_one_way
+
+    def counting(t, bits):
+        searched.append(bits)
+        return search(t, bits)
+
+    for module in modules:
+        monkeypatch.setattr(module, "best_success_one_way", counting)
+    return searched
+
+
 def assert_same_results(got, want, where):
     """Floats within 1e-12, everything else equal, at every nesting."""
     if isinstance(want, dict):
@@ -300,6 +315,20 @@ class TestOneway:
         assert sweep["all_hold"] is True
         assert sweep["failures"] == 0
 
+    def test_sweep_searches_each_budget_once(self, capsys, monkeypatch):
+        # One oracle serves every check, the observation bound and all
+        # 256 boxes x 4 deltas of the sweep: budgets 0..2 once each, plus
+        # the merged linear test's own search at its index budget.
+        from bellforge import bell, classicalcc
+        searched = spy_one_way(monkeypatch, classicalcc, bell)
+        cfg = os.path.join(REPO, "docs", "examples", "v1",
+                           "oneway_sweep.config.json")
+        monkeypatch.chdir(REPO)
+        code, out, _ = run_cli(capsys, "oneway", "--config", cfg)
+        assert code == 0
+        assert json.loads(out)["results"]["sweep"]["boxes"] == 256
+        assert searched == [0, 1, 2, 2]
+
     def test_delta_outside_unit_interval(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text('{"deltas": [1.5]}')
@@ -387,20 +416,31 @@ class TestCc:
             TruthTable(n=3, f=f, mu=mu / mu.sum()))))
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"function": str(path), "bits": 2}))
-        searched = []
-        search = classicalcc.best_success_one_way
-
-        def counting(t, bits):
-            searched.append(bits)
-            return search(t, bits)
-
-        monkeypatch.setattr(classicalcc, "best_success_one_way", counting)
+        searched = spy_one_way(monkeypatch, classicalcc)
         code, out, _ = run_cli(capsys, "cc", "--config", str(cfg))
         assert code == 0
         assert searched == [0, 1, 2]
         res = json.loads(out)["results"]
         assert [row["bits_at_target"] for row in res["pumping"]] == [1, 1, 2]
         assert all(row["bits_at_two_thirds"] == 2 for row in res["pumping"])
+
+    def test_fallback_searches_each_budget_once(self, capsys, tmp_path,
+                                                monkeypatch):
+        # A 0-bit table reaches none of the targets; the fallback reads the
+        # same memo, so 2/3 and the three pumping targets cost one search
+        # of budget 1 between them.
+        from bellforge import classicalcc
+        searched = spy_one_way(monkeypatch, classicalcc)
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"bits": 0}')
+        code, out, _ = run_cli(capsys, "cc", "--config", str(cfg))
+        assert code == 0
+        assert searched == [0, 1]
+        res = json.loads(out)["results"]
+        assert res["table"] == [
+            {"bits": 0, "method": "cc_derived", "success": 0.5}]
+        assert all(row["bits_at_target"] == 1 for row in res["pumping"])
+        assert all(row["bits_at_two_thirds"] == 1 for row in res["pumping"])
 
     def test_csv_table(self, capsys):
         code, out, _ = run_cli(capsys, "cc", "--format", "csv")
@@ -441,6 +481,17 @@ class TestReproducibility:
                                tmp_path / "r.json", threads=2)
         shipped = open(os.path.join(REPO, "docs", "examples", "v1",
                                     "report_cc.json"), "rb").read()
+        assert fresh == shipped
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_shipped_oneway_sweep_report_regenerates(self, tmp_path,
+                                                     threads):
+        cfg = os.path.join(REPO, "docs", "examples", "v1",
+                           "oneway_sweep.config.json")
+        fresh = run_subprocess(["oneway", "--config", cfg],
+                               tmp_path / "r.json", threads=threads)
+        shipped = open(os.path.join(REPO, "docs", "examples", "v1",
+                                    "report_oneway_sweep.json"), "rb").read()
         assert fresh == shipped
 
     def test_timing_only_on_stderr(self, tmp_path):
