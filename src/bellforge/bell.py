@@ -38,8 +38,8 @@ import numpy as np
 
 from ._threads import thread_map
 from .classicalcc import (
-    BudgetOracle, _best_response, _capped, _weights, best_success_one_way,
-    best_success_tree)
+    _CEIL_GUARD, BudgetOracle, _best_response, _capped, _weights,
+    best_success_one_way, best_success_tree)
 from .protocols import CommProtocol, MemorylessProtocol, TruthTable, _simulate
 from .remoteprep import index_cost_bits, rsp_povm
 from .states import (
@@ -65,18 +65,6 @@ LHV_CAP = 10 ** 7
 
 # Coefficient of the budget-ratio bound sqrt(classical/quantum).
 RATIO_COEFF = 1.0 / (6.0 * math.sqrt(3.0))
-
-_CEIL_GUARD = 1e-9
-
-
-def _leg_dims(p: CommProtocol) -> tuple[int, ...]:
-    """Transmitted register dimensions in send order (out, back, out, ...)."""
-    out: list[int] = []
-    for t in range(p.rounds):
-        out.append(p.m_out_dims[t])
-        if t < p.rounds - 1:
-            out.append(p.m_back_dims[t])
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -112,7 +100,7 @@ class PortSchedule:
                      port_counts) -> "PortSchedule":
         """Schedule whose step dimensions are read off the protocol."""
         proto = p.proto if isinstance(p, MemorylessProtocol) else p
-        legs = _leg_dims(proto)
+        legs = tuple(d for _, d in proto.legs)
         counts = tuple(int(c) for c in port_counts)
         if len(counts) != len(legs):
             raise ValueError(
@@ -249,7 +237,7 @@ def generate_correlations(p: MemorylessProtocol, s: PortSchedule,
         raise TypeError("correlations need a memoryless protocol; convert "
                         "with to_memoryless first")
     proto = p.proto
-    legs = _leg_dims(proto)
+    legs = tuple(d for _, d in proto.legs)
     if s.port_dims != legs:
         raise ValueError(
             f"schedule/protocol mismatch: port dims {s.port_dims} vs "

@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from ._threads import thread_count
 from .bell import (
-    ALPHABET_CAP, EXACT_MAX_ROUNDS, OneWayStats, PortSchedule, bell_value,
+    EXACT_MAX_ROUNDS, OneWayStats, PortSchedule, bell_value,
     build_linear_bell, generate_correlations, lhv_bound, nonlinear_bell_check,
     observation_bound, one_way_correlations, one_way_linear_bell,
 )
@@ -299,7 +299,7 @@ def cmd_bell_certify(cfg: dict[str, Any],
                      warnings: list[str]) -> tuple[dict[str, Any], int]:
     source = _resolve_protocol(cfg["protocol"])
     ml = to_memoryless(to_single_qubit_rounds(source))
-    levels = 2 * ml.proto.rounds - 1
+    levels = len(ml.proto.legs)
     counts = cfg["schedule"]
     if counts is None:
         counts = [2] * levels
@@ -310,18 +310,13 @@ def cmd_bell_certify(cfg: dict[str, Any],
     schedule = PortSchedule.for_protocol(ml, tuple(counts))
 
     mode, trials, seed = cfg["mode"], cfg["trials"], cfg["seed"]
-    if mode == "exact":
-        blocked = []
-        if ml.proto.rounds > EXACT_MAX_ROUNDS:
-            blocked.append(f"{ml.proto.rounds} rounds exceed the exact-mode "
-                           f"cap of {EXACT_MAX_ROUNDS}")
-        if 2 * math.prod(counts) > ALPHABET_CAP:
-            blocked.append(f"path alphabet {2 * math.prod(counts)} exceeds "
-                           f"{ALPHABET_CAP}")
-        if blocked:
-            warnings.append("; ".join(blocked) + "; downgraded to sampled "
-                            "mode")
-            mode = "sampled"
+    # generate_correlations refuses an oversized path alphabet in either
+    # mode, so only the round cap is a reason to fall back to sampling.
+    if mode == "exact" and ml.proto.rounds > EXACT_MAX_ROUNDS:
+        warnings.append(f"{ml.proto.rounds} rounds exceed the exact-mode "
+                        f"cap of {EXACT_MAX_ROUNDS}; downgraded to sampled "
+                        "mode")
+        mode = "sampled"
     if mode == "sampled":
         if seed is None:
             raise UsageError("sampled mode requires --seed")

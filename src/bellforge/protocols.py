@@ -121,30 +121,21 @@ class CommProtocol:
         object.__setattr__(
             self, "bob_ops",
             _freeze_ops(self.bob_ops, r - 1, size, "bob_ops"))
-        for i in range(r):
-            d_in = (self.m_back_dims[i - 1] if i else 1) \
-                * (self.a_dims[i - 1] if i else self.a0_dim) \
-                * self.anc_a_dims[i]
-            d_out = self.m_out_dims[i] * self.a_dims[i]
+        legs = self.legs
+        for k, (who, d_msg) in enumerate(legs):
+            ops, mem, anc = self.party(who)
+            i = k // 2
+            d_in = (legs[k - 1][1] if k else 1) * mem[i] * anc[i]
+            d_out = d_msg * mem[i + 1]
             if d_in != d_out:
                 raise ValueError(
-                    f"alice round {i + 1}: in dim {d_in} != out dim {d_out}")
-            for x, u in self.alice_ops[i].items():
-                _check_unitary(u, d_in, f"alice_ops[{i}][{x}]")
-        for i in range(r - 1):
-            d_in = self.m_out_dims[i] \
-                * (self.b_dims[i - 1] if i else self.b0_dim) \
-                * self.anc_b_dims[i]
-            d_out = self.m_back_dims[i] * self.b_dims[i]
-            if d_in != d_out:
-                raise ValueError(
-                    f"bob round {i + 1}: in dim {d_in} != out dim {d_out}")
-            for y, u in self.bob_ops[i].items():
-                _check_unitary(u, d_in, f"bob_ops[{i}][{y}]")
+                    f"{who} round {i + 1}: in dim {d_in} != out dim {d_out}")
+            for v, u in ops[i].items():
+                _check_unitary(u, d_in, f"{who}_ops[{i}][{v}]")
         obs = dict(self.observables)
         if set(obs) != set(range(size)):
             raise ValueError(f"observables: need one POVM per input 0..{size - 1}")
-        d_meas = self.m_out_dims[-1] * (self.b_dims[-1] if r > 1 else self.b0_dim)
+        d_meas = legs[-1][1] * self.party("bob")[1][-1]
         for y, povm in obs.items():
             if not isinstance(povm, Povm) or len(povm) != 2:
                 raise ValueError(f"observables[{y}] must be a 2-element POVM")
@@ -156,6 +147,28 @@ class CommProtocol:
             if not 0.0 < self.epsilon <= 0.5:
                 raise ValueError(
                     f"epsilon={self.epsilon} must lie in (0, 1/2]")
+
+    @property
+    def legs(self) -> tuple[tuple[str, int], ...]:
+        """(sender, dim) of every transmitted message in send order: Alice's
+        round-i message, then Bob's round-i reply, alternating."""
+        out = []
+        for i in range(self.rounds):
+            out.append(("alice", self.m_out_dims[i]))
+            if i < self.rounds - 1:
+                out.append(("bob", self.m_back_dims[i]))
+        return tuple(out)
+
+    def party(self, who: str) -> tuple[tuple[dict[int, np.ndarray], ...],
+                                       tuple[int, ...], tuple[int, ...]]:
+        """(ops, memory dims, ancilla dims) of "alice" or "bob".  The memory
+        dims start with the initial memory, so mem[i + 1] is the memory
+        after the party's round i."""
+        if who == "alice":
+            return self.alice_ops, (self.a0_dim,) + self.a_dims, self.anc_a_dims
+        if who == "bob":
+            return self.bob_ops, (self.b0_dim,) + self.b_dims, self.anc_b_dims
+        raise ValueError(f"party must be 'alice' or 'bob', got {who!r}")
 
     @property
     def message_qubits(self) -> float:
@@ -201,21 +214,19 @@ def _simulate(p: CommProtocol, x: int, y: int,
               lams: Sequence[float] = ()) -> np.ndarray:
     """Bob's two Born probabilities on inputs (x, y).  The i-th transmitted
     message (send order) passes through `depolarize(lams[i])` if given."""
+    own = {"alice": x, "bob": y}
     reg = _RegisterMachine()
-    reg.add("A", p.a0_dim)
-    reg.add("B", p.b0_dim)
-    legs = iter(lams)
-    for i in range(p.rounds):
-        reg.add("AncA", p.anc_a_dims[i])
-        reg.apply(["M", "A", "AncA"], p.alice_ops[i][x],
-                  [("M", p.m_out_dims[i]), ("A", p.a_dims[i])])
-        reg.depolarize("M", next(legs, 1.0))
-        if i < p.rounds - 1:
-            reg.add("AncB", p.anc_b_dims[i])
-            reg.apply(["M", "B", "AncB"], p.bob_ops[i][y],
-                      [("M", p.m_back_dims[i]), ("B", p.b_dims[i])])
-            reg.depolarize("M", next(legs, 1.0))
-    return reg.probs(["M", "B"], p.observables[y])
+    reg.add("alice", p.a0_dim)
+    reg.add("bob", p.b0_dim)
+    noise = iter(lams)
+    for k, (who, d_msg) in enumerate(p.legs):
+        ops, mem, anc = p.party(who)
+        i = k // 2
+        reg.add("anc", anc[i])
+        reg.apply(["M", who, "anc"], ops[i][own[who]],
+                  [("M", d_msg), (who, mem[i + 1])])
+        reg.depolarize("M", next(noise, 1.0))
+    return reg.probs(["M", "bob"], p.observables[y])
 
 
 def run_exact(p: CommProtocol | MemorylessProtocol, x: int, y: int) -> float:

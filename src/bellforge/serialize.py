@@ -93,7 +93,6 @@ def protocol_from_dict(d: dict[str, Any]) -> CommProtocol:
         raise ValueError(f"protocol schema version {d['schema_version']} "
                          f"is newer than supported {SCHEMA_VERSION}")
     truth = truth_from_dict(d["truth"])
-    size = truth.num_inputs
     regs = d["registers"]
     eps = d.get("epsilon")
     return CommProtocol(

@@ -32,19 +32,14 @@ def _log2_exact(d: int, what: str) -> int:
 
 
 def _message_blocks(p: CommProtocol):
-    """Source messages in transmission order: (owner, dim, qubit count)."""
-    msgs = []
-    for i in range(p.rounds):
-        msgs.append(("A", p.m_out_dims[i]))
-        if i < p.rounds - 1:
-            msgs.append(("B", p.m_back_dims[i]))
+    """Source messages in send order: (sender, dim, qubit count)."""
     out = []
-    for k, (owner, d) in enumerate(msgs):
+    for k, (who, d) in enumerate(p.legs):
         if d < 2:
             raise ValueError(
                 f"message {k}: dimension {d}; every message must carry at "
                 "least one qubit")
-        out.append((owner, d, _log2_exact(d, f"message {k}")))
+        out.append((who, d, _log2_exact(d, f"message {k}")))
     return out
 
 
@@ -60,32 +55,25 @@ class _RoundPlan:
     out_mem: list         # (tag, dim) after the round
 
 
-def _plan_party(p: CommProtocol, msgs, party: str):
-    """Symbolic per-round ledger for one party of the split protocol."""
-    rounds_total = sum(q for _, _, q in msgs)
-    sched = []  # (message index, qubit index) per global round
-    for k, (_, _, q) in enumerate(msgs):
-        sched.extend((k, j) for j in range(q))
+def _plan_party(p: CommProtocol, msgs, sched, party: str):
+    """Symbolic per-round ledger for one party of the split protocol;
+    `sched[t]` is the (message, qubit) sent in global round t."""
     fire_at = {}  # global round -> source round index
     pos = 0
-    for k, (owner, _, q) in enumerate(msgs):
-        if owner == party:
-            fire_at[pos] = k // 2 if party == "A" else (k - 1) // 2
+    for k, (who, _, q) in enumerate(msgs):
+        if who == party:
+            fire_at[pos] = k // 2
         pos += q
-    mine = "A" if party == "A" else "B"
-    init_dim = p.a0_dim if party == "A" else p.b0_dim
-    src_dims = p.a_dims if party == "A" else p.b_dims
-    src_anc = p.anc_a_dims if party == "A" else p.anc_b_dims
-    ledger = [(("src", -1), init_dim)] if init_dim > 1 else []
+    _, mem, src_anc = p.party(party)
+    ledger = [(("src", -1), mem[0])] if mem[0] > 1 else []
     blanks = 0
     n_blank = 0
     plans = []
-    n_rounds = rounds_total if party == "A" else rounds_total - 1
-    for t in range(n_rounds):
-        k_in = sched[t - 1] if party == "A" and t > 0 else \
-            (sched[t] if party == "B" else None)
+    lag = 1 if party == "alice" else 0  # Alice's round t hears round t - 1
+    for t in range(len(sched) - 1 + lag):
+        k_in = sched[t - lag] if t >= lag else None
         in_data = k_in is not None and msgs[k_in[0]][0] != party
-        has_sh_in = party == "B" or t > 0
+        has_sh_in = k_in is not None
         in_mem = list(ledger)
         anc, absorb, fire, sh_out = [], None, None, None
         bounce_free = False
@@ -111,16 +99,15 @@ def _plan_party(p: CommProtocol, msgs, party: str):
             q_out = msgs[k_msg][2]
             out_tags = [("q", k_msg, j) for j in range(q_out)]
             out_dims = [2] * q_out
-            sd = src_dims[ell]
+            sd = mem[ell + 1]
             if sd > 1:
                 out_tags.append(("src", ell))
                 out_dims.append(sd)
             ledger = [e for e in ledger
                       if e[0] not in sel and e[0] != ("src", ell - 1)]
             ledger += [(tg, d) for tg, d in zip(out_tags, out_dims)]
-            fire = (ell, [s for s in sel
-                          if s[0] != "src" or src_dims_at(p, party, ell - 1) > 1
-                          ], out_dims, out_tags)
+            fire = (ell, [s for s in sel if s[0] != "src" or mem[ell] > 1],
+                    out_dims, out_tags)
         out_is_mine = msgs[sched[t][0]][0] == party
         bounce_to = None
         if out_is_mine:
@@ -148,12 +135,6 @@ def _plan_party(p: CommProtocol, msgs, party: str):
     return plans, ledger
 
 
-def src_dims_at(p: CommProtocol, party: str, ell: int) -> int:
-    if ell < 0:
-        return p.a0_dim if party == "A" else p.b0_dim
-    return (p.a_dims if party == "A" else p.b_dims)[ell]
-
-
 def _build_round_op(p: CommProtocol, party: str, plan: _RoundPlan,
                     v: int) -> np.ndarray:
     sh = [("sh", 2)] if plan.has_sh_in else []
@@ -164,30 +145,19 @@ def _build_round_op(p: CommProtocol, party: str, plan: _RoundPlan,
         reg.rename("sh", "bounce")
     if plan.fire is not None:
         ell, sel, out_dims, out_tags = plan.fire
-        ops = p.alice_ops if party == "A" else p.bob_ops
-        reg.apply(sel, ops[ell][v], zip(out_tags, out_dims))
+        reg.apply(sel, p.party(party)[0][ell][v], zip(out_tags, out_dims))
     if plan.bounce_to is not None:
         reg.rename("bounce", plan.bounce_to)
     reg.rename(plan.sh_out, "sh")
     return reg.matrix(["sh"] + [t for t, _ in plan.out_mem])
 
 
-def _split_observable(p: CommProtocol, msgs, bob_ledger, y) -> Povm:
-    last = len(msgs) - 1
-    _, m_dim, q = msgs[last]
-    src_tag = ("src", p.rounds - 2)  # ("src", -1): Bob's initial memory
-    front = [("q", last, j) for j in range(q - 1)] + ["sh", src_tag]
-    reg = _RegisterMachine.identity([("sh", 2)] + bob_ledger)
-    perm = reg.matrix(front + [t for t, _ in bob_ledger if t not in front])
-    d_total = len(perm)
-    b_dim = src_dims_at(p, "B", p.rounds - 2)
-    d_meas = m_dim * b_dim
-    rest = d_total // d_meas
-    elements = []
-    for e in p.observables[y].elements:
-        big = np.kron(e, np.eye(rest))
-        elements.append(perm.conj().T @ big @ perm)
-    return Povm(elements)
+def _pull_back(povm: Povm, v: np.ndarray) -> Povm:
+    """The POVM v^dag (E (x) I) v: `povm` read on the leading factor of the
+    register order that v's rows are in."""
+    rest = len(v) // povm.dim
+    return Povm([v.conj().T @ np.kron(e, np.eye(rest)) @ v
+                 for e in povm.elements])
 
 
 def to_single_qubit_rounds(p: CommProtocol) -> CommProtocol:
@@ -199,25 +169,25 @@ def to_single_qubit_rounds(p: CommProtocol) -> CommProtocol:
     transmitted qubit count, and the output distribution agrees exactly.
     """
     msgs = _message_blocks(p)
-    rounds = sum(q for _, _, q in msgs)
-    if p.rounds == 1 and p.m_out_dims == (2,):
-        return dataclasses.replace(p, meta=_form_meta([True], [], rounds))
-    plans_a, _ = _plan_party(p, msgs, "A")
-    plans_b, bob_ledger = _plan_party(p, msgs, "B")
+    sched = [(k, j) for k, (_, _, q) in enumerate(msgs) for j in range(q)]
+    plans_a, _ = _plan_party(p, msgs, sched, "alice")
+    plans_b, bob_ledger = _plan_party(p, msgs, sched, "bob")
     size = p.truth.num_inputs
     alice_ops = tuple(
-        {x: _build_round_op(p, "A", plan, x) for x in range(size)}
+        {x: _build_round_op(p, "alice", plan, x) for x in range(size)}
         for plan in plans_a)
     bob_ops = tuple(
-        {y: _build_round_op(p, "B", plan, y) for y in range(size)}
+        {y: _build_round_op(p, "bob", plan, y) for y in range(size)}
         for plan in plans_b)
-    observables = {y: _split_observable(p, msgs, bob_ledger, y)
-                   for y in range(size)}
-    sched = []
-    for k, (_, _, q) in enumerate(msgs):
-        sched.extend([k] * q)
-    a_out_data = [msgs[sched[t]][0] == "A" for t in range(rounds)]
-    meta = _form_meta(a_out_data, sched, rounds)
+    # Bob measures the last message and his last source memory
+    # (("src", -1): his initial memory).
+    last = len(msgs) - 1
+    front = [("q", last, j) for j in range(msgs[last][2] - 1)] \
+        + ["sh", ("src", p.rounds - 2)]
+    perm = _RegisterMachine.identity([("sh", 2)] + bob_ledger).matrix(
+        front + [t for t, _ in bob_ledger if t not in front])
+    a_out = tuple(msgs[k][0] == "alice" for k, _ in sched)
+    rounds = len(sched)
     return CommProtocol(
         truth=p.truth, rounds=rounds,
         a0_dim=p.a0_dim, b0_dim=p.b0_dim,
@@ -227,23 +197,12 @@ def to_single_qubit_rounds(p: CommProtocol) -> CommProtocol:
         anc_a_dims=tuple(prod(d for _, d in plan.anc) for plan in plans_a),
         anc_b_dims=tuple(prod(d for _, d in plan.anc) for plan in plans_b),
         alice_ops=alice_ops, bob_ops=bob_ops,
-        observables=observables, epsilon=p.epsilon, meta=meta)
-
-
-def _form_meta(a_out_data, sched, rounds):
-    if not sched:  # single-round shortcut
-        return {"single_qubit_form": True,
-                "alice_in_data": (False,), "alice_out_data": (True,),
-                "bob_in_data": (), "bob_out_data": ()}
-    a_out = tuple(bool(v) for v in a_out_data)
-    return {
-        "single_qubit_form": True,
-        "alice_out_data": a_out,
-        "alice_in_data": (False,) + tuple(not a_out[t]
-                                          for t in range(rounds - 1)),
-        "bob_in_data": a_out[:rounds - 1],
-        "bob_out_data": tuple(not a_out[t] for t in range(rounds - 1)),
-    }
+        observables={y: _pull_back(p.observables[y], perm)
+                     for y in range(size)},
+        epsilon=p.epsilon,
+        meta={"single_qubit_form": True,
+              "alice_in_data": (False,) + tuple(not a for a in a_out[:-1]),
+              "bob_in_data": a_out[:-1]})
 
 
 def _orthonormal_rows(vectors: np.ndarray) -> np.ndarray:
@@ -264,33 +223,29 @@ def _check_single_qubit_form(p: CommProtocol) -> None:
             "to_single_qubit_rounds first")
 
 
-def _pin_flags(p: CommProtocol, party: str):
-    """Which incoming shuttles may carry data (True) vs are pinned |0>."""
-    r = p.rounds
-    n = r if party == "A" else r - 1
+def _pin_flags(p: CommProtocol, party: str, n: int):
+    """Which of the party's n incoming shuttles may carry data (True) vs
+    are pinned |0>."""
     meta = p.meta if isinstance(p.meta, dict) else {}
-    key = "alice_in_data" if party == "A" else "bob_in_data"
-    if meta.get("single_qubit_form") and key in meta:
-        flags = meta[key]
-        if len(flags) == n:
-            return tuple(bool(v) for v in flags)
-    # Without construction metadata, conservatively branch on every leg.
-    return ((False,) + (True,) * (n - 1)) if party == "A" else (True,) * n
+    flags = meta.get(f"{party}_in_data") \
+        if meta.get("single_qubit_form") else None
+    if flags is not None and len(flags) == n:
+        return tuple(bool(v) for v in flags)
+    # Without construction metadata, conservatively branch on every leg
+    # (Alice's first round receives no shuttle).
+    return tuple(party == "bob" or t > 0 for t in range(n))
 
 
 def _span_chain(p: CommProtocol, party: str, v: int):
     """Orthonormal memory-span bases (rows) after each of the party's rounds."""
-    r = p.rounds
-    n = r if party == "A" else r - 1
-    ops = p.alice_ops if party == "A" else p.bob_ops
-    anc_dims = p.anc_a_dims if party == "A" else p.anc_b_dims
-    pins = _pin_flags(p, party)
-    cur = np.zeros((1, src_dims_at(p, party, -1)), dtype=np.complex128)
+    ops, mem, anc_dims = p.party(party)
+    pins = _pin_flags(p, party, len(ops))
+    cur = np.zeros((1, mem[0]), dtype=np.complex128)
     cur[0, 0] = 1.0
     chain = []
-    for t in range(n):
-        has_sh_in = party == "B" or t > 0
-        d_mem_out = src_dims_at(p, party, t)
+    for t in range(len(ops)):
+        has_sh_in = party == "bob" or t > 0
+        d_mem_out = mem[t + 1]
         anc = np.zeros(anc_dims[t], dtype=np.complex128)
         anc[0] = 1.0
         new = []
@@ -333,20 +288,17 @@ def memory_span_basis(p: CommProtocol, party: str, round_index: int,
     to_single_qubit_rounds; for hand-built single-qubit protocols every
     incoming leg is treated as potentially data-carrying.
     """
-    if party not in ("alice", "bob"):
-        raise ValueError(f"party must be 'alice' or 'bob', got {party!r}")
+    ops, mem, _ = p.party(party)
     _check_single_qubit_form(p)
-    pc = "A" if party == "alice" else "B"
-    n = p.rounds if pc == "A" else p.rounds - 1
+    n = len(ops)
     if not 1 <= round_index <= n:
         raise ValueError(f"round_index {round_index} outside 1..{n}")
     size = p.truth.num_inputs
     if not 0 <= input_value < size:
         raise ValueError(f"input {input_value} outside 0..{size - 1}")
-    if src_dims_at(p, pc, round_index - 1) == 1:
+    if mem[round_index] == 1:
         return np.zeros((0, 1), dtype=np.complex128)
-    chain = _span_chain(p, pc, input_value)
-    return chain[round_index - 1]
+    return _span_chain(p, party, input_value)[round_index - 1]
 
 
 def _completion_unitary(basis: np.ndarray, big: int, alpha: int) -> np.ndarray:
@@ -400,14 +352,14 @@ def to_memoryless(p: CommProtocol) -> MemorylessProtocol:
         for d in getattr(p, name):
             _log2_exact(d, name)
     size = p.truth.num_inputs
-    chains_a = {x: _span_chain(p, "A", x) for x in range(size)}
-    chains_b = {y: _span_chain(p, "B", y) for y in range(size)}
+    chains_a = {x: _span_chain(p, "alice", x) for x in range(size)}
+    chains_b = {y: _span_chain(p, "bob", y) for y in range(size)}
     alpha = [max(ceil(log2(max(len(chains_a[x][t]), 1)))
                  for x in range(size)) for t in range(q_rounds)]
     beta = [max(ceil(log2(max(len(chains_b[y][t]), 1)))
                 for y in range(size)) for t in range(q_rounds - 1)]
-    dims_a = [p.a0_dim] + list(p.a_dims)
-    dims_b = [p.b0_dim] + list(p.b_dims)
+    _, dims_a, _ = p.party("alice")
+    _, dims_b, _ = p.party("bob")
     ka = max(max(_log2_exact(d, "a") for d in dims_a),
              max(alpha, default=0))
     kb = max(max(_log2_exact(d, "b") for d in dims_b),
@@ -467,11 +419,8 @@ def to_memoryless(p: CommProtocol) -> MemorylessProtocol:
     def final_observable(y: int) -> Povm:
         # Bob measures the shuttle and his source memory, the leading
         # d_b factor of "bamb"; the rest of the bundle is idle.
-        v = bob_input(q_rounds - 1, y).matrix(["sh", "bamb", "cA"])
-        rest = len(v) // (2 * dims_b[q_rounds - 1])
-        elements = [v.conj().T @ np.kron(e, np.eye(rest)) @ v
-                    for e in p.observables[y].elements]
-        return Povm(elements)
+        return _pull_back(p.observables[y], bob_input(q_rounds - 1, y)
+                          .matrix(["sh", "bamb", "cA"]))
 
     m_out = tuple(2 ** (1 + alpha[t] + (beta[t - 1] if t > 0 else 0))
                   for t in range(q_rounds))

@@ -86,7 +86,7 @@ def eligible(corpus):
     out = {}
     for i, p in enumerate(corpus):
         ml = to_memoryless(to_single_qubit_rounds(p))
-        legs = bell._leg_dims(ml.proto)
+        legs = tuple(d for _, d in ml.proto.legs)
         if ml.proto.rounds <= 2 and max(legs) <= 8:
             out[i] = (p, ml, legs)
     return out
@@ -274,7 +274,7 @@ class TestGenerateCorrelations:
     def test_round_cap(self, eligible, corpus):
         ml = to_memoryless(to_single_qubit_rounds(corpus[3]))
         assert ml.proto.rounds == 3
-        counts = tuple(1 for _ in bell._leg_dims(ml.proto))
+        counts = tuple(1 for _ in ml.proto.legs)
         s = bell.PortSchedule.for_protocol(ml, counts)
         with pytest.raises(CapExceededError):
             bell.generate_correlations(ml, s)

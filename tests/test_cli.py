@@ -288,6 +288,17 @@ class TestBellCertify:
         assert doc["config"]["trials"] == 10000
         assert doc["results"]["bell"]["method"] == "sampled"
 
+    def test_oversized_alphabet_is_not_downgraded(self, capsys, tmp_path):
+        # Both modes refuse the alphabet, so exact mode is kept and the
+        # cap is reported without asking for a seed.
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"schedule": [40000]}')
+        code, out, _ = run_cli(capsys, "bell-certify", "--config", str(cfg))
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"]["code"] == "cap_exceeded"
+        assert doc["config"]["mode"] == "exact"
+
 
 class TestOneway:
     def test_qrac_defaults(self, capsys):

@@ -6,6 +6,8 @@ simulator itself and pin the generator's draws; the analytic values for
 the two-bits-in-one-qubit protocol are cos^2(pi/8) and friends.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -230,7 +232,7 @@ def test_protocol_rejects_non_unitary_op():
     base = _classical_bit_protocol()
     bad = dict(base.alice_ops[0])
     bad[0] = np.array([[1.0, 0.0], [0.0, 0.5]])
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match=r"^alice_ops\[0\]\[0\]: not unitary"):
         CommProtocol(
             truth=base.truth, rounds=1, a0_dim=2, b0_dim=1,
             m_out_dims=(2,), m_back_dims=(), a_dims=(1,), b_dims=(),
@@ -242,7 +244,8 @@ def test_protocol_rejects_non_unitary_op():
 
 def test_protocol_rejects_dimension_mismatch():
     base = _classical_bit_protocol()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^alice round 1: in dim 2 != out dim 4$"):
         CommProtocol(
             truth=base.truth, rounds=1, a0_dim=2, b0_dim=1,
             m_out_dims=(4,), m_back_dims=(), a_dims=(1,), b_dims=(),
@@ -250,6 +253,50 @@ def test_protocol_rejects_dimension_mismatch():
             alice_ops=base.alice_ops, bob_ops=(),
             observables=base.observables,
         )
+
+
+def test_protocol_rejects_bob_non_unitary_op():
+    base = _memory_free_two_rounds()
+    bad = dict(base.bob_ops[0])
+    bad[1] = np.array([[1.0, 0.0], [0.0, 0.5]])
+    with pytest.raises(InvariantError, match=r"^bob_ops\[0\]\[1\]: not unitary"):
+        dataclasses.replace(base, bob_ops=(bad,))
+
+
+def test_protocol_rejects_bob_dimension_mismatch():
+    base = _memory_free_two_rounds()
+    with pytest.raises(ValueError,
+                       match=r"^bob round 1: in dim 2 != out dim 4$"):
+        dataclasses.replace(base, b_dims=(2,))
+
+
+def test_protocol_rejects_alice_later_round_dimension_mismatch():
+    base = _memory_free_two_rounds()
+    with pytest.raises(ValueError,
+                       match=r"^alice round 2: in dim 4 != out dim 2$"):
+        dataclasses.replace(base, anc_a_dims=(1, 2))
+
+
+def test_legs_and_party_of_qrac():
+    p = builtin_qrac()
+    assert p.legs == (("alice", 2),)
+    ops, mem, anc = p.party("alice")
+    assert ops is p.alice_ops
+    assert mem == (2, 1)
+    assert anc == (1,)
+    assert p.party("bob") == ((), (1,), ())
+
+
+def test_legs_and_party_of_two_round_protocol():
+    p = _random_q4_protocol()
+    assert p.legs == (("alice", 4), ("bob", 2), ("alice", 2))
+    assert p.party("alice")[1:] == ((2, 1, 2), (2, 2))
+    ops, mem, anc = p.party("bob")
+    assert ops is p.bob_ops
+    assert mem == (2, 4)
+    assert anc == (1,)
+    with pytest.raises(ValueError, match="party must be 'alice' or 'bob'"):
+        p.party("carol")
 
 
 def test_protocol_rejects_wrong_observable_dim():
@@ -384,6 +431,43 @@ def test_split_of_single_qubit_source_is_structurally_identical():
         assert np.array_equal(sp.alice_ops[0][x], p.alice_ops[0][x])
     for x, y in _pairs(p):
         assert run_exact(sp, x, y) == run_exact(p, x, y)
+
+
+def _one_round_one_qubit(a0, anc, b0, seed):
+    """One round carrying one qubit; Alice keeps a0 * anc / 2 dimensions
+    and Bob measures the message together with his b0-dim memory."""
+    rng = np.random.default_rng(seed)
+    d, d_meas = a0 * anc, 2 * b0
+    u = random_unitary(d_meas, rng)
+    proj = u[:, :1] @ u[:, :1].conj().T
+    return CommProtocol(
+        truth=_uniform_truth(1, [[0, 1], [1, 0]]),
+        rounds=1, a0_dim=a0, b0_dim=b0,
+        m_out_dims=(2,), m_back_dims=(), a_dims=(d // 2,), b_dims=(),
+        anc_a_dims=(anc,), anc_b_dims=(),
+        alice_ops=({x: random_unitary(d, rng) for x in range(2)},),
+        bob_ops=(),
+        observables={y: Povm([proj, np.eye(d_meas) - proj])
+                     for y in range(2)},
+    )
+
+
+@pytest.mark.parametrize("a0,anc,b0", [(4, 1, 1), (2, 2, 1), (1, 2, 2),
+                                       (2, 2, 4)])
+def test_split_of_one_round_one_qubit_source_returns_its_arrays(a0, anc, b0):
+    p = _one_round_one_qubit(a0, anc, b0, seed=a0 + 3 * anc + 5 * b0)
+    sp = to_single_qubit_rounds(p)
+    assert (sp.rounds, sp.a0_dim, sp.b0_dim) == (1, a0, b0)
+    assert (sp.m_out_dims, sp.a_dims, sp.anc_a_dims) == \
+        (p.m_out_dims, p.a_dims, p.anc_a_dims)
+    assert sp.meta["alice_in_data"] == (False,)
+    assert sp.meta["bob_in_data"] == ()
+    for x in range(2):
+        assert np.array_equal(sp.alice_ops[0][x], p.alice_ops[0][x])
+    for y in range(2):
+        for got, want in zip(sp.observables[y].elements,
+                             p.observables[y].elements):
+            assert np.array_equal(got, want)
 
 
 def test_split_two_qubit_one_way_gives_two_rounds():
