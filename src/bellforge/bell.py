@@ -39,7 +39,7 @@ import numpy as np
 from ._threads import thread_map
 from .classicalcc import (
     _CEIL_GUARD, BudgetOracle, _best_response, _capped, _weights,
-    best_success_one_way, best_success_tree)
+    best_success_tree)
 from .protocols import CommProtocol, MemorylessProtocol, TruthTable, _simulate
 from .remoteprep import index_cost_bits, rsp_povm
 from .states import (
@@ -731,13 +731,15 @@ def observation_bound(p_succ: float, truth: TruthTable,
 
 
 def one_way_linear_bell(table: CorrelationTable, stats: OneWayStats,
-                        k: float = 1.0) -> BellReport:
+                        k: float = 1.0,
+                        oracle: BudgetOracle | None = None) -> BellReport:
     """Linear Bell test from merged flag instances.
 
     Runs ceil(k / p_a) independent instances; Alice announces the first
     flagged one (or ABORT, worth a coin flip), Bob answers from that
     instance.  The classical bound grants a one-way protocol the same
-    index budget.
+    index budget, read from `oracle` (by default a fresh one-way
+    `BudgetOracle` for the stats' table).
     """
     if table.schedule is not None or table.axes != (2, 2):
         raise ValueError("flag-indexed one-way table required")
@@ -762,7 +764,9 @@ def one_way_linear_bell(table: CorrelationTable, stats: OneWayStats,
     if value > 1.0 + 1e-12:
         raise InvariantError(f"merged value {value} exceeds 1")
     budget = index_cost_bits(m)
-    delta = best_success_one_way(t, budget) - 0.5
+    if oracle is None:
+        oracle = BudgetOracle(t)
+    delta = oracle.success(budget) - 0.5
     return BellReport(
         bell_value=value, shifted_value=value - 0.5,
         classical_delta=float(delta), classical_method="cc_derived",

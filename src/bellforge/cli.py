@@ -450,7 +450,8 @@ def cmd_oneway(cfg: dict[str, Any],
         table, stats = one_way_correlations(source)
     except ValueError as e:
         raise UsageError(str(e))
-    # Every check, the observation bound and the sweep ask one table.
+    # Every check, the observation bound, the merged linear test and the
+    # sweep ask one table.
     oracle = BudgetOracle(source.truth)
     checks = []
     for delta in cfg["deltas"]:
@@ -460,7 +461,8 @@ def cmd_oneway(cfg: dict[str, Any],
         checks.append(row)
     obs = observation_bound(success_probability(source), source.truth,
                             oracle)
-    merged = one_way_linear_bell(table, stats, k=float(cfg["k"]))
+    merged = one_way_linear_bell(table, stats, k=float(cfg["k"]),
+                                 oracle=oracle)
     results = {
         "p_a": {"value": stats.p_a, "method": "exact"},
         "p_b": {"value": stats.p_b, "method": "exact"},

@@ -6,7 +6,9 @@ complex conjugate |phi*>: on a hit (probability exactly 1/d) Bob's half
 collapses to |phi> with no correction needed on his side, and Alice sends
 him the single outcome bit.  Batched mode repeats over m = ceil(k*d) fresh
 pairs and communicates the first succeeding index, or ABORT when all
-attempts miss (probability at most 2^-k).
+attempts miss (probability at most 2^-k).  A batch reads only the outcome
+bits, so it samples each hit in closed form; `rsp_attempt`, the dense
+measurement with Bob's post-state, is the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -94,7 +96,9 @@ def rsp_batch(target: PureState, k: float, rng: np.random.Generator) -> RspBatch
 
     Attempts use independent sub-streams spawned from `rng`, so outcome i
     depends only on the batch seed and i; attempts after the first success
-    are never executed.
+    are never executed.  Each attempt is sampled in closed form, hit with
+    probability 1/d, with the one draw `rsp_attempt` makes on the same
+    stream; the batch never needs Bob's post-measurement state.
     """
     if k < 1:
         raise ValueError(f"amplification parameter k={k} must be >= 1")
@@ -104,9 +108,10 @@ def rsp_batch(target: PureState, k: float, rng: np.random.Generator) -> RspBatch
     outcomes = []
     first = None
     for i, stream in enumerate(streams, start=1):
-        attempt = rsp_attempt(target, stream)
-        outcomes.append(attempt.outcome)
-        if attempt.outcome == 1:
+        # Outcome 0 of the conjugate-projector measurement is the hit.
+        outcome = 1 if stream.choice(2, p=[1.0 / d, 1.0 - 1.0 / d]) == 0 else 0
+        outcomes.append(outcome)
+        if outcome == 1:
             first = i
             break
     return RspBatch(m=m, k=k, first_success=first, outcomes=tuple(outcomes))

@@ -56,6 +56,21 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
+def _check_dtype(*arrays) -> type:
+    """Dtype the validation of `arrays` runs in: float64 when all are real,
+    complex128 otherwise.  A real eigen-check is several times cheaper."""
+    return np.float64 if all(np.isrealobj(a) for a in arrays) \
+        else np.complex128
+
+
+def _frozen_complex(m: np.ndarray) -> np.ndarray:
+    """Read-only complex128 copy, the form every validated matrix is stored
+    in whatever dtype it was checked in."""
+    out = np.array(m, dtype=np.complex128)
+    out.setflags(write=False)
+    return out
+
+
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
     """Principal square root of a PSD matrix via eigendecomposition.
 
@@ -173,12 +188,13 @@ class MixedState:
     """Density matrix over a register layout.
 
     Validated Hermitian (1e-10), PSD up to -1e-10 eigenvalue noise, and
-    unit trace (1e-10).
+    unit trace (1e-10).  The checks run in float64 on a real input and in
+    complex128 otherwise; `matrix` is always a read-only complex128 copy.
     """
 
     def __init__(self, matrix: np.ndarray, layout):
         layout = _as_layout(layout)
-        mat = np.asarray(matrix, dtype=np.complex128).copy()
+        mat = np.asarray(matrix, dtype=_check_dtype(matrix))
         d = layout.total_dim
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} != ({d}, {d})")
@@ -191,8 +207,7 @@ class MixedState:
         min_eig = float(np.linalg.eigvalsh(_sym(mat)).min())
         if min_eig < -ATOL_EIG:
             raise InvariantError(f"density matrix has eigenvalue {min_eig} < 0")
-        mat.setflags(write=False)
-        self.matrix = mat
+        self.matrix = _frozen_complex(mat)
         self.layout = layout
 
     @property
@@ -210,15 +225,18 @@ class Povm:
     elements through long chains of linear algebra (the port measurement
     uses 1e-9).  The margins the check found stay on the object:
     `min_eigenvalue`, the least eigenvalue of any element's Hermitian part,
-    and `completeness_dev`, max |sum of elements - I|.
+    and `completeness_dev`, max |sum of elements - I|.  As in `MixedState`,
+    the checks run in float64 when every element is real, and the stored
+    `elements` are read-only complex128 copies.
     """
 
     def __init__(self, elements: Sequence[np.ndarray], atol: float = ATOL_POVM):
-        elems = tuple(np.asarray(e, dtype=np.complex128).copy() for e in elements)
+        dtype = _check_dtype(*elements)
+        elems = tuple(np.asarray(e, dtype=dtype) for e in elements)
         if not elems:
             raise ValueError("POVM needs at least one element")
         d = elems[0].shape[0]
-        total = np.zeros((d, d), dtype=np.complex128)
+        total = np.zeros((d, d), dtype=dtype)
         least = math.inf
         for e in elems:
             if e.shape != (d, d):
@@ -233,9 +251,7 @@ class Povm:
         completeness_dev = float(np.max(np.abs(total - np.eye(d))))
         if completeness_dev > atol:
             raise InvariantError("POVM elements do not sum to identity")
-        for e in elems:
-            e.setflags(write=False)
-        self.elements = elems
+        self.elements = tuple(_frozen_complex(e) for e in elems)
         self.dim = d
         self.min_eigenvalue = least
         self.completeness_dev = completeness_dev

@@ -14,6 +14,16 @@ with the inverse square root taken on the support of S (eigenvalues below
 1e-12 of the largest are treated as zero) and the off-support identity
 shared uniformly so the family is complete.
 
+Every matrix in that recipe is real, so the build runs in float64.  The
+measurement is covariant under port permutations, Pi_i = P_1i Pi_1 P_1i
+with P_1i the swap of ports A_1 and A_i, and S commutes with every P_1i;
+so sigma_1 and Pi_1 are formed once and the others are obtained by
+exchanging the A_1 and A_i axes on rows and columns, an exact permutation
+with no further arithmetic.  Validation is not shortened: each of the N
+signal states and each of the N elements gets its full Hermiticity, trace
+or completeness and eigenvalue check, run in float64 and stored as
+complex128 (see `states.MixedState` and `states.Povm`).
+
 `entanglement_fidelity` never builds that measurement.  For this scheme the
 entanglement fidelity has a closed form over Young diagrams
   F = d^-(N+2) sum_{alpha |- N-1} (sum_{mu = alpha + box} sqrt(d_mu m_mu))^2
@@ -43,7 +53,6 @@ from .states import (
     PureState,
     RegisterLayout,
     _sym,
-    embed_operator,
     max_entangled,
     psd_sqrt,
 )
@@ -101,6 +110,17 @@ def build_resource(N: int, d: int) -> PbtResource:
     return PbtResource(N=N, d=d, state=PureState(amp, layout))
 
 
+def _swap_ports(m: np.ndarray, N: int, d: int, i: int) -> np.ndarray:
+    """Operator m on (A_0, A_1..A_N) with ports A_1 and A_i exchanged on rows
+    and columns: P_1i m P_1i, done as an axis permutation."""
+    if i == 1:
+        return m
+    axes = list(range(2 * (N + 1)))
+    for off in (0, N + 1):
+        axes[off + 1], axes[off + i] = off + i, off + 1
+    return m.reshape((d,) * (2 * (N + 1))).transpose(axes).reshape(m.shape)
+
+
 def build_pbt_povm(N: int, d: int) -> PbtMeasurement:
     """Pretty-good measurement for N ports of dimension d."""
     _check_ports(N, d)
@@ -109,23 +129,24 @@ def build_pbt_povm(N: int, d: int) -> PbtMeasurement:
         raise CapExceededError(
             f"measurement dimension d^(N+1) = {dim} exceeds {MAX_TOTAL_DIM}")
     layout = RegisterLayout([("A0", d)] + [(n, d) for n in _port_names("A", N)])
-    phi = max_entangled(d).amplitudes
-    proj = np.outer(phi, phi.conj())
+    phi = max_entangled(d).amplitudes.real
+    rest = d ** (N - 1)
+    sig1 = np.kron(np.outer(phi, phi), np.eye(rest)) / rest
     signals = []
+    S = np.zeros((dim, dim))
     for i in range(1, N + 1):
-        sig = embed_operator(proj, layout, ["A0", f"A{i}"]) / d ** (N - 1)
+        sig = _swap_ports(sig1, N, d, i)
         signals.append(MixedState(sig, layout))
-    S = np.zeros((dim, dim), dtype=np.complex128)
-    for sig in signals:
-        S = S + sig.matrix
+        S = S + sig
     w, v = np.linalg.eigh(_sym(S))
     cut = PINV_CUTOFF * w.max()
     on_supp = w > cut
     inv_root = np.where(on_supp, 1.0 / np.sqrt(np.where(on_supp, w, 1.0)), 0.0)
-    s_irt = (v * inv_root) @ v.conj().T
-    p_supp = (v * on_supp.astype(float)) @ v.conj().T
+    s_irt = (v * inv_root) @ v.T
+    p_supp = (v * on_supp.astype(float)) @ v.T
     remainder = (np.eye(dim) - p_supp) / N
-    elems = [_sym(s_irt @ sig.matrix @ s_irt + remainder) for sig in signals]
+    elem1 = _sym(s_irt @ sig1 @ s_irt + remainder)
+    elems = [_swap_ports(elem1, N, d, i) for i in range(1, N + 1)]
     return PbtMeasurement(N=N, d=d, signal_states=tuple(signals),
                           elements=Povm(elems, atol=ATOL_PBT_POVM))
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from bellforge import bell
-from bellforge.classicalcc import best_success_tree
+from bellforge.classicalcc import BudgetOracle, best_success_tree
 from bellforge.protocols import (
     TruthTable, builtin_qrac, random_protocol, success_probability,
 )
@@ -771,6 +771,22 @@ class TestOneWayLinearBell:
                                                abs=1e-10)
         assert rep.budget_bits == 3.0
         assert rep.meta["instances"] == 4
+
+    def test_budget_read_from_given_oracle(self):
+        table, stats = bell.one_way_correlations(qrac_ml())
+        asked = []
+
+        class Fixed:
+            def success(self, bits):
+                asked.append(bits)
+                return 0.75
+
+        rep = bell.one_way_linear_bell(table, stats, k=1.0, oracle=Fixed())
+        assert asked == [2]
+        assert rep.classical_delta == 0.25
+        shared = bell.one_way_linear_bell(
+            table, stats, k=1.0, oracle=BudgetOracle(stats.truth))
+        assert shared == bell.one_way_linear_bell(table, stats, k=1.0)
 
     def test_value_grows_with_merging(self):
         table, stats = bell.one_way_correlations(qrac_ml())

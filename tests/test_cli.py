@@ -327,18 +327,18 @@ class TestOneway:
         assert sweep["failures"] == 0
 
     def test_sweep_searches_each_budget_once(self, capsys, monkeypatch):
-        # One oracle serves every check, the observation bound and all
-        # 256 boxes x 4 deltas of the sweep: budgets 0..2 once each, plus
-        # the merged linear test's own search at its index budget.
-        from bellforge import bell, classicalcc
-        searched = spy_one_way(monkeypatch, classicalcc, bell)
+        # One oracle serves every check, the observation bound, the merged
+        # linear test's index budget and all 256 boxes x 4 deltas of the
+        # sweep: budgets 0..2 once each.
+        from bellforge import classicalcc
+        searched = spy_one_way(monkeypatch, classicalcc)
         cfg = os.path.join(REPO, "docs", "examples", "v1",
                            "oneway_sweep.config.json")
         monkeypatch.chdir(REPO)
         code, out, _ = run_cli(capsys, "oneway", "--config", cfg)
         assert code == 0
         assert json.loads(out)["results"]["sweep"]["boxes"] == 256
-        assert searched == [0, 1, 2, 2]
+        assert searched == [0, 1, 2]
 
     def test_delta_outside_unit_interval(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"

@@ -11,6 +11,7 @@ from bellforge.states import (
     CapExceededError,
     InvariantError,
     MixedState,
+    RegisterLayout,
     _sym,
     embed_operator,
     max_entangled,
@@ -111,6 +112,45 @@ def test_povm_signal_states_are_valid():
     for sig in meas.signal_states:
         assert abs(np.trace(sig.matrix).real - 1.0) < 1e-12
         assert np.linalg.eigvalsh(_sym(sig.matrix)).min() >= -1e-12
+
+
+def _reference_pbt_povm(N, d):
+    """(signal operators, elements) built the direct way in complex
+    arithmetic: every signal operator embedded on its own port pair and
+    every element formed by its own product with S^(-1/2)."""
+    layout = RegisterLayout([("A0", d)]
+                            + [(f"A{i}", d) for i in range(1, N + 1)])
+    phi = max_entangled(d).amplitudes
+    proj = np.outer(phi, phi.conj())
+    sigs = [embed_operator(proj, layout, ["A0", f"A{i}"]) / d ** (N - 1)
+            for i in range(1, N + 1)]
+    S = np.zeros_like(sigs[0])
+    for sig in sigs:
+        S = S + sig
+    w, v = np.linalg.eigh(_sym(S))
+    on_supp = w > tp.PINV_CUTOFF * w.max()
+    inv_root = np.where(on_supp, 1.0 / np.sqrt(np.where(on_supp, w, 1.0)), 0.0)
+    s_irt = (v * inv_root) @ v.conj().T
+    p_supp = (v * on_supp.astype(float)) @ v.conj().T
+    remainder = (np.eye(len(w)) - p_supp) / N
+    return sigs, [_sym(s_irt @ sig @ s_irt + remainder) for sig in sigs]
+
+
+@pytest.mark.parametrize("N,d", [(N, 2) for N in range(1, 9)]
+                         + [(N, 3) for N in range(1, 6)]
+                         + [(N, 4) for N in range(1, 4)])
+def test_povm_matches_direct_complex_build(N, d):
+    meas = build_pbt_povm(N, d)
+    sigs, elems = _reference_pbt_povm(N, d)
+    assert len(meas.signal_states) == len(meas.elements) == N
+    for state, want in zip(meas.signal_states, sigs):
+        assert state.matrix.dtype == np.complex128
+        assert not state.matrix.flags.writeable
+        assert np.max(np.abs(state.matrix - want)) <= 1e-12
+    for got, want in zip(meas.elements.elements, elems):
+        assert got.dtype == np.complex128
+        assert not got.flags.writeable
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 @pytest.mark.parametrize("N,d", [(2, 2), (3, 2), (2, 3)])

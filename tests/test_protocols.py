@@ -26,6 +26,7 @@ from bellforge import (
     to_single_qubit_rounds,
 )
 from bellforge.states import random_unitary
+from bellforge.transforms import _span_chain
 
 QRAC_SUCCESS = 0.8535533905932737  # cos^2(pi/8)
 QRAC_EPSILON = 0.35355339059327373  # cos^2(pi/8) - 1/2 = sqrt(2)/4
@@ -565,16 +566,28 @@ def test_span_basis_product_memory_protocol_has_one_vector_per_round():
 
 
 def test_span_basis_cardinality_and_orthonormality_on_corpus(corpus):
+    # One span chain per (party, input) serves every round; one direct
+    # memory_span_basis call per protocol pins the chain to what it returns.
     for p in corpus:
         sp = to_single_qubit_rounds(p)
+        chains = {party: _span_chain(sp, party, 1)
+                  for party in ("alice", "bob")}
+        last = sp.rounds
+        direct = memory_span_basis(sp, "alice", last, 1)
+        if sp.party("alice")[1][last] == 1:
+            assert direct.shape == (0, 1)
+        else:
+            np.testing.assert_array_equal(direct, chains["alice"][last - 1])
         for party, nrounds in (("alice", sp.rounds), ("bob", sp.rounds - 1)):
+            mem = sp.party(party)[1]
             for i in range(1, nrounds + 1):
-                basis = memory_span_basis(sp, party, i, 1)
+                if mem[i] == 1:
+                    continue  # absent memory: the basis is empty
+                basis = chains[party][i - 1]
                 assert basis.shape[0] <= 2 ** i
-                if basis.shape[0]:
-                    gram = basis @ basis.conj().T
-                    np.testing.assert_allclose(gram, np.eye(len(basis)),
-                                               atol=1e-10)
+                gram = basis @ basis.conj().T
+                np.testing.assert_allclose(gram, np.eye(len(basis)),
+                                           atol=1e-10)
 
 
 def test_span_basis_validates_arguments():

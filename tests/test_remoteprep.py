@@ -132,6 +132,21 @@ def test_batch_is_seed_deterministic():
     assert b1.first_success == b2.first_success
 
 
+def test_batch_matches_dense_attempts_outcome_for_outcome():
+    # The batch samples each attempt in closed form; replaying the dense
+    # attempt on the same spawned streams must give the same outcomes.
+    for d in (2, 3, 5):
+        target = haar_state(d, np.random.default_rng(31 + d))
+        for seed in range(40):
+            batch = rsp_batch(target, 3, np.random.default_rng(seed))
+            dense = []
+            for stream in np.random.default_rng(seed).spawn(batch.m):
+                dense.append(rsp_attempt(target, stream).outcome)
+                if dense[-1] == 1:
+                    break
+            assert tuple(dense) == batch.outcomes
+
+
 def test_abort_probability_exact_values():
     assert abort_probability(2, 4) == pytest.approx(2.0 ** -8, abs=1e-15)
     assert abort_probability(2, 1) == pytest.approx(0.25, abs=1e-15)

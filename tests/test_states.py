@@ -96,6 +96,82 @@ def test_povm_validation():
         Povm([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])
 
 
+# Real validation cases: each matrix is checked in float64 as given and in
+# complex128 as its complex copy, and both must get the same verdict.
+_ROT = np.linalg.qr(np.random.default_rng(41).normal(size=(3, 3)))[0]
+
+
+def _rotated(*eigs):
+    return _ROT @ np.diag(eigs) @ _ROT.T
+
+
+def _skewed(m, eps):
+    out = m.copy()
+    out[0, 1] += eps
+    out[1, 0] -= eps
+    return out
+
+
+DENSITY_CASES = {
+    "valid": (_rotated(0.5, 0.3, 0.2), True),
+    "not_hermitian": (_skewed(_rotated(0.5, 0.3, 0.2), 1e-9), False),
+    "trace_off_1e-9": (_rotated(0.5, 0.3, 0.2 + 1e-9), False),
+    "trace_off_1e-11": (_rotated(0.5, 0.3, 0.2 + 1e-11), True),
+    "eigenvalue_-1e-9": (_rotated(0.6 + 1e-9, 0.4, -1e-9), False),
+    "eigenvalue_-1e-11": (_rotated(0.6 + 1e-11, 0.4, -1e-11), True),
+}
+
+POVM_CASES = {
+    "valid": ([_rotated(1, 0, 0), _rotated(0, 1, 1)], True),
+    "not_hermitian": ([_skewed(_rotated(1, 0, 0), 1e-9),
+                       _skewed(_rotated(0, 1, 1), -1e-9)], False),
+    "eigenvalue_-1e-9": ([_rotated(1 + 1e-9, 0, -1e-9),
+                          _rotated(-1e-9, 1, 1 + 1e-9)], False),
+    "incomplete_1e-9": ([_rotated(1, 0, 0), _rotated(0, 1, 1 - 1e-9)], False),
+    "incomplete_1e-11": ([_rotated(1, 0, 0), _rotated(0, 1, 1 - 1e-11)],
+                         True),
+}
+
+
+def _built_or_none(cls, *args):
+    try:
+        return cls(*args)
+    except InvariantError:
+        return None
+
+
+@pytest.mark.parametrize("case", sorted(DENSITY_CASES))
+def test_mixed_state_real_and_complex_inputs_validate_alike(case):
+    m, accepted = DENSITY_CASES[case]
+    assert m.dtype == np.float64
+    got = [_built_or_none(MixedState, a, [("Q", 3)])
+           for a in (m, m.astype(np.complex128))]
+    assert [g is not None for g in got] == [accepted, accepted]
+    for state in got if accepted else ():
+        assert state.matrix.dtype == np.complex128
+        assert not state.matrix.flags.writeable
+        assert np.array_equal(state.matrix, m)
+
+
+@pytest.mark.parametrize("case", sorted(POVM_CASES))
+def test_povm_real_and_complex_inputs_validate_alike(case):
+    elems, accepted = POVM_CASES[case]
+    assert all(e.dtype == np.float64 for e in elems)
+    got = [_built_or_none(Povm, es)
+           for es in (elems, [e.astype(np.complex128) for e in elems])]
+    assert [g is not None for g in got] == [accepted, accepted]
+    if not accepted:
+        return
+    for povm in got:
+        for e, want in zip(povm.elements, elems):
+            assert e.dtype == np.complex128
+            assert not e.flags.writeable
+            assert np.array_equal(e, want)
+    real, cplx = got
+    assert real.completeness_dev == cplx.completeness_dev
+    assert real.min_eigenvalue == pytest.approx(cplx.min_eigenvalue, abs=1e-15)
+
+
 # ----------------------------------------------------------------- tensor
 
 def test_tensor_basis_states():
