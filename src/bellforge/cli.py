@@ -95,10 +95,11 @@ def _build_parser() -> _Parser:
                        help="JSON config file; flags override its values")
         p.add_argument("--seed", type=int, metavar="U64",
                        help="RNG seed (mandatory for sampled mode)")
-        p.add_argument("--mode", choices=("exact", "sampled"),
-                       help="correlation mode (bell-certify only)")
-        p.add_argument("--trials", type=int, metavar="N",
-                       help="samples per input pair (bell-certify only)")
+        if name == "bell-certify":
+            p.add_argument("--mode", choices=("exact", "sampled"),
+                           help="correlation mode")
+            p.add_argument("--trials", type=int, metavar="N",
+                           help="samples per input pair")
         p.add_argument("--out", metavar="PATH",
                        help="report destination (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"),
@@ -130,12 +131,9 @@ def _load_config(args: argparse.Namespace) -> dict[str, Any]:
                                  f"but {cmd} was invoked")
             cfg[key] = value
     for flag in ("seed", "mode", "trials", "out", "format"):
-        value = getattr(args, flag)
-        if value is None:
-            continue
-        if flag not in allowed and flag in ("mode", "trials"):
-            raise UsageError(f"--{flag} does not apply to {cmd}")
-        cfg[flag] = value
+        value = getattr(args, flag, None)
+        if value is not None:
+            cfg[flag] = value
     return cfg
 
 

@@ -302,8 +302,8 @@ class _RegisterMachine:
     after the first lossy `depolarize`.  In operator mode (`identity`) it is
     the ket sum_i |i>|i> of a D x D operator, whose second factor is a
     trailing column register that no call names; `apply` then composes onto
-    the operator and `matrix` reads it out.  `_front` is the only place
-    where named axes are permuted.
+    the operator and `matrix` reads it out.  `_front` is the only
+    named-axis permutation in the package.
     """
 
     def __init__(self, regs: Iterable[tuple] = (),

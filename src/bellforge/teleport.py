@@ -24,6 +24,14 @@ signal states and each of the N elements gets its full Hermiticity, trace
 or completeness and eigenvalue check, run in float64 and stored as
 complex128 (see `states.MixedState` and `states.Povm`).
 
+The outcome branches use the same symmetry.  The purified input and the
+resource are loaded as one ket on the register machine
+(`states._RegisterMachine`); one square root of E_1 is taken, and for
+outcome z it is applied to the measured registers with A_1 and A_z
+exchanged, which is sqrt(E_z).  The receiver's output is then the reduced
+state of B_z.  The port swaps of the measurement build run on the machine
+too, so this module permutes no axes of its own.
+
 `entanglement_fidelity` never builds that measurement.  For this scheme the
 entanglement fidelity has a closed form over Young diagrams
   F = d^-(N+2) sum_{alpha |- N-1} (sum_{mu = alpha + box} sqrt(d_mu m_mu))^2
@@ -52,6 +60,7 @@ from .states import (
     Povm,
     PureState,
     RegisterLayout,
+    _RegisterMachine,
     _sym,
     max_entangled,
     psd_sqrt,
@@ -110,15 +119,20 @@ def build_resource(N: int, d: int) -> PbtResource:
     return PbtResource(N=N, d=d, state=PureState(amp, layout))
 
 
+def _measured_ports(N: int, i: int) -> list[str]:
+    """The measured registers (A_0, A_1..A_N) with A_1 and A_i exchanged."""
+    names = ["A0"] + _port_names("A", N)
+    names[1], names[i] = names[i], names[1]
+    return names
+
+
 def _swap_ports(m: np.ndarray, N: int, d: int, i: int) -> np.ndarray:
     """Operator m on (A_0, A_1..A_N) with ports A_1 and A_i exchanged on rows
-    and columns: P_1i m P_1i, done as an axis permutation."""
-    if i == 1:
-        return m
-    axes = list(range(2 * (N + 1)))
-    for off in (0, N + 1):
-        axes[off + 1], axes[off + i] = off + i, off + 1
-    return m.reshape((d,) * (2 * (N + 1))).transpose(axes).reshape(m.shape)
+    and columns: P_1i m P_1i, done as a regroup on the register machine."""
+    ports = [(n, d) for n in _measured_ports(N, 1)]
+    reg = _RegisterMachine(ports, m)
+    reg.apply(_measured_ports(N, i), None, ports)
+    return reg.state
 
 
 def build_pbt_povm(N: int, d: int) -> PbtMeasurement:
@@ -160,50 +174,40 @@ def _purify(rho: MixedState) -> np.ndarray:
     return (v * np.sqrt(w)).T.astype(np.complex128)
 
 
-def _branch_tensors(psi_in: np.ndarray, resource: PbtResource,
-                    meas: PbtMeasurement) -> list[np.ndarray]:
-    """Unnormalized post-measurement tensors, one per outcome.
+def _branches(psi_in: np.ndarray, resource: PbtResource,
+              meas: PbtMeasurement, with_reference: bool
+              ) -> list[tuple[float, np.ndarray]]:
+    """(probability, unnormalized reduced matrix) of every outcome z.
 
     psi_in has shape (d_ref, d): a purified input with its reference index
-    first.  Each result has shape (d_ref, d^(N+1), d, ..., d) with the last
-    N axes the receiver ports B_1..B_N; its squared norm is the outcome
-    probability.
+    R first.  The reduced matrix lives on B_z, preceded by R when
+    `with_reference` is set; dividing by the probability normalizes it.
+    E_z = P_1z E_1 P_1z, so the root of E_1 applied to (A_0, A_1..A_N)
+    with A_1 and A_z exchanged is sqrt(E_z): one square root serves every
+    outcome.
     """
     N, d = resource.N, resource.d
-    dn = d ** N
+    if meas.N != N or meas.d != d:
+        raise ValueError("resource and measurement disagree on (N, d)")
     if psi_in.shape[1] != d:
         raise ValueError(f"input dimension {psi_in.shape[1]} != port dim {d}")
-    total = psi_in.shape[0] * d * dn * dn
+    total = psi_in.size * resource.state.amplitudes.size
     if total > MAX_TOTAL_DIM:
         raise CapExceededError(
             f"purified joint dimension {total} exceeds {MAX_TOTAL_DIM}")
-    res2 = resource.state.amplitudes.reshape(dn, dn)
-    # joint[r, a0, x, b]: the measured block is (a0, x) with a0 major, which
-    # matches the C-order flattening of the POVM's (A_0, A_1..A_N) layout.
-    joint = np.einsum("ra,xb->raxb", psi_in, res2)
-    joint = joint.reshape(psi_in.shape[0], d * dn, dn)
+    joint = np.kron(psi_in.reshape(-1), resource.state.amplitudes)
+    regs = [("R", psi_in.shape[0]), ("A0", d)] + list(
+        resource.state.layout.registers)
+    root = psd_sqrt(meas.elements.elements[0])
+    keep = ["R"] if with_reference else []
     out = []
-    for elem in meas.elements.elements:
-        root = psd_sqrt(elem)
-        branch = np.matmul(root, joint)
-        out.append(branch.reshape((psi_in.shape[0], d * dn) + (d,) * N))
+    for z in range(1, N + 1):
+        reg = _RegisterMachine(regs, joint)
+        names = _measured_ports(N, z)
+        reg.apply(names, root, [(n, d) for n in names])
+        raw = reg.reduced(keep + [f"B{z}"])
+        out.append((float(np.trace(raw).real), raw))
     return out
-
-
-def _branch_output(branch: np.ndarray, z: int, N: int, d: int,
-                   with_reference: bool) -> tuple[float, np.ndarray]:
-    """(probability, unnormalized reduced matrix) of one outcome branch.
-
-    The reduced matrix lives on B_z, preceded by the purification reference
-    when `with_reference` is set; dividing by the probability normalizes it.
-    """
-    axes = list(range(branch.ndim))
-    keep = ([0] if with_reference else []) + [1 + z]
-    rest = [a for a in axes if a not in keep]
-    keep_dim = int(np.prod([branch.shape[a] for a in keep]))
-    m = branch.transpose(keep + rest).reshape(keep_dim, -1)
-    prob = float(np.einsum("ij,ij->", m, m.conj()).real)
-    return prob, m @ m.conj().T
 
 
 def teleport_branches(input_state: MixedState, resource: PbtResource,
@@ -214,12 +218,11 @@ def teleport_branches(input_state: MixedState, resource: PbtResource,
     The output for outcome z is purely the reduced state of the receiver's
     z-th port; no outcome-dependent correction exists anywhere in this path.
     """
-    N, d = resource.N, resource.d
-    psi_in = _purify(input_state)
-    branches = _branch_tensors(psi_in, resource, meas)
+    d = resource.d
+    branches = _branches(_purify(input_state), resource, meas,
+                         with_reference=False)
     out = []
-    for z, branch in enumerate(branches, start=1):
-        prob, raw = _branch_output(branch, z, N, d, with_reference=False)
+    for z, (prob, raw) in enumerate(branches, start=1):
         if prob < 1e-300:
             # outcome numerically impossible; report the maximally mixed port
             rho = np.eye(d) / d
@@ -238,8 +241,6 @@ def teleport(input_state: MixedState, resource: PbtResource,
     Every outcome yields an output; the receiver only discards the ports
     other than z.
     """
-    if resource.N != meas.N or resource.d != meas.d:
-        raise ValueError("resource and measurement disagree on (N, d)")
     branches = teleport_branches(input_state, resource, meas)
     probs = np.clip(np.array([p for p, _ in branches]), 0.0, None)
     z = int(rng.choice(len(probs), p=probs / probs.sum())) + 1
@@ -298,17 +299,14 @@ def entanglement_fidelity(N: int, d: int) -> float:
     return total
 
 
-def dense_entanglement_fidelity(N: int, d: int, trials: int | None = None,
-                                seed: int | None = None) -> float:
+def dense_entanglement_fidelity(N: int, d: int) -> float:
     """Reference for `entanglement_fidelity` from the outcome branches.
 
     The sender's half of |Phi+(d)>, held against an external reference, is
     teleported; the result is the fidelity of (reference (x) output) with
-    |Phi+(d)>, averaged exactly over all N outcomes.  With `trials` set the
-    average is instead estimated from that many sampled outcomes (the
-    per-outcome fidelities stay exact).  Every outcome must have
-    probability 1/N to within 1e-9.  The cap d^(2N+2) <= 2**20 is checked
-    before the resource or the measurement is built.
+    |Phi+(d)>, averaged exactly over all N outcomes.  Every outcome must
+    have probability 1/N to within 1e-9.  The cap d^(2N+2) <= 2**20 is
+    checked before the resource or the measurement is built.
     """
     if d ** (2 * N + 2) > MAX_TOTAL_DIM:
         raise CapExceededError(f"purified joint dimension d^(2N+2) = "
@@ -317,11 +315,10 @@ def dense_entanglement_fidelity(N: int, d: int, trials: int | None = None,
     meas = build_pbt_povm(N, d)
     phi = max_entangled(d).amplitudes
     psi_in = phi.reshape(d, d)  # reference index first; symmetric anyway
-    branches = _branch_tensors(psi_in, resource, meas)
+    branches = _branches(psi_in, resource, meas, with_reference=True)
     probs = np.empty(N)
     fids = np.empty(N)
-    for z, branch in enumerate(branches, start=1):
-        prob, raw = _branch_output(branch, z, N, d, with_reference=True)
+    for z, (prob, raw) in enumerate(branches, start=1):
         probs[z - 1] = prob
         # <Phi| raw |Phi> / prob, computed without forming the quotient
         val = float(np.real(phi.conj() @ raw @ phi))
@@ -329,12 +326,7 @@ def dense_entanglement_fidelity(N: int, d: int, trials: int | None = None,
     if np.max(np.abs(N * probs - 1.0)) > 1e-9:
         raise InvariantError(f"teleportation outcomes not uniform for N={N}, "
                              f"d={d}: {probs}")
-    if trials is None:
-        return float(np.sum(probs * fids) / probs.sum())
-    rng = np.random.default_rng(seed)
-    p = np.clip(probs, 0.0, None)
-    draws = rng.choice(N, size=trials, p=p / p.sum())
-    return float(np.mean(fids[draws]))
+    return float(np.sum(probs * fids) / probs.sum())
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,7 @@ from bellforge.protocols import (
 )
 from bellforge.states import (
     CapExceededError, InvariantError, MixedState, _RegisterMachine,
-    random_density,
+    psd_sqrt, random_density,
 )
 from bellforge.teleport import (
     build_pbt_povm, build_resource, depolarizing_parameter,
@@ -220,16 +220,18 @@ class TestGenerateCorrelations:
         # Rebuild the full two-port joint (outcome, both terminal bits)
         # from raw branch tensors and check that summing out the
         # unselected port's bit reproduces the path-marginal table.
-        from bellforge.teleport import _branch_tensors
         ml = qrac_ml()
         proto = ml.proto
         s = bell.PortSchedule.for_protocol(ml, (2,))
         table = bell.generate_correlations(ml, s)
         res = build_resource(2, 2)
         meas = build_pbt_povm(2, 2)
+        roots = [psd_sqrt(e) for e in meas.elements.elements]
+        res2 = res.state.amplitudes.reshape(4, 4)  # (A1 A2) x (B1 B2)
         for x in range(4):
-            psi = proto.alice_ops[0][x][:, 0].reshape(1, 2)
-            branches = _branch_tensors(psi, res, meas)
+            psi = proto.alice_ops[0][x][:, 0]
+            joint = np.kron(psi.reshape(2, 1), res2)  # (A0 A1 A2) x (B1 B2)
+            branches = [root @ joint for root in roots]
             for y in range(4):
                 els = proto.observables[y].elements
                 for z, branch in enumerate(branches):

@@ -153,6 +153,27 @@ def test_povm_matches_direct_complex_build(N, d):
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
+def _reference_swap_ports(m, N, d, i):
+    """P_1i m P_1i as one transpose exchanging the A_1 and A_i axes on rows
+    and columns."""
+    if i == 1:
+        return m
+    axes = list(range(2 * (N + 1)))
+    for off in (0, N + 1):
+        axes[off + 1], axes[off + i] = off + i, off + 1
+    return m.reshape((d,) * (2 * (N + 1))).transpose(axes).reshape(m.shape)
+
+
+@pytest.mark.parametrize("N,d", [(8, 2), (5, 3), (3, 4)])
+def test_swap_ports_matches_transpose(N, d):
+    rng = np.random.default_rng(N * d)
+    dim = d ** (N + 1)
+    m = rng.normal(size=(dim, dim))
+    for i in range(1, N + 1):
+        assert np.array_equal(tp._swap_ports(m, N, d, i),
+                              _reference_swap_ports(m, N, d, i))
+
+
 @pytest.mark.parametrize("N,d", [(2, 2), (3, 2), (2, 3)])
 def test_povm_port_permutation_covariance(N, d):
     meas = build_pbt_povm(N, d)
@@ -235,6 +256,83 @@ def test_eight_port_teleport_beats_half_fidelity_on_basis_state():
     assert avg >= 0.5
 
 
+def _reference_branches(psi_in, resource, meas, with_reference):
+    """(probability, unnormalized reduced matrix) per outcome, the direct
+    way: one square root per element applied to the joint tensor, then the
+    unselected axes traced out by a transpose."""
+    N, d = resource.N, resource.d
+    dn = d ** N
+    res2 = resource.state.amplitudes.reshape(dn, dn)
+    joint = np.einsum("ra,xb->raxb", psi_in, res2)
+    joint = joint.reshape(psi_in.shape[0], d * dn, dn)
+    out = []
+    for z, elem in enumerate(meas.elements.elements, start=1):
+        branch = np.matmul(psd_sqrt(elem), joint)
+        branch = branch.reshape((psi_in.shape[0], d * dn) + (d,) * N)
+        keep = ([0] if with_reference else []) + [1 + z]
+        rest = [a for a in range(branch.ndim) if a not in keep]
+        keep_dim = math.prod(branch.shape[a] for a in keep)
+        m = branch.transpose(keep + rest).reshape(keep_dim, -1)
+        out.append((float(np.vdot(m, m).real), m @ m.conj().T))
+    return out
+
+
+DENSE_BRANCH_CASES = ([(N, 2) for N in range(1, 8)]
+                      + [(N, 3) for N in range(1, 5)]
+                      + [(N, 4) for N in range(1, 3)])
+
+
+@pytest.mark.parametrize("N,d", DENSE_BRANCH_CASES)
+def test_branches_match_per_element_roots(N, d):
+    res = build_resource(N, d)
+    meas = build_pbt_povm(N, d)
+    rng = np.random.default_rng(100 * N + d)
+    inp = MixedState(random_density(d, rng), [("A0", d)])
+    want = _reference_branches(tp._purify(inp), res, meas, False)
+    for (p_got, out), (p_want, raw) in zip(teleport_branches(inp, res, meas),
+                                           want):
+        assert abs(p_got - p_want) <= 1e-12
+        rho = _sym(raw / p_want)
+        rho = rho / np.trace(rho).real
+        assert np.max(np.abs(out.matrix - rho)) <= 1e-12
+    phi = max_entangled(d).amplitudes
+    fid = sum(float(np.real(phi.conj() @ raw @ phi)) for _, raw in
+              _reference_branches(phi.reshape(d, d), res, meas, True))
+    assert dense_entanglement_fidelity(N, d) == pytest.approx(fid, abs=1e-12)
+
+
+def test_branches_take_one_square_root(monkeypatch):
+    calls = []
+
+    def spy(m):
+        calls.append(m.shape)
+        return psd_sqrt(m)
+
+    monkeypatch.setattr(tp, "psd_sqrt", spy)
+    res = build_resource(4, 2)
+    meas = build_pbt_povm(4, 2)
+    inp = MixedState(random_density(2, np.random.default_rng(3)), [("A0", 2)])
+    teleport_branches(inp, res, meas)
+    assert calls == [(32, 32)]
+    calls.clear()
+    dense_entanglement_fidelity(3, 3)
+    assert calls == [(81, 81)]
+
+
+@pytest.mark.parametrize("res_nd,meas_nd",
+                         [((2, 4), (5, 2)), ((2, 2), (3, 2)), ((3, 2), (2, 2))])
+def test_resource_and_measurement_must_agree(res_nd, meas_nd):
+    res = build_resource(*res_nd)
+    meas = build_pbt_povm(*meas_nd)
+    d = res.d
+    inp = MixedState(np.eye(d) / d, [("A0", d)])
+    msg = r"resource and measurement disagree on \(N, d\)"
+    with pytest.raises(ValueError, match=msg):
+        teleport_branches(inp, res, meas)
+    with pytest.raises(ValueError, match=msg):
+        teleport(inp, res, meas, np.random.default_rng(0))
+
+
 def test_teleport_sampling_is_seed_deterministic():
     res = build_resource(3, 2)
     meas = build_pbt_povm(3, 2)
@@ -299,7 +397,7 @@ def test_closed_form_builds_no_measurement(monkeypatch):
         raise AssertionError("dense port-teleportation path reached")
 
     monkeypatch.setattr(tp, "build_pbt_povm", refuse)
-    monkeypatch.setattr(tp, "_branch_tensors", refuse)
+    monkeypatch.setattr(tp, "_branches", refuse)
     assert entanglement_fidelity(9, 2) == pytest.approx(
         pbt_fidelity_qubit(9), abs=1e-12)
     assert depolarizing_parameter.__wrapped__(8, 2) == pytest.approx(
@@ -317,14 +415,6 @@ def test_fidelity_argument_validation(fidelity):
         with pytest.raises(CapExceededError, match=f"= {d ** (2 * N + 2)} "
                            f"exceeds 1048576"):
             fidelity(N, d)
-
-
-def test_entanglement_fidelity_sampled_mode():
-    exact = dense_entanglement_fidelity(3, 2)
-    est1 = dense_entanglement_fidelity(3, 2, trials=4000, seed=7)
-    est2 = dense_entanglement_fidelity(3, 2, trials=4000, seed=7)
-    assert est1 == est2
-    assert abs(est1 - exact) < 0.02
 
 
 @pytest.mark.parametrize("N,d", [(2, 32), (10, 2)])
