@@ -41,7 +41,7 @@ from .classicalcc import (
     _CEIL_GUARD, BudgetOracle, _best_response, _capped, _weights,
     best_success_tree)
 from .protocols import CommProtocol, MemorylessProtocol, TruthTable, _simulate
-from .remoteprep import index_cost_bits, rsp_povm
+from .remoteprep import batch_size, index_cost_bits, rsp_povm
 from .states import (
     CapExceededError,
     InvariantError,
@@ -53,9 +53,8 @@ from .teleport import depolarizing_parameter
 # Correlation rows must be normalized to this tolerance.
 ATOL_TABLE = 1e-9
 
-# Exact branch enumeration is limited to two-round protocols and to
-# path-alphabet products (index levels times the binary leaf) this large.
-EXACT_MAX_ROUNDS = 2
+# Correlation tables are limited to path-alphabet products (index levels
+# times the binary leaf) this large.
 ALPHABET_CAP = 2 ** 16
 
 # The exact local bound may enumerate at most this many Alice index maps,
@@ -160,48 +159,10 @@ class CorrelationTable:
             clean[key] = a
         object.__setattr__(self, "tables", clean)
 
-    def path_probability(self, x: int, y: int, path: OutcomePath) -> float:
-        """Probability of one full path for input pair (x, y)."""
-        if self.schedule is not None:
-            path.check(self.schedule)
-        cell = path.indices + (path.outcome,)
-        arr = self.tables[(x, y)]
-        if len(cell) != arr.ndim:
-            raise ValueError(
-                f"path with {len(path.indices)} indices does not address "
-                f"a table of {arr.ndim - 1} levels")
-        return float(arr[cell])
-
 
 def _same_truth(a: TruthTable, b: TruthTable) -> bool:
     return a is b or (a.n == b.n and np.array_equal(a.f, b.f)
                       and np.allclose(a.mu, b.mu, atol=1e-12))
-
-
-@dataclass(frozen=True)
-class OutcomePath:
-    """One root-to-leaf path: kept index per level plus the leaf bit."""
-    indices: tuple[int, ...]
-    outcome: int
-
-    def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if any(i < 0 for i in idx):
-            raise ValueError(f"negative path index in {idx}")
-        if self.outcome not in (0, 1):
-            raise ValueError(f"leaf outcome {self.outcome} must be 0 or 1")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "outcome", int(self.outcome))
-
-    def check(self, s: PortSchedule) -> None:
-        if len(self.indices) != s.levels:
-            raise ValueError(
-                f"path has {len(self.indices)} indices for a "
-                f"{s.levels}-level schedule")
-        for i, (idx, count) in enumerate(zip(self.indices, s.port_counts)):
-            if idx >= count:
-                raise ValueError(
-                    f"index {idx} at level {i} out of range [0, {count})")
 
 
 def _full_alphabets(s: PortSchedule) -> dict[str, Any]:
@@ -255,10 +216,6 @@ def generate_correlations(p: MemorylessProtocol, s: PortSchedule,
     if path_cells > ALPHABET_CAP:
         raise CapExceededError(
             f"path alphabet product {path_cells} exceeds {ALPHABET_CAP}")
-    if mode == "exact" and proto.rounds > EXACT_MAX_ROUNDS:
-        raise CapExceededError(
-            f"exact mode supports at most {EXACT_MAX_ROUNDS} rounds, got "
-            f"{proto.rounds}")
     if mode == "sampled":
         if trials is None or trials < 1:
             raise ValueError("sampled mode needs trials >= 1")
@@ -735,19 +692,16 @@ def one_way_linear_bell(table: CorrelationTable, stats: OneWayStats,
                         oracle: BudgetOracle | None = None) -> BellReport:
     """Linear Bell test from merged flag instances.
 
-    Runs ceil(k / p_a) independent instances; Alice announces the first
-    flagged one (or ABORT, worth a coin flip), Bob answers from that
-    instance.  The classical bound grants a one-way protocol the same
-    index budget, read from `oracle` (by default a fresh one-way
-    `BudgetOracle` for the stats' table).
+    Runs `remoteprep.batch_size(k, p_a)` = ceil(k / p_a) independent
+    instances; Alice announces the first flagged one (or the abort
+    codeword, worth a coin flip), Bob answers from that instance.  The
+    classical bound grants a one-way protocol the same index budget, read
+    from `oracle` (by default a fresh one-way `BudgetOracle` for the
+    stats' table).
     """
     if table.schedule is not None or table.axes != (2, 2):
         raise ValueError("flag-indexed one-way table required")
-    if k < 1:
-        raise ValueError(f"amplification parameter k={k} must be >= 1")
-    if stats.p_a <= 0:
-        raise ValueError("flag rate must be positive")
-    m = math.ceil(k / stats.p_a - _CEIL_GUARD)
+    m = batch_size(k, stats.p_a)
     t = stats.truth
     value = 0.0
     for x, y in t.support():

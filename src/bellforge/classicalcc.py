@@ -340,13 +340,3 @@ def pumping_bound(c_at_p: float, epsilon: float) -> float:
     if c_at_p < 0:
         raise ValueError(f"c_at_p={c_at_p} must be >= 0")
     return 3.0 * c_at_p / epsilon ** 2
-
-
-def pumping_inverse(c_two_thirds: float, epsilon: float) -> float:
-    """Budget bound at success 1/2 + epsilon implied by a budget
-    `c_two_thirds` at success 2/3: (epsilon^2 / 3) * c_two_thirds."""
-    if not 0.0 < epsilon <= 1.0 / 6.0:
-        raise ValueError(f"epsilon={epsilon} must lie in (0, 1/6]")
-    if c_two_thirds < 0:
-        raise ValueError(f"c_two_thirds={c_two_thirds} must be >= 0")
-    return epsilon ** 2 / 3.0 * c_two_thirds

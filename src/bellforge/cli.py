@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from ._threads import thread_count
 from .bell import (
-    EXACT_MAX_ROUNDS, OneWayStats, PortSchedule, bell_value,
+    OneWayStats, PortSchedule, bell_value,
     build_linear_bell, generate_correlations, lhv_bound, nonlinear_bell_check,
     observation_bound, one_way_correlations, one_way_linear_bell,
 )
@@ -55,23 +55,25 @@ class UsageError(Exception):
     """Bad flags or config; reported on stderr with exit code 1."""
 
 
-_COMMON_KEYS = {"command", "out", "format", "seed", "tolerances"}
+_COMMON_KEYS = {"command", "out", "format", "tolerances"}
 _COMMAND_KEYS = {
     "pbt-bench": _COMMON_KEYS | {"d", "ports"},
-    "bell-certify": _COMMON_KEYS | {"protocol", "schedule", "mode", "trials"},
+    "bell-certify": _COMMON_KEYS | {"protocol", "schedule", "mode", "trials",
+                                    "seed"},
     "oneway": _COMMON_KEYS | {"protocol", "deltas", "k", "sweep_file"},
     "cc": _COMMON_KEYS | {"function", "bits", "method"},
 }
 _DEFAULTS: dict[str, dict[str, Any]] = {
     "pbt-bench": {"d": 2, "ports": [1, 2, 3, 4, 5, 6, 7, 8]},
     "bell-certify": {"protocol": "builtin:qrac", "schedule": None,
-                     "mode": "exact", "trials": None},
+                     "mode": "exact", "trials": None, "seed": None},
     "oneway": {"protocol": "builtin:qrac",
                "deltas": [0.5, 0.25, 0.0625, 0.00390625],
                "k": 1.0, "sweep_file": None},
     "cc": {"function": "qrac", "bits": None, "method": "one_way"},
 }
-_DOWNGRADE_TRIALS = 10000
+# Samples per input pair of a sampled run whose config sets no trials.
+_SAMPLED_TRIALS = 10000
 _PUMPING_EPSILONS = (0.1, 0.125, 1.0 / 6.0)
 
 
@@ -93,9 +95,9 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="PATH",
                        help="JSON config file; flags override its values")
-        p.add_argument("--seed", type=int, metavar="U64",
-                       help="RNG seed (mandatory for sampled mode)")
         if name == "bell-certify":
+            p.add_argument("--seed", type=int, metavar="U64",
+                           help="RNG seed (mandatory for sampled mode)")
             p.add_argument("--mode", choices=("exact", "sampled"),
                            help="correlation mode")
             p.add_argument("--trials", type=int, metavar="N",
@@ -110,7 +112,7 @@ def _build_parser() -> _Parser:
 def _load_config(args: argparse.Namespace) -> dict[str, Any]:
     cmd = args.command
     cfg: dict[str, Any] = {"command": cmd, "out": None, "format": "json",
-                           "seed": None, "tolerances": {}}
+                           "tolerances": {}}
     cfg.update(copy.deepcopy(_DEFAULTS[cmd]))
     allowed = _COMMAND_KEYS[cmd]
     if args.config is not None:
@@ -157,9 +159,6 @@ def _validate_config(cfg: dict[str, Any]) -> None:
     cmd = cfg["command"]
     _require(cfg["format"] in ("json", "csv"),
              f"format must be json or csv, got {cfg['format']!r}")
-    if cfg["seed"] is not None:
-        _require(_is_int(cfg["seed"]) and 0 <= cfg["seed"] < 2 ** 64,
-                 f"seed must be an integer in [0, 2^64), got {cfg['seed']!r}")
     _require(isinstance(cfg["tolerances"], dict)
              and all(map(_is_number, cfg["tolerances"].values())),
              "tolerances must be an object of name -> number")
@@ -187,6 +186,12 @@ def _validate_config(cfg: dict[str, Any]) -> None:
         if cfg["trials"] is not None:
             _require(_is_int(cfg["trials"]) and cfg["trials"] >= 1,
                      f"trials must be an integer >= 1, got {cfg['trials']!r}")
+        if cfg["seed"] is not None:
+            _require(_is_int(cfg["seed"]) and 0 <= cfg["seed"] < 2 ** 64,
+                     f"seed must be an integer in [0, 2^64), got "
+                     f"{cfg['seed']!r}")
+        _require(cfg["mode"] == "exact" or cfg["seed"] is not None,
+                 "sampled mode requires --seed")
     elif cmd == "oneway":
         _validate_protocol_ref(cfg["protocol"])
         deltas = cfg["deltas"]
@@ -308,19 +313,9 @@ def cmd_bell_certify(cfg: dict[str, Any],
     schedule = PortSchedule.for_protocol(ml, tuple(counts))
 
     mode, trials, seed = cfg["mode"], cfg["trials"], cfg["seed"]
-    # generate_correlations refuses an oversized path alphabet in either
-    # mode, so only the round cap is a reason to fall back to sampling.
-    if mode == "exact" and ml.proto.rounds > EXACT_MAX_ROUNDS:
-        warnings.append(f"{ml.proto.rounds} rounds exceed the exact-mode "
-                        f"cap of {EXACT_MAX_ROUNDS}; downgraded to sampled "
-                        "mode")
-        mode = "sampled"
-    if mode == "sampled":
-        if seed is None:
-            raise UsageError("sampled mode requires --seed")
-        if trials is None:
-            trials = _DOWNGRADE_TRIALS
-    cfg["mode"], cfg["trials"] = mode, trials
+    if mode == "sampled" and trials is None:
+        trials = _SAMPLED_TRIALS
+        cfg["trials"] = trials
 
     table = generate_correlations(ml, schedule, mode=mode, trials=trials,
                                   seed=seed)

@@ -18,7 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from .bell import BellReport, CorrelationTable, PortSchedule
+from .bell import BellReport, PortSchedule
 from .protocols import CommProtocol, TruthTable
 from .states import Povm
 
@@ -126,38 +126,6 @@ def schedule_to_dict(s: PortSchedule | None) -> dict[str, Any] | None:
         return None
     return {"port_counts": list(s.port_counts),
             "port_dims": list(s.port_dims)}
-
-
-def table_to_dict(table: CorrelationTable) -> dict[str, Any]:
-    return {
-        "format": "bellforge-correlations",
-        "schema_version": SCHEMA_VERSION,
-        "truth": truth_to_dict(table.truth),
-        "schedule": schedule_to_dict(table.schedule),
-        "axes": list(table.axes),
-        "mode": table.mode,
-        "seed": table.seed,
-        "trials": table.trials,
-        "tables": {f"{x},{y}": encode_array(arr)
-                   for (x, y), arr in sorted(table.tables.items())},
-    }
-
-
-def table_from_dict(d: dict[str, Any]) -> CorrelationTable:
-    if d.get("format") != "bellforge-correlations":
-        raise ValueError("not a correlation document (missing format tag)")
-    sched = d["schedule"]
-    s = None if sched is None else PortSchedule(
-        tuple(int(v) for v in sched["port_counts"]),
-        tuple(int(v) for v in sched["port_dims"]))
-    tables = {}
-    for key, enc in d["tables"].items():
-        x, y = (int(v) for v in key.split(","))
-        tables[(x, y)] = decode_array(enc).real
-    return CorrelationTable(
-        truth=truth_from_dict(d["truth"]), schedule=s,
-        axes=tuple(int(v) for v in d["axes"]), tables=tables,
-        mode=d["mode"], seed=d["seed"], trials=d["trials"])
 
 
 def report_to_dict(rep: BellReport) -> dict[str, Any]:

@@ -20,8 +20,7 @@ block and regroups the image into new registers.  Protocol runs drive it on
 a ket or a density matrix.  In operator mode it starts from the identity,
 held as the ket sum_i |i>|i> with a trailing column register, so the same
 steps compose the unitaries that the protocol rewrites build.  The public
-helpers `apply_on`, `reorder_registers`, `partial_trace` and
-`embed_operator` are thin wrappers over it.
+helpers `partial_trace` and `embed_operator` are thin wrappers over it.
 """
 
 from __future__ import annotations
@@ -427,34 +426,6 @@ def partial_trace(state: State, keep: Sequence[str]) -> MixedState:
     return MixedState(rho, RegisterLayout(kept))
 
 
-def apply_on(state: State, u: np.ndarray, targets: Sequence[str]) -> State:
-    """Apply a unitary to the named target registers (identity elsewhere).
-
-    `u` is indexed in the order the targets are listed.  Unitarity is
-    validated to 1e-10.
-    """
-    layout = state.layout
-    targets = list(targets)
-    if len(set(targets)) != len(targets):
-        raise ValueError("duplicate target registers")
-    u = _check_unitary(u, layout.subset_dim(targets))
-    reg = _machine(state)
-    reg.apply(targets, u, [(n, layout.dim(n)) for n in targets])
-    reg._front(layout.names)
-    return type(state)(reg.state, layout)
-
-
-def reorder_registers(state: State, order: Sequence[str]) -> State:
-    """Return the same physical state with registers listed in a new order."""
-    layout = state.layout
-    if sorted(order) != sorted(layout.names):
-        raise ValueError(f"order {order} is not a permutation of {layout.names}")
-    reg = _machine(state)
-    reg._front(order)
-    return type(state)(reg.state,
-                       RegisterLayout((n, layout.dim(n)) for n in order))
-
-
 def embed_operator(op: np.ndarray, layout, targets: Sequence[str]) -> np.ndarray:
     """Expand an operator on `targets` to the full layout dimension.
 
@@ -523,14 +494,6 @@ def max_entangled(d: int, names: tuple[str, str] = ("A", "B")) -> PureState:
     vec = np.zeros(d * d, dtype=np.complex128)
     vec[:: d + 1] = 1.0 / np.sqrt(d)
     return PureState(vec, RegisterLayout([(names[0], d), (names[1], d)]))
-
-
-def basis_state(layout, index: int = 0) -> PureState:
-    """Computational basis state |index> over the layout's total dimension."""
-    layout = _as_layout(layout)
-    vec = np.zeros(layout.total_dim, dtype=np.complex128)
-    vec[index] = 1.0
-    return PureState(vec, layout)
 
 
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

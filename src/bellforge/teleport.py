@@ -233,20 +233,6 @@ def teleport_branches(input_state: MixedState, resource: PbtResource,
     return out
 
 
-def teleport(input_state: MixedState, resource: PbtResource,
-             meas: PbtMeasurement, rng: np.random.Generator
-             ) -> tuple[int, MixedState]:
-    """Run one teleportation: sample the measurement, return (z, output).
-
-    Every outcome yields an output; the receiver only discards the ports
-    other than z.
-    """
-    branches = teleport_branches(input_state, resource, meas)
-    probs = np.clip(np.array([p for p, _ in branches]), 0.0, None)
-    z = int(rng.choice(len(probs), p=probs / probs.sum())) + 1
-    return z, branches[z - 1][1]
-
-
 def _partitions(n: int, rows: int, largest: int | None = None):
     """Partitions of n into at most `rows` parts, as non-increasing tuples."""
     if n == 0:
@@ -340,10 +326,3 @@ def depolarizing_parameter(N: int, d: int) -> float:
         raise InvariantError(f"depolarizing parameter {lam} outside [0, 1] "
                              f"for N={N}, d={d}")
     return min(max(lam, 0.0), 1.0)
-
-
-def classical_cost(N: int) -> float:
-    """Classical bits sent per teleportation: log2(N)."""
-    if N < 1:
-        raise ValueError(f"port count N={N} must be >= 1")
-    return math.log2(N)

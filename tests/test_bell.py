@@ -16,6 +16,7 @@ from bellforge.classicalcc import BudgetOracle, best_success_tree
 from bellforge.protocols import (
     TruthTable, builtin_qrac, random_protocol, success_probability,
 )
+from bellforge.remoteprep import batch_size
 from bellforge.states import (
     CapExceededError, InvariantError, MixedState, _RegisterMachine,
     psd_sqrt, random_density,
@@ -168,33 +169,6 @@ class TestPortSchedule:
             bell.PortSchedule.for_protocol(qrac_ml(), (2, 2))
 
 
-class TestOutcomePath:
-    def test_probability_lookup(self):
-        ml = qrac_ml()
-        s = bell.PortSchedule.for_protocol(ml, (2,))
-        table = bell.generate_correlations(ml, s)
-        for x, y in [(0, 0), (3, 1)]:
-            total = 0.0
-            for i1 in range(2):
-                for o in range(2):
-                    p = table.path_probability(x, y, bell.OutcomePath((i1,), o))
-                    assert p == table.tables[(x, y)][i1, o]
-                    total += p
-            assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            bell.OutcomePath((0,), 2)
-        with pytest.raises(ValueError):
-            bell.OutcomePath((-1,), 0)
-        s = bell.PortSchedule((2, 3, 2), (2, 2, 2))
-        with pytest.raises(ValueError):
-            bell.OutcomePath((0, 1), 0).check(s)
-        with pytest.raises(ValueError):
-            bell.OutcomePath((0, 3, 0), 0).check(s)
-        bell.OutcomePath((1, 2, 1), 1).check(s)
-
-
 class TestGenerateCorrelations:
     def test_single_port_closed_form(self):
         # One port means the teleported register arrives fully mixed, so
@@ -273,13 +247,16 @@ class TestGenerateCorrelations:
         with pytest.raises(CapExceededError):
             bell.generate_correlations(ml, s)
 
-    def test_round_cap(self, eligible, corpus):
+    def test_three_rounds_run_exact(self, corpus):
         ml = to_memoryless(to_single_qubit_rounds(corpus[3]))
         assert ml.proto.rounds == 3
         counts = tuple(1 for _ in ml.proto.legs)
         s = bell.PortSchedule.for_protocol(ml, counts)
-        with pytest.raises(CapExceededError):
-            bell.generate_correlations(ml, s)
+        table = bell.generate_correlations(ml, s, ideal=True)
+        assert table.mode == "exact"
+        success, _ = bell.simulate_with_classical_comm(table, s)
+        assert success == pytest.approx(success_probability(corpus[3]),
+                                        abs=1e-12)
 
     def test_meta_records_alphabets(self):
         ml = qrac_ml()
@@ -792,9 +769,12 @@ class TestOneWayLinearBell:
 
     def test_value_grows_with_merging(self):
         table, stats = bell.one_way_correlations(qrac_ml())
-        values = [bell.one_way_linear_bell(table, stats, k=k).bell_value
-                  for k in (1.0, 2.0, 5.0)]
+        reps = [bell.one_way_linear_bell(table, stats, k=k)
+                for k in (1.0, 2.0, 5.0)]
+        values = [rep.bell_value for rep in reps]
         assert values[0] < values[1] < values[2] <= 1.0 + 1e-12
+        assert [rep.meta["instances"] for rep in reps] == [
+            batch_size(k, stats.p_a) for k in (1.0, 2.0, 5.0)]
 
     def test_validation(self):
         table, stats = bell.one_way_correlations(qrac_ml())

@@ -27,7 +27,6 @@ from bellforge.classicalcc import (
     distributional_cc,
     majority_amplify,
     pumping_bound,
-    pumping_inverse,
 )
 from bellforge.protocols import TruthTable, builtin_qrac
 from bellforge.states import CapExceededError
@@ -352,31 +351,24 @@ class TestMajority:
 
 class TestPumping:
     def test_arithmetic(self):
-        assert pumping_inverse(108.0, 1.0 / 6.0) == pytest.approx(
-            1.0, abs=1e-12)
         assert pumping_bound(1.0, 1.0 / 6.0) == pytest.approx(
             108.0, abs=1e-12)
-        assert pumping_bound(pumping_inverse(7.0, 0.1), 0.1) \
-            == pytest.approx(7.0, abs=1e-12)
+        assert pumping_bound(7.0, 0.1) == pytest.approx(2100.0, abs=1e-9)
 
     def test_range(self):
         for bad in (0.0, 0.2, 1.0):
             with pytest.raises(ValueError, match="epsilon"):
                 pumping_bound(1.0, bad)
-            with pytest.raises(ValueError, match="epsilon"):
-                pumping_inverse(1.0, bad)
         with pytest.raises(ValueError, match=">= 0"):
             pumping_bound(-1.0, 0.1)
-        with pytest.raises(ValueError, match=">= 0"):
-            pumping_inverse(-1.0, 0.1)
 
     def test_relation_on_searched_budgets(self):
         # The amplification relation, checked on the searched budgets of
-        # three concrete functions: bits at success 1/2 + eps are at
-        # least (eps^2 / 3) times bits at success 2/3.
+        # three concrete functions: bits at success 2/3 are at most
+        # 3 / eps^2 times bits at success 1/2 + eps.
         truths = [qrac_truth(), eq2_truth(), xor_truth()]
         for t in truths:
             need_23 = distributional_cc(t, 2.0 / 3.0)
             for eps in (1.0 / 6.0, 0.1, 0.05):
                 need_eps = distributional_cc(t, 0.5 + eps)
-                assert need_eps >= pumping_inverse(need_23, eps) - 1e-12
+                assert need_23 <= pumping_bound(need_eps, eps) + 1e-12

@@ -27,8 +27,8 @@ def run_cli(capsys, *args):
 
 
 def member3_protocol_file(tmp_path) -> str:
-    """Corpus member whose memoryless form has three rounds, which forces
-    the exact-mode downgrade."""
+    """Corpus member whose memoryless form has three rounds, with legs
+    [2, 4, 4, 8, 8]."""
     rng = np.random.default_rng(7)
     corpus = [random_protocol(rng, rounds=int(rng.integers(1, 3)), n=1,
                               max_qubits=2) for _ in range(20)]
@@ -105,7 +105,7 @@ class TestConfigHandling:
     def test_flag_overrides_config(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text('{"seed": 3}')
-        code, out, _ = run_cli(capsys, "cc", "--config", str(cfg),
+        code, out, _ = run_cli(capsys, "bell-certify", "--config", str(cfg),
                                "--seed", "5")
         assert code == 0
         assert json.loads(out)["config"]["seed"] == 5
@@ -114,6 +114,9 @@ class TestConfigHandling:
         code, _, err = run_cli(capsys, "cc", "--mode", "exact")
         assert code == 1
         assert "--mode" in err
+        code, _, err = run_cli(capsys, "pbt-bench", "--seed", "5")
+        assert code == 1
+        assert "--seed" in err
 
     def test_missing_out_directory(self, capsys):
         code, _, err = run_cli(capsys, "cc", "--out", "/no/such/dir/r.json")
@@ -129,7 +132,7 @@ class TestConfigHandling:
     @pytest.mark.parametrize("cmd,cfg,files", [
         ("pbt-bench", {"tolerances": {"povm_completeness": "abc"}}, {}),
         ("pbt-bench", {"tolerances": {"povm_positivity": float("nan")}}, {}),
-        ("pbt-bench", {"seed": True}, {}),
+        ("bell-certify", {"seed": True}, {}),
         ("pbt-bench", {"ports": [True]}, {}),
         ("bell-certify", {"trials": True}, {}),
         ("bell-certify", {"schedule": [True]}, {}),
@@ -267,26 +270,40 @@ class TestBellCertify:
         assert code == 1
         assert "schedule needs 1 entries" in err
 
-    def test_downgrade_requires_seed(self, capsys, tmp_path):
+    def test_three_rounds_run_exact(self, capsys, tmp_path):
         proto = member3_protocol_file(tmp_path)
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"protocol": proto}))
-        code, _, err = run_cli(capsys, "bell-certify", "--config", str(cfg))
-        assert code == 1
-        assert "requires --seed" in err
-
-    def test_downgrade_with_seed_warns_and_runs(self, capsys, tmp_path):
-        proto = member3_protocol_file(tmp_path)
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"protocol": proto}))
-        code, out, _ = run_cli(capsys, "bell-certify", "--config", str(cfg),
-                               "--seed", "5")
+        code, out, _ = run_cli(capsys, "bell-certify", "--config", str(cfg))
         assert code == 0
         doc = json.loads(out)
-        assert any("downgraded to sampled" in w for w in doc["warnings"])
-        assert doc["config"]["mode"] == "sampled"
+        assert doc["results"]["pipeline"]["memoryless_rounds"] == 3
+        assert doc["results"]["pipeline"]["legs"] == [2, 4, 4, 8, 8]
+        assert not any("downgraded" in w for w in doc["warnings"])
+        assert doc["config"]["mode"] == "exact"
+        assert doc["results"]["bell"]["method"] == "exact"
+
+    def test_sampled_run_needs_seed_and_tracks_exact(self, capsys, tmp_path):
+        proto = member3_protocol_file(tmp_path)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"protocol": proto}))
+        code, out, _ = run_cli(capsys, "bell-certify", "--config", str(cfg))
+        assert code == 0
+        exact = json.loads(out)["results"]["bell"]["value"]
+        args = ["bell-certify", "--config", str(cfg), "--mode", "sampled"]
+        code, out, err = run_cli(capsys, *args)
+        assert code == 1
+        assert out == ""
+        assert "requires --seed" in err
+        code, out, _ = run_cli(capsys, *args, "--seed", "5")
+        assert code == 0
+        doc = json.loads(out)
         assert doc["config"]["trials"] == 10000
         assert doc["results"]["bell"]["method"] == "sampled"
+        # Each pair's sampled mean has standard deviation at most
+        # 1/(2 sqrt(trials)), so the mu-weighted value does too; allow six.
+        tol = 6.0 / (2.0 * np.sqrt(doc["config"]["trials"]))
+        assert abs(doc["results"]["bell"]["value"] - exact) <= tol
 
     def test_oversized_alphabet_is_not_downgraded(self, capsys, tmp_path):
         # Both modes refuse the alphabet, so exact mode is kept and the

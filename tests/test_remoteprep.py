@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from bellforge.remoteprep import (
-    ABORT,
-    RspBatch,
-    abort_probability,
+    batch_size,
     index_cost_bits,
     rsp_attempt,
-    rsp_batch,
     rsp_povm,
 )
 from bellforge.states import PureState, fidelity, random_unitary
@@ -104,76 +101,33 @@ def test_attempt_outcome_rate_matches_probability():
 # ------------------------------------------------------------------ batch
 
 def test_batch_size_follows_ceiling_rule():
-    rng = np.random.default_rng(13)
-    assert rsp_batch(haar_state(2, rng), 4, rng).m == 8
-    assert rsp_batch(haar_state(2, rng), 1, rng).m == 2
-    assert rsp_batch(haar_state(3, rng), 1.5, rng).m == 5
+    assert batch_size(4, 1 / 2) == 8
+    assert batch_size(1, 1 / 2) == 2
+    assert batch_size(1.5, 1 / 3) == 5
+    assert batch_size(1, 1 / 7) == 7
+    assert batch_size(3, 1.0) == 3
 
 
-def test_batch_first_success_is_first_hit():
-    rng = np.random.default_rng(17)
-    for _ in range(50):
-        batch = rsp_batch(haar_state(2, rng), 2, rng)
-        if batch.first_success is None:
-            assert all(o == 0 for o in batch.outcomes)
-            assert batch.index_code == ABORT
-        else:
-            assert batch.outcomes[batch.first_success - 1] == 1
-            assert all(o == 0 for o in batch.outcomes[:batch.first_success - 1])
-            assert 1 <= batch.first_success <= batch.m
-            assert batch.index_code == batch.first_success
-
-
-def test_batch_is_seed_deterministic():
-    target = PureState([1, 0], [("T", 2)])
-    b1 = rsp_batch(target, 3, np.random.default_rng(99))
-    b2 = rsp_batch(target, 3, np.random.default_rng(99))
-    assert b1.outcomes == b2.outcomes
-    assert b1.first_success == b2.first_success
-
-
-def test_batch_matches_dense_attempts_outcome_for_outcome():
-    # The batch samples each attempt in closed form; replaying the dense
-    # attempt on the same spawned streams must give the same outcomes.
-    for d in (2, 3, 5):
-        target = haar_state(d, np.random.default_rng(31 + d))
-        for seed in range(40):
-            batch = rsp_batch(target, 3, np.random.default_rng(seed))
-            dense = []
-            for stream in np.random.default_rng(seed).spawn(batch.m):
-                dense.append(rsp_attempt(target, stream).outcome)
-                if dense[-1] == 1:
-                    break
-            assert tuple(dense) == batch.outcomes
+def test_batch_size_validation():
+    for k, p in ((0.5, 0.5), (1, 0.0), (1, -0.5), (1, 1.5)):
+        with pytest.raises(ValueError):
+            batch_size(k, p)
 
 
 def test_abort_probability_exact_values():
-    assert abort_probability(2, 4) == pytest.approx(2.0 ** -8, abs=1e-15)
-    assert abort_probability(2, 1) == pytest.approx(0.25, abs=1e-15)
+    assert (1 - 1 / 2) ** batch_size(4, 1 / 2) == pytest.approx(
+        2.0 ** -8, abs=1e-15)
+    assert (1 - 1 / 2) ** batch_size(1, 1 / 2) == pytest.approx(
+        0.25, abs=1e-15)
 
 
 def test_abort_probability_below_amplification_target():
     for d in (2, 3, 4, 7):
         for k in (1, 1.5, 2, 3, 5):
-            assert abort_probability(d, k) <= 2.0 ** -k
-
-
-def test_batch_empirical_abort_rate():
-    # 10^4 batches at k=1, d=2: true abort rate is 1/4, which must sit under
-    # the 2^-k = 1/2 guarantee within three binomial standard deviations.
-    target = PureState([1, 0], [("T", 2)])
-    rng = np.random.default_rng(23)
-    n = 10_000
-    aborts = sum(rsp_batch(target, 1, rng).first_success is None
-                 for _ in range(n))
-    rate = aborts / n
-    sigma = np.sqrt(0.25 * 0.75 / n)
-    assert rate <= 2.0 ** -1 + 3 * sigma
-    assert abs(rate - 0.25) < 5 * sigma
+            assert (1 - 1 / d) ** batch_size(k, 1 / d) <= 2.0 ** -k
 
 
 def test_index_cost_bits():
     assert index_cost_bits(8) == 4
     assert index_cost_bits(2) == 2
     assert index_cost_bits(5) == 4
-    assert RspBatch(m=8, k=4, first_success=3, outcomes=(0, 0, 1)).cost_bits == 4

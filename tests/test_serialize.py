@@ -8,11 +8,9 @@ import numpy as np
 import pytest
 
 from bellforge import serialize as sz
-from bellforge.bell import PortSchedule, generate_correlations
 from bellforge.protocols import (
     TruthTable, builtin_qrac, run_exact, success_probability,
 )
-from bellforge.transforms import to_memoryless
 
 
 class TestArrayCodec:
@@ -85,19 +83,6 @@ class TestProtocolCodec:
         back = sz.load_protocol(str(path))
         assert success_probability(back) \
             == pytest.approx(0.8535533905932737, abs=1e-12)
-
-
-class TestTableCodec:
-    def test_correlation_round_trip(self):
-        ml = to_memoryless(builtin_qrac())
-        s = PortSchedule.for_protocol(ml, (2,))
-        table = generate_correlations(ml, s)
-        back = sz.table_from_dict(sz.table_to_dict(table))
-        assert back.axes == table.axes
-        assert back.mode == table.mode
-        assert back.schedule == table.schedule
-        for key, arr in table.tables.items():
-            assert np.array_equal(back.tables[key], arr)
 
 
 class TestCanonicalText:

@@ -11,8 +11,6 @@ from bellforge.states import (
     Povm,
     PureState,
     RegisterLayout,
-    apply_on,
-    basis_state,
     embed_operator,
     fidelity,
     max_entangled,
@@ -21,9 +19,9 @@ from bellforge.states import (
     psd_sqrt,
     random_density,
     random_unitary,
-    reorder_registers,
     tensor,
     _RegisterMachine,
+    _machine,
 )
 
 
@@ -34,6 +32,22 @@ def ket(*amps):
 
 def qubit_state(*amps):
     return PureState(ket(*amps), [("Q", 2)])
+
+
+def applied(state, u, targets):
+    """`u` on the named registers of `state`, run on the register machine
+    and read back in the layout's order."""
+    reg = _machine(state)
+    reg.apply(targets, u, [(n, state.layout.dim(n)) for n in targets])
+    reg._front(state.layout.names)
+    return reg.state
+
+
+def reordered(state, order):
+    """The array of `state` with its registers moved into `order`."""
+    reg = _machine(state)
+    reg._front(order)
+    return reg.state
 
 
 # ---------------------------------------------------------------- layouts
@@ -198,13 +212,13 @@ def test_two_bell_pairs_equal_grouped_four_dim_pair():
     # each split into two qubits, reordered so qubit pairs interleave.
     pair1 = max_entangled(2, names=("A1", "B1"))
     pair2 = max_entangled(2, names=("A2", "B2"))
-    product = reorder_registers(tensor(pair1, pair2), ["A1", "A2", "B1", "B2"])
+    product = reordered(tensor(pair1, pair2), ["A1", "A2", "B1", "B2"])
     direct = np.zeros(16, dtype=np.complex128)
     for a1 in range(2):
         for a2 in range(2):
             idx = ((a1 * 2 + a2) * 2 + a1) * 2 + a2  # |a1 a2 a1 a2>
             direct[idx] = 0.5
-    assert np.allclose(product.amplitudes, direct, atol=1e-12)
+    assert np.allclose(product, direct, atol=1e-12)
 
 
 # ----------------------------------------------------------- partial trace
@@ -252,19 +266,18 @@ def test_partial_trace_recovers_tensor_factor():
         assert np.allclose(back.matrix, a.matrix, atol=1e-12)
 
 
-# --------------------------------------------------------------- apply_on
+# ------------------------------------------------------- machine apply
 
 def test_apply_x_flips_qubit():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
-    out = apply_on(qubit_state(1, 0), x, ["Q"])
-    assert np.allclose(out.amplitudes, [0, 1])
+    assert np.allclose(applied(qubit_state(1, 0), x, ["Q"]), [0, 1])
 
 
 def test_apply_identity_is_noop():
     rng = np.random.default_rng(13)
     rho = MixedState(random_density(4, rng), [("A", 2), ("B", 2)])
-    out = apply_on(rho, np.eye(2), ["B"])
-    assert np.allclose(out.matrix, rho.matrix, atol=1e-12)
+    assert np.allclose(applied(rho, np.eye(2), ["B"]), rho.matrix,
+                       atol=1e-12)
 
 
 def test_apply_then_inverse_roundtrips():
@@ -272,19 +285,16 @@ def test_apply_then_inverse_roundtrips():
     for _ in range(20):
         s = PureState(ket(*rng.normal(size=8)), [("A", 2), ("B", 2), ("C", 2)])
         u = random_unitary(4, rng)
-        forth = apply_on(s, u, ["A", "C"])
-        back = apply_on(forth, u.conj().T, ["A", "C"])
-        assert np.allclose(back.amplitudes, s.amplitudes, atol=1e-12)
-
-
-def test_apply_rejects_non_unitary():
-    with pytest.raises(InvariantError):
-        apply_on(qubit_state(1, 0), np.array([[1, 0], [0, 2]], dtype=complex), ["Q"])
+        reg = _machine(s)
+        for v in (u, u.conj().T):
+            reg.apply(["A", "C"], v, [("A", 2), ("C", 2)])
+        reg._front(s.layout.names)
+        assert np.allclose(reg.state, s.amplitudes, atol=1e-12)
 
 
 def test_apply_rejects_dimension_mismatch():
-    with pytest.raises(ValueError):
-        apply_on(qubit_state(1, 0), np.eye(4), ["Q"])
+    with pytest.raises(ValueError, match="operator shape"):
+        applied(qubit_state(1, 0), np.eye(4), ["Q"])
 
 
 def test_apply_on_matches_embedded_operator():
@@ -293,16 +303,17 @@ def test_apply_on_matches_embedded_operator():
     u = random_unitary(4, rng)
     big = embed_operator(u, lay, ["C", "A"])  # note permuted target order
     s = PureState(ket(*rng.normal(size=12)), lay)
-    via_apply = apply_on(s, u, ["C", "A"])
+    via_apply = applied(s, u, ["C", "A"])
     via_embed = big @ s.amplitudes
-    assert np.allclose(via_apply.amplitudes, via_embed, atol=1e-12)
+    assert np.allclose(via_apply, via_embed, atol=1e-12)
 
 
 def test_reorder_registers_preserves_physics():
     rng = np.random.default_rng(23)
     rho = MixedState(random_density(12, rng), [("A", 2), ("B", 3), ("C", 2)])
-    flipped = reorder_registers(rho, ["C", "A", "B"])
-    assert flipped.layout.names == ("C", "A", "B")
+    order = ["C", "A", "B"]
+    flipped = MixedState(reordered(rho, order),
+                         [(n, rho.layout.dim(n)) for n in order])
     for name in ("A", "B", "C"):
         assert np.allclose(partial_trace(rho, [name]).matrix,
                            partial_trace(flipped, [name]).matrix, atol=1e-12)
@@ -442,9 +453,10 @@ def embedded(op, dims, axes):
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(st.data())
 def test_register_helpers_match_dense_references(data):
-    # Random layouts, targets and orders.  The public register helpers and
-    # the machine's operator-mode read-out are checked against references
-    # that never touch the machine: index arithmetic, np.transpose, einsum.
+    # Random layouts, targets and orders.  The machine's apply and
+    # reorder on kets and density matrices, its operator-mode read-out and
+    # the public helpers built on it are checked against references that
+    # never touch the machine: index arithmetic, np.transpose, einsum.
     dims = data.draw(st.lists(st.integers(2, 3), min_size=1, max_size=4))
     names = data.draw(st.permutations("ABCD"))[:len(dims)]
     lay = RegisterLayout(zip(names, dims))
@@ -480,22 +492,20 @@ def test_register_helpers_match_dense_references(data):
               MixedState(random_density(total, rng), lay)):
         pure = isinstance(s, PureState)
         rho = np.outer(psi, psi.conj()) if pure else s.matrix
-        out = apply_on(s, u, targets)
-        assert out.layout == lay
+        out = applied(s, u, targets)
         if pure:
-            assert np.max(np.abs(out.amplitudes - big @ psi)) < 1e-12
+            assert np.max(np.abs(out - big @ psi)) < 1e-12
         else:
             ref = big @ rho @ big.conj().T
-            assert np.max(np.abs(out.matrix - ref)) < 1e-12
-        moved = reorder_registers(s, order)
-        assert moved.layout.names == tuple(order)
+            assert np.max(np.abs(out - ref)) < 1e-12
+        moved = reordered(s, order)
         if pure:
             ref = psi.reshape(dims).transpose(perm).reshape(-1)
-            assert np.array_equal(moved.amplitudes, ref)
+            assert np.array_equal(moved, ref)
         else:
             ref = rho.reshape(dims * 2).transpose(
                 perm + [n + p for p in perm]).reshape(total, total)
-            assert np.array_equal(moved.matrix, ref)
+            assert np.array_equal(moved, ref)
         red = partial_trace(s, targets)
         assert red.layout.names == tuple(names[a] for a in kept)
         ref = np.einsum(rho.reshape(dims * 2), list(range(n)) + cols,
@@ -635,8 +645,3 @@ def test_max_entangled_reduced_is_maximally_mixed():
 def test_max_entangled_rejects_small_dimension():
     with pytest.raises(ValueError):
         max_entangled(1)
-
-
-def test_basis_state():
-    s = basis_state([("A", 2), ("B", 2)], 2)
-    assert np.allclose(s.amplitudes, [0, 0, 1, 0])
