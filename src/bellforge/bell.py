@@ -38,7 +38,7 @@ import numpy as np
 
 from ._threads import thread_map
 from .classicalcc import (
-    _CEIL_GUARD, BudgetOracle, _best_response, _capped, _weights,
+    _CEIL_GUARD, BudgetOracle, _best_response, _capped, _maps, _weights,
     best_success_tree)
 from .protocols import CommProtocol, MemorylessProtocol, TruthTable, _simulate
 from .remoteprep import batch_size, index_cost_bits, rsp_povm
@@ -259,14 +259,17 @@ def simulate_with_classical_comm(table: CorrelationTable,
     """
     if table.schedule is None:
         raise ValueError("table carries no port schedule")
-    if s.port_counts != table.schedule.port_counts or \
-            s.port_dims != table.schedule.port_dims:
+    if s != table.schedule:
         raise ValueError("schedule does not match the table's schedule")
-    t = table.truth
-    success = 0.0
+    return _path_value(table, table.truth), s.budget_bits
+
+
+def _path_value(table: CorrelationTable, t: TruthTable) -> float:
+    """Sum over (x, y) of mu(x, y) P(leaf outcome = f(x, y))."""
+    value = 0.0
     for x, y in t.support():
-        success += t.mu[x, y] * table.tables[(x, y)][..., t.f[x, y]].sum()
-    return float(success), s.budget_bits
+        value += t.mu[x, y] * table.tables[(x, y)][..., t.f[x, y]].sum()
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -329,17 +332,12 @@ def bell_value(table: CorrelationTable,
     if not _same_truth(table.truth, functional.truth):
         raise ValueError("table and functional target different functions")
     s = functional.schedule
-    if table.schedule.port_counts != s.port_counts or \
-            table.schedule.port_dims != s.port_dims:
+    if table.schedule != s:
         raise ValueError("table and functional use different schedules")
     if table.axes != s.port_counts + (2,):
         raise ValueError(
             f"table axes {table.axes} do not match schedule alphabets")
-    t = functional.truth
-    value = 0.0
-    for x, y in t.support():
-        value += t.mu[x, y] * table.tables[(x, y)][..., t.f[x, y]].sum()
-    value = float(value)
+    value = _path_value(table, functional.truth)
     delta = functional.delta
     ratio = None
     if delta is not None:
@@ -352,43 +350,25 @@ def bell_value(table: CorrelationTable,
         meta=dict(table.meta) if table.meta else None)
 
 
-def _strategy_spaces(t: TruthTable, s: PortSchedule):
-    """Deterministic strategy space sizes (per-x choices, per-y choices
-    excluding leaves) for the supported tree depths."""
-    size = t.num_inputs
-    if s.levels == 1:
-        return size, s.port_counts[0], 1
-    if s.levels == 3:
-        n1, n2, n3 = s.port_counts
-        per_x = n1 * n3 ** (n1 * n2)
-        per_y = n2 ** n1
-        return size, per_x, per_y
-    raise CapExceededError(
-        f"local-strategy search supports 1 or 3 levels, got {s.levels}")
-
-
-def _digits(value: int, slots: int, base: int) -> np.ndarray:
-    out = np.empty(slots, dtype=np.int64)
-    for j in range(slots - 1, -1, -1):
-        out[j] = value % base
-        value //= base
-    return out
+def _lhv_legs(s: PortSchedule) -> tuple[int, int, int]:
+    """Leg alphabets (n1, n2, n3) of the outcome tree's local strategies:
+    (n1, 1, 1) for one level, the port counts for three."""
+    if s.levels not in (1, 3):
+        raise CapExceededError(
+            f"local-strategy search supports 1 or 3 levels, got {s.levels}")
+    return (s.port_counts + (1, 1))[:3]
 
 
 def _lhv_exact(t: TruthTable, s: PortSchedule) -> float:
     """Best functional value over deterministic local strategies.
 
-    This is the communication search of `classicalcc` with port-count leg
-    alphabets, (n1, 1, 1) for one level and (n1, n2, n3) for three, since
-    only a3[x, a1[x], .] is ever read: Alice's (n1 * n3^n2)^|X| index maps,
-    at most LHV_CAP, against Bob's exact best labels and leaf bits.
+    This is the communication search of `classicalcc` with the leg
+    alphabets of `_lhv_legs`, since only a3[x, a1[x], .] is ever read:
+    Alice's (n1 * n3^n2)^|X| index maps, at most LHV_CAP, against Bob's
+    exact best labels and leaf bits.
     """
-    if s.levels not in (1, 3):
-        raise CapExceededError(
-            f"local-strategy search supports 1 or 3 levels, got {s.levels}")
-    legs = (s.port_counts + (1, 1))[:3]
     return _best_response(_weights(t), _capped(
-        t.num_inputs, legs, LHV_CAP, "deterministic strategy space"))
+        t.num_inputs, _lhv_legs(s), LHV_CAP, "deterministic strategy space"))
 
 
 def lhv_bound(functional: BellFunctional, method: str = "exact",
@@ -421,32 +401,25 @@ def lhv_strategies(t: TruthTable, s: PortSchedule) -> Iterator[tuple]:
     bob = (leaf[y, i1],); for three levels, alice = (a1[x], a3[x, i1, i2])
     and bob = (b2[y, i1], leaf[y, i1, i2, i3]).
     """
-    size, per_x, per_y = _strategy_spaces(t, s)
-    if s.levels == 1:
-        n1 = s.port_counts[0]
-        leaf_space = 2 ** (size * n1)
-        if per_x ** size * leaf_space > LHV_CAP:
-            raise CapExceededError("strategy enumeration too large")
-        for aidx in product(range(n1), repeat=size):
-            a1 = np.array(aidx, dtype=np.int64)
-            for lid in range(leaf_space):
-                leaf = _digits(lid, size * n1, 2).reshape(size, n1)
-                yield (a1,), (leaf,)
-        return
-    n1, n2, n3 = s.port_counts
-    leaf_space = 2 ** (size * n1 * n2 * n3)
-    if per_x ** size * per_y ** size * leaf_space > LHV_CAP:
+    size = t.num_inputs
+    n1, n2, n3 = _lhv_legs(s)
+    per_x, per_y = n1 * n3 ** (n1 * n2), n2 ** n1
+    cells = size * n1 * n2 * n3
+    if per_x ** size * per_y ** size * 2 ** cells > LHV_CAP:
         raise CapExceededError("strategy enumeration too large")
+    a3_rows = _maps(0, per_x // n1, n1 * n2, n3).reshape(-1, n1, n2)
+    b2_rows = _maps(0, per_y, n1, n2)
+    leaf_shape = (size, n1) if s.levels == 1 else (size, n1, n2, n3)
+    leaves = _maps(0, 2 ** cells, cells, 2).reshape((-1,) + leaf_shape)
+    leaves.flags.writeable = False  # shared by every yield
     for aidx in product(range(per_x), repeat=size):
         a1 = np.array([c % n1 for c in aidx], dtype=np.int64)
-        a3 = np.stack([_digits(c // n1, n1 * n2, n3).reshape(n1, n2)
-                       for c in aidx])
+        a3 = a3_rows[[c // n1 for c in aidx]]
         for bidx in product(range(per_y), repeat=size):
-            b2 = np.stack([_digits(r, n1, n2) for r in bidx])
-            for lid in range(leaf_space):
-                leaf = _digits(lid, size * n1 * n2 * n3, 2).reshape(
-                    size, n1, n2, n3)
-                yield (a1, a3), (b2, leaf)
+            b2 = b2_rows[list(bidx)]
+            for leaf in leaves:
+                yield ((a1,), (leaf,)) if s.levels == 1 else \
+                    ((a1, a3), (b2, leaf))
 
 
 def lhv_table(t: TruthTable, s: PortSchedule, alice: tuple,

@@ -182,21 +182,19 @@ def _tree_split_value(t: TruthTable, c1: int, c2: int, c3: int) -> float:
     return _best_response(_weights(t), _split_legs(t, c1, c2, c3))
 
 
-def best_success_tree(t: TruthTable, bits: int, rounds: int = 2) -> float:
-    """Best average success with `bits` total bits over at most `rounds`
-    round trips (up to three alternating transmissions; a fourth cannot
-    help since Bob decides).
+def best_success_tree(t: TruthTable, bits: int) -> float:
+    """Best average success with `bits` total bits over up to three
+    alternating transmissions A->B, B->A, A->B (a fourth cannot help since
+    Bob decides): the one-way optimum or any genuine split, whichever is
+    larger.
 
-    With rounds=1 this is the one-way optimum.  Interactive splits are
-    searched exhaustively, after every split's map count has been checked
-    against ENUM_CAP.
+    Interactive splits are searched exhaustively, after every split's map
+    count has been checked against ENUM_CAP.
     """
     if bits < 0:
         raise ValueError(f"bits={bits} must be >= 0")
-    if rounds not in (1, 2):
-        raise ValueError(f"rounds={rounds} must be 1 or 2")
     best = best_success_one_way(t, bits)
-    if rounds == 1 or best >= 1.0 - 1e-15:
+    if best >= 1.0 - 1e-15:
         return best
     splits = _genuine_splits(bits)
     for split in splits:

@@ -55,16 +55,11 @@ class UsageError(Exception):
     """Bad flags or config; reported on stderr with exit code 1."""
 
 
-_COMMON_KEYS = {"command", "out", "format", "tolerances"}
-_COMMAND_KEYS = {
-    "pbt-bench": _COMMON_KEYS | {"d", "ports"},
-    "bell-certify": _COMMON_KEYS | {"protocol", "schedule", "mode", "trials",
-                                    "seed"},
-    "oneway": _COMMON_KEYS | {"protocol", "deltas", "k", "sweep_file"},
-    "cc": _COMMON_KEYS | {"function", "bits", "method"},
-}
+# Config keys: these, plus the keys of the command's defaults.
+_COMMON_KEYS = {"command", "out", "format"}
 _DEFAULTS: dict[str, dict[str, Any]] = {
-    "pbt-bench": {"d": 2, "ports": [1, 2, 3, 4, 5, 6, 7, 8]},
+    "pbt-bench": {"d": 2, "ports": [1, 2, 3, 4, 5, 6, 7, 8],
+                  "tolerances": {}},
     "bell-certify": {"protocol": "builtin:qrac", "schedule": None,
                      "mode": "exact", "trials": None, "seed": None},
     "oneway": {"protocol": "builtin:qrac",
@@ -72,6 +67,8 @@ _DEFAULTS: dict[str, dict[str, Any]] = {
                "k": 1.0, "sweep_file": None},
     "cc": {"function": "qrac", "bits": None, "method": "one_way"},
 }
+# pbt-bench's measurement tolerances; its `tolerances` key may set either.
+_POVM_TOLERANCES = {"povm_completeness": 1e-9, "povm_positivity": 1e-10}
 # Samples per input pair of a sampled run whose config sets no trials.
 _SAMPLED_TRIALS = 10000
 _PUMPING_EPSILONS = (0.1, 0.125, 1.0 / 6.0)
@@ -111,10 +108,9 @@ def _build_parser() -> _Parser:
 
 def _load_config(args: argparse.Namespace) -> dict[str, Any]:
     cmd = args.command
-    cfg: dict[str, Any] = {"command": cmd, "out": None, "format": "json",
-                           "tolerances": {}}
+    cfg: dict[str, Any] = {"command": cmd, "out": None, "format": "json"}
     cfg.update(copy.deepcopy(_DEFAULTS[cmd]))
-    allowed = _COMMAND_KEYS[cmd]
+    allowed = _COMMON_KEYS | set(_DEFAULTS[cmd])
     if args.config is not None:
         if not os.path.isfile(args.config):
             raise UsageError(f"config file not found: {args.config}")
@@ -159,9 +155,6 @@ def _validate_config(cfg: dict[str, Any]) -> None:
     cmd = cfg["command"]
     _require(cfg["format"] in ("json", "csv"),
              f"format must be json or csv, got {cfg['format']!r}")
-    _require(isinstance(cfg["tolerances"], dict)
-             and all(map(_is_number, cfg["tolerances"].values())),
-             "tolerances must be an object of name -> number")
     if cfg["out"] is not None:
         parent = os.path.dirname(os.path.abspath(cfg["out"]))
         _require(os.path.isdir(parent),
@@ -174,6 +167,11 @@ def _validate_config(cfg: dict[str, Any]) -> None:
                  "ports must be a non-empty list of integers")
         _require(all(_is_int(n) and n >= 1 for n in ports),
                  "every port count must be an integer >= 1")
+        tols = cfg["tolerances"]
+        _require(isinstance(tols, dict) and set(tols) <= set(_POVM_TOLERANCES)
+                 and all(_is_number(v) and v >= 0 for v in tols.values()),
+                 f"tolerances must map names in {sorted(_POVM_TOLERANCES)} "
+                 f"to finite numbers >= 0")
     elif cmd == "bell-certify":
         _validate_protocol_ref(cfg["protocol"])
         sched = cfg["schedule"]
@@ -270,8 +268,9 @@ def _resolve_truth(ref: str) -> TruthTable:
 def cmd_pbt_bench(cfg: dict[str, Any],
                   warnings: list[str]) -> tuple[dict[str, Any], int]:
     d = cfg["d"]
-    comp_tol = float(cfg["tolerances"].get("povm_completeness", 1e-9))
-    pos_tol = float(cfg["tolerances"].get("povm_positivity", 1e-10))
+    tols = _POVM_TOLERANCES | cfg["tolerances"]
+    comp_tol = float(tols["povm_completeness"])
+    pos_tol = float(tols["povm_positivity"])
     rows = []
     all_hold = True
     for n in cfg["ports"]:

@@ -223,45 +223,37 @@ def _check_single_qubit_form(p: CommProtocol) -> None:
             "to_single_qubit_rounds first")
 
 
-def _pin_flags(p: CommProtocol, party: str, n: int):
-    """Which of the party's n incoming shuttles may carry data (True) vs
-    are pinned |0>."""
+def _shuttle_values(p: CommProtocol, party: str, n: int):
+    """For each of the party's n rounds, the values its incoming shuttle
+    takes: None when none arrives (Alice's first round), (0,) when it is
+    pinned |0>, (0, 1) when it may carry data."""
     meta = p.meta if isinstance(p.meta, dict) else {}
     flags = meta.get(f"{party}_in_data") \
         if meta.get("single_qubit_form") else None
-    if flags is not None and len(flags) == n:
-        return tuple(bool(v) for v in flags)
-    # Without construction metadata, conservatively branch on every leg
-    # (Alice's first round receives no shuttle).
-    return tuple(party == "bob" or t > 0 for t in range(n))
+    if flags is None or len(flags) != n:
+        # Without construction metadata, conservatively branch on every leg.
+        flags = (True,) * n
+    return tuple(None if party == "alice" and t == 0 else (0, 1) if data
+                 else (0,) for t, data in enumerate(flags))
 
 
 def _span_chain(p: CommProtocol, party: str, v: int):
     """Orthonormal memory-span bases (rows) after each of the party's rounds."""
     ops, mem, anc_dims = p.party(party)
-    pins = _pin_flags(p, party, len(ops))
     cur = np.zeros((1, mem[0]), dtype=np.complex128)
     cur[0, 0] = 1.0
+    sh_basis = np.eye(2, dtype=np.complex128)
     chain = []
-    for t in range(len(ops)):
-        has_sh_in = party == "bob" or t > 0
+    for t, shuttle in enumerate(_shuttle_values(p, party, len(ops))):
         d_mem_out = mem[t + 1]
         anc = np.zeros(anc_dims[t], dtype=np.complex128)
         anc[0] = 1.0
         new = []
         for vec in cur:
             base = np.kron(vec, anc)
-            if has_sh_in:
-                cs = (0, 1) if pins[t] else (0,)
-            else:
-                cs = (None,)
-            for c in cs:
-                if c is None:
-                    psi = base
-                else:
-                    sh = np.zeros(2, dtype=np.complex128)
-                    sh[c] = 1.0
-                    psi = np.kron(sh, base)
+            inputs = [base] if shuttle is None else \
+                [np.kron(sh_basis[c], base) for c in shuttle]
+            for psi in inputs:
                 phi = (ops[t][v] @ psi).reshape(2, d_mem_out)
                 new.append(phi[0])
                 new.append(phi[1])
@@ -323,6 +315,10 @@ def _completion_unitary(basis: np.ndarray, big: int, alpha: int) -> np.ndarray:
     return u
 
 
+# The compressed-memory register each party writes into the bundle.
+_COMPRESSED = {"alice": "cA", "bob": "cB"}
+
+
 def _is_memory_free(p: CommProtocol) -> bool:
     return all(d == 1 for d in p.a_dims) and all(d == 1 for d in p.b_dims)
 
@@ -352,91 +348,73 @@ def to_memoryless(p: CommProtocol) -> MemorylessProtocol:
         for d in getattr(p, name):
             _log2_exact(d, name)
     size = p.truth.num_inputs
-    chains_a = {x: _span_chain(p, "alice", x) for x in range(size)}
-    chains_b = {y: _span_chain(p, "bob", y) for y in range(size)}
-    alpha = [max(ceil(log2(max(len(chains_a[x][t]), 1)))
-                 for x in range(size)) for t in range(q_rounds)]
-    beta = [max(ceil(log2(max(len(chains_b[y][t]), 1)))
-                for y in range(size)) for t in range(q_rounds - 1)]
-    _, dims_a, _ = p.party("alice")
-    _, dims_b, _ = p.party("bob")
-    ka = max(max(_log2_exact(d, "a") for d in dims_a),
-             max(alpha, default=0))
-    kb = max(max(_log2_exact(d, "b") for d in dims_b),
-             max(beta, default=0))
-    coms_a = {x: [_completion_unitary(chains_a[x][t], 2 ** ka, alpha[t])
-                  for t in range(q_rounds)] for x in range(size)}
-    coms_b = {y: [_completion_unitary(chains_b[y][t], 2 ** kb, beta[t])
-                  for t in range(q_rounds - 1)] for y in range(size)}
+    parties = ("alice", "bob")
+    chains = {who: [_span_chain(p, who, v) for v in range(size)]
+              for who in parties}
+    # Compressed memory qubits after each of the party's rounds, and the
+    # qubits k of the party's decompressed memory register "amb".
+    width = {who: [max(ceil(log2(max(len(b), 1))) for b in bases)
+                   for bases in zip(*chains[who])] for who in parties}
+    k = {who: max(max(_log2_exact(d, who) for d in p.party(who)[1]),
+                  max(width[who], default=0)) for who in parties}
+    coms = {who: [[_completion_unitary(c[t], 2 ** k[who], w)
+                   for t, w in enumerate(width[who])] for c in chains[who]]
+            for who in parties}
 
-    def alice_round(t: int, x: int) -> np.ndarray:
-        d_prev, d_cur = dims_a[t], dims_a[t + 1]
-        anc_split = p.anc_a_dims[t]
-        if t == 0:
-            reg = _RegisterMachine.identity([("amb", 2 ** ka), ("anc", 2)])
-            pool = 2 ** (ka + 1) // d_prev  # memory pad and fresh ancilla
-        else:
-            a_prev = alpha[t - 1]
-            reg = _RegisterMachine.identity(
-                [("sh", 2), ("cA", 2 ** a_prev), ("cB", 2 ** beta[t - 1]),
-                 ("blank", 2 ** (ka - a_prev))])
-            reg.apply(["cA", "blank"], coms_a[x][t - 1].conj().T,
-                      [("amb", 2 ** ka)])
-            pool = 2 ** ka // d_prev
-        reg.apply(["amb", "anc"], None, [("spA", d_prev), ("sanc", anc_split),
-                                         ("left", pool // anc_split)])
-        reg.apply(["sh", "spA", "sanc"], p.alice_ops[t][x],
-                  [("sh", 2), ("spA2", d_cur)])
-        reg.apply(["spA2", "left"], coms_a[x][t],
-                  [("cA2", 2 ** alpha[t]), ("blank2", 2 ** (ka - alpha[t]))])
-        return reg.matrix(["sh", "cA2", "cB", "blank2"])
-
-    def bob_input(t: int, y: int) -> _RegisterMachine:
-        """Bob's round-t input (shuttle, Alice's compressed memory, his own)
-        with his memory decompressed into "bamb"."""
-        if t == 0:
-            return _RegisterMachine.identity(
-                [("sh", 2), ("cA", 2 ** alpha[0]), ("bamb", 2 ** kb)])
+    def arrive(who: str, t: int, v: int) -> _RegisterMachine:
+        """The registers entering `who`'s round t: shuttle "sh", compressed
+        memories "cA" and "cB", and the party's pad "blank" (at t = 0 its
+        whole initial memory) decompressed with its own memory into "amb".
+        Bob's t = q_rounds - 1 is what his final measurement reads.  Before
+        Alice's first round no shuttle exists; a fresh qubit "anc" is there
+        to become it."""
+        # Each party's latest round before this one (-1: none yet).
+        last = {"alice": t - (who == "alice"), "bob": t - 1}
+        w = {q: width[q][i] if i >= 0 else 0 for q, i in last.items()}
+        fresh = last["alice"] < 0
         reg = _RegisterMachine.identity(
-            [("sh", 2), ("cA", 2 ** alpha[t]), ("cB", 2 ** beta[t - 1]),
-             ("bblank", 2 ** (kb - beta[t - 1]))])
-        reg.apply(["cB", "bblank"], coms_b[y][t - 1].conj().T,
-                  [("bamb", 2 ** kb)])
+            [("sh", 1 if fresh else 2), ("cA", 2 ** w["alice"]),
+             ("cB", 2 ** w["bob"]), ("blank", 2 ** (k[who] - w[who])),
+             ("anc", 2 if fresh else 1)])
+        u = coms[who][v][t - 1].conj().T if t > 0 else None
+        reg.apply([_COMPRESSED[who], "blank"], u, [("amb", 2 ** k[who])])
         return reg
 
-    def bob_round(t: int, y: int) -> np.ndarray:
-        d_prev, d_cur = dims_b[t], dims_b[t + 1]
-        anc_split = p.anc_b_dims[t]
-        reg = bob_input(t, y)
-        reg.apply(["bamb"], None, [("spB", d_prev), ("sanc", anc_split),
-                                   ("left", 2 ** kb // d_prev // anc_split)])
-        reg.apply(["sh", "spB", "sanc"], p.bob_ops[t][y],
-                  [("sh", 2), ("spB2", d_cur)])
-        reg.apply(["spB2", "left"], coms_b[y][t],
-                  [("cB2", 2 ** beta[t]), ("bblank2", 2 ** (kb - beta[t]))])
-        return reg.matrix(["sh", "cA", "cB2", "bblank2"])
+    def round_op(who: str, t: int, v: int) -> np.ndarray:
+        ops, mem, anc = p.party(who)
+        reg = arrive(who, t, v)
+        # The decompressed memory, with the fresh qubit where one exists.
+        pool = prod(reg.regs.get(n, 1) for n in ("amb", "anc"))
+        reg.apply(["amb", "anc"], None, [("mem", mem[t]), ("sanc", anc[t]),
+                                         ("left", pool // mem[t] // anc[t])])
+        reg.apply(["sh", "mem", "sanc"], ops[t][v],
+                  [("sh", 2), ("mem", mem[t + 1])])
+        w = width[who][t]
+        reg.apply(["mem", "left"], coms[who][v][t],
+                  [(_COMPRESSED[who], 2 ** w), ("blank", 2 ** (k[who] - w))])
+        return reg.matrix(["sh", "cA", "cB", "blank"])
 
     def final_observable(y: int) -> Povm:
         # Bob measures the shuttle and his source memory, the leading
-        # d_b factor of "bamb"; the rest of the bundle is idle.
-        return _pull_back(p.observables[y], bob_input(q_rounds - 1, y)
-                          .matrix(["sh", "bamb", "cA"]))
+        # d_b factor of "amb"; the rest of the bundle is idle.
+        return _pull_back(p.observables[y], arrive("bob", q_rounds - 1, y)
+                          .matrix(["sh", "amb", "cA"]))
 
+    alpha, beta = width["alice"], width["bob"]
     m_out = tuple(2 ** (1 + alpha[t] + (beta[t - 1] if t > 0 else 0))
                   for t in range(q_rounds))
     m_back = tuple(2 ** (1 + alpha[t] + beta[t]) for t in range(q_rounds - 1))
+    ops = {who: tuple({v: round_op(who, t, v) for v in range(size)}
+                      for t in range(len(width[who]))) for who in parties}
     proto = CommProtocol(
         truth=p.truth, rounds=q_rounds,
-        a0_dim=2 ** ka, b0_dim=2 ** kb if q_rounds > 1 else p.b0_dim,
+        a0_dim=2 ** k["alice"], b0_dim=2 ** k["bob"],
         m_out_dims=m_out, m_back_dims=m_back,
-        a_dims=tuple(2 ** (ka - alpha[t]) for t in range(q_rounds)),
-        b_dims=tuple(2 ** (kb - beta[t]) for t in range(q_rounds - 1)),
+        a_dims=tuple(2 ** (k["alice"] - w) for w in alpha),
+        b_dims=tuple(2 ** (k["bob"] - w) for w in beta),
         anc_a_dims=(2,) + (1,) * (q_rounds - 1),
         anc_b_dims=(1,) * (q_rounds - 1),
-        alice_ops=tuple({x: alice_round(t, x) for x in range(size)}
-                        for t in range(q_rounds)),
-        bob_ops=tuple({y: bob_round(t, y) for y in range(size)}
-                      for t in range(q_rounds - 1)),
+        alice_ops=ops["alice"], bob_ops=ops["bob"],
         observables={y: final_observable(y) for y in range(size)},
         epsilon=p.epsilon,
         meta={"memoryless": True, "alpha": tuple(alpha), "beta": tuple(beta)},

@@ -54,10 +54,11 @@ QRAC_BELL = {
 # from exhaustive enumeration.
 QRAC_LHV = {1: 0.0, 2: 0.25, 3: 0.375, 4: 0.5}
 
-# Qubit-register members of the shared random corpus that stay within the
-# exact-mode caps after conversion (memoryless rounds <= 2, legs <= 8).
+# Members of the shared random corpus whose memoryless legs are all at
+# most 8-dimensional after conversion.  Exact mode runs any number of
+# rounds, so the round count is no filter.
 ELIGIBLE_LEGS = {
-    4: (4,), 8: (4, 8, 4), 9: (4, 8, 4), 12: (4, 8, 8),
+    3: (2, 4, 4, 8, 8), 4: (4,), 8: (4, 8, 4), 9: (4, 8, 4), 12: (4, 8, 8),
     13: (2,), 16: (4, 8, 4), 18: (4,), 19: (4,),
 }
 
@@ -88,7 +89,7 @@ def eligible(corpus):
     for i, p in enumerate(corpus):
         ml = to_memoryless(to_single_qubit_rounds(p))
         legs = tuple(d for _, d in ml.proto.legs)
-        if ml.proto.rounds <= 2 and max(legs) <= 8:
+        if max(legs) <= 8:
             out[i] = (p, ml, legs)
     return out
 

@@ -157,8 +157,6 @@ class TestTree:
         t = qrac_truth()
         assert best_success_tree(t, 1) == pytest.approx(
             best_success_one_way(t, 1), abs=1e-12)
-        assert best_success_tree(t, 1, rounds=1) == pytest.approx(
-            best_success_one_way(t, 1), abs=1e-12)
 
     def test_tree_at_least_one_way(self):
         rng = np.random.default_rng(17)
@@ -179,10 +177,6 @@ class TestTree:
         with pytest.raises(CapExceededError, match="exceeds"):
             _tree_split_value(eq2_truth(), 0, 2, 2)
         assert 4 ** 16 > ENUM_CAP
-
-    def test_bad_rounds_rejected(self):
-        with pytest.raises(ValueError, match="rounds"):
-            best_success_tree(qrac_truth(), 1, rounds=3)
 
 
 class TestDistributionalCC:

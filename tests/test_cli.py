@@ -132,6 +132,9 @@ class TestConfigHandling:
     @pytest.mark.parametrize("cmd,cfg,files", [
         ("pbt-bench", {"tolerances": {"povm_completeness": "abc"}}, {}),
         ("pbt-bench", {"tolerances": {"povm_positivity": float("nan")}}, {}),
+        ("pbt-bench", {"tolerances": {"povm_complete": 1e-30}}, {}),
+        ("pbt-bench", {"tolerances": {"povm_positivity": -1e-9}}, {}),
+        ("cc", {"tolerances": {"anything": 5}}, {}),
         ("bell-certify", {"seed": True}, {}),
         ("pbt-bench", {"ports": [True]}, {}),
         ("bell-certify", {"trials": True}, {}),
@@ -149,7 +152,9 @@ class TestConfigHandling:
                      "deltas": []}}),
         ("cc", {"function": "t.json"}, {"t.json": [1, 2]}),
         ("bell-certify", {"protocol": "p.json"}, {"p.json": [1, 2]}),
-    ], ids=["tolerance-string", "tolerance-nan", "seed-bool", "ports-bool",
+    ], ids=["tolerance-string", "tolerance-nan", "tolerance-misspelled",
+            "tolerance-negative", "tolerance-outside-pbt-bench",
+            "seed-bool", "ports-bool",
             "trials-bool", "schedule-bool", "bits-bool", "k-bool",
             "sweep-array", "sweep-box-not-object", "sweep-flag-not-list",
             "sweep-deltas-empty", "truth-table-array", "protocol-array"])
@@ -503,24 +508,21 @@ class TestReproducibility:
         doc = json.loads(a)
         assert doc["results"]["bell"]["method"] == "sampled"
 
-    def test_shipped_example_report_regenerates(self, tmp_path):
-        cfg = os.path.join(REPO, "docs", "examples", "v1", "cc.config.json")
-        fresh = run_subprocess(["cc", "--config", cfg],
-                               tmp_path / "r.json", threads=2)
-        shipped = open(os.path.join(REPO, "docs", "examples", "v1",
-                                    "report_cc.json"), "rb").read()
-        assert fresh == shipped
-
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_shipped_oneway_sweep_report_regenerates(self, tmp_path,
-                                                     threads):
-        cfg = os.path.join(REPO, "docs", "examples", "v1",
-                           "oneway_sweep.config.json")
-        fresh = run_subprocess(["oneway", "--config", cfg],
-                               tmp_path / "r.json", threads=threads)
-        shipped = open(os.path.join(REPO, "docs", "examples", "v1",
-                                    "report_oneway_sweep.json"), "rb").read()
-        assert fresh == shipped
+    @pytest.mark.parametrize("cmd,config,report", [
+        ("bell-certify", "bell_certify.config.json",
+         "report_bell_certify.json"),
+        ("cc", "cc.config.json", "report_cc.json"),
+        ("oneway", "oneway_sweep.config.json", "report_oneway_sweep.json"),
+    ], ids=["bell-certify", "cc", "oneway-sweep"])
+    def test_shipped_report_regenerates(self, tmp_path, cmd, config, report,
+                                        threads):
+        examples = os.path.join(REPO, "docs", "examples", "v1")
+        fresh = run_subprocess(
+            [cmd, "--config", os.path.join(examples, config)],
+            tmp_path / "r.json", threads=threads)
+        with open(os.path.join(examples, report), "rb") as fh:
+            assert fresh == fh.read()
 
     def test_timing_only_on_stderr(self, tmp_path):
         env = dict(os.environ, BELLFORGE_THREADS="1")

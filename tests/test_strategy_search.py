@@ -84,7 +84,7 @@ def tree_split_reference(t: TruthTable, m1a: int, m2a: int,
 def lhv_exact_reference(t: TruthTable, s: bell.PortSchedule) -> float:
     """Every pair of deterministic index strategies on the outcome tree,
     leaf bits greedy per (y, leaf)."""
-    size, per_x, per_y = bell._strategy_spaces(t, s)
+    size = t.num_inputs
     w = _weights(t)
     if s.levels == 1:
         n1 = s.port_counts[0]
@@ -95,13 +95,13 @@ def lhv_exact_reference(t: TruthTable, s: bell.PortSchedule) -> float:
                 acc[:, amap[x], :] += w[:, x, :].T
             best = max(best, float(acc.max(axis=2).sum()))
         return best
+    assert s.levels == 3, s.levels
     n1, n2, n3 = s.port_counts
-    a_choices = []
-    for cid in range(per_x):
-        a1 = cid % n1
-        a3 = bell._digits(cid // n1, n1 * n2, n3).reshape(n1, n2)
-        a_choices.append((a1, a3))
-    b_choices = [bell._digits(rid, n1, n2) for rid in range(per_y)]
+    per_x = n1 * n3 ** (n1 * n2)
+    per_y = n2 ** n1
+    a3_all = _digit_rows(0, per_x // n1, n1 * n2, n3).reshape(-1, n1, n2)
+    a_choices = [(cid % n1, a3_all[cid // n1]) for cid in range(per_x)]
+    b_choices = _digit_rows(0, per_y, n1, n2)
     best = 0.0
     for aidx in product(range(per_x), repeat=size):
         picks = [a_choices[c] for c in aidx]
