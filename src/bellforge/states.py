@@ -217,16 +217,35 @@ class MixedState:
         return f"MixedState(dim={self.dim}, layout={self.layout})"
 
 
+def _element_min_eig(e: np.ndarray, d: int, atol: float) -> float:
+    """Least eigenvalue of a d x d POVM element, after its shape,
+    Hermiticity (atol) and positivity (-atol) checks."""
+    if e.shape != (d, d):
+        raise ValueError("POVM elements must share one square shape")
+    if np.max(np.abs(e - e.conj().T)) > atol:
+        raise InvariantError("POVM element not Hermitian")
+    min_eig = float(np.linalg.eigvalsh(_sym(e)).min())
+    if min_eig < -atol:
+        raise InvariantError(f"POVM element eigenvalue {min_eig} < 0")
+    return min_eig
+
+
 class Povm:
     """Finite POVM: PSD elements summing to the identity.
 
     `atol` loosens the completeness/positivity check where a caller builds
     elements through long chains of linear algebra (the port measurement
     uses 1e-9).  The margins the check found stay on the object:
-    `min_eigenvalue`, the least eigenvalue of any element's Hermitian part,
-    and `completeness_dev`, max |sum of elements - I|.  As in `MixedState`,
-    the checks run in float64 when every element is real, and the stored
-    `elements` are read-only complex128 copies.
+    `min_eigenvalue`, the least eigenvalue of any checked element's
+    Hermitian part, and `completeness_dev`, max |sum of elements - I|.  As
+    in `MixedState`, the checks run in float64 when every element is real,
+    and the stored `elements` are read-only complex128 copies.
+
+    `Povm(elements)` checks every element's spectrum.  `Povm.orbit` checks
+    one element and forms the others as its images under index
+    permutations, which re-index a matrix and so keep its spectrum; there
+    `min_eigenvalue` is that one element's.  Both sum every stored element
+    for the completeness check.
     """
 
     def __init__(self, elements: Sequence[np.ndarray], atol: float = ATOL_POVM):
@@ -235,17 +254,45 @@ class Povm:
         if not elems:
             raise ValueError("POVM needs at least one element")
         d = elems[0].shape[0]
-        total = np.zeros((d, d), dtype=dtype)
         least = math.inf
         for e in elems:
-            if e.shape != (d, d):
-                raise ValueError("POVM elements must share one square shape")
-            if np.max(np.abs(e - e.conj().T)) > atol:
-                raise InvariantError("POVM element not Hermitian")
-            min_eig = float(np.linalg.eigvalsh(_sym(e)).min())
-            if min_eig < -atol:
-                raise InvariantError(f"POVM element eigenvalue {min_eig} < 0")
-            least = min(least, min_eig)
+            least = min(least, _element_min_eig(e, d, atol))
+        self._complete(elems, least, atol)
+
+    @classmethod
+    def orbit(cls, first: np.ndarray, perms: Iterable[np.ndarray],
+              atol: float = ATOL_POVM) -> "Povm":
+        """The POVM of `first[np.ix_(p, p)]` for each index permutation p
+        in `perms`, in order: P first P^T with P the permutation matrix.
+
+        `first` gets the element check of `Povm(elements)`; each p must be
+        a permutation of range(dim), and its image is an exact gather, so
+        every element has the spectrum that was checked.
+        """
+        first = np.asarray(first, dtype=_check_dtype(first))
+        d = first.shape[0]
+        least = _element_min_eig(first, d, atol)
+        elems = []
+        for p in perms:
+            p = np.asarray(p)
+            if p.shape != (d,) or p.dtype.kind not in "iu" \
+                    or not np.array_equal(np.sort(p), np.arange(d)):
+                raise ValueError(f"orbit index array is not a permutation "
+                                 f"of range({d})")
+            elems.append(first[np.ix_(p, p)])
+        if not elems:
+            raise ValueError("POVM needs at least one element")
+        povm = cls.__new__(cls)
+        povm._complete(elems, least, atol)
+        return povm
+
+    def _complete(self, elems: Sequence[np.ndarray], least: float,
+                  atol: float) -> None:
+        """Check that the checked `elems` sum to the identity, in order,
+        and store them with the margins."""
+        d = elems[0].shape[0]
+        total = np.zeros((d, d), dtype=elems[0].dtype)
+        for e in elems:
             total += e
         completeness_dev = float(np.max(np.abs(total - np.eye(d))))
         if completeness_dev > atol:

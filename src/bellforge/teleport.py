@@ -18,19 +18,21 @@ Every matrix in that recipe is real, so the build runs in float64.  The
 measurement is covariant under port permutations, Pi_i = P_1i Pi_1 P_1i
 with P_1i the swap of ports A_1 and A_i, and S commutes with every P_1i;
 so sigma_1 and Pi_1 are formed once and the others are obtained by
-exchanging the A_1 and A_i axes on rows and columns, an exact permutation
-with no further arithmetic.  Validation is not shortened: each of the N
-signal states and each of the N elements gets its full Hermiticity, trace
-or completeness and eigenvalue check, run in float64 and stored as
-complex128 (see `states.MixedState` and `states.Povm`).
+exchanging the A_1 and A_i axes on rows and columns, an exact index
+permutation with no further arithmetic.  A permutation keeps a spectrum,
+so validation runs once per orbit: sigma_1 gets the full density-matrix
+check (`states.MixedState`), and Pi_1 the element check of
+`states.Povm.orbit`, which forms each Pi_i itself from its permutation
+and checks that all N sum to the identity.  Both run in float64 and are
+stored as complex128.
 
 The outcome branches use the same symmetry.  The purified input and the
 resource are loaded as one ket on the register machine
 (`states._RegisterMachine`); one square root of E_1 is taken, and for
 outcome z it is applied to the measured registers with A_1 and A_z
 exchanged, which is sqrt(E_z).  The receiver's output is then the reduced
-state of B_z.  The port swaps of the measurement build run on the machine
-too, so this module permutes no axes of its own.
+state of B_z.  The index permutations of the port swaps are read off the
+machine too, so this module permutes no axes of its own.
 
 `entanglement_fidelity` never builds that measurement.  For this scheme the
 entanglement fidelity has a closed form over Young diagrams
@@ -85,10 +87,12 @@ class PbtResource:
 @dataclass(frozen=True)
 class PbtMeasurement:
     """Square-root measurement over the input register plus all sender
-    port halves (A_0, A_1..A_N)."""
+    port halves (A_0, A_1..A_N).  `signal` is sigma_1; sigma_i is its
+    image under the swap of ports A_1 and A_i, as element i is of
+    element 1."""
     N: int
     d: int
-    signal_states: tuple[MixedState, ...]
+    signal: MixedState
     elements: Povm
 
 
@@ -126,13 +130,18 @@ def _measured_ports(N: int, i: int) -> list[str]:
     return names
 
 
-def _swap_ports(m: np.ndarray, N: int, d: int, i: int) -> np.ndarray:
-    """Operator m on (A_0, A_1..A_N) with ports A_1 and A_i exchanged on rows
-    and columns: P_1i m P_1i, done as a regroup on the register machine."""
+def _port_swaps(N: int, d: int) -> list[np.ndarray]:
+    """Index permutation p_i of each port swap, i = 1..N: P_1i m P_1i is
+    m[np.ix_(p_i, p_i)] for any operator m on (A_0, A_1..A_N).  p_i is the
+    ket arange(d^(N+1)) regrouped on the register machine with A_1 and A_i
+    exchanged."""
     ports = [(n, d) for n in _measured_ports(N, 1)]
-    reg = _RegisterMachine(ports, m)
-    reg.apply(_measured_ports(N, i), None, ports)
-    return reg.state
+    perms = []
+    for i in range(1, N + 1):
+        reg = _RegisterMachine(ports, np.arange(d ** (N + 1)))
+        reg.apply(_measured_ports(N, i), None, ports)
+        perms.append(reg.state)
+    return perms
 
 
 def build_pbt_povm(N: int, d: int) -> PbtMeasurement:
@@ -146,12 +155,11 @@ def build_pbt_povm(N: int, d: int) -> PbtMeasurement:
     phi = max_entangled(d).amplitudes.real
     rest = d ** (N - 1)
     sig1 = np.kron(np.outer(phi, phi), np.eye(rest)) / rest
-    signals = []
+    signal = MixedState(sig1, layout)
+    perms = _port_swaps(N, d)
     S = np.zeros((dim, dim))
-    for i in range(1, N + 1):
-        sig = _swap_ports(sig1, N, d, i)
-        signals.append(MixedState(sig, layout))
-        S = S + sig
+    for p in perms:
+        S = S + sig1[np.ix_(p, p)]
     w, v = np.linalg.eigh(_sym(S))
     cut = PINV_CUTOFF * w.max()
     on_supp = w > cut
@@ -160,9 +168,9 @@ def build_pbt_povm(N: int, d: int) -> PbtMeasurement:
     p_supp = (v * on_supp.astype(float)) @ v.T
     remainder = (np.eye(dim) - p_supp) / N
     elem1 = _sym(s_irt @ sig1 @ s_irt + remainder)
-    elems = [_swap_ports(elem1, N, d, i) for i in range(1, N + 1)]
-    return PbtMeasurement(N=N, d=d, signal_states=tuple(signals),
-                          elements=Povm(elems, atol=ATOL_PBT_POVM))
+    return PbtMeasurement(
+        N=N, d=d, signal=signal,
+        elements=Povm.orbit(elem1, perms, atol=ATOL_PBT_POVM))
 
 
 def _purify(rho: MixedState) -> np.ndarray:
@@ -198,7 +206,7 @@ def _branches(psi_in: np.ndarray, resource: PbtResource,
     joint = np.kron(psi_in.reshape(-1), resource.state.amplitudes)
     regs = [("R", psi_in.shape[0]), ("A0", d)] + list(
         resource.state.layout.registers)
-    root = psd_sqrt(meas.elements.elements[0])
+    root = psd_sqrt(meas.elements.elements[0].real)  # E_1 is real
     keep = ["R"] if with_reference else []
     out = []
     for z in range(1, N + 1):

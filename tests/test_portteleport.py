@@ -11,6 +11,7 @@ from bellforge.states import (
     CapExceededError,
     InvariantError,
     MixedState,
+    Povm,
     RegisterLayout,
     _sym,
     embed_operator,
@@ -46,6 +47,12 @@ FIDELITY_FIXTURES = {
     (2, 3): 0.215867671286896,
     (3, 3): 0.313984449717477,
 }
+
+
+# The dense measurement sizes the builds are compared over.
+POVM_CASES = ([(N, 2) for N in range(1, 9)]
+              + [(N, 3) for N in range(1, 6)]
+              + [(N, 4) for N in range(1, 4)])
 
 
 # ---------------------------------------------------------------- resource
@@ -105,9 +112,10 @@ def test_povm_complete_and_positive(N, d):
 
 def test_povm_signal_states_are_valid():
     meas = build_pbt_povm(3, 2)
-    for sig in meas.signal_states:
-        assert abs(np.trace(sig.matrix).real - 1.0) < 1e-12
-        assert np.linalg.eigvalsh(_sym(sig.matrix)).min() >= -1e-12
+    sig = meas.signal
+    assert sig.layout.names == ("A0", "A1", "A2", "A3")
+    assert abs(np.trace(sig.matrix).real - 1.0) < 1e-12
+    assert np.linalg.eigvalsh(_sym(sig.matrix)).min() >= -1e-12
 
 
 def _reference_pbt_povm(N, d):
@@ -132,17 +140,16 @@ def _reference_pbt_povm(N, d):
     return sigs, [_sym(s_irt @ sig @ s_irt + remainder) for sig in sigs]
 
 
-@pytest.mark.parametrize("N,d", [(N, 2) for N in range(1, 9)]
-                         + [(N, 3) for N in range(1, 6)]
-                         + [(N, 4) for N in range(1, 4)])
+@pytest.mark.parametrize("N,d", POVM_CASES)
 def test_povm_matches_direct_complex_build(N, d):
     meas = build_pbt_povm(N, d)
     sigs, elems = _reference_pbt_povm(N, d)
-    assert len(meas.signal_states) == len(meas.elements) == N
-    for state, want in zip(meas.signal_states, sigs):
-        assert state.matrix.dtype == np.complex128
-        assert not state.matrix.flags.writeable
-        assert np.max(np.abs(state.matrix - want)) <= 1e-12
+    assert len(meas.elements) == N
+    assert meas.signal.matrix.dtype == np.complex128
+    assert not meas.signal.matrix.flags.writeable
+    for i, want in enumerate(sigs, start=1):
+        got = _reference_swap_ports(meas.signal.matrix, N, d, i)
+        assert np.max(np.abs(got - want)) <= 1e-12
     for got, want in zip(meas.elements.elements, elems):
         assert got.dtype == np.complex128
         assert not got.flags.writeable
@@ -165,15 +172,60 @@ def test_swap_ports_matches_transpose(N, d):
     rng = np.random.default_rng(N * d)
     dim = d ** (N + 1)
     m = rng.normal(size=(dim, dim))
-    for i in range(1, N + 1):
-        assert np.array_equal(tp._swap_ports(m, N, d, i),
+    perms = tp._port_swaps(N, d)
+    assert len(perms) == N
+    for i, p in enumerate(perms, start=1):
+        assert np.array_equal(m[np.ix_(p, p)],
                               _reference_swap_ports(m, N, d, i))
+
+
+@pytest.mark.parametrize("N,d", POVM_CASES)
+def test_povm_orbit_matches_per_element_check(N, d):
+    # The orbit check of E_1 against the full check of every element, each
+    # image formed independently by a transpose.  Elements and the
+    # completeness sum agree bit for bit.  The orbit's min_eigenvalue is
+    # E_1's, which the reference also computes; the reference's minimum
+    # over all N elements differs from it only by eigensolver rounding,
+    # bounded by dim * eps for elements of norm at most 1.
+    first = build_pbt_povm(N, d).elements.elements[0].real
+    fast = Povm.orbit(first, tp._port_swaps(N, d), atol=tp.ATOL_PBT_POVM)
+    slow = Povm([_reference_swap_ports(first, N, d, i)
+                 for i in range(1, N + 1)], atol=tp.ATOL_PBT_POVM)
+    assert len(fast) == len(slow) == N
+    for got, want in zip(fast.elements, slow.elements):
+        assert got.tobytes() == want.tobytes()
+    assert fast.completeness_dev == slow.completeness_dev
+    assert fast.min_eigenvalue == float(
+        np.linalg.eigvalsh(_sym(first)).min())
+    assert slow.min_eigenvalue <= fast.min_eigenvalue
+    dim = d ** (N + 1)
+    assert fast.min_eigenvalue - slow.min_eigenvalue <= (
+        dim * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("N,d", [(4, 2), (3, 3)])
+def test_povm_build_checks_one_spectrum_per_orbit(N, d, monkeypatch):
+    calls = []
+
+    def spy(fn):
+        def wrapped(m, *args, **kwargs):
+            calls.append((fn.__name__, m.shape))
+            return fn(m, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy(np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", spy(np.linalg.eigh))
+    build_pbt_povm(N, d)
+    dim = d ** (N + 1)
+    # sigma_1's density-matrix check, S, and E_1's element check.
+    assert calls == [("eigvalsh", (dim, dim)), ("eigh", (dim, dim)),
+                     ("eigvalsh", (dim, dim))]
 
 
 @pytest.mark.parametrize("N,d", [(2, 2), (3, 2), (2, 3)])
 def test_povm_port_permutation_covariance(N, d):
     meas = build_pbt_povm(N, d)
-    layout = meas.signal_states[0].layout
+    layout = meas.signal.layout
     swap = np.zeros((d * d, d * d))
     for i in range(d):
         for j in range(d):

@@ -110,6 +110,57 @@ def test_povm_validation():
         Povm([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])
 
 
+_SWAP2 = [np.array([0, 1]), np.array([1, 0])]
+# (first, perms) pairs whose orbit is a POVM: a complex projector whose
+# swapped image is its orthogonal complement, and a basis measurement
+# from the cyclic shifts of three indices.
+_ORBITS = {
+    "complex_swap": (np.outer([1, 1j], [1, -1j]) / 2, _SWAP2),
+    "real_cycle": (np.diag([1.0, 0.0, 0.0]),
+                   [np.roll(np.arange(3), -k) for k in range(3)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORBITS))
+def test_povm_orbit_matches_full_check(case):
+    first, perms = _ORBITS[case]
+    fast = Povm.orbit(first, perms)
+    slow = Povm([first[np.ix_(p, p)] for p in perms])
+    assert len(fast) == len(perms)
+    for got, want in zip(fast.elements, slow.elements):
+        assert got.dtype == np.complex128
+        assert not got.flags.writeable
+        assert got.tobytes() == want.tobytes()
+    assert fast.completeness_dev == slow.completeness_dev
+    assert fast.min_eigenvalue == slow.min_eigenvalue
+    assert fast.dim == slow.dim == first.shape[0]
+
+
+@pytest.mark.parametrize("perm", [[0, 0], [0, 1, 2], [1, 2], [-1, 0],
+                                  [0.0, 1.0], [[0, 1]], [True, False]])
+def test_povm_orbit_rejects_non_permutation(perm):
+    with pytest.raises(ValueError, match="not a permutation of range"):
+        Povm.orbit(np.eye(2), [np.arange(2), np.asarray(perm)])
+
+
+def test_povm_orbit_rejects_what_the_full_check_rejects():
+    negative = np.diag([1.0 + 1e-6, -1e-6])  # its swap orbit sums to I
+    incomplete = (np.diag([1.0, 0.0]), [np.arange(2)] * 2)
+    skewed = _skewed(np.diag([1.0, 0.0]), 1e-9)
+    for first, perms, match in (
+            (negative, _SWAP2, "eigenvalue -1e-06 < 0"),
+            (*incomplete, "do not sum to identity"),
+            (skewed, _SWAP2, "not Hermitian")):
+        with pytest.raises(InvariantError, match=match):
+            Povm.orbit(first, perms)
+        with pytest.raises(InvariantError, match=match):
+            Povm([first[np.ix_(p, p)] for p in perms])
+    with pytest.raises(ValueError, match="at least one element"):
+        Povm.orbit(np.eye(2), [])
+    with pytest.raises(ValueError, match="one square shape"):
+        Povm.orbit(np.ones((2, 3)), _SWAP2)
+
+
 # Real validation cases: each matrix is checked in float64 as given and in
 # complex128 as its complex copy, and both must get the same verdict.
 _ROT = np.linalg.qr(np.random.default_rng(41).normal(size=(3, 3)))[0]
