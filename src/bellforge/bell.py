@@ -605,6 +605,8 @@ def nonlinear_bell_check(stats: OneWayStats, delta: float,
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta={delta} must lie in (0, 1)")
+    if math.isinf(1.0 / delta):
+        raise ValueError(f"delta={delta} is so small that 1/delta overflows")
     if oracle is None:
         oracle = BudgetOracle(stats.truth)
     target = (1.0 - delta) * stats.p_b + delta / 2.0

@@ -151,6 +151,13 @@ def _is_number(v: Any) -> bool:
     return (_is_int(v) or isinstance(v, float)) and math.isfinite(v)
 
 
+def _require_delta(d: Any, what: str) -> None:
+    _require(_is_number(d) and 0.0 < d < 1.0,
+             f"{what} {d!r} must lie strictly between 0 and 1")
+    _require(math.isfinite(1.0 / d),
+             f"{what} {d!r} is so small that 1/delta overflows")
+
+
 def _validate_config(cfg: dict[str, Any]) -> None:
     cmd = cfg["command"]
     _require(cfg["format"] in ("json", "csv"),
@@ -196,8 +203,7 @@ def _validate_config(cfg: dict[str, Any]) -> None:
         _require(isinstance(deltas, list) and len(deltas) > 0,
                  "deltas must be a non-empty list")
         for d in deltas:
-            _require(_is_number(d) and 0.0 < d < 1.0,
-                     f"delta {d!r} must lie strictly between 0 and 1")
+            _require_delta(d, "delta")
         _require(_is_number(cfg["k"]) and cfg["k"] >= 1,
                  f"k must be a number >= 1, got {cfg['k']!r}")
         if cfg["sweep_file"] is not None:
@@ -416,8 +422,7 @@ def _run_sweep(t: TruthTable, path: str, deltas: list[float],
     _require(isinstance(sweep_deltas, list) and len(sweep_deltas) > 0,
              "sweep deltas must be a non-empty list")
     for d in sweep_deltas:
-        _require(_is_number(d) and 0.0 < d < 1.0,
-                 f"sweep delta {d!r} must lie strictly between 0 and 1")
+        _require_delta(d, "sweep delta")
     count = 0
     failures = 0
     worst = math.inf
@@ -453,8 +458,11 @@ def cmd_oneway(cfg: dict[str, Any],
         checks.append(row)
     obs = observation_bound(success_probability(source), source.truth,
                             oracle)
-    merged = one_way_linear_bell(table, stats, k=float(cfg["k"]),
-                                 oracle=oracle)
+    try:
+        merged = one_way_linear_bell(table, stats, k=float(cfg["k"]),
+                                     oracle=oracle)
+    except ValueError as e:  # k / p_a past the float range
+        raise UsageError(str(e))
     results = {
         "p_a": {"value": stats.p_a, "method": "exact"},
         "p_b": {"value": stats.p_b, "method": "exact"},

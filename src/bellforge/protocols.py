@@ -40,7 +40,9 @@ class TruthTable:
     mu: np.ndarray
 
     def __post_init__(self):
-        size = 2 ** self.n
+        # n may come from a file, and no table has 2^64 rows: a larger 2**n
+        # is never formed, and the message writes it as 2^n.
+        size = 2 ** self.n if self.n < 64 else f"2^{self.n}"
         f = np.asarray(self.f, dtype=np.int8)
         mu = np.asarray(self.mu, dtype=np.float64)
         if f.shape != (size, size) or mu.shape != (size, size):

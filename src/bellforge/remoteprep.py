@@ -53,6 +53,8 @@ def batch_size(k: float, p: float) -> int:
         raise ValueError(f"amplification parameter k={k} must be >= 1")
     if not 0.0 < p <= 1.0:
         raise ValueError(f"success probability p={p} must lie in (0, 1]")
+    if math.isinf(k / p):
+        raise ValueError(f"batch size k/p = {k}/{p} overflows a float")
     return math.ceil(k / p - _CEIL_GUARD)
 
 

@@ -107,13 +107,26 @@ def _check_ports(N: int, d: int) -> None:
         raise ValueError(f"port dimension d={d} must be >= 2")
 
 
+# Python's default limit on the digits of a printed int.
+_PRINT_DIGITS = 4300
+
+
+def _capped_dim(what: str, d: int, e: int) -> int:
+    """The dimension d**e, refused past MAX_TOTAL_DIM.  A power with more
+    digits than Python prints is past the cap and is never formed: the
+    message writes it as d^e."""
+    if abs(d) > 1 and e * math.log10(abs(d)) >= _PRINT_DIGITS:
+        raise CapExceededError(f"{what} = {d}^{e} exceeds {MAX_TOTAL_DIM}")
+    dim = d ** e
+    if dim > MAX_TOTAL_DIM:
+        raise CapExceededError(f"{what} = {dim} exceeds {MAX_TOTAL_DIM}")
+    return dim
+
+
 def build_resource(N: int, d: int) -> PbtResource:
     """N fresh maximally entangled pairs, pair i on (A_i, B_i)."""
     _check_ports(N, d)
-    total = d ** (2 * N)
-    if total > MAX_TOTAL_DIM:
-        raise CapExceededError(
-            f"resource dimension d^(2N) = {total} exceeds {MAX_TOTAL_DIM}")
+    _capped_dim("resource dimension d^(2N)", d, 2 * N)
     dn = d ** N
     # With layout (A_1..A_N, B_1..B_N) the product of pair states flattens
     # to the identity matrix over the collective port index, scaled d^(-N/2).
@@ -147,10 +160,7 @@ def _port_swaps(N: int, d: int) -> list[np.ndarray]:
 def build_pbt_povm(N: int, d: int) -> PbtMeasurement:
     """Pretty-good measurement for N ports of dimension d."""
     _check_ports(N, d)
-    dim = d ** (N + 1)
-    if dim > MAX_TOTAL_DIM:
-        raise CapExceededError(
-            f"measurement dimension d^(N+1) = {dim} exceeds {MAX_TOTAL_DIM}")
+    dim = _capped_dim("measurement dimension d^(N+1)", d, N + 1)
     layout = RegisterLayout([("A0", d)] + [(n, d) for n in _port_names("A", N)])
     phi = max_entangled(d).amplitudes.real
     rest = d ** (N - 1)
@@ -275,9 +285,7 @@ def entanglement_fidelity(N: int, d: int) -> float:
     1.  The cap d^(2N+2) <= 2**20 of `dense_entanglement_fidelity` applies
     here too, so both accept the same (N, d).
     """
-    if d ** (2 * N + 2) > MAX_TOTAL_DIM:
-        raise CapExceededError(f"purified joint dimension d^(2N+2) = "
-                               f"{d ** (2 * N + 2)} exceeds {MAX_TOTAL_DIM}")
+    _capped_dim("purified joint dimension d^(2N+2)", d, 2 * N + 2)
     _check_ports(N, d)
     log_scale = (N + 2) * math.log(d)
     total = 0.0
@@ -302,9 +310,7 @@ def dense_entanglement_fidelity(N: int, d: int) -> float:
     have probability 1/N to within 1e-9.  The cap d^(2N+2) <= 2**20 is
     checked before the resource or the measurement is built.
     """
-    if d ** (2 * N + 2) > MAX_TOTAL_DIM:
-        raise CapExceededError(f"purified joint dimension d^(2N+2) = "
-                               f"{d ** (2 * N + 2)} exceeds {MAX_TOTAL_DIM}")
+    _capped_dim("purified joint dimension d^(2N+2)", d, 2 * N + 2)
     resource = build_resource(N, d)
     meas = build_pbt_povm(N, d)
     phi = max_entangled(d).amplitudes

@@ -3,17 +3,20 @@
 `to_single_qubit_rounds` rewrites a protocol so that every transmission is a
 single qubit: one shuttle qubit bounces between the parties, carrying the
 source protocol's message qubits one at a time in dedicated per-message
-blocks of rounds.  On that form, for a fixed input, a party's memory after
-round i is spanned by at most 2^i vectors (`memory_span_basis`), because
-each round moves exactly one data qubit and an empty return leg is always
-exactly |0>.  `to_memoryless` exploits the small span: each round the sender
-compresses its whole memory onto that span and appends it to the
-transmission, so nothing but blank |0> pads ever stays behind.
+blocks of rounds.  Each party's rounds are built in one pass over its
+ledger, the registers it holds between rounds, and one rule (`_arrivals`)
+says what reaches a round: nothing before Alice's first round, else the
+shuttle the other party just sent, a data qubit or a pinned |0> pad.  On
+that form, for a fixed input, a party's memory after round i is spanned by
+at most 2^i vectors (`memory_span_basis`), because each round moves exactly
+one data qubit and an empty return leg is always exactly |0>.
+`to_memoryless` exploits the small span: each round the sender compresses
+its whole memory onto that span and appends it to the transmission, so
+nothing but blank |0> pads ever stays behind.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from math import ceil, log2, prod
 
 import numpy as np
@@ -43,113 +46,68 @@ def _message_blocks(p: CommProtocol):
     return out
 
 
-@dataclasses.dataclass
-class _RoundPlan:
-    has_sh_in: bool
-    in_mem: list          # (tag, dim) of the memory entering the round
-    anc: list             # (tag, dim) fresh |0> axes
-    absorb: object        # tag the arriving data qubit becomes, or None
-    fire: object          # (src_round, sel_tags, out_dims, out_tags) or None
-    sh_out: object        # tag that leaves as the shuttle
-    bounce_to: object     # tag a kept |0> bounce becomes, or None
-    out_mem: list         # (tag, dim) after the round
+def _arrivals(party: str, carries) -> tuple:
+    """What reaches each of `party`'s rounds in single-qubit form: None
+    (nothing), False (a pinned |0> pad) or True (a data qubit).
+
+    `carries[k]` says whether leg k, in send order, carries a data qubit.
+    Legs alternate Alice, Bob, ...; as in `CommProtocol`, the round that
+    sends leg k hears leg k - 1, so Alice's first round hears nothing."""
+    heard = (None,) + tuple(carries)  # heard[k]: what leg k's sender hears
+    return heard[0 if party == "alice" else 1:len(carries):2]
 
 
-def _plan_party(p: CommProtocol, msgs, sched, party: str):
-    """Symbolic per-round ledger for one party of the split protocol;
-    `sched[t]` is the (message, qubit) sent in global round t."""
-    fire_at = {}  # global round -> source round index
-    pos = 0
-    for k, (who, _, q) in enumerate(msgs):
-        if who == party:
-            fire_at[pos] = k // 2
-        pos += q
-    _, mem, src_anc = p.party(party)
-    ledger = [(("src", -1), mem[0])] if mem[0] > 1 else []
-    blanks = 0
-    n_blank = 0
-    plans = []
-    lag = 1 if party == "alice" else 0  # Alice's round t hears round t - 1
-    for t in range(len(sched) - 1 + lag):
-        k_in = sched[t - lag] if t >= lag else None
-        in_data = k_in is not None and msgs[k_in[0]][0] != party
-        has_sh_in = k_in is not None
-        in_mem = list(ledger)
-        anc, absorb, fire, sh_out = [], None, None, None
-        bounce_free = False
-        if has_sh_in:
-            if in_data:
-                absorb = ("q",) + k_in
-                ledger.append((absorb, 2))
-            else:
-                bounce_free = True
-        if t in fire_at:
-            ell = fire_at[t]
-            k_msg = sched[t][0]
-            consumed_msg = k_msg - 1  # message this source op takes as input
-            sel = []
-            if consumed_msg >= 0:
-                q_in = msgs[consumed_msg][2]
-                sel += [("q", consumed_msg, j) for j in range(q_in)]
-            sel.append(("src", ell - 1))
-            sa = src_anc[ell]
-            if sa > 1:
-                anc.append((("anc", t, "src"), sa))
-                sel.append(("anc", t, "src"))
-            q_out = msgs[k_msg][2]
-            out_tags = [("q", k_msg, j) for j in range(q_out)]
-            out_dims = [2] * q_out
-            sd = mem[ell + 1]
-            if sd > 1:
-                out_tags.append(("src", ell))
-                out_dims.append(sd)
-            ledger = [e for e in ledger
-                      if e[0] not in sel and e[0] != ("src", ell - 1)]
-            ledger += [(tg, d) for tg, d in zip(out_tags, out_dims)]
-            fire = (ell, [s for s in sel if s[0] != "src" or mem[ell] > 1],
-                    out_dims, out_tags)
-        out_is_mine = msgs[sched[t][0]][0] == party
-        bounce_to = None
-        if out_is_mine:
-            sh_out = ("q",) + sched[t]
-            ledger = [e for e in ledger if e[0] != sh_out]
-            if bounce_free:
-                bounce_to = ("blank", n_blank)
-                n_blank += 1
-                ledger.append((bounce_to, 2))
-                blanks += 1
-        else:
-            if bounce_free:
-                sh_out = "bounce"
-            elif blanks > 0:
-                tag = next(e[0] for e in ledger if e[0][0] == "blank")
-                ledger = [e for e in ledger if e[0] != tag]
-                blanks -= 1
-                sh_out = tag
-            else:
-                tag = ("anc", t, "sh")
-                anc.append((tag, 2))
-                sh_out = tag
-        plans.append(_RoundPlan(has_sh_in, in_mem, anc, absorb, fire,
-                                sh_out, bounce_to, list(ledger)))
-    return plans, ledger
-
-
-def _build_round_op(p: CommProtocol, party: str, plan: _RoundPlan,
-                    v: int) -> np.ndarray:
-    sh = [("sh", 2)] if plan.has_sh_in else []
-    reg = _RegisterMachine.identity(sh + plan.in_mem + plan.anc)
-    if plan.absorb is not None:
-        reg.rename("sh", plan.absorb)
-    elif plan.has_sh_in:
-        reg.rename("sh", "bounce")
-    if plan.fire is not None:
-        ell, sel, out_dims, out_tags = plan.fire
-        reg.apply(sel, p.party(party)[0][ell][v], zip(out_tags, out_dims))
-    if plan.bounce_to is not None:
-        reg.rename("bounce", plan.bounce_to)
-    reg.rename(plan.sh_out, "sh")
-    return reg.matrix(["sh"] + [t for t, _ in plan.out_mem])
+def _split_party(p: CommProtocol, msgs, sched, party: str, arrivals):
+    """One party's split rounds, built in one pass over its ledger: the
+    registers it holds between rounds, tag -> dim in kron order.  `sched[t]`
+    is the (message, qubit) sent in global round t.  Returns the rounds'
+    {v: op}, memory dims and ancilla dims, and the final ledger."""
+    ops, mem, src_anc = p.party(party)
+    incoming = iter([("q",) + s for s in sched if msgs[s[0]][0] != party])
+    held = {("src", -1): mem[0]}
+    round_ops, mem_dims, anc_dims = [], [], []
+    for t, arrival in enumerate(arrivals):
+        k, j = sched[t]
+        mine = msgs[k][0] == party
+        cols = list(held.items())
+        if arrival is not None:  # a data qubit, or a pad that may stay blank
+            sh_in = next(incoming) if arrival else ("blank", t)
+            cols.insert(0, (sh_in, 2))
+            if arrival:
+                held[sh_in] = 2
+        anc, ell = [], None
+        if mine and j == 0:  # the party's source round ell runs
+            ell = k // 2
+            sel = [("q", k - 1, i) for i in range(msgs[k - 1][2] if k else 0)]
+            sel += [("src", ell - 1), ("anc", t)]
+            anc.append((("anc", t), src_anc[ell]))
+            outs = [(("q", k, i), 2) for i in range(msgs[k][2])]
+            outs.append((("src", ell), mem[ell + 1]))
+            for tag in sel:
+                held.pop(tag, None)
+            held.update(outs)
+        if mine:
+            sent = ("q", k, j)
+            del held[sent]
+            if arrival is False:
+                held[sh_in] = 2
+        elif arrival is False:
+            sent = sh_in  # the pad bounces straight back
+        else:  # the oldest blank, else a fresh |0>
+            sent = next((g for g in held if g[0] == "blank"), ("anc", t, "sh"))
+            if held.pop(sent, None) is None:
+                anc.append((sent, 2))
+        by_input = {}
+        for v in range(p.truth.num_inputs):
+            reg = _RegisterMachine.identity(cols + anc)
+            if ell is not None:
+                reg.apply(sel, ops[ell][v], outs)
+            reg.rename(sent, "sh")  # what leaves is the outgoing shuttle
+            by_input[v] = reg.matrix(["sh"] + list(held))
+        round_ops.append(by_input)
+        mem_dims.append(prod(held.values()))
+        anc_dims.append(prod(d for _, d in anc))
+    return round_ops, mem_dims, anc_dims, held
 
 
 def _pull_back(povm: Povm, v: np.ndarray) -> Povm:
@@ -170,39 +128,36 @@ def to_single_qubit_rounds(p: CommProtocol) -> CommProtocol:
     """
     msgs = _message_blocks(p)
     sched = [(k, j) for k, (_, _, q) in enumerate(msgs) for j in range(q)]
-    plans_a, _ = _plan_party(p, msgs, sched, "alice")
-    plans_b, bob_ledger = _plan_party(p, msgs, sched, "bob")
-    size = p.truth.num_inputs
-    alice_ops = tuple(
-        {x: _build_round_op(p, "alice", plan, x) for x in range(size)}
-        for plan in plans_a)
-    bob_ops = tuple(
-        {y: _build_round_op(p, "bob", plan, y) for y in range(size)}
-        for plan in plans_b)
+    # Global round t sends legs 2t (Alice) and 2t + 1 (Bob); only the
+    # message's sender puts data on its leg.
+    carries = [msgs[k][0] == who for k, _ in sched
+               for who in ("alice", "bob")][:-1]
+    arrivals = {who: _arrivals(who, carries) for who in ("alice", "bob")}
+    a_ops, a_dims, anc_a, _ = _split_party(p, msgs, sched, "alice",
+                                           arrivals["alice"])
+    b_ops, b_dims, anc_b, bob_held = _split_party(p, msgs, sched, "bob",
+                                                  arrivals["bob"])
     # Bob measures the last message and his last source memory
     # (("src", -1): his initial memory).
     last = len(msgs) - 1
     front = [("q", last, j) for j in range(msgs[last][2] - 1)] \
         + ["sh", ("src", p.rounds - 2)]
-    perm = _RegisterMachine.identity([("sh", 2)] + bob_ledger).matrix(
-        front + [t for t, _ in bob_ledger if t not in front])
-    a_out = tuple(msgs[k][0] == "alice" for k, _ in sched)
+    perm = _RegisterMachine.identity([("sh", 2)] + list(bob_held.items())) \
+        .matrix(front + [g for g in bob_held if g not in front])
     rounds = len(sched)
     return CommProtocol(
         truth=p.truth, rounds=rounds,
         a0_dim=p.a0_dim, b0_dim=p.b0_dim,
         m_out_dims=(2,) * rounds, m_back_dims=(2,) * (rounds - 1),
-        a_dims=tuple(prod(d for _, d in plan.out_mem) for plan in plans_a),
-        b_dims=tuple(prod(d for _, d in plan.out_mem) for plan in plans_b),
-        anc_a_dims=tuple(prod(d for _, d in plan.anc) for plan in plans_a),
-        anc_b_dims=tuple(prod(d for _, d in plan.anc) for plan in plans_b),
-        alice_ops=alice_ops, bob_ops=bob_ops,
+        a_dims=tuple(a_dims), b_dims=tuple(b_dims),
+        anc_a_dims=tuple(anc_a), anc_b_dims=tuple(anc_b),
+        alice_ops=tuple(a_ops), bob_ops=tuple(b_ops),
         observables={y: _pull_back(p.observables[y], perm)
-                     for y in range(size)},
+                     for y in range(p.truth.num_inputs)},
         epsilon=p.epsilon,
         meta={"single_qubit_form": True,
-              "alice_in_data": (False,) + tuple(not a for a in a_out[:-1]),
-              "bob_in_data": a_out[:-1]})
+              **{f"{who}_in_data": tuple(map(bool, arrivals[who]))
+                 for who in ("alice", "bob")}})
 
 
 def _orthonormal_rows(vectors: np.ndarray) -> np.ndarray:
@@ -223,18 +178,19 @@ def _check_single_qubit_form(p: CommProtocol) -> None:
             "to_single_qubit_rounds first")
 
 
-def _shuttle_values(p: CommProtocol, party: str, n: int):
-    """For each of the party's n rounds, the values its incoming shuttle
-    takes: None when none arrives (Alice's first round), (0,) when it is
-    pinned |0>, (0, 1) when it may carry data."""
+def _shuttle_values(p: CommProtocol, party: str):
+    """For each of the party's rounds, the values its incoming shuttle
+    takes: None when none arrives (`_arrivals`), (0,) when it is pinned
+    |0>, (0, 1) when it may carry data.  Without the split's metadata,
+    conservatively every leg may carry data."""
+    arrivals = _arrivals(party, (True,) * len(p.legs))
     meta = p.meta if isinstance(p.meta, dict) else {}
     flags = meta.get(f"{party}_in_data") \
         if meta.get("single_qubit_form") else None
-    if flags is None or len(flags) != n:
-        # Without construction metadata, conservatively branch on every leg.
-        flags = (True,) * n
-    return tuple(None if party == "alice" and t == 0 else (0, 1) if data
-                 else (0,) for t, data in enumerate(flags))
+    if flags is None or len(flags) != len(arrivals):
+        flags = arrivals
+    return tuple(None if a is None else (0, 1) if data else (0,)
+                 for a, data in zip(arrivals, flags))
 
 
 def _span_chain(p: CommProtocol, party: str, v: int):
@@ -244,7 +200,7 @@ def _span_chain(p: CommProtocol, party: str, v: int):
     cur[0, 0] = 1.0
     sh_basis = np.eye(2, dtype=np.complex128)
     chain = []
-    for t, shuttle in enumerate(_shuttle_values(p, party, len(ops))):
+    for t, shuttle in enumerate(_shuttle_values(p, party)):
         d_mem_out = mem[t + 1]
         anc = np.zeros(anc_dims[t], dtype=np.complex128)
         anc[0] = 1.0

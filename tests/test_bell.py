@@ -694,6 +694,8 @@ class TestNonlinearCheck:
         for bad in (0.0, 1.0, -0.1):
             with pytest.raises(ValueError):
                 bell.nonlinear_bell_check(stats, bad)
+        with pytest.raises(ValueError, match="overflows"):
+            bell.nonlinear_bell_check(stats, 5e-324)
         with pytest.raises(ValueError, match="oracle"):
             bell.nonlinear_bell_check(stats, 0.25,
                                       oracle=lambda t: math.inf)

@@ -15,7 +15,7 @@ import pytest
 
 from bellforge import cli
 from bellforge import serialize as sz
-from bellforge.protocols import random_protocol
+from bellforge.protocols import builtin_qrac, random_protocol
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -128,6 +128,10 @@ class TestConfigHandling:
         assert code == 1
 
     SWEEP = "bellforge-oneway-sweep"
+    # An n whose 2**n no machine could hold.
+    HUGE_N_TRUTH = {"n": 10 ** 12, "f": [[0, 1], [1, 0]],
+                    "mu": [[0.25, 0.25], [0.25, 0.25]]}
+    QRAC_DOC = sz.protocol_to_dict(builtin_qrac())
 
     @pytest.mark.parametrize("cmd,cfg,files", [
         ("pbt-bench", {"tolerances": {"povm_completeness": "abc"}}, {}),
@@ -150,14 +154,25 @@ class TestConfigHandling:
         ("oneway", {"sweep_file": "s.json"},
          {"s.json": {"format": SWEEP, "boxes": "deterministic",
                      "deltas": []}}),
+        ("oneway", {"sweep_file": "s.json"},
+         {"s.json": {"format": SWEEP, "boxes": "deterministic",
+                     "deltas": [5e-324]}}),
+        ("oneway", {"deltas": [5e-324]}, {}),
+        ("oneway", {"k": 1e308}, {}),
         ("cc", {"function": "t.json"}, {"t.json": [1, 2]}),
+        ("cc", {"function": "t.json"}, {"t.json": HUGE_N_TRUTH}),
         ("bell-certify", {"protocol": "p.json"}, {"p.json": [1, 2]}),
+        ("bell-certify", {"protocol": "p.json"},
+         {"p.json": {**QRAC_DOC, "truth": HUGE_N_TRUTH}}),
     ], ids=["tolerance-string", "tolerance-nan", "tolerance-misspelled",
             "tolerance-negative", "tolerance-outside-pbt-bench",
             "seed-bool", "ports-bool",
             "trials-bool", "schedule-bool", "bits-bool", "k-bool",
             "sweep-array", "sweep-box-not-object", "sweep-flag-not-list",
-            "sweep-deltas-empty", "truth-table-array", "protocol-array"])
+            "sweep-deltas-empty", "sweep-delta-reciprocal-overflows",
+            "delta-reciprocal-overflows", "k-batch-size-overflows",
+            "truth-table-array", "truth-table-huge-n", "protocol-array",
+            "protocol-huge-n"])
     def test_malformed_input_is_usage_error(self, capsys, tmp_path, cmd,
                                             cfg, files):
         for name, doc in files.items():
@@ -215,6 +230,16 @@ class TestPbtBench:
         doc = json.loads(out)
         assert doc["error"]["code"] == "cap_exceeded"
         assert "exceeds" in doc["error"]["reason"]
+
+    def test_huge_port_count_is_cap_exceeded(self, capsys, tmp_path):
+        """The cap check never forms d^(2N+2) for a huge N."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"ports": [1000000000000]}')
+        code, out, err = run_cli(capsys, "pbt-bench", "--config", str(cfg))
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"]["code"] == "cap_exceeded"
+        assert "2^2000000000002 exceeds" in doc["error"]["reason"]
 
     def test_empty_ports_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"

@@ -7,6 +7,7 @@ the two-bits-in-one-qubit protocol are cos^2(pi/8) and friends.
 """
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -36,6 +37,83 @@ QRAC_EPSILON = 0.35355339059327373  # cos^2(pi/8) - 1/2 = sqrt(2)/4
 # at or below q**2 + 2*q.
 CORPUS_QUBITS = (6, 5, 4, 3, 1, 5, 3, 5, 2, 2, 5, 4, 2, 1, 4, 5, 2, 4, 1, 1)
 CORPUS_COSTS = (27, 20, 13, 6, 2, 22, 9, 15, 4, 4, 17, 17, 5, 1, 12, 20, 4, 11, 2, 2)
+
+# Layout of the split and of its memoryless form for the seed-7 corpus, in
+# draw order: Alice's and Bob's rounds that hear a data qubit ("D"; "." is a
+# pinned pad, or nothing before Alice's first round), a_dims, b_dims,
+# anc_a_dims, anc_b_dims and the memoryless protocol's leg dimensions.
+CORPUS_SPLIT_LAYOUT = (
+    ("...DD.", "DD..D", (4, 4, 4, 4, 8, 8), (8, 16, 16, 16, 16),
+     (2, 1, 1, 1, 2, 1), (2, 2, 1, 1, 1),
+     (4, 8, 8, 16, 16, 32, 64, 32, 64, 128, 64)),
+    ("..DD.", "D..D", (2, 2, 4, 4, 4), (8, 16, 16, 16),
+     (1, 1, 2, 1, 1), (2, 2, 1, 1),
+     (4, 8, 8, 16, 32, 32, 32, 64, 32)),
+    ("..D.", "D.D", (2, 2, 2, 2), (8, 8, 8),
+     (1, 1, 1, 1), (2, 1, 1),
+     (4, 8, 8, 16, 16, 32, 16)),
+    ("..D", "D.", (1, 1, 1), (8, 8),
+     (1, 1, 1), (2, 1),
+     (2, 4, 4, 8, 8)),
+    (".", "", (2,), (),
+     (1,), (),
+     (4,)),
+    ("..DD.", "D..D", (4, 4, 8, 8, 8), (8, 16, 16, 16),
+     (2, 1, 2, 1, 1), (2, 2, 1, 1),
+     (4, 8, 8, 16, 32, 32, 64, 128, 64)),
+    ("..D", "D.", (2, 2, 2), (8, 8),
+     (2, 1, 1), (2, 1),
+     (4, 8, 8, 16, 16)),
+    ("..DD.", "D..D", (1, 1, 2, 4, 4), (4, 8, 8, 8),
+     (1, 1, 2, 2, 1), (2, 2, 1, 1),
+     (2, 4, 4, 8, 16, 8, 16, 32, 16)),
+    ("..", "D", (2, 2), (2,),
+     (2, 1), (2,),
+     (4, 8, 4)),
+    ("..", "D", (2, 2), (2,),
+     (1, 1), (2,),
+     (4, 8, 4)),
+    ("..DD.", "D..D", (1, 1, 2, 4, 4), (8, 16, 16, 16),
+     (1, 1, 2, 2, 1), (2, 2, 1, 1),
+     (2, 4, 4, 8, 16, 16, 32, 64, 32)),
+    ("..D.", "D.D", (4, 4, 8, 8), (4, 8, 8),
+     (2, 1, 2, 1), (2, 2, 1),
+     (4, 8, 8, 16, 64, 128, 64)),
+    ("..", "D", (4, 4), (2,),
+     (2, 1), (2,),
+     (4, 8, 8)),
+    (".", "", (1,), (),
+     (1,), (),
+     (2,)),
+    ("..DD", "D..", (1, 1, 2, 4), (8, 16, 16),
+     (1, 1, 2, 2), (2, 2, 1),
+     (2, 4, 4, 8, 16, 16, 32)),
+    ("..DD.", "D..D", (2, 2, 4, 8, 8), (4, 8, 8, 8),
+     (2, 1, 2, 2, 1), (2, 2, 1, 1),
+     (4, 8, 8, 16, 32, 16, 32, 64, 32)),
+    ("..", "D", (2, 2), (2,),
+     (2, 1), (2,),
+     (4, 8, 4)),
+    ("..DD", "D..", (1, 1, 2, 4), (4, 8, 8),
+     (1, 1, 2, 2), (2, 2, 1),
+     (2, 4, 4, 8, 16, 8, 16)),
+    (".", "", (4,), (),
+     (2,), (),
+     (4,)),
+    (".", "", (4,), (),
+     (2,), (),
+     (4,)),
+)
+# sha256 (first 12 hex digits) of the nonzero pattern of every split round
+# op, rounds in order and inputs ascending: it moves when the same registers
+# are kept in another order, which the dimensions above do not see.
+CORPUS_SPLIT_SUPPORT = (
+    "e63fad9ba899", "2097c657c810", "7c92181d665c", "a684a5bd78f6",
+    "ad95131bc0b7", "8c92fc237445", "6b805643d798", "7d3ed0f5ee58",
+    "436369e6aa04", "436369e6aa04", "f9d0cbd908d2", "72f7ad8a051c",
+    "cfdde0743687", "4022c8c46927", "43fb7784868c", "699b96b48277",
+    "436369e6aa04", "a6702263b89d", "5ac6a5945f16", "5ac6a5945f16",
+)
 
 SPLIT_ATOL = 1e-10
 MEMORYLESS_ATOL = 1e-9
@@ -502,6 +580,28 @@ def test_split_preserves_corpus_distributions(corpus):
         for x, y in _pairs(p):
             assert run_exact(sp, x, y) == pytest.approx(
                 run_exact(p, x, y), abs=SPLIT_ATOL)
+
+
+def test_split_layout_on_corpus(corpus):
+    """Which rounds hear data, every register dimension and the register
+    order of the split, and the memoryless legs: a change in where blank
+    pads are kept or reused moves them even where every distribution stays
+    exact."""
+    def marks(flags):
+        return "".join("D" if f else "." for f in flags)
+
+    for p, want, support in zip(corpus, CORPUS_SPLIT_LAYOUT,
+                                CORPUS_SPLIT_SUPPORT, strict=True):
+        sp = to_single_qubit_rounds(p)
+        legs = tuple(d for _, d in to_memoryless(sp).proto.legs)
+        assert (marks(sp.meta["alice_in_data"]), marks(sp.meta["bob_in_data"]),
+                sp.a_dims, sp.b_dims, sp.anc_a_dims, sp.anc_b_dims,
+                legs) == want
+        digest = hashlib.sha256()
+        for ops in sp.alice_ops + sp.bob_ops:
+            for v in sorted(ops):
+                digest.update(np.packbits(ops[v] != 0).tobytes())
+        assert digest.hexdigest()[:12] == support
 
 
 def test_split_rejects_non_power_of_two_message():

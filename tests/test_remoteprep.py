@@ -112,6 +112,8 @@ def test_batch_size_validation():
     for k, p in ((0.5, 0.5), (1, 0.0), (1, -0.5), (1, 1.5)):
         with pytest.raises(ValueError):
             batch_size(k, p)
+    with pytest.raises(ValueError, match="overflows"):
+        batch_size(1e308, 0.5)
 
 
 def test_abort_probability_exact_values():
