@@ -57,6 +57,10 @@ ATOL_TABLE = 1e-9
 # times the binary leaf) this large.
 ALPHABET_CAP = 2 ** 16
 
+# Sampled mode draws at most this many trials per input pair; each trial
+# holds one int64 index per level plus its leaf draw in memory at once.
+TRIALS_CAP = 10 ** 7
+
 # The exact local bound may enumerate at most this many Alice index maps,
 # (n1 * n3^n2)^|X|, solving Bob's labels and leaf bits per map;
 # `lhv_strategies` counts every full strategy against it.
@@ -219,6 +223,9 @@ def generate_correlations(p: MemorylessProtocol, s: PortSchedule,
     if mode == "sampled":
         if trials is None or trials < 1:
             raise ValueError("sampled mode needs trials >= 1")
+        if trials > TRIALS_CAP:
+            raise CapExceededError(
+                f"sampled trials {trials} exceed {TRIALS_CAP}")
     size = proto.truth.num_inputs
     pairs = [(x, y) for x in range(size) for y in range(size)]
     counts = s.port_counts

@@ -56,6 +56,9 @@ from .states import CapExceededError
 # are solved exactly per enumerated map.
 ENUM_CAP = 10 ** 8
 
+# A budget table holds at most this many rows (budgets 0..TABLE_ROW_CAP-1).
+TABLE_ROW_CAP = 2 ** 12
+
 # Batch size for vectorized map enumeration; batches shrink so that one
 # batch's one-hot and score blocks hold at most _BLOCK float64 entries.
 _CHUNK = 8192
@@ -145,12 +148,11 @@ def best_success_one_way(t: TruthTable, bits: int) -> float:
     """
     if bits < 0:
         raise ValueError(f"bits={bits} must be >= 0")
-    nx = t.num_inputs
-    m_count = 2 ** bits
-    if m_count >= nx:
+    if bits >= t.n:
         # Sending x itself lets the decision rule output f(x, y) directly.
         return 1.0
-    legs = _capped(nx, (m_count, 1, 1), ENUM_CAP, "one-way strategy space")
+    legs = _capped(t.num_inputs, (2 ** bits, 1, 1), ENUM_CAP,
+                   "one-way strategy space")
     return _best_response(_weights(t), legs)
 
 
@@ -256,6 +258,9 @@ class BudgetOracle:
         and filling the same memo."""
         if max_bits is None:
             max_bits = self.max_bits
+        if max_bits >= TABLE_ROW_CAP:
+            raise CapExceededError(f"budget table to {max_bits} bits has more "
+                                   f"than {TABLE_ROW_CAP} rows")
         rows = tuple((c, self.success(c)) for c in range(max_bits + 1))
         return CCQueryResult(key=_table_key(self.t), method=self.method,
                              success=rows)

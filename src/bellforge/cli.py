@@ -43,8 +43,8 @@ from .protocols import (
     CommProtocol, TruthTable, builtin_qrac, success_probability,
 )
 from .serialize import (
-    SCHEMA_VERSION, atomic_write_text, dumps_canonical, load_protocol,
-    report_to_dict, truth_from_dict,
+    SCHEMA_VERSION, atomic_write_text, dumps_canonical, is_json_int,
+    load_protocol, report_to_dict, truth_from_dict,
 )
 from .states import CapExceededError, InvariantError, Povm
 from .teleport import build_pbt_povm, entanglement_fidelity
@@ -140,15 +140,10 @@ def _require(cond: bool, message: str) -> None:
         raise UsageError(message)
 
 
-def _is_int(v: Any) -> bool:
-    """A JSON integer; JSON true/false load as bool, a subclass of int."""
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _is_number(v: Any) -> bool:
     """A finite JSON number (Python's json module also loads NaN and
     Infinity, which no report can echo back)."""
-    return (_is_int(v) or isinstance(v, float)) and math.isfinite(v)
+    return (is_json_int(v) or isinstance(v, float)) and math.isfinite(v)
 
 
 def _require_delta(d: Any, what: str) -> None:
@@ -167,12 +162,12 @@ def _validate_config(cfg: dict[str, Any]) -> None:
         _require(os.path.isdir(parent),
                  f"output directory does not exist: {parent}")
     if cmd == "pbt-bench":
-        _require(_is_int(cfg["d"]) and cfg["d"] >= 2,
+        _require(is_json_int(cfg["d"]) and cfg["d"] >= 2,
                  f"d must be an integer >= 2, got {cfg['d']!r}")
         ports = cfg["ports"]
         _require(isinstance(ports, list) and len(ports) > 0,
                  "ports must be a non-empty list of integers")
-        _require(all(_is_int(n) and n >= 1 for n in ports),
+        _require(all(is_json_int(n) and n >= 1 for n in ports),
                  "every port count must be an integer >= 1")
         tols = cfg["tolerances"]
         _require(isinstance(tols, dict) and set(tols) <= set(_POVM_TOLERANCES)
@@ -184,15 +179,15 @@ def _validate_config(cfg: dict[str, Any]) -> None:
         sched = cfg["schedule"]
         if sched is not None:
             _require(isinstance(sched, list) and len(sched) > 0
-                     and all(_is_int(n) and n >= 1 for n in sched),
+                     and all(is_json_int(n) and n >= 1 for n in sched),
                      "schedule must be a non-empty list of integers >= 1")
         _require(cfg["mode"] in ("exact", "sampled"),
                  f"mode must be exact or sampled, got {cfg['mode']!r}")
         if cfg["trials"] is not None:
-            _require(_is_int(cfg["trials"]) and cfg["trials"] >= 1,
+            _require(is_json_int(cfg["trials"]) and cfg["trials"] >= 1,
                      f"trials must be an integer >= 1, got {cfg['trials']!r}")
         if cfg["seed"] is not None:
-            _require(_is_int(cfg["seed"]) and 0 <= cfg["seed"] < 2 ** 64,
+            _require(is_json_int(cfg["seed"]) and 0 <= cfg["seed"] < 2 ** 64,
                      f"seed must be an integer in [0, 2^64), got "
                      f"{cfg['seed']!r}")
         _require(cfg["mode"] == "exact" or cfg["seed"] is not None,
@@ -217,7 +212,7 @@ def _validate_config(cfg: dict[str, Any]) -> None:
                      f"function must be qrac, eq1, or a truth-table file; "
                      f"no file at {fn!r}")
         if cfg["bits"] is not None:
-            _require(_is_int(cfg["bits"]) and cfg["bits"] >= 0,
+            _require(is_json_int(cfg["bits"]) and cfg["bits"] >= 0,
                      f"bits must be an integer >= 0, got {cfg['bits']!r}")
         _require(cfg["method"] in ("one_way", "tree"),
                  f"method must be one_way or tree, got {cfg['method']!r}")
@@ -285,8 +280,8 @@ def cmd_pbt_bench(cfg: dict[str, Any],
         vacuous = bound <= 0.0
         holds = vacuous or fid >= bound - 1e-12
         all_hold = all_hold and holds
-        povm = build_pbt_povm(n, d).elements
-        comp_dev, min_eig = povm.completeness_dev, povm.min_eigenvalue
+        meas = build_pbt_povm(n, d)
+        comp_dev, min_eig = meas.completeness_dev, meas.min_eigenvalue
         rows.append({
             "ports": n, "dimension": d,
             "fidelity": fid, "method": "exact",
@@ -402,7 +397,7 @@ def _sweep_boxes(t: TruthTable, doc: dict[str, Any]):
         flag, answer = box.get("flag"), box.get("answer")
         if not (isinstance(flag, list) and isinstance(answer, list)
                 and len(flag) == size and len(answer) == size
-                and all(_is_int(v) and v in (0, 1) for v in flag + answer)):
+                and all(is_json_int(v) and v in (0, 1) for v in flag + answer)):
             raise UsageError(f"sweep box {i} needs 0/1 lists of length "
                              f"{size} for flag and answer")
         yield tuple(flag), tuple(answer)

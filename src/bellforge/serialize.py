@@ -33,9 +33,21 @@ def encode_array(a: np.ndarray) -> dict[str, Any]:
             "data": [float(v) for v in stacked.ravel()]}
 
 
+def is_json_int(v: Any) -> bool:
+    """A JSON integer; JSON true/false load as bool, a subclass of int."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _int_field(v: Any, what: str) -> int:
+    """An integer field of a document, refused unless a JSON integer."""
+    if not is_json_int(v):
+        raise ValueError(f"{what} must be an integer, got {v!r}")
+    return v
+
+
 def decode_array(obj: dict[str, Any]) -> np.ndarray:
     """Inverse of encode_array; returns a complex array."""
-    shape = tuple(int(s) for s in obj["shape"])
+    shape = tuple(_int_field(s, "array shape entry") for s in obj["shape"])
     data = obj["data"]
     n = math.prod(shape)
     if len(data) != 2 * n:
@@ -55,7 +67,7 @@ def truth_to_dict(t: TruthTable) -> dict[str, Any]:
 def truth_from_dict(d: dict[str, Any]) -> TruthTable:
     if not isinstance(d, dict):
         raise ValueError("a truth table must be a JSON object")
-    return TruthTable(n=int(d["n"]), f=np.asarray(d["f"]),
+    return TruthTable(n=_int_field(d["n"], "n"), f=np.asarray(d["f"]),
                       mu=np.asarray(d["mu"], dtype=np.float64))
 
 
@@ -89,23 +101,27 @@ def protocol_to_dict(p: CommProtocol) -> dict[str, Any]:
 def protocol_from_dict(d: dict[str, Any]) -> CommProtocol:
     if not isinstance(d, dict) or d.get("format") != "bellforge-protocol":
         raise ValueError("not a protocol document (missing format tag)")
-    if int(d.get("schema_version", 0)) > SCHEMA_VERSION:
+    if _int_field(d.get("schema_version", 0), "schema_version") \
+            > SCHEMA_VERSION:
         raise ValueError(f"protocol schema version {d['schema_version']} "
                          f"is newer than supported {SCHEMA_VERSION}")
     truth = truth_from_dict(d["truth"])
     regs = d["registers"]
     eps = d.get("epsilon")
+
+    def dims(key):
+        return tuple(_int_field(v, f"{key} entry") for v in regs[key])
     return CommProtocol(
         truth=truth,
-        rounds=int(d["rounds"]),
-        a0_dim=int(regs["a0_dim"]),
-        b0_dim=int(regs["b0_dim"]),
-        m_out_dims=tuple(int(v) for v in regs["m_out_dims"]),
-        m_back_dims=tuple(int(v) for v in regs["m_back_dims"]),
-        a_dims=tuple(int(v) for v in regs["a_dims"]),
-        b_dims=tuple(int(v) for v in regs["b_dims"]),
-        anc_a_dims=tuple(int(v) for v in regs["anc_a_dims"]),
-        anc_b_dims=tuple(int(v) for v in regs["anc_b_dims"]),
+        rounds=_int_field(d["rounds"], "rounds"),
+        a0_dim=_int_field(regs["a0_dim"], "a0_dim"),
+        b0_dim=_int_field(regs["b0_dim"], "b0_dim"),
+        m_out_dims=dims("m_out_dims"),
+        m_back_dims=dims("m_back_dims"),
+        a_dims=dims("a_dims"),
+        b_dims=dims("b_dims"),
+        anc_a_dims=dims("anc_a_dims"),
+        anc_b_dims=dims("anc_b_dims"),
         alice_ops=tuple({x: decode_array(m) for x, m in enumerate(ops)}
                         for ops in d["alice_ops"]),
         bob_ops=tuple({x: decode_array(m) for x, m in enumerate(ops)}

@@ -230,22 +230,28 @@ def _element_min_eig(e: np.ndarray, d: int, atol: float) -> float:
     return min_eig
 
 
+def _completeness_dev(elems: Iterable[np.ndarray], d: int, dtype,
+                      atol: float) -> float:
+    """max |sum of elems - I| over elems summed in order, refused past atol."""
+    total = np.zeros((d, d), dtype=dtype)
+    for e in elems:
+        total += e
+    dev = float(np.max(np.abs(total - np.eye(d))))
+    if dev > atol:
+        raise InvariantError("POVM elements do not sum to identity")
+    return dev
+
+
 class Povm:
     """Finite POVM: PSD elements summing to the identity.
 
     `atol` loosens the completeness/positivity check where a caller builds
     elements through long chains of linear algebra (the port measurement
     uses 1e-9).  The margins the check found stay on the object:
-    `min_eigenvalue`, the least eigenvalue of any checked element's
-    Hermitian part, and `completeness_dev`, max |sum of elements - I|.  As
-    in `MixedState`, the checks run in float64 when every element is real,
+    `min_eigenvalue`, the least eigenvalue of any element's Hermitian
+    part, and `completeness_dev`, max |sum of elements - I|.  As in
+    `MixedState`, the checks run in float64 when every element is real,
     and the stored `elements` are read-only complex128 copies.
-
-    `Povm(elements)` checks every element's spectrum.  `Povm.orbit` checks
-    one element and forms the others as its images under index
-    permutations, which re-index a matrix and so keep its spectrum; there
-    `min_eigenvalue` is that one element's.  Both sum every stored element
-    for the completeness check.
     """
 
     def __init__(self, elements: Sequence[np.ndarray], atol: float = ATOL_POVM):
@@ -254,56 +260,35 @@ class Povm:
         if not elems:
             raise ValueError("POVM needs at least one element")
         d = elems[0].shape[0]
-        least = math.inf
-        for e in elems:
-            least = min(least, _element_min_eig(e, d, atol))
-        self._complete(elems, least, atol)
-
-    @classmethod
-    def orbit(cls, first: np.ndarray, perms: Iterable[np.ndarray],
-              atol: float = ATOL_POVM) -> "Povm":
-        """The POVM of `first[np.ix_(p, p)]` for each index permutation p
-        in `perms`, in order: P first P^T with P the permutation matrix.
-
-        `first` gets the element check of `Povm(elements)`; each p must be
-        a permutation of range(dim), and its image is an exact gather, so
-        every element has the spectrum that was checked.
-        """
-        first = np.asarray(first, dtype=_check_dtype(first))
-        d = first.shape[0]
-        least = _element_min_eig(first, d, atol)
-        elems = []
-        for p in perms:
-            p = np.asarray(p)
-            if p.shape != (d,) or p.dtype.kind not in "iu" \
-                    or not np.array_equal(np.sort(p), np.arange(d)):
-                raise ValueError(f"orbit index array is not a permutation "
-                                 f"of range({d})")
-            elems.append(first[np.ix_(p, p)])
-        if not elems:
-            raise ValueError("POVM needs at least one element")
-        povm = cls.__new__(cls)
-        povm._complete(elems, least, atol)
-        return povm
-
-    def _complete(self, elems: Sequence[np.ndarray], least: float,
-                  atol: float) -> None:
-        """Check that the checked `elems` sum to the identity, in order,
-        and store them with the margins."""
-        d = elems[0].shape[0]
-        total = np.zeros((d, d), dtype=elems[0].dtype)
-        for e in elems:
-            total += e
-        completeness_dev = float(np.max(np.abs(total - np.eye(d))))
-        if completeness_dev > atol:
-            raise InvariantError("POVM elements do not sum to identity")
+        self.min_eigenvalue = min(_element_min_eig(e, d, atol) for e in elems)
+        self.completeness_dev = _completeness_dev(elems, d, dtype, atol)
         self.elements = tuple(_frozen_complex(e) for e in elems)
         self.dim = d
-        self.min_eigenvalue = least
-        self.completeness_dev = completeness_dev
 
     def __len__(self) -> int:
         return len(self.elements)
+
+
+def check_povm_orbit(first: np.ndarray, perms: Iterable[np.ndarray],
+                     atol: float = ATOL_POVM) -> tuple[float, float]:
+    """Margins `(min_eigenvalue, completeness_dev)`, as `Povm` defines
+    them, of the POVM of the images first[np.ix_(p, p)] = P first P^T for
+    each index permutation p in `perms`.  `first` gets `Povm`'s element
+    check and each p must permute range(dim), so every image has the
+    checked spectrum; the images are summed in order and none is kept."""
+    first = np.asarray(first, dtype=_check_dtype(first))
+    d = first.shape[0]
+    least = _element_min_eig(first, d, atol)
+    perms = [np.asarray(p) for p in perms]
+    for p in perms:
+        if p.shape != (d,) or p.dtype.kind not in "iu" \
+                or not np.array_equal(np.sort(p), np.arange(d)):
+            raise ValueError(f"orbit index array is not a permutation "
+                             f"of range({d})")
+    if not perms:
+        raise ValueError("POVM needs at least one element")
+    images = (first[np.ix_(p, p)] for p in perms)
+    return least, _completeness_dev(images, d, first.dtype, atol)
 
 
 State = PureState | MixedState

@@ -17,14 +17,14 @@ shared uniformly so the family is complete.
 Every matrix in that recipe is real, so the build runs in float64.  The
 measurement is covariant under port permutations, Pi_i = P_1i Pi_1 P_1i
 with P_1i the swap of ports A_1 and A_i, and S commutes with every P_1i;
-so sigma_1 and Pi_1 are formed once and the others are obtained by
-exchanging the A_1 and A_i axes on rows and columns, an exact index
-permutation with no further arithmetic.  A permutation keeps a spectrum,
-so validation runs once per orbit: sigma_1 gets the full density-matrix
-check (`states.MixedState`), and Pi_1 the element check of
-`states.Povm.orbit`, which forms each Pi_i itself from its permutation
-and checks that all N sum to the identity.  Both run in float64 and are
-stored as complex128.
+so sigma_1 and Pi_1 are formed once, and Pi_i is the exact index
+permutation of Pi_1 that exchanges the A_1 and A_i axes on rows and
+columns.  `PbtMeasurement` keeps Pi_1 and the N permutations and forms
+Pi_i only on request.  A permutation keeps a spectrum, so validation runs
+once per orbit: sigma_1 gets the full density-matrix check
+(`states.MixedState`), Pi_1 the element check of `states.check_povm_orbit`,
+which also checks each permutation and sums the N images, one at a time,
+against the identity.
 
 The outcome branches use the same symmetry.  The purified input and the
 resource are loaded as one ket on the register machine
@@ -59,11 +59,11 @@ from .states import (
     CapExceededError,
     InvariantError,
     MixedState,
-    Povm,
     PureState,
     RegisterLayout,
     _RegisterMachine,
     _sym,
+    check_povm_orbit,
     max_entangled,
     psd_sqrt,
 )
@@ -84,16 +84,27 @@ class PbtResource:
     state: PureState
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PbtMeasurement:
     """Square-root measurement over the input register plus all sender
-    port halves (A_0, A_1..A_N).  `signal` is sigma_1; sigma_i is its
-    image under the swap of ports A_1 and A_i, as element i is of
-    element 1."""
+    port halves (A_0, A_1..A_N): sigma_1 (`signal`), the read-only float64
+    E_1 (`e1`), the permutation p_i of the swap of ports A_1 and A_i
+    (`port_swaps[i - 1]`), which maps sigma_1 to sigma_i and E_1 to E_i,
+    and the margins of the orbit check."""
     N: int
     d: int
     signal: MixedState
-    elements: Povm
+    e1: np.ndarray
+    port_swaps: tuple[np.ndarray, ...]
+    min_eigenvalue: float
+    completeness_dev: float
+
+    def element(self, z: int) -> np.ndarray:
+        """E_z = P_1z E_1 P_1z for z = 1..N, formed on each call."""
+        if not 1 <= z <= self.N:
+            raise IndexError(f"outcome {z} outside 1..{self.N}")
+        p = self.port_swaps[z - 1]
+        return self.e1[np.ix_(p, p)]
 
 
 def _port_names(prefix: str, N: int) -> list[str]:
@@ -178,9 +189,12 @@ def build_pbt_povm(N: int, d: int) -> PbtMeasurement:
     p_supp = (v * on_supp.astype(float)) @ v.T
     remainder = (np.eye(dim) - p_supp) / N
     elem1 = _sym(s_irt @ sig1 @ s_irt + remainder)
-    return PbtMeasurement(
-        N=N, d=d, signal=signal,
-        elements=Povm.orbit(elem1, perms, atol=ATOL_PBT_POVM))
+    min_eig, comp_dev = check_povm_orbit(elem1, perms, atol=ATOL_PBT_POVM)
+    for a in (elem1, *perms):
+        a.setflags(write=False)
+    return PbtMeasurement(N=N, d=d, signal=signal, e1=elem1,
+                          port_swaps=tuple(perms), min_eigenvalue=min_eig,
+                          completeness_dev=comp_dev)
 
 
 def _purify(rho: MixedState) -> np.ndarray:
@@ -216,7 +230,7 @@ def _branches(psi_in: np.ndarray, resource: PbtResource,
     joint = np.kron(psi_in.reshape(-1), resource.state.amplitudes)
     regs = [("R", psi_in.shape[0]), ("A0", d)] + list(
         resource.state.layout.registers)
-    root = psd_sqrt(meas.elements.elements[0].real)  # E_1 is real
+    root = psd_sqrt(meas.e1)
     keep = ["R"] if with_reference else []
     out = []
     for z in range(1, N + 1):

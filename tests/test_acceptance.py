@@ -80,11 +80,12 @@ def test_criterion_1_teleport_fidelity_floor():
     start = time.monotonic()
     worst_margin = math.inf
     for n in range(1, 9):
-        povm = build_pbt_povm(n, 2).elements
-        total = sum(povm.elements)
-        comp = float(np.max(np.abs(total - np.eye(povm.dim))))
+        meas = build_pbt_povm(n, 2)
+        elements = [meas.element(z) for z in range(1, n + 1)]
+        total = sum(elements)
+        comp = float(np.max(np.abs(total - np.eye(2 ** (n + 1)))))
         min_eig = min(float(np.linalg.eigvalsh(e).min())
-                      for e in povm.elements)
+                      for e in elements)
         assert comp <= 1e-9, f"completeness dev {comp} at N={n}"
         assert min_eig >= -1e-10, f"eigenvalue {min_eig} at N={n}"
     for n in (5, 6, 7, 8):

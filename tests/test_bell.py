@@ -201,7 +201,7 @@ class TestGenerateCorrelations:
         table = bell.generate_correlations(ml, s)
         res = build_resource(2, 2)
         meas = build_pbt_povm(2, 2)
-        roots = [psd_sqrt(e) for e in meas.elements.elements]
+        roots = [psd_sqrt(meas.element(z)) for z in (1, 2)]
         res2 = res.state.amplitudes.reshape(4, 4)  # (A1 A2) x (B1 B2)
         for x in range(4):
             psi = proto.alice_ops[0][x][:, 0]
@@ -241,6 +241,19 @@ class TestGenerateCorrelations:
             bell.generate_correlations(ml, s, mode="fancy")
         with pytest.raises(ValueError):
             bell.generate_correlations(ml, s, mode="sampled")
+
+    def test_trials_cap_refuses_before_drawing(self, monkeypatch):
+        ml = qrac_ml()
+        s = bell.PortSchedule.for_protocol(ml, (2,))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pair was simulated")
+
+        monkeypatch.setattr(bell, "_simulate", refuse)
+        for trials in (bell.TRIALS_CAP + 1, 10 ** 12):
+            with pytest.raises(CapExceededError, match="trials"):
+                bell.generate_correlations(ml, s, mode="sampled",
+                                           trials=trials, seed=1)
 
     def test_alphabet_cap(self):
         ml = qrac_ml()

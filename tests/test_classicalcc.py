@@ -18,6 +18,7 @@ from bellforge.classicalcc import (
     BudgetOracle,
     CCQueryResult,
     ENUM_CAP,
+    TABLE_ROW_CAP,
     _genuine_splits,
     _tree_split_value,
     best_success_one_way,
@@ -111,6 +112,10 @@ class TestOneWay:
         assert best_success_one_way(qrac_truth(), 2) == 1.0
         assert best_success_one_way(eq2_truth(), 2) == 1.0
         assert best_success_one_way(xor_truth(), 1) == 1.0
+        # bits >= n answers 1 without forming 2**bits.
+        for t in (qrac_truth(), eq2_truth(), xor_truth()):
+            assert best_success_one_way(t, 10 ** 12) == 1.0
+            assert best_success_tree(t, 10 ** 12) == 1.0
 
     def test_eq2_one_bit_frozen(self):
         assert best_success_one_way(eq2_truth(), 1) == pytest.approx(
@@ -280,6 +285,19 @@ class TestBudgetOracle:
         assert oracle(1.0) == 2
         assert oracle.table().success == ((0, 0.5), (1, 0.75), (2, 1.0))
         assert searched == [0, 1, 2]
+
+    def test_table_row_cap(self, monkeypatch):
+        oracle = BudgetOracle(qrac_truth())
+        rows = oracle.table(TABLE_ROW_CAP - 1).success
+        assert len(rows) == TABLE_ROW_CAP
+        assert all(v == 1.0 for _, v in rows[2:])
+        searched = spy_searches(monkeypatch)
+        for bits in (TABLE_ROW_CAP, 10 ** 12):
+            with pytest.raises(CapExceededError, match="rows"):
+                oracle.table(bits)
+            with pytest.raises(CapExceededError, match="rows"):
+                build_cc_table(qrac_truth(), max_bits=bits)
+        assert searched == []
 
 
 class TestChernoff:

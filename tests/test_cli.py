@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -132,6 +133,8 @@ class TestConfigHandling:
     HUGE_N_TRUTH = {"n": 10 ** 12, "f": [[0, 1], [1, 0]],
                     "mu": [[0.25, 0.25], [0.25, 0.25]]}
     QRAC_DOC = sz.protocol_to_dict(builtin_qrac())
+    EQ1_TRUTH = {"n": 1, "f": [[1, 0], [0, 1]],
+                 "mu": [[0.25, 0.25], [0.25, 0.25]]}
 
     @pytest.mark.parametrize("cmd,cfg,files", [
         ("pbt-bench", {"tolerances": {"povm_completeness": "abc"}}, {}),
@@ -164,6 +167,13 @@ class TestConfigHandling:
         ("bell-certify", {"protocol": "p.json"}, {"p.json": [1, 2]}),
         ("bell-certify", {"protocol": "p.json"},
          {"p.json": {**QRAC_DOC, "truth": HUGE_N_TRUTH}}),
+        ("cc", {"function": "t.json"}, {"t.json": {**EQ1_TRUTH, "n": 1.5}}),
+        ("cc", {"function": "t.json"}, {"t.json": {**EQ1_TRUTH, "n": True}}),
+        ("bell-certify", {"protocol": "p.json"},
+         {"p.json": {**QRAC_DOC, "rounds": 1.0}}),
+        ("bell-certify", {"protocol": "p.json"},
+         {"p.json": {**QRAC_DOC, "registers": {
+             **QRAC_DOC["registers"], "m_out_dims": [2.7]}}}),
     ], ids=["tolerance-string", "tolerance-nan", "tolerance-misspelled",
             "tolerance-negative", "tolerance-outside-pbt-bench",
             "seed-bool", "ports-bool",
@@ -172,7 +182,8 @@ class TestConfigHandling:
             "sweep-deltas-empty", "sweep-delta-reciprocal-overflows",
             "delta-reciprocal-overflows", "k-batch-size-overflows",
             "truth-table-array", "truth-table-huge-n", "protocol-array",
-            "protocol-huge-n"])
+            "protocol-huge-n", "truth-table-float-n", "truth-table-bool-n",
+            "protocol-float-rounds", "protocol-float-dim"])
     def test_malformed_input_is_usage_error(self, capsys, tmp_path, cmd,
                                             cfg, files):
         for name, doc in files.items():
@@ -346,6 +357,18 @@ class TestBellCertify:
         assert doc["error"]["code"] == "cap_exceeded"
         assert doc["config"]["mode"] == "exact"
 
+    def test_huge_trials_refused(self, capsys, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"mode": "sampled", "trials": 10 ** 12,
+                                   "seed": 1}))
+        start = time.monotonic()
+        code, out, _ = run_cli(capsys, "bell-certify", "--config", str(cfg))
+        assert time.monotonic() - start < 5.0
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"]["code"] == "cap_exceeded"
+        assert "trials" in doc["error"]["reason"]
+
 
 class TestOneway:
     def test_qrac_defaults(self, capsys):
@@ -410,6 +433,17 @@ class TestOneway:
 
 
 class TestCc:
+    def test_huge_bits_refused_quickly(self, capsys, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"bits": 10 ** 12}))
+        start = time.monotonic()
+        code, out, _ = run_cli(capsys, "cc", "--config", str(cfg))
+        assert time.monotonic() - start < 5.0
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"]["code"] == "cap_exceeded"
+        assert "rows" in doc["error"]["reason"]
+
     def test_qrac_table(self, capsys):
         code, out, _ = run_cli(capsys, "cc")
         assert code == 0
@@ -539,7 +573,8 @@ class TestReproducibility:
          "report_bell_certify.json"),
         ("cc", "cc.config.json", "report_cc.json"),
         ("oneway", "oneway_sweep.config.json", "report_oneway_sweep.json"),
-    ], ids=["bell-certify", "cc", "oneway-sweep"])
+        ("pbt-bench", "pbt_bench.config.json", "report_pbt_bench.json"),
+    ], ids=["bell-certify", "cc", "oneway-sweep", "pbt-bench"])
     def test_shipped_report_regenerates(self, tmp_path, cmd, config, report,
                                         threads):
         examples = os.path.join(REPO, "docs", "examples", "v1")

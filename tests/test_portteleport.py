@@ -14,6 +14,7 @@ from bellforge.states import (
     Povm,
     RegisterLayout,
     _sym,
+    check_povm_orbit,
     embed_operator,
     max_entangled,
     partial_trace,
@@ -94,8 +95,8 @@ def test_resource_caps_and_argument_validation():
 
 def test_povm_single_port_is_identity():
     meas = build_pbt_povm(1, 2)
-    assert len(meas.elements) == 1
-    assert np.allclose(meas.elements.elements[0], np.eye(4), atol=1e-9)
+    assert len(meas.port_swaps) == 1
+    assert np.allclose(meas.element(1), np.eye(4), atol=1e-9)
 
 
 @pytest.mark.parametrize("N,d", [(N, 2) for N in range(1, 9)]
@@ -104,7 +105,8 @@ def test_povm_complete_and_positive(N, d):
     meas = build_pbt_povm(N, d)
     dim = d ** (N + 1)
     total = np.zeros((dim, dim), dtype=complex)
-    for e in meas.elements.elements:
+    for z in range(1, N + 1):
+        e = meas.element(z)
         total = total + e
         assert np.linalg.eigvalsh(_sym(e)).min() >= -1e-10
     assert np.max(np.abs(total - np.eye(dim))) <= 1e-9
@@ -144,16 +146,17 @@ def _reference_pbt_povm(N, d):
 def test_povm_matches_direct_complex_build(N, d):
     meas = build_pbt_povm(N, d)
     sigs, elems = _reference_pbt_povm(N, d)
-    assert len(meas.elements) == N
+    assert len(meas.port_swaps) == N
     assert meas.signal.matrix.dtype == np.complex128
     assert not meas.signal.matrix.flags.writeable
     for i, want in enumerate(sigs, start=1):
         got = _reference_swap_ports(meas.signal.matrix, N, d, i)
         assert np.max(np.abs(got - want)) <= 1e-12
-    for got, want in zip(meas.elements.elements, elems):
-        assert got.dtype == np.complex128
-        assert not got.flags.writeable
-        assert np.max(np.abs(got - want)) <= 1e-12
+    assert meas.e1.dtype == np.float64
+    assert not meas.e1.flags.writeable
+    assert all(not p.flags.writeable for p in meas.port_swaps)
+    for z, want in enumerate(elems, start=1):
+        assert np.max(np.abs(meas.element(z) - want)) <= 1e-12
 
 
 def _reference_swap_ports(m, N, d, i):
@@ -182,25 +185,37 @@ def test_swap_ports_matches_transpose(N, d):
 @pytest.mark.parametrize("N,d", POVM_CASES)
 def test_povm_orbit_matches_per_element_check(N, d):
     # The orbit check of E_1 against the full check of every element, each
-    # image formed independently by a transpose.  Elements and the
+    # image formed independently by a transpose.  Formed elements and the
     # completeness sum agree bit for bit.  The orbit's min_eigenvalue is
     # E_1's, which the reference also computes; the reference's minimum
     # over all N elements differs from it only by eigensolver rounding,
     # bounded by dim * eps for elements of norm at most 1.
-    first = build_pbt_povm(N, d).elements.elements[0].real
-    fast = Povm.orbit(first, tp._port_swaps(N, d), atol=tp.ATOL_PBT_POVM)
+    meas = build_pbt_povm(N, d)
+    first = meas.e1
+    least, dev = check_povm_orbit(first, tp._port_swaps(N, d),
+                                  atol=tp.ATOL_PBT_POVM)
+    assert (least, dev) == (meas.min_eigenvalue, meas.completeness_dev)
     slow = Povm([_reference_swap_ports(first, N, d, i)
                  for i in range(1, N + 1)], atol=tp.ATOL_PBT_POVM)
-    assert len(fast) == len(slow) == N
-    for got, want in zip(fast.elements, slow.elements):
-        assert got.tobytes() == want.tobytes()
-    assert fast.completeness_dev == slow.completeness_dev
-    assert fast.min_eigenvalue == float(
-        np.linalg.eigvalsh(_sym(first)).min())
-    assert slow.min_eigenvalue <= fast.min_eigenvalue
+    assert len(slow) == N
+    for z, want in enumerate(slow.elements, start=1):
+        assert meas.element(z).tobytes() == want.real.tobytes()
+    assert dev == slow.completeness_dev
+    assert least == float(np.linalg.eigvalsh(_sym(first)).min())
+    assert slow.min_eigenvalue <= least
     dim = d ** (N + 1)
-    assert fast.min_eigenvalue - slow.min_eigenvalue <= (
-        dim * np.finfo(float).eps)
+    assert least - slow.min_eigenvalue <= dim * np.finfo(float).eps
+
+
+def test_measurement_stores_one_element():
+    meas = build_pbt_povm(4, 2)
+    square = [k for k, v in vars(meas).items()
+              if isinstance(v, np.ndarray) and v.ndim == 2]
+    assert square == ["e1"]
+    assert np.array_equal(meas.element(1), meas.e1)
+    for z in (0, 5):
+        with pytest.raises(IndexError, match="outside 1..4"):
+            meas.element(z)
 
 
 @pytest.mark.parametrize("N,d", [(4, 2), (3, 3)])
@@ -230,11 +245,10 @@ def test_povm_port_permutation_covariance(N, d):
     for i in range(d):
         for j in range(d):
             swap[j * d + i, i * d + j] = 1.0
-    first = meas.elements.elements[0]
     for z in range(2, N + 1):
         v = embed_operator(swap, layout, ["A1", f"A{z}"])
-        moved = v @ first @ v.conj().T
-        assert np.max(np.abs(moved - meas.elements.elements[z - 1])) <= 1e-9
+        moved = v @ meas.e1 @ v.conj().T
+        assert np.max(np.abs(moved - meas.element(z))) <= 1e-9
 
 
 def test_povm_cap():
@@ -271,7 +285,7 @@ def test_branches_match_direct_density_matrix_path():
         a_names = ["A0"] + [f"A{i}" for i in range(1, N + 1)]
         branches = teleport_branches(inp, res, meas)
         for z in range(1, N + 1):
-            e_full = embed_operator(meas.elements.elements[z - 1],
+            e_full = embed_operator(meas.element(z),
                                     joint.layout, a_names)
             p_direct = float(np.einsum("ij,ji->", e_full, joint.matrix).real)
             root = psd_sqrt(e_full)
@@ -314,8 +328,8 @@ def _reference_branches(psi_in, resource, meas, with_reference):
     joint = np.einsum("ra,xb->raxb", psi_in, res2)
     joint = joint.reshape(psi_in.shape[0], d * dn, dn)
     out = []
-    for z, elem in enumerate(meas.elements.elements, start=1):
-        branch = np.matmul(psd_sqrt(elem), joint)
+    for z in range(1, N + 1):
+        branch = np.matmul(psd_sqrt(meas.element(z)), joint)
         branch = branch.reshape((psi_in.shape[0], d * dn) + (d,) * N)
         keep = ([0] if with_reference else []) + [1 + z]
         rest = [a for a in range(branch.ndim) if a not in keep]

@@ -70,6 +70,21 @@ class TestProtocolCodec:
         with pytest.raises(ValueError, match="format"):
             sz.protocol_from_dict(doc)
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.update(schema_version=1.0),
+        lambda d: d.update(rounds=True),
+        lambda d: d["registers"].update(a0_dim=2.0),
+        lambda d: d["registers"].update(anc_b_dims=[1.5]),
+        lambda d: d["truth"].update(n=False),
+        lambda d: d["alice_ops"][0][0].update(shape=[2.0, 2]),
+    ], ids=["schema-version", "rounds", "a0-dim", "anc-b-dims", "truth-n",
+            "array-shape"])
+    def test_non_integer_field_rejected(self, edit):
+        doc = json.loads(json.dumps(sz.protocol_to_dict(builtin_qrac())))
+        edit(doc)
+        with pytest.raises(ValueError, match="must be an integer, got"):
+            sz.protocol_from_dict(doc)
+
     def test_newer_schema_rejected(self):
         doc = sz.protocol_to_dict(builtin_qrac())
         doc["schema_version"] = sz.SCHEMA_VERSION + 1
