@@ -44,7 +44,7 @@ from .protocols import (
 )
 from .serialize import (
     SCHEMA_VERSION, atomic_write_text, dumps_canonical, is_json_int,
-    load_protocol, report_to_dict, truth_from_dict,
+    is_json_number, load_protocol, report_to_dict, truth_from_dict,
 )
 from .states import CapExceededError, InvariantError, Povm
 from .teleport import build_pbt_povm, entanglement_fidelity
@@ -58,8 +58,7 @@ class UsageError(Exception):
 # Config keys: these, plus the keys of the command's defaults.
 _COMMON_KEYS = {"command", "out", "format"}
 _DEFAULTS: dict[str, dict[str, Any]] = {
-    "pbt-bench": {"d": 2, "ports": [1, 2, 3, 4, 5, 6, 7, 8],
-                  "tolerances": {}},
+    "pbt-bench": {"d": 2, "ports": [1, 2, 3, 4, 5, 6, 7, 8]},
     "bell-certify": {"protocol": "builtin:qrac", "schedule": None,
                      "mode": "exact", "trials": None, "seed": None},
     "oneway": {"protocol": "builtin:qrac",
@@ -67,8 +66,6 @@ _DEFAULTS: dict[str, dict[str, Any]] = {
                "k": 1.0, "sweep_file": None},
     "cc": {"function": "qrac", "bits": None, "method": "one_way"},
 }
-# pbt-bench's measurement tolerances; its `tolerances` key may set either.
-_POVM_TOLERANCES = {"povm_completeness": 1e-9, "povm_positivity": 1e-10}
 # Samples per input pair of a sampled run whose config sets no trials.
 _SAMPLED_TRIALS = 10000
 _PUMPING_EPSILONS = (0.1, 0.125, 1.0 / 6.0)
@@ -117,7 +114,7 @@ def _load_config(args: argparse.Namespace) -> dict[str, Any]:
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
                 loaded = json.load(fh)
-            except json.JSONDecodeError as e:
+            except ValueError as e:  # also an integer past Python's digits
                 raise UsageError(f"config is not valid JSON: {e}")
         if not isinstance(loaded, dict):
             raise UsageError("config must be a JSON object")
@@ -140,14 +137,8 @@ def _require(cond: bool, message: str) -> None:
         raise UsageError(message)
 
 
-def _is_number(v: Any) -> bool:
-    """A finite JSON number (Python's json module also loads NaN and
-    Infinity, which no report can echo back)."""
-    return (is_json_int(v) or isinstance(v, float)) and math.isfinite(v)
-
-
 def _require_delta(d: Any, what: str) -> None:
-    _require(_is_number(d) and 0.0 < d < 1.0,
+    _require(is_json_number(d) and 0.0 < d < 1.0,
              f"{what} {d!r} must lie strictly between 0 and 1")
     _require(math.isfinite(1.0 / d),
              f"{what} {d!r} is so small that 1/delta overflows")
@@ -158,6 +149,7 @@ def _validate_config(cfg: dict[str, Any]) -> None:
     _require(cfg["format"] in ("json", "csv"),
              f"format must be json or csv, got {cfg['format']!r}")
     if cfg["out"] is not None:
+        _require(isinstance(cfg["out"], str), "out must be a path string")
         parent = os.path.dirname(os.path.abspath(cfg["out"]))
         _require(os.path.isdir(parent),
                  f"output directory does not exist: {parent}")
@@ -169,11 +161,6 @@ def _validate_config(cfg: dict[str, Any]) -> None:
                  "ports must be a non-empty list of integers")
         _require(all(is_json_int(n) and n >= 1 for n in ports),
                  "every port count must be an integer >= 1")
-        tols = cfg["tolerances"]
-        _require(isinstance(tols, dict) and set(tols) <= set(_POVM_TOLERANCES)
-                 and all(_is_number(v) and v >= 0 for v in tols.values()),
-                 f"tolerances must map names in {sorted(_POVM_TOLERANCES)} "
-                 f"to finite numbers >= 0")
     elif cmd == "bell-certify":
         _validate_protocol_ref(cfg["protocol"])
         sched = cfg["schedule"]
@@ -199,10 +186,12 @@ def _validate_config(cfg: dict[str, Any]) -> None:
                  "deltas must be a non-empty list")
         for d in deltas:
             _require_delta(d, "delta")
-        _require(_is_number(cfg["k"]) and cfg["k"] >= 1,
+        _require(is_json_number(cfg["k"]) and cfg["k"] >= 1,
                  f"k must be a number >= 1, got {cfg['k']!r}")
         if cfg["sweep_file"] is not None:
-            _require(os.path.isfile(cfg["sweep_file"]),
+            # isfile would take an integer as a file descriptor.
+            _require(isinstance(cfg["sweep_file"], str)
+                     and os.path.isfile(cfg["sweep_file"]),
                      f"sweep file not found: {cfg['sweep_file']}")
     elif cmd == "cc":
         fn = cfg["function"]
@@ -269,9 +258,6 @@ def _resolve_truth(ref: str) -> TruthTable:
 def cmd_pbt_bench(cfg: dict[str, Any],
                   warnings: list[str]) -> tuple[dict[str, Any], int]:
     d = cfg["d"]
-    tols = _POVM_TOLERANCES | cfg["tolerances"]
-    comp_tol = float(tols["povm_completeness"])
-    pos_tol = float(tols["povm_positivity"])
     rows = []
     all_hold = True
     for n in cfg["ports"]:
@@ -281,19 +267,13 @@ def cmd_pbt_bench(cfg: dict[str, Any],
         holds = vacuous or fid >= bound - 1e-12
         all_hold = all_hold and holds
         meas = build_pbt_povm(n, d)
-        comp_dev, min_eig = meas.completeness_dev, meas.min_eigenvalue
         rows.append({
             "ports": n, "dimension": d,
             "fidelity": fid, "method": "exact",
             "bound": bound, "bound_vacuous": vacuous, "bound_holds": holds,
-            "povm_completeness_dev": comp_dev,
-            "povm_min_eigenvalue": min_eig,
+            "povm_completeness_dev": meas.completeness_dev,
+            "povm_min_eigenvalue": meas.min_eigenvalue,
         })
-        if comp_dev > comp_tol or min_eig < -pos_tol:
-            raise InvariantError(
-                f"port measurement for ports={n}, d={d} breaches "
-                f"tolerances: completeness dev {comp_dev}, min eigenvalue "
-                f"{min_eig}")
     results = {"d": d, "rows": rows, "all_bounds_hold": all_hold}
     return results, 0 if all_hold else 3
 
@@ -408,7 +388,7 @@ def _run_sweep(t: TruthTable, path: str, deltas: list[float],
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as e:
+        except ValueError as e:
             raise UsageError(f"sweep file is not valid JSON: {e}")
     if not isinstance(doc, dict) \
             or doc.get("format") != "bellforge-oneway-sweep":

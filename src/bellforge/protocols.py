@@ -40,18 +40,22 @@ class TruthTable:
     mu: np.ndarray
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"n={self.n} must be >= 0")
         # n may come from a file, and no table has 2^64 rows: a larger 2**n
         # is never formed, and the message writes it as 2^n.
         size = 2 ** self.n if self.n < 64 else f"2^{self.n}"
-        f = np.asarray(self.f, dtype=np.int8)
+        f = np.asarray(self.f)
         mu = np.asarray(self.mu, dtype=np.float64)
         if f.shape != (size, size) or mu.shape != (size, size):
             raise ValueError(
                 f"tables must be {size}x{size} for n={self.n}")
+        # Checked before the cast, which would turn 0.6 into 0.
         if not np.isin(f, (0, 1)).all():
             raise ValueError("f entries must be 0 or 1")
-        if mu.min() < 0:
-            raise ValueError("mu entries must be nonnegative")
+        f = f.astype(np.int8)
+        if not (np.isfinite(mu).all() and mu.min() >= 0):
+            raise ValueError("mu entries must be finite and nonnegative")
         if abs(mu.sum() - 1.0) > ATOL_MU:
             raise InvariantError(f"mu sums to {mu.sum()}, expected 1")
         f.setflags(write=False)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import tempfile
 from typing import Any
 
@@ -38,6 +39,28 @@ def is_json_int(v: Any) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def is_json_number(v: Any) -> bool:
+    """A JSON number that is finite as a float64: not a bool or a string,
+    and neither NaN nor Infinity (Python's json module loads both) nor an
+    integer past the float range."""
+    if is_json_int(v):
+        return abs(v) <= sys.float_info.max
+    return isinstance(v, float) and math.isfinite(v)
+
+
+def _is_bit(v: Any) -> bool:
+    return is_json_int(v) and v in (0, 1)
+
+
+def _table(v: Any, ok, refusal: str) -> np.ndarray:
+    """A JSON list of rows whose entries all pass `ok`, as an array;
+    anything else raises ValueError(refusal)."""
+    if not (isinstance(v, list) and all(
+            isinstance(row, list) and all(ok(x) for x in row) for row in v)):
+        raise ValueError(refusal)
+    return np.asarray(v)
+
+
 def _int_field(v: Any, what: str) -> int:
     """An integer field of a document, refused unless a JSON integer."""
     if not is_json_int(v):
@@ -49,6 +72,8 @@ def decode_array(obj: dict[str, Any]) -> np.ndarray:
     """Inverse of encode_array; returns a complex array."""
     shape = tuple(_int_field(s, "array shape entry") for s in obj["shape"])
     data = obj["data"]
+    if not (isinstance(data, list) and all(is_json_number(v) for v in data)):
+        raise ValueError("array data must be a list of finite numbers")
     n = math.prod(shape)
     if len(data) != 2 * n:
         raise ValueError(f"array data length {len(data)} does not match "
@@ -67,8 +92,11 @@ def truth_to_dict(t: TruthTable) -> dict[str, Any]:
 def truth_from_dict(d: dict[str, Any]) -> TruthTable:
     if not isinstance(d, dict):
         raise ValueError("a truth table must be a JSON object")
-    return TruthTable(n=_int_field(d["n"], "n"), f=np.asarray(d["f"]),
-                      mu=np.asarray(d["mu"], dtype=np.float64))
+    return TruthTable(n=_int_field(d["n"], "n"),
+                      f=_table(d["f"], _is_bit,
+                               "f must be rows of the integers 0 and 1"),
+                      mu=_table(d["mu"], is_json_number,
+                                "mu must be rows of finite numbers"))
 
 
 def protocol_to_dict(p: CommProtocol) -> dict[str, Any]:
@@ -108,6 +136,8 @@ def protocol_from_dict(d: dict[str, Any]) -> CommProtocol:
     truth = truth_from_dict(d["truth"])
     regs = d["registers"]
     eps = d.get("epsilon")
+    if eps is not None and not is_json_number(eps):
+        raise ValueError(f"epsilon must be a finite number, got {eps!r}")
 
     def dims(key):
         return tuple(_int_field(v, f"{key} entry") for v in regs[key])

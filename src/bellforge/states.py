@@ -62,6 +62,13 @@ def _check_dtype(*arrays) -> type:
         else np.complex128
 
 
+def _require_finite(m: np.ndarray, what: str) -> None:
+    """Refuse NaN and infinite entries, which pass every tolerance check:
+    each comparison with NaN is false."""
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} has a non-finite entry")
+
+
 def _frozen_complex(m: np.ndarray) -> np.ndarray:
     """Read-only complex128 copy, the form every validated matrix is stored
     in whatever dtype it was checked in."""
@@ -161,6 +168,7 @@ class PureState:
     def __init__(self, amplitudes: np.ndarray, layout):
         layout = _as_layout(layout)
         vec = np.asarray(amplitudes, dtype=np.complex128).reshape(-1).copy()
+        _require_finite(vec, "state vector")
         if vec.size != layout.total_dim:
             raise ValueError(
                 f"vector length {vec.size} != layout dimension {layout.total_dim}")
@@ -194,6 +202,7 @@ class MixedState:
     def __init__(self, matrix: np.ndarray, layout):
         layout = _as_layout(layout)
         mat = np.asarray(matrix, dtype=_check_dtype(matrix))
+        _require_finite(mat, "density matrix")
         d = layout.total_dim
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} != ({d}, {d})")
@@ -217,15 +226,16 @@ class MixedState:
         return f"MixedState(dim={self.dim}, layout={self.layout})"
 
 
-def _element_min_eig(e: np.ndarray, d: int, atol: float) -> float:
-    """Least eigenvalue of a d x d POVM element, after its shape,
-    Hermiticity (atol) and positivity (-atol) checks."""
+def _element_min_eig(e: np.ndarray, d: int) -> float:
+    """Least eigenvalue of a d x d POVM element, after its finiteness,
+    shape, Hermiticity (ATOL_HERM) and positivity (-ATOL_EIG) checks."""
+    _require_finite(e, "POVM element")
     if e.shape != (d, d):
         raise ValueError("POVM elements must share one square shape")
-    if np.max(np.abs(e - e.conj().T)) > atol:
+    if np.max(np.abs(e - e.conj().T)) > ATOL_HERM:
         raise InvariantError("POVM element not Hermitian")
     min_eig = float(np.linalg.eigvalsh(_sym(e)).min())
-    if min_eig < -atol:
+    if min_eig < -ATOL_EIG:
         raise InvariantError(f"POVM element eigenvalue {min_eig} < 0")
     return min_eig
 
@@ -245,23 +255,23 @@ def _completeness_dev(elems: Iterable[np.ndarray], d: int, dtype,
 class Povm:
     """Finite POVM: PSD elements summing to the identity.
 
-    `atol` loosens the completeness/positivity check where a caller builds
-    elements through long chains of linear algebra (the port measurement
-    uses 1e-9).  The margins the check found stay on the object:
+    Each element is checked Hermitian (1e-10) and PSD up to -1e-10
+    eigenvalue noise, and their sum equals the identity to 1e-10.  The
+    margins the check found stay on the object:
     `min_eigenvalue`, the least eigenvalue of any element's Hermitian
     part, and `completeness_dev`, max |sum of elements - I|.  As in
     `MixedState`, the checks run in float64 when every element is real,
     and the stored `elements` are read-only complex128 copies.
     """
 
-    def __init__(self, elements: Sequence[np.ndarray], atol: float = ATOL_POVM):
+    def __init__(self, elements: Sequence[np.ndarray]):
         dtype = _check_dtype(*elements)
         elems = tuple(np.asarray(e, dtype=dtype) for e in elements)
         if not elems:
             raise ValueError("POVM needs at least one element")
         d = elems[0].shape[0]
-        self.min_eigenvalue = min(_element_min_eig(e, d, atol) for e in elems)
-        self.completeness_dev = _completeness_dev(elems, d, dtype, atol)
+        self.min_eigenvalue = min(_element_min_eig(e, d) for e in elems)
+        self.completeness_dev = _completeness_dev(elems, d, dtype, ATOL_POVM)
         self.elements = tuple(_frozen_complex(e) for e in elems)
         self.dim = d
 
@@ -275,10 +285,11 @@ def check_povm_orbit(first: np.ndarray, perms: Iterable[np.ndarray],
     them, of the POVM of the images first[np.ix_(p, p)] = P first P^T for
     each index permutation p in `perms`.  `first` gets `Povm`'s element
     check and each p must permute range(dim), so every image has the
-    checked spectrum; the images are summed in order and none is kept."""
+    checked spectrum; the images are summed in order and none is kept.
+    `atol` bounds the completeness deviation only."""
     first = np.asarray(first, dtype=_check_dtype(first))
     d = first.shape[0]
-    least = _element_min_eig(first, d, atol)
+    least = _element_min_eig(first, d)
     perms = [np.asarray(p) for p in perms]
     for p in perms:
         if p.shape != (d,) or p.dtype.kind not in "iu" \
@@ -314,6 +325,7 @@ def tensor(a: State, b: State) -> State:
 def _check_unitary(u: np.ndarray, dim: int, what: str = "operator"
                    ) -> np.ndarray:
     u = np.asarray(u, dtype=np.complex128)
+    _require_finite(u, what)
     if u.shape != (dim, dim):
         raise ValueError(f"{what}: shape {u.shape}, expected ({dim}, {dim})")
     dev = np.max(np.abs(u.conj().T @ u - np.eye(dim)))

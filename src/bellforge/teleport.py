@@ -20,14 +20,15 @@ with P_1i the swap of ports A_1 and A_i, and S commutes with every P_1i;
 so sigma_1 and Pi_1 are formed once, and Pi_i is the exact index
 permutation of Pi_1 that exchanges the A_1 and A_i axes on rows and
 columns.  `PbtMeasurement` keeps Pi_1 and the N permutations and forms
-Pi_i only on request.  A permutation keeps a spectrum, so validation runs
-once per orbit: sigma_1 gets the full density-matrix check
-(`states.MixedState`), Pi_1 the element check of `states.check_povm_orbit`,
-which also checks each permutation and sums the N images, one at a time,
-against the identity.
+Pi_i only on request; sigma_1 is a density matrix by construction and is
+not kept.  A permutation keeps a spectrum, so validation runs once per
+orbit (`states.check_povm_orbit`): Pi_1 gets the element check of every
+`Povm`, each permutation is checked, and the N images are summed, one at
+a time, against the identity, the one check loosened to ATOL_PBT_POVM.
 
-The outcome branches use the same symmetry.  The purified input and the
-resource are loaded as one ket on the register machine
+The resource, N maximally entangled pairs, is fixed by (N, d), so the
+measurement is the only port-teleportation object.  The outcome branches
+load the purified input and the pairs as one ket on the register machine
 (`states._RegisterMachine`); one square root of E_1 is taken, and for
 outcome z it is applied to the measured registers with A_1 and A_z
 exchanged, which is sqrt(E_z).  The receiver's output is then the reduced
@@ -59,8 +60,6 @@ from .states import (
     CapExceededError,
     InvariantError,
     MixedState,
-    PureState,
-    RegisterLayout,
     _RegisterMachine,
     _sym,
     check_povm_orbit,
@@ -75,25 +74,14 @@ PINV_CUTOFF = 1e-12
 ATOL_PBT_POVM = 1e-9
 
 
-@dataclass(frozen=True)
-class PbtResource:
-    """N maximally entangled pairs on registers A_1..A_N (sender) and
-    B_1..B_N (receiver)."""
-    N: int
-    d: int
-    state: PureState
-
-
 @dataclass(frozen=True, eq=False)
 class PbtMeasurement:
     """Square-root measurement over the input register plus all sender
-    port halves (A_0, A_1..A_N): sigma_1 (`signal`), the read-only float64
-    E_1 (`e1`), the permutation p_i of the swap of ports A_1 and A_i
-    (`port_swaps[i - 1]`), which maps sigma_1 to sigma_i and E_1 to E_i,
-    and the margins of the orbit check."""
+    port halves (A_0, A_1..A_N): the read-only float64 E_1 (`e1`), the
+    permutation p_i of the swap of ports A_1 and A_i (`port_swaps[i - 1]`),
+    which maps E_1 to E_i, and the margins of the orbit check."""
     N: int
     d: int
-    signal: MixedState
     e1: np.ndarray
     port_swaps: tuple[np.ndarray, ...]
     min_eigenvalue: float
@@ -126,25 +114,12 @@ def _capped_dim(what: str, d: int, e: int) -> int:
     """The dimension d**e, refused past MAX_TOTAL_DIM.  A power with more
     digits than Python prints is past the cap and is never formed: the
     message writes it as d^e."""
-    if abs(d) > 1 and e * math.log10(abs(d)) >= _PRINT_DIGITS:
+    if abs(d) > 1 and e >= _PRINT_DIGITS / math.log10(abs(d)):
         raise CapExceededError(f"{what} = {d}^{e} exceeds {MAX_TOTAL_DIM}")
     dim = d ** e
     if dim > MAX_TOTAL_DIM:
         raise CapExceededError(f"{what} = {dim} exceeds {MAX_TOTAL_DIM}")
     return dim
-
-
-def build_resource(N: int, d: int) -> PbtResource:
-    """N fresh maximally entangled pairs, pair i on (A_i, B_i)."""
-    _check_ports(N, d)
-    _capped_dim("resource dimension d^(2N)", d, 2 * N)
-    dn = d ** N
-    # With layout (A_1..A_N, B_1..B_N) the product of pair states flattens
-    # to the identity matrix over the collective port index, scaled d^(-N/2).
-    amp = (np.eye(dn, dtype=np.complex128) / math.sqrt(dn)).reshape(-1)
-    layout = RegisterLayout(
-        [(n, d) for n in _port_names("A", N) + _port_names("B", N)])
-    return PbtResource(N=N, d=d, state=PureState(amp, layout))
 
 
 def _measured_ports(N: int, i: int) -> list[str]:
@@ -172,11 +147,9 @@ def build_pbt_povm(N: int, d: int) -> PbtMeasurement:
     """Pretty-good measurement for N ports of dimension d."""
     _check_ports(N, d)
     dim = _capped_dim("measurement dimension d^(N+1)", d, N + 1)
-    layout = RegisterLayout([("A0", d)] + [(n, d) for n in _port_names("A", N)])
     phi = max_entangled(d).amplitudes.real
     rest = d ** (N - 1)
     sig1 = np.kron(np.outer(phi, phi), np.eye(rest)) / rest
-    signal = MixedState(sig1, layout)
     perms = _port_swaps(N, d)
     S = np.zeros((dim, dim))
     for p in perms:
@@ -192,7 +165,7 @@ def build_pbt_povm(N: int, d: int) -> PbtMeasurement:
     min_eig, comp_dev = check_povm_orbit(elem1, perms, atol=ATOL_PBT_POVM)
     for a in (elem1, *perms):
         a.setflags(write=False)
-    return PbtMeasurement(N=N, d=d, signal=signal, e1=elem1,
+    return PbtMeasurement(N=N, d=d, e1=elem1,
                           port_swaps=tuple(perms), min_eigenvalue=min_eig,
                           completeness_dev=comp_dev)
 
@@ -206,9 +179,8 @@ def _purify(rho: MixedState) -> np.ndarray:
     return (v * np.sqrt(w)).T.astype(np.complex128)
 
 
-def _branches(psi_in: np.ndarray, resource: PbtResource,
-              meas: PbtMeasurement, with_reference: bool
-              ) -> list[tuple[float, np.ndarray]]:
+def _branches(psi_in: np.ndarray, meas: PbtMeasurement,
+              with_reference: bool) -> list[tuple[float, np.ndarray]]:
     """(probability, unnormalized reduced matrix) of every outcome z.
 
     psi_in has shape (d_ref, d): a purified input with its reference index
@@ -216,20 +188,22 @@ def _branches(psi_in: np.ndarray, resource: PbtResource,
     `with_reference` is set; dividing by the probability normalizes it.
     E_z = P_1z E_1 P_1z, so the root of E_1 applied to (A_0, A_1..A_N)
     with A_1 and A_z exchanged is sqrt(E_z): one square root serves every
-    outcome.
+    outcome.  The N pairs are formed here, after the cap check: with
+    registers (A_1..A_N, B_1..B_N) their product flattens to the identity
+    over the collective port index, scaled d^(-N/2).
     """
-    N, d = resource.N, resource.d
-    if meas.N != N or meas.d != d:
-        raise ValueError("resource and measurement disagree on (N, d)")
+    N, d = meas.N, meas.d
     if psi_in.shape[1] != d:
         raise ValueError(f"input dimension {psi_in.shape[1]} != port dim {d}")
-    total = psi_in.size * resource.state.amplitudes.size
+    dn = d ** N
+    total = psi_in.size * dn * dn
     if total > MAX_TOTAL_DIM:
         raise CapExceededError(
             f"purified joint dimension {total} exceeds {MAX_TOTAL_DIM}")
-    joint = np.kron(psi_in.reshape(-1), resource.state.amplitudes)
-    regs = [("R", psi_in.shape[0]), ("A0", d)] + list(
-        resource.state.layout.registers)
+    pairs = (np.eye(dn, dtype=np.complex128) / math.sqrt(dn)).reshape(-1)
+    joint = np.kron(psi_in.reshape(-1), pairs)
+    regs = [("R", psi_in.shape[0]), ("A0", d)] + [
+        (n, d) for n in _port_names("A", N) + _port_names("B", N)]
     root = psd_sqrt(meas.e1)
     keep = ["R"] if with_reference else []
     out = []
@@ -242,17 +216,15 @@ def _branches(psi_in: np.ndarray, resource: PbtResource,
     return out
 
 
-def teleport_branches(input_state: MixedState, resource: PbtResource,
-                      meas: PbtMeasurement
+def teleport_branches(input_state: MixedState, meas: PbtMeasurement
                       ) -> list[tuple[float, MixedState]]:
     """All N outcome branches: (probability, output on the selected port).
 
     The output for outcome z is purely the reduced state of the receiver's
     z-th port; no outcome-dependent correction exists anywhere in this path.
     """
-    d = resource.d
-    branches = _branches(_purify(input_state), resource, meas,
-                         with_reference=False)
+    d = meas.d
+    branches = _branches(_purify(input_state), meas, with_reference=False)
     out = []
     for z, (prob, raw) in enumerate(branches, start=1):
         if prob < 1e-300:
@@ -322,14 +294,13 @@ def dense_entanglement_fidelity(N: int, d: int) -> float:
     teleported; the result is the fidelity of (reference (x) output) with
     |Phi+(d)>, averaged exactly over all N outcomes.  Every outcome must
     have probability 1/N to within 1e-9.  The cap d^(2N+2) <= 2**20 is
-    checked before the resource or the measurement is built.
+    checked before the measurement is built.
     """
     _capped_dim("purified joint dimension d^(2N+2)", d, 2 * N + 2)
-    resource = build_resource(N, d)
     meas = build_pbt_povm(N, d)
     phi = max_entangled(d).amplitudes
     psi_in = phi.reshape(d, d)  # reference index first; symmetric anyway
-    branches = _branches(psi_in, resource, meas, with_reference=True)
+    branches = _branches(psi_in, meas, with_reference=True)
     probs = np.empty(N)
     fids = np.empty(N)
     for z, (prob, raw) in enumerate(branches, start=1):

@@ -19,10 +19,10 @@ from bellforge.protocols import (
 from bellforge.remoteprep import batch_size
 from bellforge.states import (
     CapExceededError, InvariantError, MixedState, _RegisterMachine,
-    psd_sqrt, random_density,
+    max_entangled, psd_sqrt, random_density,
 )
 from bellforge.teleport import (
-    build_pbt_povm, build_resource, depolarizing_parameter,
+    build_pbt_povm, depolarizing_parameter,
     entanglement_fidelity, teleport_branches,
 )
 from bellforge.transforms import to_memoryless, to_single_qubit_rounds
@@ -111,12 +111,10 @@ class TestDepolarizingLeg:
     def test_matches_teleport_branches(self, n_ports, d):
         rng = np.random.default_rng(31)
         lam = depolarizing_parameter(n_ports, d)
-        res = build_resource(n_ports, d)
         meas = build_pbt_povm(n_ports, d)
         for rank in (1, d):
             rho = random_density(d, rng, rank=rank)
-            branches = teleport_branches(MixedState(rho, [("S", d)]),
-                                         res, meas)
+            branches = teleport_branches(MixedState(rho, [("S", d)]), meas)
             for prob, _ in branches:
                 assert prob == pytest.approx(1.0 / n_ports, abs=1e-12)
             direct = branches[0][1].matrix
@@ -199,10 +197,10 @@ class TestGenerateCorrelations:
         proto = ml.proto
         s = bell.PortSchedule.for_protocol(ml, (2,))
         table = bell.generate_correlations(ml, s)
-        res = build_resource(2, 2)
         meas = build_pbt_povm(2, 2)
         roots = [psd_sqrt(meas.element(z)) for z in (1, 2)]
-        res2 = res.state.amplitudes.reshape(4, 4)  # (A1 A2) x (B1 B2)
+        pair = max_entangled(2).amplitudes.reshape(2, 2)
+        res2 = np.kron(pair, pair)  # (A1 A2) x (B1 B2)
         for x in range(4):
             psi = proto.alice_ops[0][x][:, 0]
             joint = np.kron(psi.reshape(2, 1), res2)  # (A0 A1 A2) x (B1 B2)

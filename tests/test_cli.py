@@ -135,6 +135,7 @@ class TestConfigHandling:
     QRAC_DOC = sz.protocol_to_dict(builtin_qrac())
     EQ1_TRUTH = {"n": 1, "f": [[1, 0], [0, 1]],
                  "mu": [[0.25, 0.25], [0.25, 0.25]]}
+    OBS = QRAC_DOC["observables"]
 
     @pytest.mark.parametrize("cmd,cfg,files", [
         ("pbt-bench", {"tolerances": {"povm_completeness": "abc"}}, {}),
@@ -174,6 +175,22 @@ class TestConfigHandling:
         ("bell-certify", {"protocol": "p.json"},
          {"p.json": {**QRAC_DOC, "registers": {
              **QRAC_DOC["registers"], "m_out_dims": [2.7]}}}),
+        ("bell-certify", {"protocol": "p.json"},
+         {"p.json": {**QRAC_DOC, "epsilon": "0.25"}}),
+        ("bell-certify", {"protocol": "p.json"},
+         {"p.json": {**QRAC_DOC, "observables": [
+             [{**OBS[0][0], "data": [str(v) for v in OBS[0][0]["data"]]},
+              OBS[0][1]], *OBS[1:]]}}),
+        ("bell-certify", {"protocol": "p.json"},
+         {"p.json": {**QRAC_DOC, "observables": [
+             [{**OBS[0][0], "data": [10 ** 400] + OBS[0][0]["data"][1:]},
+              OBS[0][1]], *OBS[1:]]}}),
+        ("bell-certify", {"protocol": "p.json"},
+         {"p.json": {**QRAC_DOC, "observables": [
+             [{**OBS[0][0], "data": [float("nan")] + OBS[0][0]["data"][1:]},
+              OBS[0][1]], *OBS[1:]]}}),
+        ("cc", {"function": "t.json"},
+         {"t.json": {**EQ1_TRUTH, "f": [[0.6, 0], [0, 1]]}}),
     ], ids=["tolerance-string", "tolerance-nan", "tolerance-misspelled",
             "tolerance-negative", "tolerance-outside-pbt-bench",
             "seed-bool", "ports-bool",
@@ -183,7 +200,10 @@ class TestConfigHandling:
             "delta-reciprocal-overflows", "k-batch-size-overflows",
             "truth-table-array", "truth-table-huge-n", "protocol-array",
             "protocol-huge-n", "truth-table-float-n", "truth-table-bool-n",
-            "protocol-float-rounds", "protocol-float-dim"])
+            "protocol-float-rounds", "protocol-float-dim",
+            "protocol-string-epsilon", "protocol-string-data",
+            "protocol-huge-data", "protocol-nan-data",
+            "truth-table-fractional-f"])
     def test_malformed_input_is_usage_error(self, capsys, tmp_path, cmd,
                                             cfg, files):
         for name, doc in files.items():
@@ -257,14 +277,6 @@ class TestPbtBench:
         cfg.write_text('{"ports": []}')
         code, _, err = run_cli(capsys, "pbt-bench", "--config", str(cfg))
         assert code == 1
-
-    def test_tolerance_override_can_fail_loud(self, capsys, tmp_path):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(
-            '{"ports": [2], "tolerances": {"povm_completeness": 1e-30}}')
-        code, out, _ = run_cli(capsys, "pbt-bench", "--config", str(cfg))
-        assert code == 3
-        assert json.loads(out)["error"]["code"] == "invariant_failure"
 
 
 class TestBellCertify:

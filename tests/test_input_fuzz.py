@@ -1,0 +1,142 @@
+"""No input document ends in a traceback.
+
+Hypothesis mutates the shipped example configs, the shipped qrac protocol,
+the deterministic sweep file and a truth-table file: a value anywhere in
+the document becomes NaN, an infinity, a string, a bool, a float, a huge
+or negative integer, null or an empty container; or it is wrapped in one
+more list; or its key or list entry is deleted.  Each mutated document is
+run through the command that reads it, in-process.  Every run must return
+an exit code 0-3 without raising, a usage error (1) must be reported on
+stderr, and a cap or invariant failure (2, 3) must write its error report.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import given, settings, strategies as st
+
+from bellforge import cli
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+EXAMPLES = os.path.join(REPO, "docs", "examples", "v1")
+
+
+def _example(name):
+    with open(os.path.join(EXAMPLES, name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+SWEEP_CONFIG = _example("oneway_sweep.config.json")
+SWEEP_CONFIG["sweep_file"] = os.path.join(EXAMPLES,
+                                          "sweep_deterministic.json")
+EQ1_TRUTH = {"n": 1, "f": [[1, 0], [0, 1]],
+             "mu": [[0.25, 0.25], [0.25, 0.25]]}
+
+# name -> (document, [(command, config naming the document's file, or
+# None when the document is itself the config)])
+TARGETS = {
+    "bell-certify-config": (_example("bell_certify.config.json"),
+                            [("bell-certify", None)]),
+    "cc-config": (_example("cc.config.json"), [("cc", None)]),
+    "oneway-config": (_example("oneway.config.json"), [("oneway", None)]),
+    "oneway-sweep-config": (SWEEP_CONFIG, [("oneway", None)]),
+    "pbt-bench-config": (_example("pbt_bench.config.json"),
+                         [("pbt-bench", None)]),
+    "protocol": (_example("protocol_qrac.json"),
+                 [("bell-certify", "protocol"), ("oneway", "protocol")]),
+    "truth": (EQ1_TRUTH, [("cc", "function")]),
+    "sweep": (_example("sweep_deterministic.json"),
+              [("oneway", "sweep_file")]),
+}
+
+DELETE, NEST = object(), object()
+MUTATIONS = [float("nan"), float("inf"), float("-inf"), "0.25", "", True,
+             False, 0.5, 2.0, -1.5, 10 ** 400, -(10 ** 400), -1, 0, None,
+             [], {}, DELETE, NEST]
+
+
+def _paths(doc, prefix=()):
+    """Every path (keys and list indices) into a JSON document."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _mutate(doc, path, how):
+    """`doc` with the value at `path` replaced, nested or deleted."""
+    if not path:
+        return doc if how is DELETE else [doc] if how is NEST else how
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if how is DELETE:
+        del parent[key]
+    else:
+        parent[key] = [parent[key]] if how is NEST else how
+    return doc
+
+
+@st.composite
+def mutated(draw):
+    name = draw(st.sampled_from(sorted(TARGETS)))
+    doc, readers = TARGETS[name]
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        doc = _mutate(doc, path, draw(st.sampled_from(MUTATIONS)))
+    return name, doc, readers
+
+
+def _write(path, doc):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return path
+
+
+def _run(command, config_path):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, "--config", config_path])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, derandomize=True, deadline=5000)
+@given(mutated())
+def test_mutated_inputs_exit_cleanly(case):
+    name, doc, readers = case
+    with tempfile.TemporaryDirectory() as tmp:
+        doc_path = _write(os.path.join(tmp, "doc.json"), doc)
+        for command, key in readers:
+            config = doc_path if key is None else _write(
+                os.path.join(tmp, "config.json"), {key: doc_path})
+            code, out, err = _run(command, config)
+            assert code in (0, 1, 2, 3), (name, doc)
+            if code == 1:
+                assert out == "" and err.startswith("error: "), (name, doc)
+            elif code in (2, 3):
+                report = json.loads(out)
+                assert report["error"]["code"] == (
+                    "cap_exceeded" if code == 2 else "invariant_failure")
+
+
+def test_overlong_integer_literal_is_usage_error(tmp_path):
+    # json refuses an integer literal longer than Python converts with a
+    # plain ValueError, not a JSONDecodeError.
+    huge = "9" * 5000
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text('{"format": "bellforge-oneway-sweep", '
+                     f'"boxes": "deterministic", "deltas": [{huge}]}}')
+    for command, text in (("pbt-bench", f'{{"ports": [{huge}]}}'),
+                          ("oneway", json.dumps({"sweep_file": str(sweep)}))):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        code, out, err = _run(command, str(config))
+        assert code == 1 and out == ""
+        assert "not valid JSON" in err

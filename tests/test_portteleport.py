@@ -1,5 +1,6 @@
-"""Tests for port-based teleportation: resource, PGM, execution, fidelity."""
+"""Tests for port-based teleportation: PGM, execution, fidelity."""
 
+import functools
 import math
 import time
 import types
@@ -12,6 +13,7 @@ from bellforge.states import (
     InvariantError,
     MixedState,
     Povm,
+    PureState,
     RegisterLayout,
     _sym,
     check_povm_orbit,
@@ -25,7 +27,6 @@ from bellforge.states import (
 import bellforge.teleport as tp
 from bellforge.teleport import (
     build_pbt_povm,
-    build_resource,
     dense_entanglement_fidelity,
     depolarizing_parameter,
     entanglement_fidelity,
@@ -56,39 +57,12 @@ POVM_CASES = ([(N, 2) for N in range(1, 9)]
               + [(N, 4) for N in range(1, 4)])
 
 
-# ---------------------------------------------------------------- resource
-
-def test_resource_single_port_is_one_pair():
-    res = build_resource(1, 2)
-    assert res.state.layout.names == ("A1", "B1")
-    assert np.allclose(res.state.amplitudes,
-                       max_entangled(2).amplitudes, atol=1e-12)
-
-
-def test_resource_two_ports_matches_pair_product():
-    res = build_resource(2, 2)
-    pair = max_entangled(2).amplitudes.reshape(2, 2)
-    product = np.einsum("ab,cd->acbd", pair, pair).reshape(-1)
-    assert res.state.layout.names == ("A1", "A2", "B1", "B2")
-    assert np.allclose(res.state.amplitudes, product, atol=1e-12)
-
-
-def test_resource_receiver_half_is_maximally_mixed():
-    for N, d in ((2, 2), (1, 3), (3, 2)):
-        res = build_resource(N, d)
-        b_names = [f"B{i}" for i in range(1, N + 1)]
-        red = partial_trace(res.state, b_names)
-        dn = d ** N
-        assert np.allclose(red.matrix, np.eye(dn) / dn, atol=1e-12)
-
-
-def test_resource_caps_and_argument_validation():
-    with pytest.raises(CapExceededError):
-        build_resource(11, 2)  # 2^22 total
-    with pytest.raises(ValueError):
-        build_resource(0, 2)
-    with pytest.raises(ValueError):
-        build_resource(1, 1)
+def _pairs(N, d):
+    """The N pairs |Phi+> on (A_i, B_i) as a d^N x d^N matrix, rows
+    A_1..A_N and columns B_1..B_N: the Kronecker product of N pairs, each
+    reshaped to its A x B matrix."""
+    pair = max_entangled(d).amplitudes.reshape(d, d)
+    return functools.reduce(np.kron, [pair] * N)
 
 
 # ------------------------------------------------------------- measurement
@@ -112,20 +86,16 @@ def test_povm_complete_and_positive(N, d):
     assert np.max(np.abs(total - np.eye(dim))) <= 1e-9
 
 
-def test_povm_signal_states_are_valid():
-    meas = build_pbt_povm(3, 2)
-    sig = meas.signal
-    assert sig.layout.names == ("A0", "A1", "A2", "A3")
-    assert abs(np.trace(sig.matrix).real - 1.0) < 1e-12
-    assert np.linalg.eigvalsh(_sym(sig.matrix)).min() >= -1e-12
+def _measured_layout(N, d):
+    return RegisterLayout([("A0", d)]
+                          + [(f"A{i}", d) for i in range(1, N + 1)])
 
 
 def _reference_pbt_povm(N, d):
     """(signal operators, elements) built the direct way in complex
     arithmetic: every signal operator embedded on its own port pair and
     every element formed by its own product with S^(-1/2)."""
-    layout = RegisterLayout([("A0", d)]
-                            + [(f"A{i}", d) for i in range(1, N + 1)])
+    layout = _measured_layout(N, d)
     phi = max_entangled(d).amplitudes
     proj = np.outer(phi, phi.conj())
     sigs = [embed_operator(proj, layout, ["A0", f"A{i}"]) / d ** (N - 1)
@@ -147,10 +117,12 @@ def test_povm_matches_direct_complex_build(N, d):
     meas = build_pbt_povm(N, d)
     sigs, elems = _reference_pbt_povm(N, d)
     assert len(meas.port_swaps) == N
-    assert meas.signal.matrix.dtype == np.complex128
-    assert not meas.signal.matrix.flags.writeable
+    # The build's sigma_1, swapped to each port, is that port's operator.
+    phi = max_entangled(d).amplitudes.real
+    rest = d ** (N - 1)
+    sig1 = np.kron(np.outer(phi, phi), np.eye(rest)) / rest
     for i, want in enumerate(sigs, start=1):
-        got = _reference_swap_ports(meas.signal.matrix, N, d, i)
+        got = _reference_swap_ports(sig1, N, d, i)
         assert np.max(np.abs(got - want)) <= 1e-12
     assert meas.e1.dtype == np.float64
     assert not meas.e1.flags.writeable
@@ -196,7 +168,7 @@ def test_povm_orbit_matches_per_element_check(N, d):
                                   atol=tp.ATOL_PBT_POVM)
     assert (least, dev) == (meas.min_eigenvalue, meas.completeness_dev)
     slow = Povm([_reference_swap_ports(first, N, d, i)
-                 for i in range(1, N + 1)], atol=tp.ATOL_PBT_POVM)
+                 for i in range(1, N + 1)])
     assert len(slow) == N
     for z, want in enumerate(slow.elements, start=1):
         assert meas.element(z).tobytes() == want.real.tobytes()
@@ -232,15 +204,14 @@ def test_povm_build_checks_one_spectrum_per_orbit(N, d, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", spy(np.linalg.eigh))
     build_pbt_povm(N, d)
     dim = d ** (N + 1)
-    # sigma_1's density-matrix check, S, and E_1's element check.
-    assert calls == [("eigvalsh", (dim, dim)), ("eigh", (dim, dim)),
-                     ("eigvalsh", (dim, dim))]
+    # S, and E_1's element check.
+    assert calls == [("eigh", (dim, dim)), ("eigvalsh", (dim, dim))]
 
 
 @pytest.mark.parametrize("N,d", [(2, 2), (3, 2), (2, 3)])
 def test_povm_port_permutation_covariance(N, d):
     meas = build_pbt_povm(N, d)
-    layout = meas.signal.layout
+    layout = _measured_layout(N, d)
     swap = np.zeros((d * d, d * d))
     for i in range(d):
         for j in range(d):
@@ -261,12 +232,11 @@ def test_povm_cap():
 def test_single_port_output_is_maximally_mixed():
     # With one port the measurement is the identity, so the receiver just
     # holds an untouched half of a pair regardless of the input.
-    res = build_resource(1, 2)
     meas = build_pbt_povm(1, 2)
     rng = np.random.default_rng(0)
     for mat in (np.diag([1.0, 0.0]), random_density(2, rng)):
         inp = MixedState(mat, [("A0", 2)])
-        [(prob, out)] = teleport_branches(inp, res, meas)
+        [(prob, out)] = teleport_branches(inp, meas)
         assert prob == pytest.approx(1.0, abs=1e-10)
         assert np.allclose(out.matrix, np.eye(2) / 2, atol=1e-10)
 
@@ -278,12 +248,13 @@ def test_branches_match_direct_density_matrix_path():
     # reproduce it exactly.
     rng = np.random.default_rng(1)
     for N, d in ((2, 2), (1, 3)):
-        res = build_resource(N, d)
         meas = build_pbt_povm(N, d)
         inp = MixedState(random_density(d, rng), [("A0", d)])
-        joint = tensor(inp, res.state)
+        names = [f"{p}{i}" for p in "AB" for i in range(1, N + 1)]
+        pairs = PureState(_pairs(N, d).reshape(-1), [(n, d) for n in names])
+        joint = tensor(inp, pairs)
         a_names = ["A0"] + [f"A{i}" for i in range(1, N + 1)]
-        branches = teleport_branches(inp, res, meas)
+        branches = teleport_branches(inp, meas)
         for z in range(1, N + 1):
             e_full = embed_operator(meas.element(z),
                                     joint.layout, a_names)
@@ -300,31 +271,29 @@ def test_branches_match_direct_density_matrix_path():
 def test_branch_probabilities_sum_to_one_and_outputs_normalized():
     rng = np.random.default_rng(2)
     for N, d in ((2, 2), (4, 2), (2, 3)):
-        res = build_resource(N, d)
         meas = build_pbt_povm(N, d)
         inp = MixedState(random_density(d, rng), [("A0", d)])
-        branches = teleport_branches(inp, res, meas)
+        branches = teleport_branches(inp, meas)
         assert abs(sum(p for p, _ in branches) - 1.0) < 1e-10
         for _, out in branches:
             assert abs(np.trace(out.matrix).real - 1.0) < 1e-10
 
 
 def test_eight_port_teleport_beats_half_fidelity_on_basis_state():
-    res = build_resource(8, 2)
     meas = build_pbt_povm(8, 2)
     inp = MixedState(np.diag([1.0, 0.0]), [("A0", 2)])
-    branches = teleport_branches(inp, res, meas)
+    branches = teleport_branches(inp, meas)
     avg = sum(p * out.matrix[0, 0].real for p, out in branches)
     assert avg >= 0.5
 
 
-def _reference_branches(psi_in, resource, meas, with_reference):
+def _reference_branches(psi_in, meas, with_reference):
     """(probability, unnormalized reduced matrix) per outcome, the direct
     way: one square root per element applied to the joint tensor, then the
     unselected axes traced out by a transpose."""
-    N, d = resource.N, resource.d
+    N, d = meas.N, meas.d
     dn = d ** N
-    res2 = resource.state.amplitudes.reshape(dn, dn)
+    res2 = _pairs(N, d)
     joint = np.einsum("ra,xb->raxb", psi_in, res2)
     joint = joint.reshape(psi_in.shape[0], d * dn, dn)
     out = []
@@ -346,12 +315,11 @@ DENSE_BRANCH_CASES = ([(N, 2) for N in range(1, 8)]
 
 @pytest.mark.parametrize("N,d", DENSE_BRANCH_CASES)
 def test_branches_match_per_element_roots(N, d):
-    res = build_resource(N, d)
     meas = build_pbt_povm(N, d)
     rng = np.random.default_rng(100 * N + d)
     inp = MixedState(random_density(d, rng), [("A0", d)])
-    want = _reference_branches(tp._purify(inp), res, meas, False)
-    for (p_got, out), (p_want, raw) in zip(teleport_branches(inp, res, meas),
+    want = _reference_branches(tp._purify(inp), meas, False)
+    for (p_got, out), (p_want, raw) in zip(teleport_branches(inp, meas),
                                            want):
         assert abs(p_got - p_want) <= 1e-12
         rho = _sym(raw / p_want)
@@ -359,7 +327,7 @@ def test_branches_match_per_element_roots(N, d):
         assert np.max(np.abs(out.matrix - rho)) <= 1e-12
     phi = max_entangled(d).amplitudes
     fid = sum(float(np.real(phi.conj() @ raw @ phi)) for _, raw in
-              _reference_branches(phi.reshape(d, d), res, meas, True))
+              _reference_branches(phi.reshape(d, d), meas, True))
     assert dense_entanglement_fidelity(N, d) == pytest.approx(fid, abs=1e-12)
 
 
@@ -371,26 +339,39 @@ def test_branches_take_one_square_root(monkeypatch):
         return psd_sqrt(m)
 
     monkeypatch.setattr(tp, "psd_sqrt", spy)
-    res = build_resource(4, 2)
     meas = build_pbt_povm(4, 2)
     inp = MixedState(random_density(2, np.random.default_rng(3)), [("A0", 2)])
-    teleport_branches(inp, res, meas)
+    teleport_branches(inp, meas)
     assert calls == [(32, 32)]
     calls.clear()
     dense_entanglement_fidelity(3, 3)
     assert calls == [(81, 81)]
 
 
-@pytest.mark.parametrize("res_nd,meas_nd",
-                         [((2, 4), (5, 2)), ((2, 2), (3, 2)), ((3, 2), (2, 2))])
-def test_resource_and_measurement_must_agree(res_nd, meas_nd):
-    res = build_resource(*res_nd)
+@pytest.mark.parametrize("d_in,meas_nd", [(2, (2, 3)), (3, (2, 2)),
+                                          (4, (1, 2))])
+def test_input_and_measurement_must_agree(d_in, meas_nd):
     meas = build_pbt_povm(*meas_nd)
-    d = res.d
-    inp = MixedState(np.eye(d) / d, [("A0", d)])
-    msg = r"resource and measurement disagree on \(N, d\)"
+    inp = MixedState(np.eye(d_in) / d_in, [("A0", d_in)])
+    msg = f"input dimension {d_in} != port dim {meas.d}"
     with pytest.raises(ValueError, match=msg):
-        teleport_branches(inp, res, meas)
+        teleport_branches(inp, meas)
+
+
+def test_pair_caps_and_argument_validation():
+    # The branch reference forms the pairs only after its cap check, so
+    # the d^(2N) = 2^20 pair amplitudes at N=10 are never allocated.  The
+    # measurement is never read before that check either.
+    meas = tp.PbtMeasurement(N=10, d=2, e1=np.eye(1), port_swaps=(),
+                             min_eigenvalue=1.0, completeness_dev=0.0)
+    inp = MixedState(np.eye(2) / 2, [("A0", 2)])
+    with pytest.raises(CapExceededError,
+                       match="purified joint dimension 4194304 exceeds"):
+        teleport_branches(inp, meas)
+    with pytest.raises(ValueError, match="port count N=0 must be >= 1"):
+        build_pbt_povm(0, 2)
+    with pytest.raises(ValueError, match="port dimension d=1 must be >= 2"):
+        build_pbt_povm(1, 1)
 
 
 # ---------------------------------------------------------------- fidelity

@@ -282,15 +282,18 @@ def test_truth_table_rejects_bad_mu_sum():
 
 def test_truth_table_rejects_negative_mu():
     f = np.zeros((2, 2), dtype=np.int8)
-    mu = np.array([[0.75, 0.5], [-0.25, 0.0]])
-    with pytest.raises(ValueError):
-        TruthTable(n=1, f=f, mu=mu)
+    for bad in (-0.25, np.nan, np.inf):  # NaN passes every comparison
+        mu = np.array([[0.75, 0.5], [bad, 0.0]])
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            TruthTable(n=1, f=f, mu=mu)
 
 
 def test_truth_table_rejects_non_boolean_f():
     mu = np.full((2, 2), 0.25)
-    with pytest.raises(ValueError):
-        TruthTable(n=1, f=np.full((2, 2), 2), mu=mu)
+    # 0.6 is checked as written, not after a cast to 0.
+    for f in (np.full((2, 2), 2), [[0.6, 0], [0, 1]]):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            TruthTable(n=1, f=f, mu=mu)
 
 
 def test_truth_table_rejects_wrong_shape():

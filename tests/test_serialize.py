@@ -52,6 +52,24 @@ class TestTruthCodec:
         back = sz.truth_from_dict(json.loads(text))
         assert np.array_equal(back.mu, t.mu)
 
+    @pytest.mark.parametrize("key,value,match", [
+        ("f", [[0.6, 0], [0, 1]], "f must be rows of the integers 0 and 1"),
+        ("f", [[1.0, 0], [0, 1]], "f must be rows of the integers 0 and 1"),
+        ("f", [[True, 0], [0, 1]], "f must be rows of the integers 0 and 1"),
+        ("f", [["1", 0], [0, 1]], "f must be rows of the integers 0 and 1"),
+        ("f", [1, 0, 0, 1], "f must be rows of the integers 0 and 1"),
+        ("mu", [["0.25", 0.25], [0.25, 0.25]], "mu must be rows of finite"),
+        ("mu", [[float("nan"), 0.25], [0.25, 0.25]], "mu must be rows of"),
+        ("mu", [[10 ** 400, 0.25], [0.25, 0.25]], "mu must be rows of"),
+        ("n", -1, "n=-1 must be >= 0"),
+    ], ids=["f-fraction", "f-float", "f-bool", "f-string", "f-flat",
+            "mu-string", "mu-nan", "mu-huge", "n-negative"])
+    def test_entries_load_as_written(self, key, value, match):
+        doc = {"n": 1, "f": [[1, 0], [0, 1]],
+               "mu": [[0.25, 0.25], [0.25, 0.25]], key: value}
+        with pytest.raises(ValueError, match=match):
+            sz.truth_from_dict(doc)
+
 
 class TestProtocolCodec:
     def test_round_trip_preserves_every_probability(self):
@@ -83,6 +101,29 @@ class TestProtocolCodec:
         doc = json.loads(json.dumps(sz.protocol_to_dict(builtin_qrac())))
         edit(doc)
         with pytest.raises(ValueError, match="must be an integer, got"):
+            sz.protocol_from_dict(doc)
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda d: d["alice_ops"][0][0]["data"].__setitem__(0, "0.92"),
+         "array data must be a list of finite numbers"),
+        (lambda d: d["observables"][0][0]["data"].__setitem__(0, math.nan),
+         "array data must be a list of finite numbers"),
+        (lambda d: d["observables"][1][0]["data"].__setitem__(1, -math.inf),
+         "array data must be a list of finite numbers"),
+        (lambda d: d["alice_ops"][0][0]["data"].__setitem__(0, 10 ** 400),
+         "array data must be a list of finite numbers"),
+        (lambda d: d["alice_ops"][0][0]["data"].__setitem__(1, False),
+         "array data must be a list of finite numbers"),
+        (lambda d: d["alice_ops"][0][0].update(data="0.92"),
+         "array data must be a list of finite numbers"),
+        (lambda d: d.update(epsilon="0.25"), "epsilon must be a finite"),
+        (lambda d: d.update(epsilon=math.nan), "epsilon must be a finite"),
+    ], ids=["data-string", "data-nan", "data-infinity", "data-huge",
+            "data-bool", "data-not-list", "epsilon-string", "epsilon-nan"])
+    def test_non_number_entry_rejected(self, edit, match):
+        doc = json.loads(json.dumps(sz.protocol_to_dict(builtin_qrac())))
+        edit(doc)
+        with pytest.raises(ValueError, match=match):
             sz.protocol_from_dict(doc)
 
     def test_newer_schema_rejected(self):

@@ -22,6 +22,7 @@ from bellforge.states import (
     random_unitary,
     tensor,
     _RegisterMachine,
+    _check_unitary,
     _machine,
 )
 
@@ -90,6 +91,21 @@ def test_mixed_state_validation():
         MixedState(np.eye(2), [("Q", 2)])
     with pytest.raises(InvariantError):  # negative eigenvalue
         MixedState(np.diag([1.5, -0.5]), [("Q", 2)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_refused_first(bad):
+    # NaN fails every tolerance comparison, so it must be refused before
+    # any of them runs; a non-finite entry makes no matrix valid.
+    vec = np.array([1.0, bad])
+    mat = np.array([[1.0, 0.0], [0.0, bad]])
+    for build in (lambda: PureState(vec, [("Q", 2)]),
+                  lambda: MixedState(mat, [("Q", 2)]),
+                  lambda: Povm([mat, np.eye(2) - mat]),
+                  lambda: check_povm_orbit(mat, _SWAP2),
+                  lambda: _check_unitary(mat, 2)):
+        with pytest.raises(ValueError, match="non-finite entry"):
+            build()
 
 
 def test_states_are_immutable():
