@@ -69,6 +69,9 @@ LHV_CAP = 10 ** 7
 # Coefficient of the budget-ratio bound sqrt(classical/quantum).
 RATIO_COEFF = 1.0 / (6.0 * math.sqrt(3.0))
 
+# The amplification margins `observation_bound` maximizes over.
+OBSERVATION_DELTAS = (0.5, 0.25, 1.0 / 16.0, 1.0 / 256.0)
+
 
 @dataclass(frozen=True)
 class PortSchedule:
@@ -378,9 +381,7 @@ def _lhv_exact(t: TruthTable, s: PortSchedule) -> float:
         t.num_inputs, _lhv_legs(s), LHV_CAP, "deterministic strategy space"))
 
 
-def lhv_bound(functional: BellFunctional, method: str = "exact",
-              oracle: Callable[[TruthTable, int], float] | None = None
-              ) -> float:
+def lhv_bound(functional: BellFunctional, method: str = "exact") -> float:
     """Classical margin delta: local value minus 1/2.
 
     method "exact" maximizes over deterministic communication-free
@@ -394,8 +395,7 @@ def lhv_bound(functional: BellFunctional, method: str = "exact",
     elif method == "cc_derived":
         bits = math.ceil(functional.budget_bits - _CEIL_GUARD)
         bits = max(bits, 0)
-        search = oracle if oracle is not None else best_success_tree
-        value = search(functional.truth, bits)
+        value = best_success_tree(functional.truth, bits)
     else:
         raise ValueError(f"unknown method {method!r}")
     return max(float(value) - 0.5, 0.0)
@@ -648,9 +648,9 @@ def nonlinear_bell_check(stats: OneWayStats, delta: float,
 
 
 def observation_bound(p_succ: float, truth: TruthTable,
-                      oracle: Callable[[float], float] | None = None,
-                      deltas=(0.5, 0.25, 1.0 / 16.0, 1.0 / 256.0)) -> float:
-    """Communication lower bound max over delta of
+                      oracle: Callable[[float], float] | None = None
+                      ) -> float:
+    """Communication lower bound max over delta in OBSERVATION_DELTAS of
     oracle((1-delta) p + delta/2) - log2 log2 (1/delta), minus 2.
 
     Negative results mean the bound is vacuous at the probed scale.  By
@@ -660,9 +660,7 @@ def observation_bound(p_succ: float, truth: TruthTable,
     if oracle is None:
         oracle = BudgetOracle(truth)
     best = -math.inf
-    for delta in deltas:
-        if not 0.0 < delta <= 0.5:
-            raise ValueError(f"delta={delta} must lie in (0, 1/2]")
+    for delta in OBSERVATION_DELTAS:
         target = (1.0 - delta) * p_succ + delta / 2.0
         penalty = math.log2(math.log2(1.0 / delta))
         best = max(best, oracle(target) - penalty)

@@ -281,7 +281,10 @@ def cmd_pbt_bench(cfg: dict[str, Any],
 def cmd_bell_certify(cfg: dict[str, Any],
                      warnings: list[str]) -> tuple[dict[str, Any], int]:
     source = _resolve_protocol(cfg["protocol"])
-    ml = to_memoryless(to_single_qubit_rounds(source))
+    try:
+        ml = to_memoryless(to_single_qubit_rounds(source))
+    except ValueError as e:  # a register dimension that is not 2^k
+        raise UsageError(str(e))
     levels = len(ml.proto.legs)
     counts = cfg["schedule"]
     if counts is None:

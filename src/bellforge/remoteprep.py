@@ -5,7 +5,7 @@ state |phi> on Bob's side, Alice measures her half against the entrywise
 complex conjugate |phi*>: on a hit (probability exactly 1/d) Bob's half
 collapses to |phi> with no correction needed on his side, and Alice sends
 him the single outcome bit.  `rsp_attempt` runs one such attempt on the
-dense joint state.
+register machine holding the pair's ket.
 
 Batched preparation repeats over m = `batch_size(k, p)` = ceil(k/p) fresh
 pairs, each hitting with probability p, and communicates the index of the
@@ -28,10 +28,8 @@ from .states import (
     MixedState,
     Povm,
     PureState,
-    embed_operator,
+    _RegisterMachine,
     max_entangled,
-    measure,
-    partial_trace,
 )
 
 
@@ -79,10 +77,8 @@ def rsp_attempt(target: PureState, rng: np.random.Generator) -> RspAttempt:
     state, and the exact success probability tr(|phi*><phi*| I/d) = 1/d.
     """
     d = target.dim
-    joint = max_entangled(d)
-    local = rsp_povm(target)
-    full = Povm([embed_operator(e, joint.layout, ["A"]) for e in local.elements])
-    idx, probs, post = measure(joint.to_mixed(), full, rng)
-    bob = partial_trace(post, ["B"])
+    reg = _RegisterMachine([("A", d), ("B", d)], max_entangled(d).amplitudes)
+    idx, probs = reg.measure(["A"], rsp_povm(target), rng)
+    bob = MixedState(reg.reduced(["B"]), [("B", d)])
     return RspAttempt(target=target, outcome=1 if idx == 0 else 0,
                       bob_state=bob, success_probability=float(probs[0]))

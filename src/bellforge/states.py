@@ -19,8 +19,9 @@ moves named axes to the front of the kron order, applies a matrix to that
 block and regroups the image into new registers.  Protocol runs drive it on
 a ket or a density matrix.  In operator mode it starts from the identity,
 held as the ket sum_i |i>|i> with a trailing column register, so the same
-steps compose the unitaries that the protocol rewrites build.  The public
-helpers `partial_trace` and `embed_operator` are thin wrappers over it.
+steps compose the unitaries that the protocol rewrites build.  It also
+takes partial traces and Born probabilities, and samples a measurement
+with its Lueders update.
 """
 
 from __future__ import annotations
@@ -139,12 +140,6 @@ class RegisterLayout:
         except KeyError:
             raise KeyError(f"no register named {name!r} in {self.names}")
 
-    def subset_dim(self, names: Sequence[str]) -> int:
-        d = 1
-        for n in names:
-            d *= self.dim(n)
-        return d
-
     def __len__(self) -> int:
         return len(self._regs)
 
@@ -182,10 +177,6 @@ class PureState:
     @property
     def dim(self) -> int:
         return self.layout.total_dim
-
-    def to_mixed(self) -> "MixedState":
-        rho = np.outer(self.amplitudes, self.amplitudes.conj())
-        return MixedState(rho, self.layout)
 
     def __repr__(self) -> str:
         return f"PureState(dim={self.dim}, layout={self.layout})"
@@ -303,23 +294,6 @@ def check_povm_orbit(first: np.ndarray, perms: Iterable[np.ndarray],
 
 
 State = PureState | MixedState
-
-
-def tensor(a: State, b: State) -> State:
-    """Tensor product; layouts concatenate (names must not clash).
-
-    Pure (x) pure stays pure; any mixed factor promotes the result to mixed.
-    """
-    names_a = set(a.layout.names)
-    clash = names_a.intersection(b.layout.names)
-    if clash:
-        raise ValueError(f"register name clash in tensor: {sorted(clash)}")
-    layout = RegisterLayout(a.layout.registers + b.layout.registers)
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        return PureState(np.kron(a.amplitudes, b.amplitudes), layout)
-    ma = a.to_mixed().matrix if isinstance(a, PureState) else a.matrix
-    mb = b.to_mixed().matrix if isinstance(b, PureState) else b.matrix
-    return MixedState(np.kron(ma, mb), layout)
 
 
 def _check_unitary(u: np.ndarray, dim: int, what: str = "operator"
@@ -445,70 +419,24 @@ class _RegisterMachine:
         return np.array([np.einsum("ij,ji->", e, reduced).real
                          for e in povm.elements])
 
-
-def _machine(state: State) -> _RegisterMachine:
-    """A register machine holding `state` in its layout order."""
-    data = state.amplitudes if isinstance(state, PureState) else state.matrix
-    return _RegisterMachine(state.layout.registers, data)
-
-
-def partial_trace(state: State, keep: Sequence[str]) -> MixedState:
-    """Trace out all registers not named in `keep`.
-
-    The kept registers appear in their original layout order regardless of
-    the order given in `keep`.
-    """
-    layout = state.layout
-    keep_set = set(keep)
-    unknown = keep_set.difference(layout.names)
-    if unknown:
-        raise KeyError(f"unknown registers in keep: {sorted(unknown)}")
-    if not keep_set:
-        raise ValueError("must keep at least one register")
-    kept = [r for r in layout.registers if r[0] in keep_set]
-    rho = _machine(state).reduced([n for n, _ in kept])
-    return MixedState(rho, RegisterLayout(kept))
-
-
-def embed_operator(op: np.ndarray, layout, targets: Sequence[str]) -> np.ndarray:
-    """Expand an operator on `targets` to the full layout dimension.
-
-    The result acts as `op` on the listed registers (in the listed order)
-    and as identity on every other register.
-    """
-    layout = _as_layout(layout)
-    targets = list(targets)
-    d_op = layout.subset_dim(targets)
-    op = np.asarray(op, dtype=np.complex128)
-    if op.shape != (d_op, d_op):
-        raise ValueError(f"operator shape {op.shape} != ({d_op}, {d_op})")
-    reg = _RegisterMachine.identity(layout.registers)
-    reg.apply(targets, op, [(n, layout.dim(n)) for n in targets])
-    return reg.matrix(layout.names)
-
-
-def measure(rho: MixedState, povm: Povm, rng: np.random.Generator
-            ) -> tuple[int, np.ndarray, MixedState]:
-    """Sample a POVM outcome and return (outcome, probabilities, post-state).
-
-    Probabilities are tr(E_i rho); the post-measurement state follows the
-    Lueders rule sqrt(E) rho sqrt(E) / p.  Raises if every outcome has
-    probability below 1e-14.
-    """
-    if not isinstance(rho, MixedState):
-        raise TypeError("measure expects a MixedState (use .to_mixed())")
-    if povm.dim != rho.dim:
-        raise ValueError(f"POVM dimension {povm.dim} != state dimension {rho.dim}")
-    probs = np.array([np.einsum("ij,ji->", e, rho.matrix).real
-                      for e in povm.elements])
-    if probs.max() < PROB_FLOOR:
-        raise InvariantError("all POVM outcome probabilities below 1e-14")
-    clipped = np.clip(probs, 0.0, None)
-    outcome = int(rng.choice(len(clipped), p=clipped / clipped.sum()))
-    root = psd_sqrt(povm.elements[outcome])
-    post = root @ rho.matrix @ root
-    post = _sym(post) / np.trace(post).real
-    return outcome, probs, MixedState(post, rho.layout)
+    def measure(self, names: Iterable, povm: Povm,
+                rng: np.random.Generator) -> tuple[int, np.ndarray]:
+        """Sample a POVM outcome on the named register block and return
+        (outcome, probabilities).  The state becomes the Lueders update
+        sqrt(E) rho sqrt(E) / p.  Raises if every outcome has probability
+        below 1e-14."""
+        names = [n for n in names if n in self.regs]
+        probs = self.probs(names, povm)
+        if probs.max() < PROB_FLOOR:
+            raise InvariantError("all POVM outcome probabilities below 1e-14")
+        clipped = np.clip(probs, 0.0, None)
+        outcome = int(rng.choice(len(clipped), p=clipped / clipped.sum()))
+        self.apply(names, psd_sqrt(povm.elements[outcome]),
+                   [(n, self.regs[n]) for n in names])
+        self.state = self.state / (np.linalg.norm(self.state)
+                                   if self.state.ndim == 1
+                                   else np.trace(self.state).real)
+        return outcome, probs
 
 
 def fidelity(a: State, b: State) -> float:
@@ -531,13 +459,13 @@ def fidelity(a: State, b: State) -> float:
     return float(np.sum(np.sqrt(w)) ** 2)
 
 
-def max_entangled(d: int, names: tuple[str, str] = ("A", "B")) -> PureState:
+def max_entangled(d: int) -> PureState:
     """|Phi+> = sum_i |ii> / sqrt(d) on two d-dimensional registers."""
     if d < 2:
         raise ValueError("dimension must be >= 2")
     vec = np.zeros(d * d, dtype=np.complex128)
     vec[:: d + 1] = 1.0 / np.sqrt(d)
-    return PureState(vec, RegisterLayout([(names[0], d), (names[1], d)]))
+    return PureState(vec, RegisterLayout([("A", d), ("B", d)]))
 
 
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from bellforge import bell
-from bellforge.classicalcc import BudgetOracle, best_success_tree
+from bellforge.classicalcc import BudgetOracle
 from bellforge.protocols import (
     TruthTable, builtin_qrac, random_protocol, success_probability,
 )
@@ -561,19 +561,6 @@ class TestLhvBound:
         assert bell.lhv_bound(func, "exact") == pytest.approx(0.5)
         assert bell.lhv_bound(func, "cc_derived") == pytest.approx(0.5)
 
-    def test_custom_oracle_passthrough(self):
-        func = bell.build_linear_bell(
-            builtin_qrac().truth, bell.PortSchedule((2,), (2,)))
-        calls = []
-
-        def fake(truth, bits):
-            calls.append(bits)
-            return best_success_tree(truth, bits)
-
-        delta = bell.lhv_bound(func, "cc_derived", oracle=fake)
-        assert calls == [1]
-        assert delta == pytest.approx(0.25, abs=1e-12)
-
     def test_two_bit_three_level_exact_bound(self):
         # The cap counts Alice's (2 * 2^2)^4 = 4096 index maps; counting
         # Bob's and every a3 entry (32^4 * 4^4 = 2.7e8) refused this.
@@ -741,8 +728,6 @@ class TestNonlinearCheck:
         assert bound == pytest.approx(-1.0, abs=1e-12)
         with pytest.raises(ValueError):
             bell.observation_bound(1.2, stats.truth)
-        with pytest.raises(ValueError):
-            bell.observation_bound(0.8, stats.truth, deltas=(0.9,))
 
 
 class TestOneWayLinearBell:

@@ -16,7 +16,8 @@ import pytest
 
 from bellforge import cli
 from bellforge import serialize as sz
-from bellforge.protocols import builtin_qrac, random_protocol
+from bellforge.protocols import CommProtocol, builtin_qrac, random_protocol
+from bellforge.states import Povm, random_unitary
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -36,6 +37,23 @@ def member3_protocol_file(tmp_path) -> str:
     path = tmp_path / "member3.json"
     path.write_text(sz.dumps_canonical(sz.protocol_to_dict(corpus[3])))
     return str(path)
+
+
+def one_round_protocol_doc(a0, anc, msg, mem) -> dict:
+    """A valid one-round qrac-table protocol with Alice's start memory
+    `a0`, ancilla `anc`, message `msg` and kept memory `mem`, as a
+    document."""
+    truth = builtin_qrac().truth
+    rng = np.random.default_rng(0)
+    inputs = range(truth.num_inputs)
+    proj = np.diag([1.0] + [0.0] * (msg - 1))
+    return sz.protocol_to_dict(CommProtocol(
+        truth=truth, rounds=1, a0_dim=a0, b0_dim=1, m_out_dims=(msg,),
+        m_back_dims=(), a_dims=(mem,), b_dims=(), anc_a_dims=(anc,),
+        anc_b_dims=(),
+        alice_ops=({v: random_unitary(a0 * anc, rng) for v in inputs},),
+        bob_ops=(),
+        observables={y: Povm([proj, np.eye(msg) - proj]) for y in inputs}))
 
 
 def spy_one_way(monkeypatch, *modules) -> list:
@@ -368,6 +386,20 @@ class TestBellCertify:
         doc = json.loads(out)
         assert doc["error"]["code"] == "cap_exceeded"
         assert doc["config"]["mode"] == "exact"
+
+    @pytest.mark.parametrize("dims,bad", [((3, 1, 3, 1), "message 0"),
+                                          ((3, 2, 2, 3), "a0_dim")],
+                             ids=["message-3", "memory-3"])
+    def test_non_power_of_two_register_is_usage_error(self, capsys, tmp_path,
+                                                      dims, bad):
+        proto = tmp_path / "p.json"
+        proto.write_text(sz.dumps_canonical(one_round_protocol_doc(*dims)))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"protocol": str(proto)}))
+        code, out, err = run_cli(capsys, "bell-certify", "--config", str(cfg))
+        assert code == 1
+        assert out == "" and "Traceback" not in err
+        assert err.startswith(f"error: {bad}: dimension 3 is not a power")
 
     def test_huge_trials_refused(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"

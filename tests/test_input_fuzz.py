@@ -1,6 +1,7 @@
 """No input document ends in a traceback.
 
 Hypothesis mutates the shipped example configs, the shipped qrac protocol,
+a one-round protocol whose memory and start registers have dimension 3,
 the deterministic sweep file and a truth-table file: a value anywhere in
 the document becomes NaN, an infinity, a string, a bool, a float, a huge
 or negative integer, null or an empty container; or it is wrapped in one
@@ -17,9 +18,13 @@ import json
 import os
 import tempfile
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from bellforge import cli
+from bellforge import serialize as sz
+from bellforge.protocols import CommProtocol, builtin_qrac
+from bellforge.states import Povm, random_unitary
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXAMPLES = os.path.join(REPO, "docs", "examples", "v1")
@@ -36,6 +41,24 @@ SWEEP_CONFIG["sweep_file"] = os.path.join(EXAMPLES,
 EQ1_TRUTH = {"n": 1, "f": [[1, 0], [0, 1]],
              "mu": [[0.25, 0.25], [0.25, 0.25]]}
 
+
+def _memory3_protocol():
+    """One round on the qrac table: Alice's start memory 3 and ancilla 2
+    in, a qubit message and kept memory 3 out.  `bell-certify` refuses
+    its dimension-3 registers."""
+    truth = builtin_qrac().truth
+    rng = np.random.default_rng(0)
+    inputs = range(truth.num_inputs)
+    proj = np.diag([1.0, 0.0])
+    return sz.protocol_to_dict(CommProtocol(
+        truth=truth, rounds=1, a0_dim=3, b0_dim=1, m_out_dims=(2,),
+        m_back_dims=(), a_dims=(3,), b_dims=(), anc_a_dims=(2,),
+        anc_b_dims=(), alice_ops=({v: random_unitary(6, rng)
+                                   for v in inputs},),
+        bob_ops=(), observables={y: Povm([proj, np.eye(2) - proj])
+                                 for y in inputs}))
+
+
 # name -> (document, [(command, config naming the document's file, or
 # None when the document is itself the config)])
 TARGETS = {
@@ -48,6 +71,8 @@ TARGETS = {
                          [("pbt-bench", None)]),
     "protocol": (_example("protocol_qrac.json"),
                  [("bell-certify", "protocol"), ("oneway", "protocol")]),
+    "protocol-memory3": (_memory3_protocol(),
+                         [("bell-certify", "protocol"), ("oneway", "protocol")]),
     "truth": (EQ1_TRUTH, [("cc", "function")]),
     "sweep": (_example("sweep_deterministic.json"),
               [("oneway", "sweep_file")]),

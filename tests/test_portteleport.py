@@ -13,16 +13,11 @@ from bellforge.states import (
     InvariantError,
     MixedState,
     Povm,
-    PureState,
-    RegisterLayout,
     _sym,
     check_povm_orbit,
-    embed_operator,
     max_entangled,
-    partial_trace,
     psd_sqrt,
     random_density,
-    tensor,
 )
 import bellforge.teleport as tp
 from bellforge.teleport import (
@@ -86,20 +81,27 @@ def test_povm_complete_and_positive(N, d):
     assert np.max(np.abs(total - np.eye(dim))) <= 1e-9
 
 
-def _measured_layout(N, d):
-    return RegisterLayout([("A0", d)]
-                          + [(f"A{i}", d) for i in range(1, N + 1)])
+def _swap_matrix(N, d, i):
+    """The permutation matrix exchanging registers A_1 and A_i of
+    A_0 A_1 .. A_N, built from the digits of every basis index."""
+    digits = np.indices((d,) * (N + 1)).reshape(N + 1, -1)
+    digits[[1, i]] = digits[[i, 1]]
+    swap = np.zeros((d ** (N + 1),) * 2)
+    swap[np.ravel_multi_index(tuple(digits), (d,) * (N + 1)),
+         np.arange(d ** (N + 1))] = 1.0
+    return swap
 
 
 def _reference_pbt_povm(N, d):
     """(signal operators, elements) built the direct way in complex
-    arithmetic: every signal operator embedded on its own port pair and
-    every element formed by its own product with S^(-1/2)."""
-    layout = _measured_layout(N, d)
+    arithmetic: every signal operator is the pair projector on (A_0, A_1),
+    moved to its own port by an explicit swap matrix, and every element is
+    formed by its own product with S^(-1/2)."""
     phi = max_entangled(d).amplitudes
-    proj = np.outer(phi, phi.conj())
-    sigs = [embed_operator(proj, layout, ["A0", f"A{i}"]) / d ** (N - 1)
-            for i in range(1, N + 1)]
+    rest = d ** (N - 1)
+    sig1 = np.kron(np.outer(phi, phi.conj()), np.eye(rest)) / rest
+    swaps = [_swap_matrix(N, d, i) for i in range(1, N + 1)]
+    sigs = [v @ sig1 @ v.T for v in swaps]
     S = np.zeros_like(sigs[0])
     for sig in sigs:
         S = S + sig
@@ -211,14 +213,9 @@ def test_povm_build_checks_one_spectrum_per_orbit(N, d, monkeypatch):
 @pytest.mark.parametrize("N,d", [(2, 2), (3, 2), (2, 3)])
 def test_povm_port_permutation_covariance(N, d):
     meas = build_pbt_povm(N, d)
-    layout = _measured_layout(N, d)
-    swap = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            swap[j * d + i, i * d + j] = 1.0
     for z in range(2, N + 1):
-        v = embed_operator(swap, layout, ["A1", f"A{z}"])
-        moved = v @ meas.e1 @ v.conj().T
+        v = _swap_matrix(N, d, z)
+        moved = v @ meas.e1 @ v.T
         assert np.max(np.abs(moved - meas.element(z))) <= 1e-9
 
 
@@ -250,19 +247,23 @@ def test_branches_match_direct_density_matrix_path():
     for N, d in ((2, 2), (1, 3)):
         meas = build_pbt_povm(N, d)
         inp = MixedState(random_density(d, rng), [("A0", d)])
-        names = [f"{p}{i}" for p in "AB" for i in range(1, N + 1)]
-        pairs = PureState(_pairs(N, d).reshape(-1), [(n, d) for n in names])
-        joint = tensor(inp, pairs)
-        a_names = ["A0"] + [f"A{i}" for i in range(1, N + 1)]
+        pairs = _pairs(N, d).reshape(-1)
+        # Registers A0, A1..AN, B1..BN in kron order.
+        joint = np.kron(inp.matrix, np.outer(pairs, pairs.conj()))
+        n = 2 * N + 1
+        layout = [(f"R{k}", d) for k in range(n)]
         branches = teleport_branches(inp, meas)
         for z in range(1, N + 1):
-            e_full = embed_operator(meas.element(z),
-                                    joint.layout, a_names)
-            p_direct = float(np.einsum("ij,ji->", e_full, joint.matrix).real)
+            e_full = np.kron(meas.element(z), np.eye(d ** N))
+            p_direct = float(np.einsum("ij,ji->", e_full, joint).real)
             root = psd_sqrt(e_full)
-            post = root @ joint.matrix @ root / p_direct
-            post = MixedState(_sym(post) / np.trace(post).real, joint.layout)
-            out_direct = partial_trace(post, [f"B{z}"])
+            post = root @ joint @ root / p_direct
+            post = MixedState(_sym(post) / np.trace(post).real, layout)
+            keep = N + z
+            cols = [n + k if k == keep else k for k in range(n)]
+            out_direct = MixedState(np.einsum(
+                post.matrix.reshape((d,) * (2 * n)), list(range(n)) + cols,
+                [keep, n + keep]), [("B", d)])
             p_branch, out_branch = branches[z - 1]
             assert abs(p_branch - p_direct) < 1e-10
             assert np.max(np.abs(out_branch.matrix - out_direct.matrix)) < 1e-10

@@ -9,7 +9,7 @@ from bellforge.remoteprep import (
     rsp_attempt,
     rsp_povm,
 )
-from bellforge.states import PureState, fidelity, random_unitary
+from bellforge.states import PureState, fidelity, psd_sqrt, random_unitary
 
 
 def haar_state(d, rng):
@@ -96,6 +96,42 @@ def test_attempt_outcome_rate_matches_probability():
     target = haar_state(2, rng)
     wins = sum(rsp_attempt(target, rng).outcome for _ in range(2000))
     assert abs(wins / 2000 - 0.5) < 0.04
+
+
+def reference_attempt(target, rng):
+    """One attempt on the dense joint density matrix, independent of the
+    register machine: E (x) I by np.kron, the Lueders update, and Bob's
+    half by an einsum partial trace.  Draws its outcome with the same
+    generator call as `rsp_attempt`.  Returns (outcome, probabilities,
+    Bob's matrix)."""
+    d = target.dim
+    pair = np.eye(d).reshape(-1) / np.sqrt(d)
+    rho = np.outer(pair, pair)
+    elems = [np.kron(e, np.eye(d)) for e in rsp_povm(target).elements]
+    probs = np.array([np.trace(e @ rho).real for e in elems])
+    clipped = np.clip(probs, 0.0, None)
+    idx = int(rng.choice(len(probs), p=clipped / clipped.sum()))
+    root = psd_sqrt(elems[idx])
+    post = root @ rho @ root
+    post = post / np.trace(post).real
+    bob = np.einsum("aiaj->ij", post.reshape(d, d, d, d))
+    return 1 if idx == 0 else 0, probs, bob
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_attempt_matches_dense_reference(d):
+    targets = np.random.default_rng(100 + d)
+    ours, ref = np.random.default_rng(d), np.random.default_rng(d)
+    seen = set()
+    for _ in range(40):
+        target = haar_state(d, targets)
+        att = rsp_attempt(target, ours)
+        outcome, probs, bob = reference_attempt(target, ref)
+        assert att.outcome == outcome
+        seen.add(outcome)
+        assert abs(att.success_probability - probs[0]) < 1e-12
+        assert np.max(np.abs(att.bob_state.matrix - bob)) < 1e-12
+    assert seen == {0, 1}
 
 
 # ------------------------------------------------------------------ batch

@@ -12,18 +12,13 @@ from bellforge.states import (
     PureState,
     RegisterLayout,
     check_povm_orbit,
-    embed_operator,
     fidelity,
     max_entangled,
-    measure,
-    partial_trace,
     psd_sqrt,
     random_density,
     random_unitary,
-    tensor,
     _RegisterMachine,
     _check_unitary,
-    _machine,
 )
 
 
@@ -36,10 +31,32 @@ def qubit_state(*amps):
     return PureState(ket(*amps), [("Q", 2)])
 
 
+def density(state):
+    """The density matrix of a pure state."""
+    v = state.amplitudes
+    return MixedState(np.outer(v, v.conj()), state.layout)
+
+
+def loaded(state):
+    """A register machine holding `state` in its layout order."""
+    data = state.amplitudes if isinstance(state, PureState) else state.matrix
+    return _RegisterMachine(state.layout.registers, data)
+
+
+def reduced_ref(rho, dims, keep):
+    """Reduced density matrix of the registers `keep` (axis numbers, in
+    order) by one einsum over the traced axes."""
+    n = len(dims)
+    cols = [n + a if a in keep else a for a in range(n)]
+    kd = int(np.prod([dims[a] for a in keep]))
+    return np.einsum(rho.reshape(list(dims) * 2), list(range(n)) + cols,
+                     list(keep) + [n + a for a in keep]).reshape(kd, kd)
+
+
 def applied(state, u, targets):
     """`u` on the named registers of `state`, run on the register machine
     and read back in the layout's order."""
-    reg = _machine(state)
+    reg = loaded(state)
     reg.apply(targets, u, [(n, state.layout.dim(n)) for n in targets])
     reg._front(state.layout.names)
     return reg.state
@@ -47,7 +64,7 @@ def applied(state, u, targets):
 
 def reordered(state, order):
     """The array of `state` with its registers moved into `order`."""
-    reg = _machine(state)
+    reg = loaded(state)
     reg._front(order)
     return reg.state
 
@@ -112,7 +129,7 @@ def test_states_are_immutable():
     s = qubit_state(1, 0)
     with pytest.raises(ValueError):
         s.amplitudes[0] = 0.0
-    rho = s.to_mixed()
+    rho = density(s)
     with pytest.raises(ValueError):
         rho.matrix[0, 0] = 0.0
 
@@ -248,33 +265,15 @@ def test_povm_real_and_complex_inputs_validate_alike(case):
     assert real.min_eigenvalue == pytest.approx(cplx.min_eigenvalue, abs=1e-15)
 
 
-# ----------------------------------------------------------------- tensor
-
-def test_tensor_basis_states():
-    s = tensor(qubit_state(1, 0), PureState([0, 1], [("R", 2)]))
-    assert np.allclose(s.amplitudes, [0, 1, 0, 0])
-    assert s.layout.names == ("Q", "R")
-
-
-def test_tensor_trace_multiplicative():
-    rng = np.random.default_rng(7)
-    rho = MixedState(random_density(2, rng), [("A", 2)])
-    half = MixedState(np.eye(2) / 2, [("B", 2)])
-    joint = tensor(rho, half)
-    assert abs(np.trace(joint.matrix).real - 1.0) < 1e-12
-
-
-def test_tensor_name_clash_rejected():
-    with pytest.raises(ValueError):
-        tensor(qubit_state(1, 0), qubit_state(0, 1))
-
+# ---------------------------------------------------------------- reorder
 
 def test_two_bell_pairs_equal_grouped_four_dim_pair():
     # Direct 16-amplitude construction: |Phi+(4)> with its two 4-dim halves
     # each split into two qubits, reordered so qubit pairs interleave.
-    pair1 = max_entangled(2, names=("A1", "B1"))
-    pair2 = max_entangled(2, names=("A2", "B2"))
-    product = reordered(tensor(pair1, pair2), ["A1", "A2", "B1", "B2"])
+    bell = max_entangled(2).amplitudes
+    pairs = PureState(np.kron(bell, bell),
+                      [("A1", 2), ("B1", 2), ("A2", 2), ("B2", 2)])
+    product = reordered(pairs, ["A1", "A2", "B1", "B2"])
     direct = np.zeros(16, dtype=np.complex128)
     for a1 in range(2):
         for a2 in range(2):
@@ -288,33 +287,21 @@ def test_two_bell_pairs_equal_grouped_four_dim_pair():
 def test_partial_trace_of_bell_is_maximally_mixed():
     bell = max_entangled(2)
     for keep in (["A"], ["B"]):
-        red = partial_trace(bell, keep)
-        assert np.allclose(red.matrix, np.eye(2) / 2, atol=1e-12)
+        red = loaded(bell).reduced(keep)
+        assert np.allclose(red, np.eye(2) / 2, atol=1e-12)
 
 
 def test_partial_trace_keep_all_is_identity():
     rng = np.random.default_rng(3)
     rho = MixedState(random_density(6, rng), [("A", 2), ("B", 3)])
-    out = partial_trace(rho, ["A", "B"])
-    assert np.allclose(out.matrix, rho.matrix, atol=1e-12)
+    out = loaded(rho).reduced(["A", "B"])
+    assert np.allclose(out, rho.matrix, atol=1e-12)
 
 
 def test_partial_trace_product_state():
     s = PureState([0, 1, 0, 0], [("A", 2), ("B", 2)])  # |01>
-    red = partial_trace(s, ["A"])
-    assert np.allclose(red.matrix, np.diag([1.0, 0.0]), atol=1e-12)
-
-
-def test_partial_trace_preserves_original_register_order():
-    rng = np.random.default_rng(5)
-    rho = MixedState(random_density(8, rng), [("A", 2), ("B", 2), ("C", 2)])
-    red = partial_trace(rho, ["C", "A"])  # request order should not matter
-    assert red.layout.names == ("A", "C")
-
-
-def test_partial_trace_unknown_register():
-    with pytest.raises(KeyError):
-        partial_trace(max_entangled(2), ["X"])
+    red = loaded(s).reduced(["A"])
+    assert np.allclose(red, np.diag([1.0, 0.0]), atol=1e-12)
 
 
 def test_partial_trace_recovers_tensor_factor():
@@ -323,9 +310,10 @@ def test_partial_trace_recovers_tensor_factor():
         da, db = rng.integers(2, 5, size=2)
         a = MixedState(random_density(int(da), rng), [("A", int(da))])
         b = MixedState(random_density(int(db), rng), [("B", int(db))])
-        joint = tensor(a, b)
-        back = partial_trace(joint, ["A"])
-        assert np.allclose(back.matrix, a.matrix, atol=1e-12)
+        joint = MixedState(np.kron(a.matrix, b.matrix),
+                           [("A", int(da)), ("B", int(db))])
+        back = loaded(joint).reduced(["A"])
+        assert np.allclose(back, a.matrix, atol=1e-12)
 
 
 # ------------------------------------------------------- machine apply
@@ -347,7 +335,7 @@ def test_apply_then_inverse_roundtrips():
     for _ in range(20):
         s = PureState(ket(*rng.normal(size=8)), [("A", 2), ("B", 2), ("C", 2)])
         u = random_unitary(4, rng)
-        reg = _machine(s)
+        reg = loaded(s)
         for v in (u, u.conj().T):
             reg.apply(["A", "C"], v, [("A", 2), ("C", 2)])
         reg._front(s.layout.names)
@@ -363,7 +351,7 @@ def test_apply_on_matches_embedded_operator():
     rng = np.random.default_rng(19)
     lay = RegisterLayout([("A", 2), ("B", 3), ("C", 2)])
     u = random_unitary(4, rng)
-    big = embed_operator(u, lay, ["C", "A"])  # note permuted target order
+    big = embedded(u, list(lay.dims), [2, 0])  # note permuted target order
     s = PureState(ket(*rng.normal(size=12)), lay)
     via_apply = applied(s, u, ["C", "A"])
     via_embed = big @ s.amplitudes
@@ -377,8 +365,10 @@ def test_reorder_registers_preserves_physics():
     flipped = MixedState(reordered(rho, order),
                          [(n, rho.layout.dim(n)) for n in order])
     for name in ("A", "B", "C"):
-        assert np.allclose(partial_trace(rho, [name]).matrix,
-                           partial_trace(flipped, [name]).matrix, atol=1e-12)
+        assert np.allclose(
+            reduced_ref(rho.matrix, rho.layout.dims, [rho.layout.axis(name)]),
+            reduced_ref(flipped.matrix, flipped.layout.dims,
+                        [flipped.layout.axis(name)]), atol=1e-12)
 
 
 # -------------------------------------------------------- register machine
@@ -502,7 +492,8 @@ def test_operator_mode_rename_and_read_out():
 
 
 def embedded(op, dims, axes):
-    """Reference for embed_operator by index arithmetic alone: entry (i, j)
+    """`op` on the registers `axes` (in order) of a layout with `dims`, by
+    index arithmetic alone: entry (i, j)
     is op at the target digits of i and j when i and j agree elsewhere."""
     digits = np.array(np.unravel_index(np.arange(int(np.prod(dims))), dims))
     rest = [a for a in range(len(dims)) if a not in axes]
@@ -517,8 +508,8 @@ def embedded(op, dims, axes):
 def test_register_helpers_match_dense_references(data):
     # Random layouts, targets and orders.  The machine's apply and
     # reorder on kets and density matrices, its operator-mode read-out and
-    # the public helpers built on it are checked against references that
-    # never touch the machine: index arithmetic, np.transpose, einsum.
+    # its partial trace are checked against references that never touch
+    # the machine: index arithmetic, np.transpose, einsum.
     dims = data.draw(st.lists(st.integers(2, 3), min_size=1, max_size=4))
     names = data.draw(st.permutations("ABCD"))[:len(dims)]
     lay = RegisterLayout(zip(names, dims))
@@ -529,14 +520,13 @@ def test_register_helpers_match_dense_references(data):
     rest = [m for m in names if m not in targets]
     order = data.draw(st.permutations(names))
     perm = [names.index(m) for m in order]
-    u = random_unitary(lay.subset_dim(targets), rng)
+    u = random_unitary(int(np.prod([dims[a] for a in axes])), rng)
     big = embedded(u, dims, axes)
 
     def rows_in(row_axes):
         return big.reshape(dims + [total]).transpose(row_axes + [n]) \
             .reshape(total, total)
 
-    assert np.max(np.abs(embed_operator(u, lay, targets) - big)) < 1e-12
     reg = _RegisterMachine.identity(lay.registers)
     reg.apply(targets, u, [(t, lay.dim(t)) for t in targets])
     assert np.max(np.abs(reg.matrix(order) - rows_in(perm))) < 1e-12
@@ -547,9 +537,6 @@ def test_register_helpers_match_dense_references(data):
         axes + [names.index(m) for m in rest_order]))) < 1e-12
 
     psi = ket(*(rng.normal(size=total) + 1j * rng.normal(size=total)))
-    kept = sorted(axes)
-    kd = int(np.prod([dims[a] for a in kept]))
-    cols = [n + a if a in axes else a for a in range(n)]  # traced: shared
     for s in (PureState(psi, lay),
               MixedState(random_density(total, rng), lay)):
         pure = isinstance(s, PureState)
@@ -568,22 +555,27 @@ def test_register_helpers_match_dense_references(data):
             ref = rho.reshape(dims * 2).transpose(
                 perm + [n + p for p in perm]).reshape(total, total)
             assert np.array_equal(moved, ref)
-        red = partial_trace(s, targets)
-        assert red.layout.names == tuple(names[a] for a in kept)
-        ref = np.einsum(rho.reshape(dims * 2), list(range(n)) + cols,
-                        kept + [n + a for a in kept]).reshape(kd, kd)
-        assert np.max(np.abs(red.matrix - ref)) < 1e-12
+        red = loaded(s).reduced(targets)
+        assert np.max(np.abs(red - reduced_ref(rho, dims, axes))) < 1e-12
 
 
 # ---------------------------------------------------------------- measure
 
+def measure(state, povm, rng, names=("Q",)):
+    """The machine's sampled measurement of `names` on `state`: (outcome,
+    probabilities, post-measurement array)."""
+    reg = loaded(state)
+    outcome, probs = reg.measure(names, povm, rng)
+    return outcome, probs, reg.state
+
+
 def test_measure_definite_outcome():
     povm = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    rho = qubit_state(1, 0).to_mixed()
+    rho = density(qubit_state(1, 0))
     outcome, probs, post = measure(rho, povm, np.random.default_rng(0))
     assert outcome == 0
     assert np.allclose(probs, [1.0, 0.0], atol=1e-12)
-    assert np.allclose(post.matrix, np.diag([1.0, 0.0]), atol=1e-12)
+    assert np.allclose(post, np.diag([1.0, 0.0]), atol=1e-12)
 
 
 def test_measure_maximally_mixed_is_uniform():
@@ -599,24 +591,24 @@ def test_measure_remote_prep_success_probability():
     plus = ket(1, 1)
     proj = np.outer(plus.conj(), plus).conj()  # entrywise conjugate projector
     povm = Povm([proj, np.eye(2) - proj])
-    alice = partial_trace(max_entangled(2), ["A"])
-    _, probs, _ = measure(alice, povm, np.random.default_rng(1))
+    _, probs, _ = measure(max_entangled(2), povm, np.random.default_rng(1),
+                          names=["A"])
     assert abs(probs[0] - 0.5) < 1e-12
 
 
 def test_measure_luders_update_projective():
-    plus = qubit_state(1, 1).to_mixed()
+    plus = density(qubit_state(1, 1))
     povm = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
     outcome, probs, post = measure(plus, povm, np.random.default_rng(2))
     assert np.allclose(probs, [0.5, 0.5], atol=1e-12)
     expect = np.zeros((2, 2))
     expect[outcome, outcome] = 1.0
-    assert np.allclose(post.matrix, expect, atol=1e-12)
+    assert np.allclose(post, expect, atol=1e-12)
 
 
 def test_measure_sampling_follows_probabilities():
     povm = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    rho = qubit_state(np.sqrt(0.8), np.sqrt(0.2)).to_mixed()
+    rho = density(qubit_state(np.sqrt(0.8), np.sqrt(0.2)))
     rng = np.random.default_rng(42)
     hits = sum(measure(rho, povm, rng)[0] for _ in range(2000))
     assert abs(hits / 2000 - 0.2) < 0.03
@@ -634,7 +626,7 @@ def test_measure_probability_sums_random_pairs():
         povm = Povm([inv_root @ m @ inv_root for m in raw])
         _, probs, post = measure(rho, povm, rng)
         assert abs(probs.sum() - 1.0) < 1e-10
-        assert abs(np.trace(post.matrix).real - 1.0) < 1e-10
+        assert abs(np.trace(post).real - 1.0) < 1e-10
 
 
 # --------------------------------------------------------------- fidelity
@@ -700,8 +692,9 @@ def test_max_entangled_qutrits():
 
 def test_max_entangled_reduced_is_maximally_mixed():
     for d in (2, 3, 4):
-        red = partial_trace(max_entangled(d), ["A"])
-        assert np.allclose(red.matrix, np.eye(d) / d, atol=1e-12)
+        pair = max_entangled(d).amplitudes.reshape(d, d)  # rows A, columns B
+        red = pair @ pair.conj().T
+        assert np.allclose(red, np.eye(d) / d, atol=1e-12)
 
 
 def test_max_entangled_rejects_small_dimension():
