@@ -244,11 +244,16 @@ def generate_correlations(p: MemorylessProtocol, s: PortSchedule,
         term = term / term.sum()
         if mode == "exact":
             return uniform[..., np.newaxis] * term
-        arr = np.zeros(counts + (2,))
-        draws = tuple(rng.integers(0, c, size=trials) for c in counts)
-        outs = (rng.random(trials) < term[1]).astype(np.int64)
-        np.add.at(arr, draws + (outs,), 1.0)
-        return arr / trials
+        # Each trial's cell of counts + (2,), flat and in C order, built in
+        # place in the order the ports and then the outcome are drawn.
+        flat = np.zeros(trials, dtype=np.int64)
+        for c in counts:
+            flat *= c
+            flat += rng.integers(0, c, size=trials)
+        flat *= 2
+        flat += rng.random(trials) < term[1]
+        tally = np.bincount(flat, minlength=path_cells)
+        return tally.reshape(counts + (2,)) / trials
 
     results = thread_map(one_pair, list(zip(pairs, streams)))
     tables = dict(zip(pairs, results))

@@ -17,14 +17,32 @@ shared uniformly so the family is complete.
 Every matrix in that recipe is real, so the build runs in float64.  The
 measurement is covariant under port permutations, Pi_i = P_1i Pi_1 P_1i
 with P_1i the swap of ports A_1 and A_i, and S commutes with every P_1i;
-so sigma_1 and Pi_1 are formed once, and Pi_i is the exact index
-permutation of Pi_1 that exchanges the A_1 and A_i axes on rows and
-columns.  `PbtMeasurement` keeps Pi_1 and the N permutations and forms
-Pi_i only on request; sigma_1 is a density matrix by construction and is
-not kept.  A permutation keeps a spectrum, so validation runs once per
-orbit (`states.check_povm_orbit`): Pi_1 gets the element check of every
-`Povm`, each permutation is checked, and the N images are summed, one at
-a time, against the identity, the one check loosened to ATOL_PBT_POVM.
+so only Pi_1 is formed, and Pi_i is the exact index permutation of Pi_1
+that exchanges the A_1 and A_i axes on rows and columns.
+`PbtMeasurement` keeps Pi_1 and the N permutations and forms Pi_i only on
+request.
+
+The measurement is also covariant under U (x) conj(U)^(x)N (Studzinski et
+al. below), so for diagonal U it conserves a charge per level k: [a_0 = k]
+minus the number of ports with a_i = k, for a basis index (a_0,
+a_1..a_N).  sigma_i, S, S^(-1/2), the support projector and Pi_1 have no
+entries between sectors of different charge, and every port swap maps
+each sector onto itself.  `build_pbt_povm` therefore runs sector by
+sector: each sector's sigma_1 block comes from the digits of its indices,
+its S block from the port swaps restricted to it, and one `eigh` per
+sector replaces the eigendecomposition of the whole of S.  The support
+cutoff stays global, 1e-12 of the largest eigenvalue over all sectors, so
+every S block is diagonalized before any block of Pi_1 is formed.
+Validation runs once per orbit and sector (`states.check_povm_orbit`):
+each block of Pi_1 gets the element check of every `Povm`, each
+restricted permutation is checked, and its N images are summed, one at a
+time, against the identity, the one check loosened to ATOL_PBT_POVM.
+Pi_1 is block-diagonal, so the measurement's margins are the least
+minimum eigenvalue and the largest completeness deviation over the
+sectors.  The dense build over the whole space, one `eigh` of S and one
+orbit check of Pi_1, is kept as `dense_pbt_povm`, the reference the
+sector build is tested against and the measurement behind
+`dense_entanglement_fidelity`.
 
 The resource, N maximally entangled pairs, is fixed by (N, d), so the
 measurement is the only port-teleportation object.  The outcome branches
@@ -143,8 +161,77 @@ def _port_swaps(N: int, d: int) -> list[np.ndarray]:
     return perms
 
 
+def _charge_sectors(N: int, d: int) -> list[np.ndarray]:
+    """The basis indices of (A_0, A_1..A_N), ascending, grouped by charge.
+
+    An index (a_0, a_1..a_N) has, for each level k, the charge [a_0 = k]
+    minus the number of ports with a_i = k.  Every operator of the
+    measurement commutes with U (x) conj(U)^(x)N for diagonal U, so it has
+    no entries between indices of different charge, and each port swap
+    maps every sector onto itself.
+    """
+    dim = d ** (N + 1)
+    idx = np.arange(dim)
+    charge = np.zeros((dim, d), dtype=np.int64)
+    rest = idx
+    for reg in range(N, -1, -1):
+        rest, digit = np.divmod(rest, d)
+        charge[idx, digit] += 1 if reg == 0 else -1
+    _, label = np.unique(charge, axis=0, return_inverse=True)
+    label = label.reshape(-1)
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(label))[:-1])
+
+
 def build_pbt_povm(N: int, d: int) -> PbtMeasurement:
-    """Pretty-good measurement for N ports of dimension d."""
+    """Pretty-good measurement for N ports of dimension d, built one charge
+    sector (`_charge_sectors`) at a time as the module docstring describes;
+    `dense_pbt_povm` is its reference.  In a sector with global indices
+    idx, sigma_1's block is 1/(d d^(N-1)) where a_0 = a_1, b_0 = b_1 and
+    the other ports agree, and 0 elsewhere; the port swap p_i acts as
+    pos[p_i[idx]], with pos an index's place in its sector."""
+    _check_ports(N, d)
+    dim = _capped_dim("measurement dimension d^(N+1)", d, N + 1)
+    rest = d ** (N - 1)
+    perms = _port_swaps(N, d)
+    pos = np.empty(dim, dtype=np.intp)
+    blocks = []
+    for idx in _charge_sectors(N, d):
+        pos[idx] = np.arange(len(idx))
+        ports = idx // rest
+        paired = ports // d == ports % d
+        others = idx % rest
+        sig = (paired[:, None] & paired & (others[:, None] == others)
+               ) / (d * rest)
+        local = [pos[p[idx]] for p in perms]
+        S = np.zeros_like(sig)
+        for q in local:
+            S = S + sig[np.ix_(q, q)]
+        w, v = np.linalg.eigh(_sym(S))
+        blocks.append((idx, sig, local, w, v))
+    cut = PINV_CUTOFF * max(w.max() for *_, w, _ in blocks)
+    e1 = np.zeros((dim, dim))
+    margins = []
+    for idx, sig, local, w, v in blocks:
+        on_supp = w > cut
+        inv_root = np.where(on_supp,
+                            1.0 / np.sqrt(np.where(on_supp, w, 1.0)), 0.0)
+        s_irt = (v * inv_root) @ v.T
+        p_supp = (v * on_supp.astype(float)) @ v.T
+        remainder = (np.eye(len(idx)) - p_supp) / N
+        elem = _sym(s_irt @ sig @ s_irt + remainder)
+        margins.append(check_povm_orbit(elem, local, atol=ATOL_PBT_POVM))
+        e1[np.ix_(idx, idx)] = elem
+    for a in (e1, *perms):
+        a.setflags(write=False)
+    return PbtMeasurement(N=N, d=d, e1=e1, port_swaps=tuple(perms),
+                          min_eigenvalue=min(m for m, _ in margins),
+                          completeness_dev=max(c for _, c in margins))
+
+
+def dense_pbt_povm(N: int, d: int) -> PbtMeasurement:
+    """Pretty-good measurement for N ports of dimension d, built over the
+    whole space: the reference for `build_pbt_povm`."""
     _check_ports(N, d)
     dim = _capped_dim("measurement dimension d^(N+1)", d, N + 1)
     phi = max_entangled(d).amplitudes.real
@@ -297,7 +384,7 @@ def dense_entanglement_fidelity(N: int, d: int) -> float:
     checked before the measurement is built.
     """
     _capped_dim("purified joint dimension d^(2N+2)", d, 2 * N + 2)
-    meas = build_pbt_povm(N, d)
+    meas = dense_pbt_povm(N, d)
     phi = max_entangled(d).amplitudes
     psi_in = phi.reshape(d, d)  # reference index first; symmetric anyway
     branches = _branches(psi_in, meas, with_reference=True)

@@ -355,6 +355,27 @@ class TestBellValue:
             (QRAC_BELL[2] - 0.5) / 0.25, abs=1e-9)
 
 
+def add_at_tables(ml, s, trials, seed):
+    """Sampled tables from the same per-pair streams, each tallied with
+    np.add.at over the kept tuple of draws."""
+    counts = s.port_counts
+    size = ml.proto.truth.num_inputs
+    pairs = [(x, y) for x in range(size) for y in range(size)]
+    streams = np.random.default_rng(seed).spawn(len(pairs))
+    lams = [depolarizing_parameter(n, d)
+            for n, d in zip(counts, s.port_dims)]
+    out = {}
+    for (x, y), rng in zip(pairs, streams):
+        term = np.clip(bell._simulate(ml.proto, x, y, lams), 0.0, None)
+        term = term / term.sum()
+        arr = np.zeros(counts + (2,))
+        draws = tuple(rng.integers(0, c, size=trials) for c in counts)
+        outs = (rng.random(trials) < term[1]).astype(np.int64)
+        np.add.at(arr, draws + (outs,), 1.0)
+        out[(x, y)] = arr / trials
+    return out
+
+
 class TestSampledMode:
     def test_converges_within_four_sigma(self):
         ml = qrac_ml()
@@ -386,6 +407,23 @@ class TestSampledMode:
             assert np.array_equal(a.tables[key], b.tables[key])
         assert any(not np.array_equal(a.tables[k], c.tables[k])
                    for k in a.tables)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_bincount_tally_matches_add_at(self, threads, eligible,
+                                           monkeypatch):
+        monkeypatch.setenv("BELLFORGE_THREADS", threads)
+        _, multi, legs = eligible[8]
+        cases = [(qrac_ml(), (4,)), (multi, (3, 2, 2))]
+        assert len(legs) == 3
+        for ml, counts in cases:
+            s = bell.PortSchedule.for_protocol(ml, counts)
+            for seed in (0, 7, 12345):
+                got = bell.generate_correlations(ml, s, mode="sampled",
+                                                 trials=3000, seed=seed)
+                want = add_at_tables(ml, s, 3000, seed)
+                assert got.tables.keys() == want.keys()
+                for key, table in want.items():
+                    assert got.tables[key].tobytes() == table.tobytes()
 
     def test_mode_fields_recorded(self):
         ml = qrac_ml()

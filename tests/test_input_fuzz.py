@@ -5,7 +5,9 @@ a one-round protocol whose memory and start registers have dimension 3,
 the deterministic sweep file and a truth-table file: a value anywhere in
 the document becomes NaN, an infinity, a string, a bool, a float, a huge
 or negative integer, null or an empty container; or it is wrapped in one
-more list; or its key or list entry is deleted.  Each mutated document is
+more list; or its key or list entry is deleted.  A protocol's register
+fields, `rounds` and `epsilon` may also take a value that still loads,
+so that mutated protocols reach the converters.  Each mutated document is
 run through the command that reads it, in-process.  Every run must return
 an exit code 0-3 without raising, a usage error (1) must be reported on
 stderr, and a cap or invariant failure (2, 3) must write its error report.
@@ -109,13 +111,40 @@ def _mutate(doc, path, how):
     return doc
 
 
+# Values a protocol field of each kind may take and still load.
+IN_RANGE = {"registers": [1, 2, 4], "rounds": [1, 2],
+            "epsilon": [0.125, 0.5, None, DELETE]}
+
+
+def _path_kind(path):
+    """A protocol document's path kind: its register fields, `rounds` and
+    `epsilon` each stand alone; everything else is array data or the
+    structure around it."""
+    if path[:1] in (("registers",), ("rounds",), ("epsilon",)):
+        return path[0]
+    return "arrays"
+
+
 @st.composite
 def mutated(draw):
+    """A target and its document after one to three mutations.  Nearly
+    every path of a protocol document is an array entry, and every value
+    of MUTATIONS fails the load, so a protocol mutation draws the path
+    kind first, then a path of that kind, then a value that may also be
+    one of the kind's IN_RANGE values; otherwise almost no mutated protocol
+    would reach the converters."""
     name = draw(st.sampled_from(sorted(TARGETS)))
     doc, readers = TARGETS[name]
     for _ in range(draw(st.integers(1, 3))):
-        path = draw(st.sampled_from(list(_paths(doc))))
-        doc = _mutate(doc, path, draw(st.sampled_from(MUTATIONS)))
+        paths = list(_paths(doc))
+        how = st.sampled_from(MUTATIONS)
+        if name.startswith("protocol"):
+            kind = draw(st.sampled_from(sorted(set(map(_path_kind, paths)))))
+            paths = [p for p in paths if _path_kind(p) == kind]
+            if kind in IN_RANGE:
+                how = st.one_of(how, st.sampled_from(IN_RANGE[kind]))
+        path = draw(st.sampled_from(paths))
+        doc = _mutate(doc, path, draw(how))
     return name, doc, readers
 
 

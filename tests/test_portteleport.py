@@ -23,6 +23,7 @@ import bellforge.teleport as tp
 from bellforge.teleport import (
     build_pbt_povm,
     dense_entanglement_fidelity,
+    dense_pbt_povm,
     depolarizing_parameter,
     entanglement_fidelity,
     teleport_branches,
@@ -164,7 +165,7 @@ def test_povm_orbit_matches_per_element_check(N, d):
     # E_1's, which the reference also computes; the reference's minimum
     # over all N elements differs from it only by eigensolver rounding,
     # bounded by dim * eps for elements of norm at most 1.
-    meas = build_pbt_povm(N, d)
+    meas = dense_pbt_povm(N, d)
     first = meas.e1
     least, dev = check_povm_orbit(first, tp._port_swaps(N, d),
                                   atol=tp.ATOL_PBT_POVM)
@@ -192,8 +193,8 @@ def test_measurement_stores_one_element():
             meas.element(z)
 
 
-@pytest.mark.parametrize("N,d", [(4, 2), (3, 3)])
-def test_povm_build_checks_one_spectrum_per_orbit(N, d, monkeypatch):
+def _spy_eigensolvers(monkeypatch):
+    """(name, shape) of every later eigh and eigvalsh call, in order."""
     calls = []
 
     def spy(fn):
@@ -204,10 +205,69 @@ def test_povm_build_checks_one_spectrum_per_orbit(N, d, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy(np.linalg.eigvalsh))
     monkeypatch.setattr(np.linalg, "eigh", spy(np.linalg.eigh))
-    build_pbt_povm(N, d)
+    return calls
+
+
+@pytest.mark.parametrize("N,d", [(4, 2), (3, 3)])
+def test_povm_build_checks_one_spectrum_per_orbit(N, d, monkeypatch):
+    calls = _spy_eigensolvers(monkeypatch)
+    dense_pbt_povm(N, d)
     dim = d ** (N + 1)
     # S, and E_1's element check.
     assert calls == [("eigh", (dim, dim)), ("eigvalsh", (dim, dim))]
+
+
+@pytest.mark.parametrize("N,d", [(4, 2), (3, 3), (8, 2)])
+def test_sector_build_checks_one_spectrum_per_sector(N, d, monkeypatch):
+    sizes = [len(idx) for idx in tp._charge_sectors(N, d)]
+    calls = _spy_eigensolvers(monkeypatch)
+    build_pbt_povm(N, d)
+    dim = d ** (N + 1)
+    # Every S block, then every E_1 block's element check.
+    assert calls == ([("eigh", (n, n)) for n in sizes]
+                     + [("eigvalsh", (n, n)) for n in sizes])
+    assert len(sizes) > 1
+    assert all(shape != (dim, dim) for _, shape in calls)
+
+
+def _charges(N, d):
+    """The charge of every basis index of (A_0, A_1..A_N), one row per
+    index: for level k, [a_0 = k] minus the number of ports at k."""
+    digits = np.indices((d,) * (N + 1)).reshape(N + 1, -1)
+    hits = digits == np.arange(d)[:, None, None]  # (level, register, index)
+    return (hits[:, 0].astype(int) - hits[:, 1:].sum(axis=1)).T
+
+
+@pytest.mark.parametrize("N,d", POVM_CASES)
+def test_charge_sectors_block_the_measurement(N, d):
+    sectors = tp._charge_sectors(N, d)
+    dim = d ** (N + 1)
+    assert np.array_equal(np.sort(np.concatenate(sectors)), np.arange(dim))
+    label = np.empty(dim, dtype=int)
+    for k, idx in enumerate(sectors):
+        label[idx] = k
+    # One charge per sector, a different one in every sector.
+    charges = _charges(N, d)
+    firsts = [charges[idx[0]] for idx in sectors]
+    for idx, first in zip(sectors, firsts):
+        assert (charges[idx] == first).all()
+    assert len({c.tobytes() for c in firsts}) == len(sectors)
+    for p in tp._port_swaps(N, d):
+        assert np.array_equal(label[p], label)
+    across = label[:, None] != label
+    e1 = dense_pbt_povm(N, d).e1
+    assert np.abs(e1[across]).max(initial=0.0) <= 1e-15
+
+
+@pytest.mark.parametrize("N,d", POVM_CASES + [(9, 2)])
+def test_sector_build_matches_dense_reference(N, d):
+    got, want = build_pbt_povm(N, d), dense_pbt_povm(N, d)
+    assert np.max(np.abs(got.e1 - want.e1)) <= 1e-12
+    assert abs(got.completeness_dev - want.completeness_dev) <= 1e-12
+    assert abs(got.min_eigenvalue - want.min_eigenvalue) <= (
+        d ** (N + 1) * np.finfo(float).eps)
+    assert all(np.array_equal(a, b)
+               for a, b in zip(got.port_swaps, want.port_swaps))
 
 
 @pytest.mark.parametrize("N,d", [(2, 2), (3, 2), (2, 3)])
@@ -429,6 +489,7 @@ def test_closed_form_builds_no_measurement(monkeypatch):
         raise AssertionError("dense port-teleportation path reached")
 
     monkeypatch.setattr(tp, "build_pbt_povm", refuse)
+    monkeypatch.setattr(tp, "dense_pbt_povm", refuse)
     monkeypatch.setattr(tp, "_branches", refuse)
     assert entanglement_fidelity(9, 2) == pytest.approx(
         pbt_fidelity_qubit(9), abs=1e-12)
