@@ -61,9 +61,10 @@ ALPHABET_CAP = 2 ** 16
 # holds one int64 index per level plus its leaf draw in memory at once.
 TRIALS_CAP = 10 ** 7
 
-# The exact local bound may enumerate at most this many Alice index maps,
-# (n1 * n3^n2)^|X|, solving Bob's labels and leaf bits per map;
-# `lhv_strategies` counts every full strategy against it.
+# The exact local bound accepts at most this many Alice index maps,
+# (n1 * n3^n2)^|X|; its partition search walks none of them, but their
+# count decides acceptance.  `lhv_strategies` counts every full strategy
+# against it.
 LHV_CAP = 10 ** 7
 
 # Coefficient of the budget-ratio bound sqrt(classical/quantum).
@@ -379,8 +380,8 @@ def _lhv_exact(t: TruthTable, s: PortSchedule) -> float:
 
     This is the communication search of `classicalcc` with the leg
     alphabets of `_lhv_legs`, since only a3[x, a1[x], .] is ever read:
-    Alice's (n1 * n3^n2)^|X| index maps, at most LHV_CAP, against Bob's
-    exact best labels and leaf bits.
+    Alice's best partition of her inputs against Bob's exact best labels
+    and leaf bits, once her (n1 * n3^n2)^|X| index maps fit LHV_CAP.
     """
     return _best_response(_weights(t), _capped(
         t.num_inputs, _lhv_legs(s), LHV_CAP, "deterministic strategy space"))

@@ -10,15 +10,27 @@ Bob's input, so its optimum decomposes pointwise.  Shared randomness never
 helps against a fixed distribution (the value is linear in the strategy
 mixture), so the deterministic optimum is the optimum.
 
-Bob's reply is solved the same way, so only Alice's maps are enumerated.
+Bob's reply is solved the same way, so only Alice's side is searched.
 In a protocol of up to three legs Alice sends k1 = m1[x], Bob answers
 k2 = m2[y, k1] and Alice sends k3 = m3[x, k2]; one-way is a2 = a3 = 1 for
 leg alphabets (a1, a2, a3).  With Alice's maps fixed, each choice of Bob's
 (k2 per (y, k1), b per (y, k1, k2, k3)) touches its own terms of the score,
 so his best response is exact: value = sum_{y,k1} max_k2 sum_k3 max_b S,
 S[b, y, k1, k2, k3] = sum_x mu(x, y) [f(x, y) = b] [m1[x] = k1]
-[m3[x, k2] = k3].  Each x picks one of a1 * a3^a2 choices, so a search
-walks (a1 * a3^a2)^|X| Alice maps, which is what the caps count.
+[m3[x, k2] = k3].  That score is a sum over Alice's message classes, so
+the best map is a best partition of the inputs, found by a (max, +)
+recursion over subsets instead of walking Alice's (a1 * a3^a2)^|X| maps.
+With V(R, C) = sum_{y in C} max_b sum_{x in R} W[b, x, y]:
+
+- if a2 = 1 or a3 = 1 (Bob's reply cannot steer Alice's last message),
+  the value is the best split of X into at most a1 * a3 classes of
+  V(R, Y);
+- otherwise B_T(C), the best a3-split of T under V(., C), is what one
+  class T of the first message earns on the inputs C of Bob's that send
+  one reply; G(T) is the best a2-split of Y under B_T, and the value is
+  the best a1-split of X under G.
+
+The caps count Alice's (a1 * a3^a2)^|X| maps all the same (ENUM_CAP).
 
 The searched quantity is distributional: the best average success under mu
 for a fixed budget.  Its inverse (minimum bits to reach a target success)
@@ -47,22 +59,21 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from ._threads import thread_map
 from .protocols import TruthTable
 from .states import CapExceededError
 
-# Hard cap on the number of Alice maps any single search may enumerate,
-# (a1 * a3^a2)^|X| for leg alphabets (a1, a2, a3); Bob's reply and decision
-# are solved exactly per enumerated map.
+# Hard cap on the number of Alice maps of one search, (a1 * a3^a2)^|X| for
+# leg alphabets (a1, a2, a3).  The partition recursion walks no maps; the
+# cap counts those an exhaustive enumeration walks (the reference of the
+# strategy-search tests), so that which inputs are accepted does not depend
+# on the search method.  It also bounds the recursion: a level forms the
+# 3^|X| subset-pair table only if it has 3 or more parts or serves a split
+# with a2, a3 >= 2, so a1 * a3^a2 >= 3; with power-of-two alphabets that
+# is >= 4 and |X| <= 8 (4^16 > ENUM_CAP), and bell.LHV_CAP refuses 3^16.
 ENUM_CAP = 10 ** 8
 
 # A budget table holds at most this many rows (budgets 0..TABLE_ROW_CAP-1).
 TABLE_ROW_CAP = 2 ** 12
-
-# Batch size for vectorized map enumeration; batches shrink so that one
-# batch's one-hot and score blocks hold at most _BLOCK float64 entries.
-_CHUNK = 8192
-_BLOCK = 2 ** 21
 
 # A budget reaches target success p when its best success is at least
 # p - _TARGET_SLACK, so float noise in a searched optimum never costs a bit.
@@ -104,47 +115,89 @@ def _capped(nx: int, legs: tuple[int, int, int], cap: int,
     return legs
 
 
-@lru_cache(maxsize=32)
-def _choice_table(a1: int, a2: int, a3: int) -> np.ndarray:
-    """Read-only one-hot rows (k1, k2, k3) of Alice's per-input choices:
-    choice p sends k1 = p % a1 and answers k2 with digit k2 of p // a1."""
-    p = np.arange(a1 * a3 ** a2)
-    k1 = p % a1
-    k3 = _maps(0, a3 ** a2, a2, a3)[p // a1]          # (choices, a2)
-    hot = (k1[:, None, None, None] == np.arange(a1)[:, None, None]) & \
-        (k3[:, None, :, None] == np.arange(a3))
-    table = hot.astype(np.float64).reshape(len(p), -1)
-    table.flags.writeable = False
-    return table
+def _subset_sums(a: np.ndarray) -> np.ndarray:
+    """s[..., R] = sum of a[..., i] over the set bits i of R: the last axis
+    of length n becomes one of length 2^n."""
+    n = a.shape[-1]
+    s = np.empty(a.shape[:-1] + (2 ** n,))
+    s[..., 0] = 0.0
+    for i in range(n):
+        h = 2 ** i
+        np.add(s[..., :h], a[..., i:i + 1], out=s[..., h:2 * h])
+    return s
+
+
+@lru_cache(maxsize=None)
+def _subset_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair (S, T) of bitmasks over n elements with T a subset of S,
+    3^n of them, grouped by S in ascending order: read-only (t, r, starts)
+    with t = T, r = S ^ T, and S's group starting at starts[S]."""
+    digits = _maps(0, 3 ** n, n, 3)      # per element: 0 out, 1 S\T, 2 T
+    bits = 1 << np.arange(n)
+    s = (digits >= 1) @ bits
+    order = np.argsort(s, kind="stable")
+    t, r = ((digits == 2) @ bits)[order], ((digits == 1) @ bits)[order]
+    starts = np.searchsorted(s[order], np.arange(2 ** n))
+    for a in (t, r, starts):
+        a.flags.writeable = False
+    return t, r, starts
+
+
+def _partition(v: np.ndarray, parts: int, n: int,
+               whole: bool = False) -> np.ndarray:
+    """For every bitmask S over n elements (the last axis of v, of length
+    2^n), the largest sum of v over at most `parts` disjoint subsets whose
+    union is S.  v[..., 0] must be 0, so that an empty part adds nothing.
+
+    Each level over every S reduces the 3^n (S, T) pairs of
+    `_subset_pairs`.  With `whole` only S = all n elements is returned, and
+    its last level is a single 2^n pass.
+    """
+    parts = max(1, min(parts, n))
+    levels = parts - 1 if whole else parts
+    best = v
+    if levels > 1:
+        t, r, starts = _subset_pairs(n)
+        vt = v[..., t]
+        for _ in range(levels - 1):
+            best = np.maximum.reduceat(vt + best[..., r], starts, axis=-1)
+    if not whole:
+        return best
+    if parts == 1:
+        return best[..., -1]
+    return (v + best[..., ::-1]).max(axis=-1)
 
 
 def _best_response(w: np.ndarray, legs: tuple[int, int, int]) -> float:
     """Best score of deterministic protocols with leg alphabets `legs` on
-    weights W[b, x, y]: every Alice map against Bob's exact best response
-    (module docstring).  Callers cap the map count with `_capped` first."""
+    weights W[b, x, y]: Alice's best partition of her inputs against Bob's
+    exact best response (module docstring).  Callers cap the map count
+    with `_capped` first."""
     a1, a2, a3 = legs
     _, nx, ny = w.shape
-    hot = _choice_table(a1, a2, a3)
-    choices, cells = hot.shape
-    total = choices ** nx
-    rows = max(1, min(_CHUNK, _BLOCK // ((nx + 2 * ny) * cells)))
-    wt = w.transpose(1, 0, 2).reshape(nx, 2 * ny)           # (x, b y)
-
-    def run_chunk(start: int) -> float:
-        g = hot[_maps(start, min(start + rows, total), nx, choices)]
-        s = np.matmul(g.transpose(0, 2, 1), wt).reshape(-1, a1, a2, a3, 2, ny)
-        vals = s.max(axis=4).sum(axis=3).max(axis=2).sum(axis=(1, 2))
-        return float(vals.max())
-
-    return max(thread_map(run_chunk, range(0, total, rows)))
+    one_way = a2 == 1 or a3 == 1      # Bob's reply cannot steer Alice
+    if one_way and min(a1 * a3, nx) == 1:
+        # One class, X itself: no subset table, however large X is.
+        return float(w.sum(axis=1).max(axis=0).sum())
+    u = _subset_sums(w.transpose(0, 2, 1)).max(axis=0)   # (y, R)
+    if one_way:
+        return float(_partition(u.sum(axis=0), a1 * a3, nx, whole=True))
+    v = _subset_sums(u.T)                                # V(R, C) at [R, C]
+    if a1 == 1:
+        b = _partition(v.T, a3, nx, whole=True)          # B_X(C)
+        return float(_partition(b, a2, ny, whole=True))
+    b = _partition(v.T, a3, nx)                          # B_T(C) at [C, T]
+    g = _partition(b.T, a2, ny, whole=True)              # G(T)
+    return float(_partition(g, a1, nx, whole=True))
 
 
 def best_success_one_way(t: TruthTable, bits: int) -> float:
     """Best average success with one `bits`-bit message from Alice to Bob.
 
-    Exhausts all message maps x -> {0..2^bits - 1}; Bob's decision is chosen
-    greedily per (message, y).  If the message alphabet covers the whole
-    input set the identity map is optimal and the search is skipped.
+    Alice's message map x -> {0..2^bits - 1} is the best split of the inputs
+    into at most 2^bits classes; Bob's decision is chosen greedily per
+    (message, y).  If the message alphabet covers the whole input set the
+    identity map is optimal and the search is skipped.
     """
     if bits < 0:
         raise ValueError(f"bits={bits} must be >= 0")
@@ -179,8 +232,8 @@ def _split_legs(t: TruthTable, c1: int, c2: int,
 
 def _tree_split_value(t: TruthTable, c1: int, c2: int, c3: int) -> float:
     """Best success over deterministic three-leg protocols with leg budgets
-    (c1, c2, c3), enumerating the (2^c1 * 2^(c3 * 2^c2))^|X| Alice maps (at
-    most ENUM_CAP) against Bob's exact best response."""
+    (c1, c2, c3): Alice's best partition against Bob's exact best response,
+    once the split's (2^c1 * 2^(c3 * 2^c2))^|X| Alice maps fit ENUM_CAP."""
     return _best_response(_weights(t), _split_legs(t, c1, c2, c3))
 
 
@@ -190,8 +243,8 @@ def best_success_tree(t: TruthTable, bits: int) -> float:
     Bob decides): the one-way optimum or any genuine split, whichever is
     larger.
 
-    Interactive splits are searched exhaustively, after every split's map
-    count has been checked against ENUM_CAP.
+    Interactive splits are searched exactly, after every split's map count
+    has been checked against ENUM_CAP.
     """
     if bits < 0:
         raise ValueError(f"bits={bits} must be >= 0")

@@ -6,11 +6,13 @@ the deterministic sweep file and a truth-table file: a value anywhere in
 the document becomes NaN, an infinity, a string, a bool, a float, a huge
 or negative integer, null or an empty container; or it is wrapped in one
 more list; or its key or list entry is deleted.  A protocol's register
-fields, `rounds` and `epsilon` may also take a value that still loads,
-so that mutated protocols reach the converters.  Each mutated document is
-run through the command that reads it, in-process.  Every run must return
-an exit code 0-3 without raising, a usage error (1) must be reported on
-stderr, and a cap or invariant failure (2, 3) must write its error report.
+fields, `rounds` and `epsilon`, and the keys of the `cc`, `pbt-bench` and
+`bell-certify` configs, may also take a value that still loads, so that
+mutated protocols reach the converters and mutated configs the
+computation.  Each mutated document is run through the command that reads
+it, in-process.  Every run must return an exit code 0-3 without raising, a
+usage error (1) must be reported on stderr, and a cap or invariant failure
+(2, 3) must write its error report.
 """
 
 import contextlib
@@ -111,38 +113,61 @@ def _mutate(doc, path, how):
     return doc
 
 
-# Values a protocol field of each kind may take and still load.
-IN_RANGE = {"registers": [1, 2, 4], "rounds": [1, 2],
-            "epsilon": [0.125, 0.5, None, DELETE]}
+# Values a field of each kind may take and still load, per target.  A
+# config's kinds are its keys, and "key[]" for an entry of a list value.
+PROTOCOL_IN_RANGE = {"registers": [1, 2, 4], "rounds": [1, 2],
+                     "epsilon": [0.125, 0.5, None, DELETE]}
+IN_RANGE = {
+    "protocol": PROTOCOL_IN_RANGE,
+    "protocol-memory3": PROTOCOL_IN_RANGE,
+    "cc-config": {"command": ["cc"], "bits": [0, 1, 2, 3],
+                  "method": ["one_way", "tree"],
+                  "function": ["qrac", "eq1"]},
+    "pbt-bench-config": {"command": ["pbt-bench"],
+                         "ports": [[1], [2, 3], [1, 4]],
+                         "ports[]": [1, 2, 3], "d": [2, 3]},
+    "bell-certify-config": {"command": ["bell-certify"],
+                            "schedule": [[1], [2], [4], [2, 2, 2]],
+                            "schedule[]": [1, 2, 3],
+                            "mode": ["exact", "sampled"],
+                            "protocol": ["builtin:qrac", "builtin:const1"]},
+}
 
 
-def _path_kind(path):
-    """A protocol document's path kind: its register fields, `rounds` and
-    `epsilon` each stand alone; everything else is array data or the
-    structure around it."""
-    if path[:1] in (("registers",), ("rounds",), ("epsilon",)):
-        return path[0]
-    return "arrays"
+def _path_kind(name, path):
+    """A path's kind.  A protocol document's register fields, `rounds` and
+    `epsilon` each stand alone, and everything else is array data or the
+    structure around it; a config's kind is the key it changes."""
+    if name.startswith("protocol"):
+        if path[:1] in (("registers",), ("rounds",), ("epsilon",)):
+            return path[0]
+        return "arrays"
+    if not path:
+        return "document"
+    return path[0] if len(path) == 1 else f"{path[0]}[]"
 
 
 @st.composite
 def mutated(draw):
     """A target and its document after one to three mutations.  Nearly
-    every path of a protocol document is an array entry, and every value
-    of MUTATIONS fails the load, so a protocol mutation draws the path
-    kind first, then a path of that kind, then a value that may also be
-    one of the kind's IN_RANGE values; otherwise almost no mutated protocol
-    would reach the converters."""
+    every path of a protocol document is an array entry, and nearly every
+    value of MUTATIONS fails the load or the config checks, so a mutation
+    of a target with IN_RANGE values draws the path kind first, then a
+    path of that kind, then a value that may also be one of the kind's
+    IN_RANGE values; otherwise almost no mutated protocol would reach the
+    converters and no mutated config the computation."""
     name = draw(st.sampled_from(sorted(TARGETS)))
     doc, readers = TARGETS[name]
+    in_range = IN_RANGE.get(name, {})
     for _ in range(draw(st.integers(1, 3))):
         paths = list(_paths(doc))
         how = st.sampled_from(MUTATIONS)
-        if name.startswith("protocol"):
-            kind = draw(st.sampled_from(sorted(set(map(_path_kind, paths)))))
-            paths = [p for p in paths if _path_kind(p) == kind]
-            if kind in IN_RANGE:
-                how = st.one_of(how, st.sampled_from(IN_RANGE[kind]))
+        if in_range:
+            kinds = sorted({_path_kind(name, p) for p in paths})
+            kind = draw(st.sampled_from(kinds))
+            paths = [p for p in paths if _path_kind(name, p) == kind]
+            if kind in in_range:
+                how = st.one_of(how, st.sampled_from(in_range[kind]))
         path = draw(st.sampled_from(paths))
         doc = _mutate(doc, path, draw(how))
     return name, doc, readers

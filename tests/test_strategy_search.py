@@ -1,17 +1,19 @@
 """Differential tests of the deterministic-strategy search kernel.
 
-`classicalcc._best_response` enumerates Alice's maps and solves Bob's
-reply exactly; the one-way oracle, every tree split and the exact LHV bound
-go through it.  The two enumerators it replaced are kept here unchanged in
-substance as references: `tree_split_reference` walks every (Alice, Bob)
-map pair in chunks (the former `classicalcc._tree_split_value`, taking leg
-alphabets instead of bit budgets so that it also covers port-count
+`classicalcc._best_response` finds Alice's best partition of her inputs
+by a (max, +) recursion over subsets (`classicalcc._partition`) and
+solves Bob's reply exactly; the one-way oracle, every tree split and the
+exact LHV bound go through it.  Three slower searches are kept here as
+references.  `enumerated_best_response` is the enumeration the recursion
+replaced: it walks every Alice map in chunks against Bob's best response.
+`tree_split_reference` walks every (Alice, Bob) map pair in chunks (taking
+leg alphabets instead of bit budgets, so that it also covers port-count
 schedules), and `lhv_exact_reference` loops over every pair of index
-strategies in Python (the former `bell._lhv_exact`).  Neither uses Bob's
-best response, so agreement at 1e-12 checks that argument as well as the
-vectorized enumeration.
+strategies in Python.  The last two do not use Bob's best response, so
+agreement at 1e-12 checks that argument as well as the recursion.
 """
 
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -23,6 +25,12 @@ from bellforge.protocols import TruthTable
 from bellforge.states import CapExceededError
 
 TOL = 1e-12
+
+# Map batch of the reference enumerations; `enumerated_best_response`
+# shrinks its batches so that one batch's one-hot and score blocks hold at
+# most BLOCK float64 entries.
+CHUNK = 8192
+BLOCK = 2 ** 21
 
 
 def random_truth(rng: np.random.Generator, n: int) -> TruthTable:
@@ -69,8 +77,8 @@ def tree_split_reference(t: TruthTable, m1a: int, m2a: int,
         mask1 = _one_hot(m1, m1a)                        # (x, k1)
         for m2 in m2_all:
             reply = m2[:, m1].T                          # (x, y): m2[y, m1[x]]
-            for start in range(0, n3, cc._CHUNK):
-                stop = min(start + cc._CHUNK, n3)
+            for start in range(0, n3, CHUNK):
+                stop = min(start + CHUNK, n3)
                 m3 = _digit_rows(start, stop, nx * m2a, m3a).reshape(
                     stop - start, nx, m2a)
                 hot3 = _one_hot(m3, m3a)                 # (c, x, r, k3)
@@ -114,6 +122,66 @@ def lhv_exact_reference(t: TruthTable, s: bell.PortSchedule) -> float:
                     acc[y, a1, i2, a3[a1, i2], :] += w[:, x, y]
             best = max(best, float(acc.max(axis=4).sum()))
     return best
+
+
+@lru_cache(maxsize=32)
+def _choice_table(a1: int, a2: int, a3: int) -> np.ndarray:
+    """One-hot rows (k1, k2, k3) of Alice's per-input choices: choice p
+    sends k1 = p % a1 and answers k2 with digit k2 of p // a1."""
+    p = np.arange(a1 * a3 ** a2)
+    k1 = p % a1
+    k3 = _digit_rows(0, a3 ** a2, a2, a3)[p // a1]     # (choices, a2)
+    hot = (k1[:, None, None, None] == np.arange(a1)[:, None, None]) & \
+        (k3[:, None, :, None] == np.arange(a3))
+    return hot.astype(np.float64).reshape(len(p), -1)
+
+
+def enumerated_best_response(w: np.ndarray,
+                             legs: tuple[int, int, int]) -> float:
+    """Every one of Alice's (a1 * a3^a2)^|X| maps against Bob's exact best
+    response, value = sum_{y,k1} max_k2 sum_k3 max_b S (the
+    `classicalcc` module docstring), in batches of at most CHUNK maps."""
+    a1, a2, a3 = legs
+    _, nx, ny = w.shape
+    hot = _choice_table(a1, a2, a3)
+    choices, cells = hot.shape
+    total = choices ** nx
+    rows = max(1, min(CHUNK, BLOCK // ((nx + 2 * ny) * cells)))
+    wt = w.transpose(1, 0, 2).reshape(nx, 2 * ny)           # (x, b y)
+    best = 0.0
+    for start in range(0, total, rows):
+        g = hot[_digit_rows(start, min(start + rows, total), nx, choices)]
+        s = np.matmul(g.transpose(0, 2, 1), wt).reshape(-1, a1, a2, a3, 2, ny)
+        vals = s.max(axis=4).sum(axis=3).max(axis=2).sum(axis=(1, 2))
+        best = max(best, float(vals.max()))
+    return best
+
+
+def partition_reference(v: np.ndarray, parts: int, n: int) -> np.ndarray:
+    """For every bitmask S, the best sum of v over every labelling of S's
+    elements with `parts` labels, so that any label's class may be
+    empty."""
+    out = np.empty(2 ** n)
+    for s in range(2 ** n):
+        members = [i for i in range(n) if s >> i & 1]
+        out[s] = max(
+            sum(v[sum(1 << i for i, lab in zip(members, labels) if lab == k)]
+                for k in range(parts))
+            for labels in product(range(parts), repeat=len(members)))
+    return out
+
+
+# Largest map count the reference enumeration is asked to walk: at most a
+# second per table.
+REF_MAPS = 2 ** 16
+
+
+def reference_legs(n: int) -> list[tuple[int, int, int]]:
+    """Leg triples with alphabets 1..4 that ENUM_CAP accepts at n and whose
+    maps the reference enumeration walks in at most REF_MAPS."""
+    return [legs for legs in product(range(1, 5), repeat=3)
+            if (legs[0] * legs[2] ** legs[1]) ** (2 ** n)
+            <= min(cc.ENUM_CAP, REF_MAPS)]
 
 
 def tables(seed: int, n: int, count: int) -> list[TruthTable]:
@@ -177,15 +245,173 @@ class TestAgainstReferences:
         for counts in [(2, 2, 1), (1, 2, 2)]:
             assert lhv_kernel(t, counts) < 1.0 - 1e-3, counts
 
-    def test_batch_boundaries(self, monkeypatch):
-        # Tiny batches put chunk edges and a ragged last batch inside
-        # every search.
-        monkeypatch.setattr(cc, "_CHUNK", 7)
-        for t in tables(500, 2, 2):
-            want = tree_split_reference(t, 1, 2, 2)
-            assert abs(cc._tree_split_value(t, 0, 1, 1) - want) <= TOL
-            want = lhv_exact_reference(t, bell.PortSchedule((3,), (2,)))
-            assert abs(lhv_kernel(t, (3,)) - want) <= TOL
+
+class TestAgainstEnumeration:
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_every_reference_leg_triple(self, n):
+        legs_list = reference_legs(n)
+        assert (1, 1, 1) in legs_list and (1, 2, 2) in legs_list
+        for k, t in enumerate(tables(800 + n, n, 3)):
+            w = cc._weights(t)
+            for legs in legs_list:
+                want = enumerated_best_response(w, legs)
+                got = cc._best_response(w, legs)
+                assert abs(got - want) <= TOL, (n, k, legs, got, want)
+
+    @pytest.mark.parametrize("legs", [(2, 1, 1), (4, 1, 1), (1, 2, 2)])
+    def test_three_bit_inputs(self, legs):
+        for t in tables(810, 3, 3):
+            w = cc._weights(t)
+            want = enumerated_best_response(w, legs)
+            assert abs(cc._best_response(w, legs) - want) <= TOL, legs
+
+
+class TestPartition:
+    @staticmethod
+    def values(seed: int, n: int, batch: int = 2) -> np.ndarray:
+        v = np.random.default_rng(seed).random((batch, 2 ** n))
+        v[:, 0] = 0.0
+        return v
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_labelling_reference(self, n):
+        v = self.values(900 + n, n)
+        for parts in range(1, n + 1):
+            want = np.stack([partition_reference(row, parts, n)
+                             for row in v])
+            got = cc._partition(v, parts, n)
+            assert np.abs(got - want).max() <= TOL, (n, parts)
+            whole = cc._partition(v, parts, n, whole=True)
+            assert np.abs(whole - want[:, -1]).max() <= TOL, (n, parts)
+
+    def test_more_parts_than_elements(self):
+        # No split has more nonempty classes than elements.
+        v = self.values(910, 3)
+        for parts in (4, 9):
+            want = np.stack([partition_reference(row, parts, 3)
+                             for row in v])
+            got = cc._partition(v, parts, 3)
+            assert np.abs(got - want).max() <= TOL, parts
+            whole = cc._partition(v, parts, 3, whole=True)
+            assert np.abs(whole - want[:, -1]).max() <= TOL, parts
+
+    def test_no_elements(self):
+        v = np.zeros((2, 1))
+        for parts in (1, 2, 5):
+            assert np.array_equal(cc._partition(v, parts, 0), v)
+            assert np.array_equal(cc._partition(v, parts, 0, whole=True),
+                                  np.zeros(2))
+
+    def test_empty_classes(self):
+        # A superadditive v is best left in one class, so every other
+        # class stays empty; a subadditive one is best in singletons.
+        n = 4
+        size = np.array([bin(s).count("1") for s in range(2 ** n)])
+        for parts in (1, 2, 3, 4, 6):
+            got = cc._partition(size.astype(float) ** 2, parts, n)
+            assert np.array_equal(got, size ** 2.0), parts
+            got = cc._partition(np.sqrt(size), parts, n, whole=True)
+            want = partition_reference(np.sqrt(size), parts, n)[-1]
+            assert abs(got - want) <= TOL, parts
+            if parts >= n:
+                assert abs(got - n) <= TOL, parts
+
+    def test_single_first_message(self):
+        # With a1 = 1 the kernel reads only B_X, T = X; that must be the
+        # general recursion's G(X), and the enumeration's value.
+        for n, legs_list in ((1, [(1, 2, 2), (1, 3, 2), (1, 2, 3)]),
+                             (2, [(1, 2, 2), (1, 3, 2), (1, 2, 3)]),
+                             (3, [(1, 2, 2)])):
+            nx = 2 ** n
+            for t in tables(920 + n, n, 2):
+                w = cc._weights(t)
+                u = cc._subset_sums(w.transpose(0, 2, 1)).max(axis=0)
+                v = cc._subset_sums(u.T)
+                for _, a2, a3 in legs_list:
+                    b = cc._partition(v.T, a3, nx)
+                    general = cc._partition(b.T, a2, nx, whole=True)[-1]
+                    got = cc._best_response(w, (1, a2, a3))
+                    assert abs(got - general) <= TOL, (n, a2, a3)
+                    want = enumerated_best_response(w, (1, a2, a3))
+                    assert abs(got - want) <= TOL, (n, a2, a3)
+
+    @pytest.mark.parametrize("legs", [(2, 2, 2), (2, 3, 2), (2, 2, 3),
+                                      (3, 2, 2)])
+    def test_first_message_split_composes(self, legs):
+        # Past the caps' reach of the enumeration: on three-bit inputs
+        # with a1 * a3 < |X|, the value is the best a1-labelling of X
+        # with each class played as its own a1 = 1 protocol.
+        a1, a2, a3 = legs
+        t = tables(940, 3, 1)[0]
+        w = cc._weights(t)
+        nx = t.num_inputs
+        value = [0.0] + [
+            cc._best_response(w[:, [x for x in range(nx) if m >> x & 1]],
+                              (1, a2, a3)) for m in range(1, 2 ** nx)]
+        want = 0.0
+        for labels in product(range(a1), repeat=nx):
+            masks = [0] * a1
+            for x, k in enumerate(labels):
+                masks[k] |= 1 << x
+            want = max(want, sum(value[m] for m in masks))
+        assert abs(cc._best_response(w, legs) - want) <= TOL, legs
+
+    def test_one_class_is_the_closed_form(self):
+        # One class of X: Bob's best bit per y against the whole column.
+        for n in (0, 1, 4, 5):
+            for t in tables(930 + n, n, 2):
+                w = cc._weights(t)
+                want = float(w.sum(axis=1).max(axis=0).sum())
+                for legs in ((1, 1, 1), (1, 5, 1)):
+                    assert cc._best_response(w, legs) == want, (n, legs)
+
+    def test_subset_pairs(self):
+        for n in range(5):
+            t, r, starts = cc._subset_pairs(n)
+            assert len(t) == 3 ** n and np.all(t & r == 0)
+            s = t | r
+            groups = np.split(s, starts[1:])
+            assert [set(g) for g in groups] == [{m} for m in range(2 ** n)]
+            assert all(len(g) == 2 ** bin(m).count("1")
+                       for m, g in enumerate(groups))
+
+
+def _accepted(search, *args) -> bool:
+    try:
+        search(*args)
+    except CapExceededError:
+        return False
+    return True
+
+
+def test_pair_table_stays_small_under_the_caps(monkeypatch):
+    # The 3^n pair table is never formed past n = 8 subset elements, for
+    # any search the caps accept on four-bit inputs (ENUM_CAP comment).
+    formed = []
+    pairs = cc._subset_pairs
+
+    def spy(n):
+        formed.append(n)
+        return pairs(n)
+
+    monkeypatch.setattr(cc, "_subset_pairs", spy)
+    t = tables(1000, 4, 1)[0]
+    accepted = []
+    for bits in range(6):
+        if _accepted(cc.best_success_one_way, t, bits):
+            accepted.append(("one_way", bits))
+        for split in cc._genuine_splits(bits):
+            if _accepted(cc._tree_split_value, t, *split):
+                accepted.append(("tree", split))
+    for levels in (1, 3):
+        for counts in product(range(1, 6), repeat=levels):
+            if _accepted(lhv_kernel, t, counts):
+                accepted.append(("lhv", counts))
+    assert ("one_way", 1) in accepted and ("lhv", (2, 4, 1)) in accepted
+    assert formed == [] or max(formed) <= 8, formed
+    # The spy sees the table where a search forms it.
+    cc.best_success_one_way(tables(1001, 3, 1)[0], 2)
+    assert formed == [8]
 
 
 class TestCapRule:
