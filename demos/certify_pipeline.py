@@ -14,7 +14,7 @@ import sys
 import time
 
 from bellforge import (
-    PortSchedule, bell_value, build_linear_bell, builtin_qrac,
+    PortSchedule, bell_value, builtin_qrac,
     generate_correlations, lhv_bound, simulate_with_classical_comm,
     success_probability, to_memoryless, to_single_qubit_rounds,
 )
@@ -30,17 +30,14 @@ def main() -> None:
     for ports in (1, 2, 4, 8):
         schedule = PortSchedule.for_protocol(ml, (ports,))
         table = generate_correlations(ml, schedule)
-        functional = build_linear_bell(source.truth, schedule)
-        delta = lhv_bound(functional, "exact")
-        report = bell_value(
-            table, functional.with_bound(delta, "exact"))
+        delta = lhv_bound(source.truth, schedule, method="exact")
+        report = bell_value(table, delta, "exact")
         verdict = "VIOLATED" if report.shifted_value > delta + 1e-9 \
             else "not violated"
         print(f"{ports:>5}  {report.bell_value:>18.15f}  {delta:>10.4f}  "
               f"{report.budget_bits:>6.1f}  {verdict}")
     sim, bits = simulate_with_classical_comm(
-        generate_correlations(ml, PortSchedule.for_protocol(ml, (8,))),
-        PortSchedule.for_protocol(ml, (8,)))
+        generate_correlations(ml, PortSchedule.for_protocol(ml, (8,))))
     print(f"classical replay of the 8-port run: success {sim:.15f} "
           f"using {bits:.1f} bits")
     print(f"[{time.monotonic() - start:.1f}s] done", file=sys.stderr)

@@ -30,7 +30,7 @@ correlations checked against a nonlinear communication inequality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Any, Callable, Iterator, Sequence
 
@@ -42,12 +42,7 @@ from .classicalcc import (
     best_success_tree)
 from .protocols import CommProtocol, MemorylessProtocol, TruthTable, _simulate
 from .remoteprep import batch_size, index_cost_bits, rsp_povm
-from .states import (
-    CapExceededError,
-    InvariantError,
-    PureState,
-    RegisterLayout,
-)
+from .states import CapExceededError, InvariantError, PureState
 from .teleport import depolarizing_parameter
 
 # Correlation rows must be normalized to this tolerance.
@@ -88,8 +83,14 @@ class PortSchedule:
     port_dims: tuple[int, ...]
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.port_counts)
-        dims = tuple(int(d) for d in self.port_dims)
+        counts = tuple(self.port_counts)
+        dims = tuple(self.port_dims)
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in counts + dims):
+            raise ValueError(f"port counts {counts} and dimensions {dims} "
+                             f"must be integers")
+        counts = tuple(map(int, counts))
+        dims = tuple(map(int, dims))
         if len(counts) != len(dims):
             raise ValueError(
                 f"{len(counts)} port counts vs {len(dims)} dimensions")
@@ -108,7 +109,7 @@ class PortSchedule:
         """Schedule whose step dimensions are read off the protocol."""
         proto = p.proto if isinstance(p, MemorylessProtocol) else p
         legs = tuple(d for _, d in proto.legs)
-        counts = tuple(int(c) for c in port_counts)
+        counts = tuple(port_counts)
         if len(counts) != len(legs):
             raise ValueError(
                 f"protocol transmits {len(legs)} messages, got "
@@ -150,12 +151,18 @@ class CorrelationTable:
         keys = {(x, y) for x in range(size) for y in range(size)}
         if set(self.tables) != keys:
             raise ValueError("tables must cover every input pair")
+        if self.schedule is not None \
+                and self.axes != self.schedule.port_counts + (2,):
+            raise ValueError(f"table axes {self.axes} do not match schedule "
+                             f"alphabets {self.schedule.port_counts} + (2,)")
         clean = {}
         for key, arr in self.tables.items():
             a = np.asarray(arr, dtype=np.float64)
             if a.shape != self.axes:
                 raise ValueError(
                     f"table {key}: shape {a.shape}, expected {self.axes}")
+            if not np.isfinite(a).all():
+                raise ValueError(f"table {key} has a non-finite entry")
             if a.min() < -1e-12:
                 raise InvariantError(
                     f"table {key}: negative probability {a.min()}")
@@ -166,11 +173,6 @@ class CorrelationTable:
             a.setflags(write=False)
             clean[key] = a
         object.__setattr__(self, "tables", clean)
-
-
-def _same_truth(a: TruthTable, b: TruthTable) -> bool:
-    return a is b or (a.n == b.n and np.array_equal(a.f, b.f)
-                      and np.allclose(a.mu, b.mu, atol=1e-12))
 
 
 def _full_alphabets(s: PortSchedule) -> dict[str, Any]:
@@ -235,7 +237,6 @@ def generate_correlations(p: MemorylessProtocol, s: PortSchedule,
     counts = s.port_counts
     uniform = np.full(counts, 1.0 / math.prod(counts))
     streams = np.random.default_rng(seed).spawn(len(pairs))
-    # Computed before the pool so no two threads build one measurement.
     lams = [1.0 if on else depolarizing_parameter(n, d)
             for on, n, d in zip(mask, counts, s.port_dims)]
 
@@ -265,60 +266,30 @@ def generate_correlations(p: MemorylessProtocol, s: PortSchedule,
               "full_alphabets": _full_alphabets(s)})
 
 
-def simulate_with_classical_comm(table: CorrelationTable,
-                                 s: PortSchedule) -> tuple[float, float]:
+def _schedule(table: CorrelationTable) -> PortSchedule:
+    if table.schedule is None:
+        raise ValueError("table carries no port schedule")
+    return table.schedule
+
+
+def simulate_with_classical_comm(table: CorrelationTable
+                                 ) -> tuple[float, float]:
     """(success probability, classical bits) when the kept indices are sent.
 
     Revealing every port index collapses the tree to the realized path,
     and the leaf outcome there is the protocol's output; the cost is the
-    bits needed to name one index per level.
+    bits needed to name one index per level of the table's schedule.
     """
-    if table.schedule is None:
-        raise ValueError("table carries no port schedule")
-    if s != table.schedule:
-        raise ValueError("schedule does not match the table's schedule")
-    return _path_value(table, table.truth), s.budget_bits
+    return _path_value(table), _schedule(table).budget_bits
 
 
-def _path_value(table: CorrelationTable, t: TruthTable) -> float:
+def _path_value(table: CorrelationTable) -> float:
     """Sum over (x, y) of mu(x, y) P(leaf outcome = f(x, y))."""
+    t = table.truth
     value = 0.0
     for x, y in t.support():
         value += t.mu[x, y] * table.tables[(x, y)][..., t.f[x, y]].sum()
     return float(value)
-
-
-@dataclass(frozen=True)
-class BellFunctional:
-    """Linear functional over path-indexed correlations.
-
-    Each input pair (x, y) contributes weight mu(x, y) on the event that
-    the leaf outcome along the realized path equals f(x, y); the classical
-    bound delta (value minus 1/2 over local strategies, optionally granted
-    the schedule's bit budget) is filled by `lhv_bound`.
-    """
-    truth: TruthTable
-    schedule: PortSchedule
-    delta: float | None = None
-    delta_method: str | None = None
-
-    def __post_init__(self):
-        if self.delta is not None and not 0.0 <= self.delta <= 0.5 + 1e-12:
-            raise InvariantError(
-                f"classical margin delta={self.delta} outside [0, 1/2]")
-
-    @property
-    def budget_bits(self) -> float:
-        return self.schedule.budget_bits
-
-    def with_bound(self, delta: float, method: str) -> "BellFunctional":
-        return replace(self, delta=delta, delta_method=method)
-
-
-def build_linear_bell(t: TruthTable, s: PortSchedule) -> BellFunctional:
-    """Path functional for truth table t under port schedule s; its
-    classical bound stays unfilled until `lhv_bound` runs."""
-    return BellFunctional(truth=t, schedule=s)
 
 
 @dataclass(frozen=True)
@@ -340,27 +311,23 @@ class BellReport:
             raise InvariantError("shifted value must equal value - 1/2")
 
 
-def bell_value(table: CorrelationTable,
-               functional: BellFunctional) -> BellReport:
-    """Evaluate the path functional on a correlation table."""
-    if table.schedule is None:
-        raise ValueError("table carries no port schedule")
-    if not _same_truth(table.truth, functional.truth):
-        raise ValueError("table and functional target different functions")
-    s = functional.schedule
-    if table.schedule != s:
-        raise ValueError("table and functional use different schedules")
-    if table.axes != s.port_counts + (2,):
-        raise ValueError(
-            f"table axes {table.axes} do not match schedule alphabets")
-    value = _path_value(table, functional.truth)
-    delta = functional.delta
-    ratio = None
-    if delta is not None:
-        ratio = violation_ratio(value - 0.5, delta)
+def bell_value(table: CorrelationTable, delta: float | None = None,
+               method: str | None = None) -> BellReport:
+    """Evaluate the path functional of the table's target function and
+    input distribution: each input pair (x, y) weighs mu(x, y) on the
+    event that the leaf outcome along the realized path equals f(x, y).
+    `delta` is the classical margin (local value minus 1/2, from
+    `lhv_bound`) and `method` how it was obtained; with a margin the
+    report carries the violation ratio."""
+    s = _schedule(table)
+    if delta is not None and not 0.0 <= delta <= 0.5 + 1e-12:
+        raise InvariantError(
+            f"classical margin delta={delta} outside [0, 1/2]")
+    value = _path_value(table)
+    ratio = None if delta is None else violation_ratio(value - 0.5, delta)
     return BellReport(
         bell_value=value, shifted_value=value - 0.5,
-        classical_delta=delta, classical_method=functional.delta_method,
+        classical_delta=delta, classical_method=method,
         ratio=ratio, schedule=s, mode=table.mode, seed=table.seed,
         budget_bits=s.budget_bits,
         meta=dict(table.meta) if table.meta else None)
@@ -387,8 +354,9 @@ def _lhv_exact(t: TruthTable, s: PortSchedule) -> float:
         t.num_inputs, _lhv_legs(s), LHV_CAP, "deterministic strategy space"))
 
 
-def lhv_bound(functional: BellFunctional, method: str = "exact") -> float:
-    """Classical margin delta: local value minus 1/2.
+def lhv_bound(t: TruthTable, s: PortSchedule, *, method: str) -> float:
+    """Classical margin delta of the path functional for truth table t
+    under port schedule s: local value minus 1/2.
 
     method "exact" maximizes over deterministic communication-free
     strategies on the outcome tree.  method "cc_derived" instead grants a
@@ -397,11 +365,10 @@ def lhv_bound(functional: BellFunctional, method: str = "exact") -> float:
     strategies are simulated by announcing the kept indices.
     """
     if method == "exact":
-        value = _lhv_exact(functional.truth, functional.schedule)
+        value = _lhv_exact(t, s)
     elif method == "cc_derived":
-        bits = math.ceil(functional.budget_bits - _CEIL_GUARD)
-        bits = max(bits, 0)
-        value = best_success_tree(functional.truth, bits)
+        bits = max(math.ceil(s.budget_bits - _CEIL_GUARD), 0)
+        value = best_success_tree(t, bits)
     else:
         raise ValueError(f"unknown method {method!r}")
     return max(float(value) - 0.5, 0.0)
@@ -550,13 +517,12 @@ def one_way_correlations(p: CommProtocol | MemorylessProtocol
     d = proto.m_out_dims[0]
     b0 = proto.b0_dim
     size = proto.truth.num_inputs
-    layout = RegisterLayout([("S", d)])
     phi = np.zeros(d * d * b0, dtype=np.complex128)
     for j in range(d):
         phi[(j * d + j) * b0] = 1.0 / math.sqrt(d)
     tables = {}
     for x in range(size):
-        message = PureState(proto.alice_ops[0][x][:, 0], layout)
+        message = PureState(proto.alice_ops[0][x][:, 0])
         flag = rsp_povm(message)
         for y in range(size):
             obs = proto.observables[y]

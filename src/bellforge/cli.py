@@ -32,9 +32,9 @@ import numpy as np
 from . import __version__
 from ._threads import thread_count
 from .bell import (
-    OneWayStats, PortSchedule, bell_value,
-    build_linear_bell, generate_correlations, lhv_bound, nonlinear_bell_check,
-    observation_bound, one_way_correlations, one_way_linear_bell,
+    OneWayStats, PortSchedule, bell_value, generate_correlations,
+    lhv_bound, nonlinear_bell_check, observation_bound,
+    one_way_correlations, one_way_linear_bell,
 )
 from .classicalcc import (
     BudgetOracle, chernoff_repeats, distributional_cc, pumping_bound,
@@ -302,18 +302,17 @@ def cmd_bell_certify(cfg: dict[str, Any],
 
     table = generate_correlations(ml, schedule, mode=mode, trials=trials,
                                   seed=seed)
-    functional = build_linear_bell(source.truth, schedule)
     exact_info: dict[str, Any] | None = None
     try:
-        exact_info = {"delta": lhv_bound(functional, "exact"),
+        exact_info = {"delta": lhv_bound(source.truth, schedule,
+                                         method="exact"),
                       "method": "exact"}
     except CapExceededError as e:
         warnings.append(f"exact strategy enumeration skipped: {e}")
-    cc_delta = lhv_bound(functional, "cc_derived")
+    cc_delta = lhv_bound(source.truth, schedule, method="cc_derived")
     cc_info = {"delta": cc_delta, "method": "cc_derived"}
     used = exact_info if exact_info is not None else cc_info
-    report = bell_value(
-        table, functional.with_bound(used["delta"], used["method"]))
+    report = bell_value(table, used["delta"], used["method"])
 
     need = distributional_cc(source.truth, report.bell_value, method="tree")
     budget = schedule.budget_bits

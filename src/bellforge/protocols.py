@@ -20,7 +20,9 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .states import InvariantError, Povm, _RegisterMachine, _check_unitary
+from ._threads import thread_map
+from .states import (
+    InvariantError, Povm, _RegisterMachine, _check_unitary, random_unitary)
 
 ATOL_MU = 1e-12
 
@@ -248,7 +250,6 @@ def run_exact(p: CommProtocol | MemorylessProtocol, x: int, y: int) -> float:
 
 def success_probability(p: CommProtocol | MemorylessProtocol) -> float:
     """Distribution-weighted success: sum_xy mu(x,y) P(output = f(x,y))."""
-    from ._threads import thread_map
     if isinstance(p, MemorylessProtocol):
         p = p.proto
     pairs = p.truth.support()
@@ -299,7 +300,6 @@ def builtin_qrac() -> CommProtocol:
 
 
 def _random_two_outcome_povm(dim: int, rng: np.random.Generator) -> Povm:
-    from .states import random_unitary
     u = random_unitary(dim, rng)
     k = int(rng.integers(1, dim))
     proj = u[:, :k] @ u[:, :k].conj().T
@@ -312,7 +312,6 @@ def random_protocol(rng: np.random.Generator, rounds: int = 2, n: int = 1,
     register dims are random powers of 2 up to 2^max_qubits, the truth
     table and distribution are random.  No advantage is guaranteed, so
     epsilon is left unset."""
-    from .states import random_unitary
     size = 2 ** n
     cap = 2 ** max_qubits
 

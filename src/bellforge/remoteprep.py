@@ -79,6 +79,6 @@ def rsp_attempt(target: PureState, rng: np.random.Generator) -> RspAttempt:
     d = target.dim
     reg = _RegisterMachine([("A", d), ("B", d)], max_entangled(d).amplitudes)
     idx, probs = reg.measure(["A"], rsp_povm(target), rng)
-    bob = MixedState(reg.reduced(["B"]), [("B", d)])
+    bob = MixedState(reg.reduced(["B"]))
     return RspAttempt(target=target, outcome=1 if idx == 0 else 0,
                       bob_state=bob, success_probability=float(probs[0]))

@@ -1,14 +1,14 @@
 """Dense multi-register quantum state engine.
 
 Everything in this package runs on exact dense linear algebra: states are
-numpy arrays tagged with a register layout (ordered named registers), and
-every operation validates its inputs against fixed tolerances.  There is no
-tensor-network or sparse path; sizes are capped instead (total dimension at
-most 2**20) so that exactness is cheap to reason about.
+validated numpy arrays whose dimension is the array's, and every operation
+checks its inputs against fixed tolerances.  There is no tensor-network or
+sparse path; sizes are capped instead (total dimension at most 2**20) so
+that exactness is cheap to reason about.
 
 Conventions used throughout:
 
-* register order in a layout is the kron order of the underlying array,
+* register order is the kron order of the underlying array,
 * the maximally entangled state is |Phi+> = sum_i |ii> / sqrt(d),
 * measurements update via the Lueders rule sqrt(E) rho sqrt(E) / p,
 * Hermitian matrices are symmetrized as (M + M^dag)/2 before any
@@ -40,7 +40,7 @@ ATOL_TRACE = 1e-10      # trace-one for density matrices
 ATOL_POVM = 1e-10       # POVM completeness (sum to identity)
 ATOL_UNITARY = 1e-10    # unitarity of applied operators
 PROB_FLOOR = 1e-14      # measurement refuses to sample below this total mass
-MAX_TOTAL_DIM = 2 ** 20  # hard cap on any layout's total dimension
+MAX_TOTAL_DIM = 2 ** 20  # hard cap on any state's total dimension
 
 
 class CapExceededError(RuntimeError):
@@ -88,116 +88,52 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-class RegisterLayout:
-    """Ordered list of named registers, each with dimension >= 2.
-
-    The layout fixes how a flat state vector / density matrix factors into
-    registers.  Total dimension is capped at 2**20.
-    """
-
-    def __init__(self, registers: Iterable[tuple[str, int]]):
-        regs = tuple((str(name), int(dim)) for name, dim in registers)
-        if not regs:
-            raise ValueError("layout needs at least one register")
-        names = [name for name, _ in regs]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate register names in {names}")
-        for name, dim in regs:
-            if dim < 2:
-                raise ValueError(f"register {name!r} has dimension {dim} < 2")
-        total = 1
-        for _, dim in regs:
-            total *= dim
-        if total > MAX_TOTAL_DIM:
-            raise CapExceededError(
-                f"total dimension {total} exceeds cap {MAX_TOTAL_DIM}")
-        self._regs = regs
-        self._total = total
-        self._index = {name: i for i, (name, _) in enumerate(regs)}
-
-    @property
-    def registers(self) -> tuple[tuple[str, int], ...]:
-        return self._regs
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self._regs)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(dim for _, dim in self._regs)
-
-    @property
-    def total_dim(self) -> int:
-        return self._total
-
-    def dim(self, name: str) -> int:
-        return self._regs[self.axis(name)][1]
-
-    def axis(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise KeyError(f"no register named {name!r} in {self.names}")
-
-    def __len__(self) -> int:
-        return len(self._regs)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RegisterLayout) and self._regs == other._regs
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{n}:{d}" for n, d in self._regs)
-        return f"RegisterLayout({inner})"
-
-
-def _as_layout(layout) -> RegisterLayout:
-    if isinstance(layout, RegisterLayout):
-        return layout
-    return RegisterLayout(layout)
+def _check_total_dim(d: int) -> None:
+    """Refuse a state of total dimension below 2 or past MAX_TOTAL_DIM."""
+    if d < 2:
+        raise ValueError(f"state dimension {d} < 2")
+    if d > MAX_TOTAL_DIM:
+        raise CapExceededError(
+            f"total dimension {d} exceeds cap {MAX_TOTAL_DIM}")
 
 
 class PureState:
-    """Normalized state vector over a register layout."""
+    """Normalized state vector; its dimension is its length."""
 
-    def __init__(self, amplitudes: np.ndarray, layout):
-        layout = _as_layout(layout)
-        vec = np.asarray(amplitudes, dtype=np.complex128).reshape(-1).copy()
+    def __init__(self, amplitudes: np.ndarray):
+        vec = np.asarray(amplitudes).reshape(-1)
+        _check_total_dim(vec.size)
+        vec = vec.astype(np.complex128)
         _require_finite(vec, "state vector")
-        if vec.size != layout.total_dim:
-            raise ValueError(
-                f"vector length {vec.size} != layout dimension {layout.total_dim}")
         norm = np.linalg.norm(vec)
         if abs(norm - 1.0) > ATOL_NORM:
             raise InvariantError(f"pure state norm {norm} deviates from 1")
         vec.setflags(write=False)
         self.amplitudes = vec
-        self.layout = layout
 
     @property
     def dim(self) -> int:
-        return self.layout.total_dim
+        return self.amplitudes.size
 
     def __repr__(self) -> str:
-        return f"PureState(dim={self.dim}, layout={self.layout})"
+        return f"PureState(dim={self.dim})"
 
 
 class MixedState:
-    """Density matrix over a register layout.
+    """Density matrix; its dimension is its side.
 
     Validated Hermitian (1e-10), PSD up to -1e-10 eigenvalue noise, and
     unit trace (1e-10).  The checks run in float64 on a real input and in
     complex128 otherwise; `matrix` is always a read-only complex128 copy.
     """
 
-    def __init__(self, matrix: np.ndarray, layout):
-        layout = _as_layout(layout)
+    def __init__(self, matrix: np.ndarray):
         mat = np.asarray(matrix, dtype=_check_dtype(matrix))
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"density matrix shape {mat.shape} is not square")
+        _check_total_dim(mat.shape[0])
         _require_finite(mat, "density matrix")
-        d = layout.total_dim
-        if mat.shape != (d, d):
-            raise ValueError(f"matrix shape {mat.shape} != ({d}, {d})")
-        herm_dev = np.max(np.abs(mat - mat.conj().T)) if d else 0.0
+        herm_dev = np.max(np.abs(mat - mat.conj().T))
         if herm_dev > ATOL_HERM:
             raise InvariantError(f"density matrix not Hermitian (dev {herm_dev})")
         tr = np.trace(mat).real
@@ -207,14 +143,13 @@ class MixedState:
         if min_eig < -ATOL_EIG:
             raise InvariantError(f"density matrix has eigenvalue {min_eig} < 0")
         self.matrix = _frozen_complex(mat)
-        self.layout = layout
 
     @property
     def dim(self) -> int:
-        return self.layout.total_dim
+        return self.matrix.shape[0]
 
     def __repr__(self) -> str:
-        return f"MixedState(dim={self.dim}, layout={self.layout})"
+        return f"MixedState(dim={self.dim})"
 
 
 def _element_min_eig(e: np.ndarray, d: int) -> float:
@@ -465,7 +400,7 @@ def max_entangled(d: int) -> PureState:
         raise ValueError("dimension must be >= 2")
     vec = np.zeros(d * d, dtype=np.complex128)
     vec[:: d + 1] = 1.0 / np.sqrt(d)
-    return PureState(vec, RegisterLayout([("A", d), ("B", d)]))
+    return PureState(vec)
 
 
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -313,14 +313,14 @@ def teleport_branches(input_state: MixedState, meas: PbtMeasurement
     d = meas.d
     branches = _branches(_purify(input_state), meas, with_reference=False)
     out = []
-    for z, (prob, raw) in enumerate(branches, start=1):
+    for prob, raw in branches:
         if prob < 1e-300:
             # outcome numerically impossible; report the maximally mixed port
             rho = np.eye(d) / d
         else:
             rho = _sym(raw / prob)
             rho = rho / np.trace(rho).real
-        out.append((prob, MixedState(rho, [(f"B{z}", d)])))
+        out.append((prob, MixedState(rho)))
     return out
 
 
@@ -358,8 +358,8 @@ def entanglement_fidelity(N: int, d: int) -> float:
     1.  The cap d^(2N+2) <= 2**20 of `dense_entanglement_fidelity` applies
     here too, so both accept the same (N, d).
     """
-    _capped_dim("purified joint dimension d^(2N+2)", d, 2 * N + 2)
     _check_ports(N, d)
+    _capped_dim("purified joint dimension d^(2N+2)", d, 2 * N + 2)
     log_scale = (N + 2) * math.log(d)
     total = 0.0
     for alpha in _partitions(N - 1, d):
@@ -383,6 +383,7 @@ def dense_entanglement_fidelity(N: int, d: int) -> float:
     have probability 1/N to within 1e-9.  The cap d^(2N+2) <= 2**20 is
     checked before the measurement is built.
     """
+    _check_ports(N, d)
     _capped_dim("purified joint dimension d^(2N+2)", d, 2 * N + 2)
     meas = dense_pbt_povm(N, d)
     phi = max_entangled(d).amplitudes

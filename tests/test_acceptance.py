@@ -28,7 +28,7 @@ import pytest
 
 from bellforge import (
     OneWayStats, PortSchedule, TruthTable, bell_value, build_cc_table,
-    build_linear_bell, builtin_qrac, chernoff_repeats, distributional_cc,
+    builtin_qrac, chernoff_repeats, distributional_cc,
     entanglement_fidelity, generate_correlations, lhv_bound, lhv_strategies,
     lhv_table, majority_amplify, margin_ratio_lower_bound,
     nonlinear_bell_check, pumping_bound, random_protocol, ratio_lower_bound,
@@ -105,13 +105,13 @@ def test_criterion_2_preparation_statistics():
     worst_fid = 0.0
     for d in (2, 3, 4):
         for _ in range(100):
-            target = PureState(random_unitary(d, rng)[:, 0], [("T", d)])
+            target = PureState(random_unitary(d, rng)[:, 0])
             att = rsp_attempt(target, rng)
             worst_prob = max(worst_prob,
                              abs(att.success_probability - 1.0 / d))
         hits = 0
         while hits < 100:
-            target = PureState(random_unitary(d, rng)[:, 0], [("T", d)])
+            target = PureState(random_unitary(d, rng)[:, 0])
             att = rsp_attempt(target, rng)
             if att.outcome == 1:
                 hits += 1
@@ -159,12 +159,12 @@ def test_criterion_4_pipeline_identity():
     source = success_probability(builtin_qrac())
     assert source == pytest.approx(QRAC_SUCCESS, abs=1e-12)
     ideal_table = generate_correlations(ml, schedule, ideal=True)
-    ideal_value, _ = simulate_with_classical_comm(ideal_table, schedule)
+    ideal_value, _ = simulate_with_classical_comm(ideal_table)
     ideal_dev = abs(ideal_value - source)
     ideal_ok = ideal_dev <= 1e-9
 
     table = generate_correlations(ml, schedule)
-    measured, bits = simulate_with_classical_comm(table, schedule)
+    measured, bits = simulate_with_classical_comm(table)
     f_measured = entanglement_fidelity(8, 2)
     fid_dev = abs(f_measured - pbt_fidelity_qubit(8))
     fid_ok = fid_dev <= 1e-12
@@ -216,7 +216,7 @@ def test_criterion_5_soundness_sweep():
     # (index choices times all leaf tables) against the library bound.
     for n1, frozen in ((2, 0.25), (3, 0.375), (4, 0.5)):
         s = PortSchedule((n1,), (2,))
-        delta = lhv_bound(build_linear_bell(qrac, s), "exact")
+        delta = lhv_bound(qrac, s, method="exact")
         assert delta == pytest.approx(frozen, abs=1e-12)
         best = _enumerate_single_level(qrac, n1)
         assert best <= 0.5 + delta + 1e-12, (n1, best, delta)
@@ -231,12 +231,11 @@ def test_criterion_5_soundness_sweep():
     count = 0
     for counts in ((2, 2, 1), (2, 1, 2), (1, 2, 2)):
         s3 = PortSchedule(counts, (2, 2, 2))
-        func3 = build_linear_bell(xor, s3)
-        delta3 = lhv_bound(func3, "exact")
+        delta3 = lhv_bound(xor, s3, method="exact")
         best3 = -math.inf
         for alice, bob in lhv_strategies(xor, s3):
             table = lhv_table(xor, s3, alice, bob)
-            rep = bell_value(table, func3.with_bound(delta3, "exact"))
+            rep = bell_value(table, delta3, "exact")
             best3 = max(best3, rep.bell_value)
             count += 1
             assert rep.bell_value <= 0.5 + delta3 + 1e-12

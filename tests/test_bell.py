@@ -114,7 +114,7 @@ class TestDepolarizingLeg:
         meas = build_pbt_povm(n_ports, d)
         for rank in (1, d):
             rho = random_density(d, rng, rank=rank)
-            branches = teleport_branches(MixedState(rho, [("S", d)]), meas)
+            branches = teleport_branches(MixedState(rho), meas)
             for prob, _ in branches:
                 assert prob == pytest.approx(1.0 / n_ports, abs=1e-12)
             direct = branches[0][1].matrix
@@ -166,6 +166,22 @@ class TestPortSchedule:
             bell.PortSchedule((), ())
         with pytest.raises(ValueError):
             bell.PortSchedule.for_protocol(qrac_ml(), (2, 2))
+
+    @pytest.mark.parametrize("counts,dims", [
+        ((2.7,), (2,)), ((2.0,), (2,)), ((True,), (2,)), ((2,), (2.9,)),
+        ((2,), (np.float64(2.0),)), ((np.bool_(True),), (2,)),
+        (("2",), (2,))], ids=["float", "whole-float", "bool", "float-dim",
+                             "numpy-float-dim", "numpy-bool", "str"])
+    def test_refuses_non_integers(self, counts, dims):
+        with pytest.raises(ValueError, match="must be integers"):
+            bell.PortSchedule(counts, dims)
+
+    def test_numpy_integers_become_ints(self):
+        s = bell.PortSchedule((np.int64(2), np.uint8(3)), (np.int32(2), 4))
+        assert s == bell.PortSchedule((2, 3), (2, 4))
+        assert all(type(v) is int for v in s.port_counts + s.port_dims)
+        with pytest.raises(ValueError, match="must be integers"):
+            bell.PortSchedule.for_protocol(qrac_ml(), (2.5,))
 
 
 class TestGenerateCorrelations:
@@ -266,7 +282,7 @@ class TestGenerateCorrelations:
         s = bell.PortSchedule.for_protocol(ml, counts)
         table = bell.generate_correlations(ml, s, ideal=True)
         assert table.mode == "exact"
-        success, _ = bell.simulate_with_classical_comm(table, s)
+        success, _ = bell.simulate_with_classical_comm(table)
         assert success == pytest.approx(success_probability(corpus[3]),
                                         abs=1e-12)
 
@@ -282,15 +298,52 @@ class TestGenerateCorrelations:
         assert ideal.meta["ideal"] is True
 
 
+class TestCorrelationTable:
+    def _tables(self, fill=0.25):
+        return {(x, y): np.full((2, 2), fill) for x in range(4)
+                for y in range(4)}
+
+    def test_axes_must_match_schedule(self):
+        truth = builtin_qrac().truth
+        tables = {(x, y): np.full((4, 2), 0.125) for x in range(4)
+                  for y in range(4)}
+        table = bell.CorrelationTable(
+            truth=truth, schedule=bell.PortSchedule((4,), (2,)),
+            axes=(4, 2), tables=tables, mode="exact")
+        assert table.axes == (4, 2)
+        for counts in ((2,), (4, 1, 1)):
+            with pytest.raises(ValueError, match="do not match schedule"):
+                bell.CorrelationTable(
+                    truth=truth, schedule=bell.PortSchedule(
+                        counts, (2,) * len(counts)),
+                    axes=(4, 2), tables=tables, mode="exact")
+        # A one-way table carries no schedule and keeps its own axes.
+        bell.CorrelationTable(truth=truth, schedule=None, axes=(2, 2),
+                              tables=self._tables(), mode="one_way")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refuses_non_finite_entries(self, bad):
+        # Checked before the sign and sum checks, which NaN passes.
+        tables = self._tables()
+        cell = np.full((2, 2), 0.25)
+        cell[0, 1] = bad
+        tables[(1, 2)] = cell
+        with pytest.raises(ValueError, match=r"table \(1, 2\) has a "
+                                             r"non-finite entry"):
+            bell.CorrelationTable(
+                truth=builtin_qrac().truth,
+                schedule=bell.PortSchedule((2,), (2,)), axes=(2, 2),
+                tables=tables, mode="exact")
+
+
 class TestBellValue:
     def test_monotone_frozen_values(self):
         ml = qrac_ml()
-        truth = ml.proto.truth
         seen = []
         for n1, expected in QRAC_BELL.items():
             s = bell.PortSchedule.for_protocol(ml, (n1,))
             table = bell.generate_correlations(ml, s)
-            rep = bell.bell_value(table, bell.build_linear_bell(truth, s))
+            rep = bell.bell_value(table)
             assert rep.bell_value == pytest.approx(expected, abs=1e-9)
             assert 0.0 <= rep.bell_value <= 1.0
             assert rep.shifted_value == rep.bell_value - 0.5
@@ -308,8 +361,7 @@ class TestBellValue:
         ml = qrac_ml()
         s = bell.PortSchedule.for_protocol(ml, (8,))
         table = bell.generate_correlations(ml, s, ideal=True)
-        rep = bell.bell_value(
-            table, bell.build_linear_bell(ml.proto.truth, s))
+        rep = bell.bell_value(table)
         assert rep.bell_value == pytest.approx(QRAC_SUCCESS, abs=1e-9)
 
     def test_uniform_table_gives_half(self):
@@ -320,20 +372,26 @@ class TestBellValue:
         table = bell.CorrelationTable(
             truth=truth, schedule=s, axes=(2, 2), tables=tables,
             mode="exact")
-        rep = bell.bell_value(table, bell.build_linear_bell(truth, s))
+        rep = bell.bell_value(table)
         assert rep.bell_value == pytest.approx(0.5, abs=1e-15)
         assert rep.shifted_value == pytest.approx(0.0, abs=1e-15)
 
-    def test_mismatch_errors(self):
+    def test_needs_port_schedule(self):
+        table, _ = bell.one_way_correlations(qrac_ml())
+        with pytest.raises(ValueError, match="no port schedule"):
+            bell.bell_value(table)
+        with pytest.raises(ValueError, match="no port schedule"):
+            bell.simulate_with_classical_comm(table)
+
+    def test_delta_range(self):
         ml = qrac_ml()
-        s = bell.PortSchedule.for_protocol(ml, (2,))
-        table = bell.generate_correlations(ml, s)
-        with pytest.raises(ValueError):
-            bell.bell_value(table, bell.build_linear_bell(xor_truth(), s))
-        other = bell.PortSchedule((4,), (2,))
-        with pytest.raises(ValueError):
-            bell.bell_value(
-                table, bell.build_linear_bell(ml.proto.truth, other))
+        table = bell.generate_correlations(
+            ml, bell.PortSchedule.for_protocol(ml, (2,)))
+        for delta in (0.0, 0.5, 0.5 + 1e-12):
+            assert bell.bell_value(table, delta).classical_delta == delta
+        for delta in (-1e-9, 0.5 + 1e-9, math.nan):
+            with pytest.raises(InvariantError, match="outside"):
+                bell.bell_value(table, delta, "exact")
 
     def test_report_shift_invariant(self):
         with pytest.raises(InvariantError):
@@ -346,9 +404,8 @@ class TestBellValue:
         ml = qrac_ml()
         s = bell.PortSchedule.for_protocol(ml, (2,))
         table = bell.generate_correlations(ml, s)
-        func = bell.build_linear_bell(ml.proto.truth, s)
-        delta = bell.lhv_bound(func, "exact")
-        rep = bell.bell_value(table, func.with_bound(delta, "exact"))
+        delta = bell.lhv_bound(ml.proto.truth, s, method="exact")
+        rep = bell.bell_value(table, delta, "exact")
         assert rep.classical_delta == 0.25
         assert rep.classical_method == "exact"
         assert rep.ratio == pytest.approx(
@@ -381,13 +438,12 @@ class TestSampledMode:
         ml = qrac_ml()
         truth = ml.proto.truth
         s = bell.PortSchedule.for_protocol(ml, (2,))
-        func = bell.build_linear_bell(truth, s)
         exact = bell.generate_correlations(ml, s)
         trials = 100000
         sampled = bell.generate_correlations(
             ml, s, mode="sampled", trials=trials, seed=17)
-        b_exact = bell.bell_value(exact, func).bell_value
-        b_samp = bell.bell_value(sampled, func).bell_value
+        b_exact = bell.bell_value(exact).bell_value
+        b_samp = bell.bell_value(sampled).bell_value
         var = 0.0
         for x, y in truth.support():
             p = exact.tables[(x, y)][..., truth.f[x, y]].sum()
@@ -443,7 +499,7 @@ class TestSimulateClassical:
         ml = qrac_ml()
         s = bell.PortSchedule.for_protocol(ml, (8,))
         table = bell.generate_correlations(ml, s)
-        success, bits = bell.simulate_with_classical_comm(table, s)
+        success, bits = bell.simulate_with_classical_comm(table)
         assert success == pytest.approx(QRAC_BELL[8], abs=1e-9)
         assert bits == pytest.approx(3.0, abs=1e-15)
 
@@ -451,26 +507,17 @@ class TestSimulateClassical:
         ml = qrac_ml()
         s = bell.PortSchedule.for_protocol(ml, (2,))
         table = bell.generate_correlations(ml, s)
-        success, _ = bell.simulate_with_classical_comm(table, s)
-        rep = bell.bell_value(
-            table, bell.build_linear_bell(ml.proto.truth, s))
+        success, _ = bell.simulate_with_classical_comm(table)
+        rep = bell.bell_value(table)
         assert success == pytest.approx(rep.bell_value, abs=1e-12)
 
     def test_fully_depolarized_baseline(self):
         ml = qrac_ml()
         s = bell.PortSchedule.for_protocol(ml, (1,))
         table = bell.generate_correlations(ml, s)
-        success, bits = bell.simulate_with_classical_comm(table, s)
+        success, bits = bell.simulate_with_classical_comm(table)
         assert success == pytest.approx(0.5, abs=1e-12)
         assert bits == 0.0
-
-    def test_schedule_mismatch(self):
-        ml = qrac_ml()
-        s = bell.PortSchedule.for_protocol(ml, (2,))
-        table = bell.generate_correlations(ml, s)
-        with pytest.raises(ValueError):
-            bell.simulate_with_classical_comm(
-                table, bell.PortSchedule((4,), (2,)))
 
 
 class TestCorpusDegradation:
@@ -481,7 +528,7 @@ class TestCorpusDegradation:
     def _run(self, ml, counts):
         s = bell.PortSchedule.for_protocol(ml, counts)
         table = bell.generate_correlations(ml, s)
-        return bell.simulate_with_classical_comm(table, s)[0]
+        return bell.simulate_with_classical_comm(table)[0]
 
     def test_mixture_of_ideal_and_scrambled_vertices(self, eligible):
         # Each transmission channel is an exact mixture of the identity
@@ -499,7 +546,7 @@ class TestCorpusDegradation:
             verts = []
             for mask in itertools.product((False, True), repeat=len(legs)):
                 t = bell.generate_correlations(ml, ones, ideal=mask)
-                v = bell.simulate_with_classical_comm(t, ones)[0]
+                v = bell.simulate_with_classical_comm(t)[0]
                 verts.append(v)
                 total += v * math.prod(
                     lam if on else 1.0 - lam
@@ -538,7 +585,7 @@ class TestCorpusDegradation:
         assert legs == (2,)
         s = bell.PortSchedule.for_protocol(ml, (2,))
         ideal_t = bell.generate_correlations(ml, s, ideal=True)
-        ideal = bell.simulate_with_classical_comm(ideal_t, s)[0]
+        ideal = bell.simulate_with_classical_comm(ideal_t)[0]
         assert ideal == pytest.approx(success_probability(p), abs=1e-9)
         junk = self._run(ml, (1,))
         for n1 in (1, 2, 3):
@@ -553,16 +600,14 @@ class TestLhvBound:
         truth = builtin_qrac().truth
         for n1, expected in QRAC_LHV.items():
             s = bell.PortSchedule((n1,), (2,))
-            func = bell.build_linear_bell(truth, s)
-            assert bell.lhv_bound(func, "exact") \
+            assert bell.lhv_bound(truth, s, method="exact") \
                 == pytest.approx(expected, abs=1e-12)
 
     def test_cc_derived_budget(self):
         truth = builtin_qrac().truth
         for n1, expected in [(1, 0.0), (2, 0.25), (3, 0.5), (8, 0.5)]:
             s = bell.PortSchedule((n1,), (2,))
-            func = bell.build_linear_bell(truth, s)
-            assert bell.lhv_bound(func, "cc_derived") \
+            assert bell.lhv_bound(truth, s, method="cc_derived") \
                 == pytest.approx(expected, abs=1e-12)
 
     def test_exact_never_exceeds_cc_derived(self):
@@ -574,65 +619,59 @@ class TestLhvBound:
             (xor_truth(), (2, 2, 2), (2, 2, 2)),
         ]
         for truth, counts, dims in grid:
-            func = bell.build_linear_bell(
-                truth, bell.PortSchedule(counts, dims))
-            exact = bell.lhv_bound(func, "exact")
-            derived = bell.lhv_bound(func, "cc_derived")
+            s = bell.PortSchedule(counts, dims)
+            exact = bell.lhv_bound(truth, s, method="exact")
+            derived = bell.lhv_bound(truth, s, method="cc_derived")
             assert exact <= derived + 1e-12
 
     def test_three_level_frozen(self):
         for counts in [(2, 2, 1), (2, 2, 2), (2, 1, 2)]:
-            func = bell.build_linear_bell(
-                xor_truth(), bell.PortSchedule(counts, (2, 2, 2)))
-            assert bell.lhv_bound(func, "exact") \
-                == pytest.approx(0.5, abs=1e-12)
-        func = bell.build_linear_bell(
-            builtin_qrac().truth,
-            bell.PortSchedule((2, 2, 1), (2, 2, 2)))
-        assert bell.lhv_bound(func, "exact") \
-            == pytest.approx(0.25, abs=1e-12)
+            assert bell.lhv_bound(
+                xor_truth(), bell.PortSchedule(counts, (2, 2, 2)),
+                method="exact") == pytest.approx(0.5, abs=1e-12)
+        assert bell.lhv_bound(
+            builtin_qrac().truth, bell.PortSchedule((2, 2, 1), (2, 2, 2)),
+            method="exact") == pytest.approx(0.25, abs=1e-12)
 
     def test_constant_function_saturates(self):
         f = np.zeros((2, 2), dtype=np.int64)
         truth = TruthTable(n=1, f=f, mu=np.full((2, 2), 0.25))
-        func = bell.build_linear_bell(truth, bell.PortSchedule((2,), (2,)))
-        assert bell.lhv_bound(func, "exact") == pytest.approx(0.5)
-        assert bell.lhv_bound(func, "cc_derived") == pytest.approx(0.5)
+        s = bell.PortSchedule((2,), (2,))
+        assert bell.lhv_bound(truth, s, method="exact") == pytest.approx(0.5)
+        assert bell.lhv_bound(truth, s, method="cc_derived") \
+            == pytest.approx(0.5)
 
     def test_two_bit_three_level_exact_bound(self):
         # The cap counts Alice's (2 * 2^2)^4 = 4096 index maps; counting
         # Bob's and every a3 entry (32^4 * 4^4 = 2.7e8) refused this.
         truth = builtin_qrac().truth
-        one = bell.lhv_bound(bell.build_linear_bell(
-            truth, bell.PortSchedule((2,), (2,))), "exact")
-        three = bell.lhv_bound(bell.build_linear_bell(
-            truth, bell.PortSchedule((2, 2, 2), (2, 2, 2))), "exact")
+        one = bell.lhv_bound(truth, bell.PortSchedule((2,), (2,)),
+                             method="exact")
+        three = bell.lhv_bound(truth, bell.PortSchedule((2, 2, 2), (2, 2, 2)),
+                               method="exact")
         assert one - 1e-12 <= three <= 0.5
 
     def test_validation_and_caps(self):
         truth = builtin_qrac().truth
-        func = bell.build_linear_bell(truth, bell.PortSchedule((2,), (2,)))
         with pytest.raises(ValueError):
-            bell.lhv_bound(func, "guess")
-        two_level = bell.build_linear_bell(
-            truth, bell.PortSchedule((2, 2), (2, 2)))
+            bell.lhv_bound(truth, bell.PortSchedule((2,), (2,)),
+                           method="guess")
         with pytest.raises(CapExceededError):
-            bell.lhv_bound(two_level, "exact")
-        big = bell.build_linear_bell(
-            truth, bell.PortSchedule((64,), (2,)))
+            bell.lhv_bound(truth, bell.PortSchedule((2, 2), (2, 2)),
+                           method="exact")
         with pytest.raises(CapExceededError):
-            bell.lhv_bound(big, "exact")
+            bell.lhv_bound(truth, bell.PortSchedule((64,), (2,)),
+                           method="exact")
 
 
 class TestLhvSweep:
     def _sweep(self, truth, s):
-        func = bell.build_linear_bell(truth, s)
-        bound = 0.5 + bell.lhv_bound(func, "exact")
+        bound = 0.5 + bell.lhv_bound(truth, s, method="exact")
         best = 0.0
         count = 0
         for alice, bob in bell.lhv_strategies(truth, s):
             table = bell.lhv_table(truth, s, alice, bob)
-            rep = bell.bell_value(table, func)
+            rep = bell.bell_value(table)
             assert rep.bell_value <= bound + 1e-12
             best = max(best, rep.bell_value)
             count += 1

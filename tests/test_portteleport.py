@@ -292,7 +292,7 @@ def test_single_port_output_is_maximally_mixed():
     meas = build_pbt_povm(1, 2)
     rng = np.random.default_rng(0)
     for mat in (np.diag([1.0, 0.0]), random_density(2, rng)):
-        inp = MixedState(mat, [("A0", 2)])
+        inp = MixedState(mat)
         [(prob, out)] = teleport_branches(inp, meas)
         assert prob == pytest.approx(1.0, abs=1e-10)
         assert np.allclose(out.matrix, np.eye(2) / 2, atol=1e-10)
@@ -306,24 +306,23 @@ def test_branches_match_direct_density_matrix_path():
     rng = np.random.default_rng(1)
     for N, d in ((2, 2), (1, 3)):
         meas = build_pbt_povm(N, d)
-        inp = MixedState(random_density(d, rng), [("A0", d)])
+        inp = MixedState(random_density(d, rng))
         pairs = _pairs(N, d).reshape(-1)
         # Registers A0, A1..AN, B1..BN in kron order.
         joint = np.kron(inp.matrix, np.outer(pairs, pairs.conj()))
         n = 2 * N + 1
-        layout = [(f"R{k}", d) for k in range(n)]
         branches = teleport_branches(inp, meas)
         for z in range(1, N + 1):
             e_full = np.kron(meas.element(z), np.eye(d ** N))
             p_direct = float(np.einsum("ij,ji->", e_full, joint).real)
             root = psd_sqrt(e_full)
             post = root @ joint @ root / p_direct
-            post = MixedState(_sym(post) / np.trace(post).real, layout)
+            post = MixedState(_sym(post) / np.trace(post).real)
             keep = N + z
             cols = [n + k if k == keep else k for k in range(n)]
             out_direct = MixedState(np.einsum(
                 post.matrix.reshape((d,) * (2 * n)), list(range(n)) + cols,
-                [keep, n + keep]), [("B", d)])
+                [keep, n + keep]))
             p_branch, out_branch = branches[z - 1]
             assert abs(p_branch - p_direct) < 1e-10
             assert np.max(np.abs(out_branch.matrix - out_direct.matrix)) < 1e-10
@@ -333,7 +332,7 @@ def test_branch_probabilities_sum_to_one_and_outputs_normalized():
     rng = np.random.default_rng(2)
     for N, d in ((2, 2), (4, 2), (2, 3)):
         meas = build_pbt_povm(N, d)
-        inp = MixedState(random_density(d, rng), [("A0", d)])
+        inp = MixedState(random_density(d, rng))
         branches = teleport_branches(inp, meas)
         assert abs(sum(p for p, _ in branches) - 1.0) < 1e-10
         for _, out in branches:
@@ -342,7 +341,7 @@ def test_branch_probabilities_sum_to_one_and_outputs_normalized():
 
 def test_eight_port_teleport_beats_half_fidelity_on_basis_state():
     meas = build_pbt_povm(8, 2)
-    inp = MixedState(np.diag([1.0, 0.0]), [("A0", 2)])
+    inp = MixedState(np.diag([1.0, 0.0]))
     branches = teleport_branches(inp, meas)
     avg = sum(p * out.matrix[0, 0].real for p, out in branches)
     assert avg >= 0.5
@@ -378,7 +377,7 @@ DENSE_BRANCH_CASES = ([(N, 2) for N in range(1, 8)]
 def test_branches_match_per_element_roots(N, d):
     meas = build_pbt_povm(N, d)
     rng = np.random.default_rng(100 * N + d)
-    inp = MixedState(random_density(d, rng), [("A0", d)])
+    inp = MixedState(random_density(d, rng))
     want = _reference_branches(tp._purify(inp), meas, False)
     for (p_got, out), (p_want, raw) in zip(teleport_branches(inp, meas),
                                            want):
@@ -401,7 +400,7 @@ def test_branches_take_one_square_root(monkeypatch):
 
     monkeypatch.setattr(tp, "psd_sqrt", spy)
     meas = build_pbt_povm(4, 2)
-    inp = MixedState(random_density(2, np.random.default_rng(3)), [("A0", 2)])
+    inp = MixedState(random_density(2, np.random.default_rng(3)))
     teleport_branches(inp, meas)
     assert calls == [(32, 32)]
     calls.clear()
@@ -413,7 +412,7 @@ def test_branches_take_one_square_root(monkeypatch):
                                           (4, (1, 2))])
 def test_input_and_measurement_must_agree(d_in, meas_nd):
     meas = build_pbt_povm(*meas_nd)
-    inp = MixedState(np.eye(d_in) / d_in, [("A0", d_in)])
+    inp = MixedState(np.eye(d_in) / d_in)
     msg = f"input dimension {d_in} != port dim {meas.d}"
     with pytest.raises(ValueError, match=msg):
         teleport_branches(inp, meas)
@@ -425,7 +424,7 @@ def test_pair_caps_and_argument_validation():
     # measurement is never read before that check either.
     meas = tp.PbtMeasurement(N=10, d=2, e1=np.eye(1), port_swaps=(),
                              min_eigenvalue=1.0, completeness_dev=0.0)
-    inp = MixedState(np.eye(2) / 2, [("A0", 2)])
+    inp = MixedState(np.eye(2) / 2)
     with pytest.raises(CapExceededError,
                        match="purified joint dimension 4194304 exceeds"):
         teleport_branches(inp, meas)
@@ -433,6 +432,16 @@ def test_pair_caps_and_argument_validation():
         build_pbt_povm(0, 2)
     with pytest.raises(ValueError, match="port dimension d=1 must be >= 2"):
         build_pbt_povm(1, 1)
+
+
+@pytest.mark.parametrize("N,d", [(0, 2), (-2, 0), (-3, 0), (2, 0), (1, 1),
+                                 (-1, 2), (3, -2)])
+def test_fidelity_checks_ports_before_the_cap(N, d):
+    # The cap's power d^(2N+2) divides by zero at d = 0 and N < -1, so the
+    # port check must come first.
+    for fidelity_of in (entanglement_fidelity, dense_entanglement_fidelity):
+        with pytest.raises(ValueError, match="must be >= "):
+            fidelity_of(N, d)
 
 
 # ---------------------------------------------------------------- fidelity

@@ -13,20 +13,20 @@ from bellforge.states import PureState, fidelity, psd_sqrt, random_unitary
 
 
 def haar_state(d, rng):
-    return PureState(random_unitary(d, rng)[:, 0], [("T", d)])
+    return PureState(random_unitary(d, rng)[:, 0])
 
 
 # ------------------------------------------------------------------- povm
 
 def test_povm_real_target_is_computational():
-    zero = PureState([1, 0], [("T", 2)])
+    zero = PureState([1, 0])
     povm = rsp_povm(zero)
     assert np.allclose(povm.elements[0], np.diag([1.0, 0.0]), atol=1e-12)
     assert np.allclose(povm.elements[1], np.diag([0.0, 1.0]), atol=1e-12)
 
 
 def test_povm_conjugates_complex_target():
-    target = PureState(np.array([1, 1j]) / np.sqrt(2), [("T", 2)])
+    target = PureState(np.array([1, 1j]) / np.sqrt(2))
     povm = rsp_povm(target)
     conj = np.array([1, -1j]) / np.sqrt(2)
     assert np.allclose(povm.elements[0], np.outer(conj, conj.conj()), atol=1e-12)
@@ -42,7 +42,7 @@ def test_povm_sums_to_identity():
 def test_povm_conjugation_involution():
     rng = np.random.default_rng(1)
     target = haar_state(3, rng)
-    double = PureState(target.amplitudes.conj().conj(), target.layout)
+    double = PureState(target.amplitudes.conj().conj())
     a, b = rsp_povm(target), rsp_povm(double)
     assert np.allclose(a.elements[0], b.elements[0], atol=1e-15)
 
@@ -69,7 +69,7 @@ def test_attempt_success_state_matches_target_exactly():
 
 
 def test_attempt_plus_state_success_branch():
-    plus = PureState(np.array([1, 1]) / np.sqrt(2), [("T", 2)])
+    plus = PureState(np.array([1, 1]) / np.sqrt(2))
     rng = np.random.default_rng(5)
     att = rsp_attempt(plus, rng)
     assert abs(att.success_probability - 0.5) < 1e-12

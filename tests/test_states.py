@@ -1,16 +1,16 @@
-"""Tests for the dense state engine: layouts, states, POVMs, core operations."""
+"""Tests for the dense state engine: states, POVMs, the register machine."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bellforge.states import (
+    MAX_TOTAL_DIM,
     CapExceededError,
     InvariantError,
     MixedState,
     Povm,
     PureState,
-    RegisterLayout,
     check_povm_orbit,
     fidelity,
     max_entangled,
@@ -27,20 +27,25 @@ def ket(*amps):
     return v / np.linalg.norm(v)
 
 
+QUBIT = [("Q", 2)]
+PAIR = [("A", 2), ("B", 2)]
+
+
 def qubit_state(*amps):
-    return PureState(ket(*amps), [("Q", 2)])
+    return PureState(ket(*amps))
 
 
 def density(state):
     """The density matrix of a pure state."""
     v = state.amplitudes
-    return MixedState(np.outer(v, v.conj()), state.layout)
+    return MixedState(np.outer(v, v.conj()))
 
 
-def loaded(state):
-    """A register machine holding `state` in its layout order."""
+def loaded(state, regs):
+    """A register machine holding `state` over the named registers `regs`
+    ((name, dimension) pairs in kron order)."""
     data = state.amplitudes if isinstance(state, PureState) else state.matrix
-    return _RegisterMachine(state.layout.registers, data)
+    return _RegisterMachine(regs, data)
 
 
 def reduced_ref(rho, dims, keep):
@@ -53,61 +58,65 @@ def reduced_ref(rho, dims, keep):
                      list(keep) + [n + a for a in keep]).reshape(kd, kd)
 
 
-def applied(state, u, targets):
-    """`u` on the named registers of `state`, run on the register machine
-    and read back in the layout's order."""
-    reg = loaded(state)
-    reg.apply(targets, u, [(n, state.layout.dim(n)) for n in targets])
-    reg._front(state.layout.names)
+def applied(state, regs, u, targets):
+    """`u` on the named registers of `state` over `regs`, run on the
+    register machine and read back in the order of `regs`."""
+    reg = loaded(state, regs)
+    dims = dict(regs)
+    reg.apply(targets, u, [(n, dims[n]) for n in targets])
+    reg._front([n for n, _ in regs])
     return reg.state
 
 
-def reordered(state, order):
-    """The array of `state` with its registers moved into `order`."""
-    reg = loaded(state)
+def reordered(state, regs, order):
+    """The array of `state` over `regs` with its registers moved into
+    `order`."""
+    reg = loaded(state, regs)
     reg._front(order)
     return reg.state
-
-
-# ---------------------------------------------------------------- layouts
-
-def test_layout_rejects_duplicate_names():
-    with pytest.raises(ValueError):
-        RegisterLayout([("A", 2), ("A", 3)])
-
-
-def test_layout_rejects_dimension_one():
-    with pytest.raises(ValueError):
-        RegisterLayout([("A", 2), ("B", 1)])
-
-
-def test_layout_total_dim_cap():
-    RegisterLayout([("A", 2 ** 20)])  # exactly at the cap is fine
-    with pytest.raises(CapExceededError):
-        RegisterLayout([("A", 2 ** 20), ("B", 2)])
-
-
-def test_layout_total_dim_is_product():
-    lay = RegisterLayout([("A", 2), ("B", 3), ("C", 4)])
-    assert lay.total_dim == 24
-    assert lay.dims == (2, 3, 4)
-    assert lay.axis("C") == 2
 
 
 # ----------------------------------------------------------------- states
 
 def test_pure_state_norm_enforced():
     with pytest.raises(InvariantError):
-        PureState(np.array([1.0, 1.0]), [("Q", 2)])
+        PureState(np.array([1.0, 1.0]))
+
+
+def test_state_dim_is_the_array_size():
+    assert PureState(ket(*range(1, 7))).dim == 6
+    assert MixedState(np.eye(6) / 6).dim == 6
+
+
+def test_states_reject_total_dimension_below_two():
+    for build in (lambda: PureState([1.0]), lambda: PureState([]),
+                  lambda: MixedState([[1.0]]),
+                  lambda: MixedState(np.zeros((0, 0)))):
+        with pytest.raises(ValueError, match="state dimension"):
+            build()
+
+
+def test_states_total_dim_cap():
+    at_cap = np.zeros(MAX_TOTAL_DIM)
+    at_cap[0] = 1.0
+    assert PureState(at_cap).dim == MAX_TOTAL_DIM
+    # Past the cap the dimension is refused before any entry is read: a
+    # broadcast view of one zero holds no memory of its own.
+    for build in (PureState, MixedState):
+        shape = (MAX_TOTAL_DIM + 1,) * (1 if build is PureState else 2)
+        with pytest.raises(CapExceededError, match="exceeds cap"):
+            build(np.broadcast_to(0.0, shape))
 
 
 def test_mixed_state_validation():
     with pytest.raises(InvariantError):  # not Hermitian
-        MixedState(np.array([[0.5, 0.5], [0.0, 0.5]]), [("Q", 2)])
+        MixedState(np.array([[0.5, 0.5], [0.0, 0.5]]))
     with pytest.raises(InvariantError):  # trace != 1
-        MixedState(np.eye(2), [("Q", 2)])
+        MixedState(np.eye(2))
     with pytest.raises(InvariantError):  # negative eigenvalue
-        MixedState(np.diag([1.5, -0.5]), [("Q", 2)])
+        MixedState(np.diag([1.5, -0.5]))
+    with pytest.raises(ValueError, match="not square"):
+        MixedState(np.eye(2, 3) / 2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -116,8 +125,8 @@ def test_non_finite_entries_refused_first(bad):
     # any of them runs; a non-finite entry makes no matrix valid.
     vec = np.array([1.0, bad])
     mat = np.array([[1.0, 0.0], [0.0, bad]])
-    for build in (lambda: PureState(vec, [("Q", 2)]),
-                  lambda: MixedState(mat, [("Q", 2)]),
+    for build in (lambda: PureState(vec),
+                  lambda: MixedState(mat),
                   lambda: Povm([mat, np.eye(2) - mat]),
                   lambda: check_povm_orbit(mat, _SWAP2),
                   lambda: _check_unitary(mat, 2)):
@@ -237,7 +246,7 @@ def _built_or_none(cls, *args):
 def test_mixed_state_real_and_complex_inputs_validate_alike(case):
     m, accepted = DENSITY_CASES[case]
     assert m.dtype == np.float64
-    got = [_built_or_none(MixedState, a, [("Q", 3)])
+    got = [_built_or_none(MixedState, a)
            for a in (m, m.astype(np.complex128))]
     assert [g is not None for g in got] == [accepted, accepted]
     for state in got if accepted else ():
@@ -271,9 +280,9 @@ def test_two_bell_pairs_equal_grouped_four_dim_pair():
     # Direct 16-amplitude construction: |Phi+(4)> with its two 4-dim halves
     # each split into two qubits, reordered so qubit pairs interleave.
     bell = max_entangled(2).amplitudes
-    pairs = PureState(np.kron(bell, bell),
-                      [("A1", 2), ("B1", 2), ("A2", 2), ("B2", 2)])
-    product = reordered(pairs, ["A1", "A2", "B1", "B2"])
+    pairs = PureState(np.kron(bell, bell))
+    product = reordered(pairs, [("A1", 2), ("B1", 2), ("A2", 2), ("B2", 2)],
+                        ["A1", "A2", "B1", "B2"])
     direct = np.zeros(16, dtype=np.complex128)
     for a1 in range(2):
         for a2 in range(2):
@@ -287,20 +296,20 @@ def test_two_bell_pairs_equal_grouped_four_dim_pair():
 def test_partial_trace_of_bell_is_maximally_mixed():
     bell = max_entangled(2)
     for keep in (["A"], ["B"]):
-        red = loaded(bell).reduced(keep)
+        red = loaded(bell, PAIR).reduced(keep)
         assert np.allclose(red, np.eye(2) / 2, atol=1e-12)
 
 
 def test_partial_trace_keep_all_is_identity():
     rng = np.random.default_rng(3)
-    rho = MixedState(random_density(6, rng), [("A", 2), ("B", 3)])
-    out = loaded(rho).reduced(["A", "B"])
+    rho = MixedState(random_density(6, rng))
+    out = loaded(rho, [("A", 2), ("B", 3)]).reduced(["A", "B"])
     assert np.allclose(out, rho.matrix, atol=1e-12)
 
 
 def test_partial_trace_product_state():
-    s = PureState([0, 1, 0, 0], [("A", 2), ("B", 2)])  # |01>
-    red = loaded(s).reduced(["A"])
+    s = PureState([0, 1, 0, 0])  # |01>
+    red = loaded(s, PAIR).reduced(["A"])
     assert np.allclose(red, np.diag([1.0, 0.0]), atol=1e-12)
 
 
@@ -308,11 +317,10 @@ def test_partial_trace_recovers_tensor_factor():
     rng = np.random.default_rng(11)
     for _ in range(50):
         da, db = rng.integers(2, 5, size=2)
-        a = MixedState(random_density(int(da), rng), [("A", int(da))])
-        b = MixedState(random_density(int(db), rng), [("B", int(db))])
-        joint = MixedState(np.kron(a.matrix, b.matrix),
-                           [("A", int(da)), ("B", int(db))])
-        back = loaded(joint).reduced(["A"])
+        a = MixedState(random_density(int(da), rng))
+        b = MixedState(random_density(int(db), rng))
+        joint = MixedState(np.kron(a.matrix, b.matrix))
+        back = loaded(joint, [("A", int(da)), ("B", int(db))]).reduced(["A"])
         assert np.allclose(back, a.matrix, atol=1e-12)
 
 
@@ -320,55 +328,56 @@ def test_partial_trace_recovers_tensor_factor():
 
 def test_apply_x_flips_qubit():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
-    assert np.allclose(applied(qubit_state(1, 0), x, ["Q"]), [0, 1])
+    assert np.allclose(applied(qubit_state(1, 0), QUBIT, x, ["Q"]), [0, 1])
 
 
 def test_apply_identity_is_noop():
     rng = np.random.default_rng(13)
-    rho = MixedState(random_density(4, rng), [("A", 2), ("B", 2)])
-    assert np.allclose(applied(rho, np.eye(2), ["B"]), rho.matrix,
+    rho = MixedState(random_density(4, rng))
+    assert np.allclose(applied(rho, PAIR, np.eye(2), ["B"]), rho.matrix,
                        atol=1e-12)
 
 
 def test_apply_then_inverse_roundtrips():
     rng = np.random.default_rng(17)
     for _ in range(20):
-        s = PureState(ket(*rng.normal(size=8)), [("A", 2), ("B", 2), ("C", 2)])
+        s = PureState(ket(*rng.normal(size=8)))
         u = random_unitary(4, rng)
-        reg = loaded(s)
+        reg = loaded(s, [("A", 2), ("B", 2), ("C", 2)])
         for v in (u, u.conj().T):
             reg.apply(["A", "C"], v, [("A", 2), ("C", 2)])
-        reg._front(s.layout.names)
+        reg._front(["A", "B", "C"])
         assert np.allclose(reg.state, s.amplitudes, atol=1e-12)
 
 
 def test_apply_rejects_dimension_mismatch():
     with pytest.raises(ValueError, match="operator shape"):
-        applied(qubit_state(1, 0), np.eye(4), ["Q"])
+        applied(qubit_state(1, 0), QUBIT, np.eye(4), ["Q"])
 
 
 def test_apply_on_matches_embedded_operator():
     rng = np.random.default_rng(19)
-    lay = RegisterLayout([("A", 2), ("B", 3), ("C", 2)])
+    regs = [("A", 2), ("B", 3), ("C", 2)]
     u = random_unitary(4, rng)
-    big = embedded(u, list(lay.dims), [2, 0])  # note permuted target order
-    s = PureState(ket(*rng.normal(size=12)), lay)
-    via_apply = applied(s, u, ["C", "A"])
+    big = embedded(u, [2, 3, 2], [2, 0])  # note permuted target order
+    s = PureState(ket(*rng.normal(size=12)))
+    via_apply = applied(s, regs, u, ["C", "A"])
     via_embed = big @ s.amplitudes
     assert np.allclose(via_apply, via_embed, atol=1e-12)
 
 
 def test_reorder_registers_preserves_physics():
     rng = np.random.default_rng(23)
-    rho = MixedState(random_density(12, rng), [("A", 2), ("B", 3), ("C", 2)])
+    rho = MixedState(random_density(12, rng))
+    names, dims = ["A", "B", "C"], [2, 3, 2]
     order = ["C", "A", "B"]
-    flipped = MixedState(reordered(rho, order),
-                         [(n, rho.layout.dim(n)) for n in order])
-    for name in ("A", "B", "C"):
+    flipped = MixedState(reordered(rho, list(zip(names, dims)), order))
+    flipped_dims = [dims[names.index(n)] for n in order]
+    for name in names:
         assert np.allclose(
-            reduced_ref(rho.matrix, rho.layout.dims, [rho.layout.axis(name)]),
-            reduced_ref(flipped.matrix, flipped.layout.dims,
-                        [flipped.layout.axis(name)]), atol=1e-12)
+            reduced_ref(rho.matrix, dims, [names.index(name)]),
+            reduced_ref(flipped.matrix, flipped_dims, [order.index(name)]),
+            atol=1e-12)
 
 
 # -------------------------------------------------------- register machine
@@ -492,7 +501,7 @@ def test_operator_mode_rename_and_read_out():
 
 
 def embedded(op, dims, axes):
-    """`op` on the registers `axes` (in order) of a layout with `dims`, by
+    """`op` on the registers `axes` (in order) of registers with `dims`, by
     index arithmetic alone: entry (i, j)
     is op at the target digits of i and j when i and j agree elsewhere."""
     digits = np.array(np.unravel_index(np.arange(int(np.prod(dims))), dims))
@@ -506,14 +515,14 @@ def embedded(op, dims, axes):
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(st.data())
 def test_register_helpers_match_dense_references(data):
-    # Random layouts, targets and orders.  The machine's apply and
+    # Random registers, targets and orders.  The machine's apply and
     # reorder on kets and density matrices, its operator-mode read-out and
     # its partial trace are checked against references that never touch
     # the machine: index arithmetic, np.transpose, einsum.
     dims = data.draw(st.lists(st.integers(2, 3), min_size=1, max_size=4))
     names = data.draw(st.permutations("ABCD"))[:len(dims)]
-    lay = RegisterLayout(zip(names, dims))
-    n, total = len(dims), lay.total_dim
+    regs = list(zip(names, dims))
+    n, total = len(dims), int(np.prod(dims))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     targets = data.draw(st.permutations(names))[:data.draw(st.integers(1, n))]
     axes = [names.index(t) for t in targets]
@@ -527,27 +536,26 @@ def test_register_helpers_match_dense_references(data):
         return big.reshape(dims + [total]).transpose(row_axes + [n]) \
             .reshape(total, total)
 
-    reg = _RegisterMachine.identity(lay.registers)
-    reg.apply(targets, u, [(t, lay.dim(t)) for t in targets])
+    reg = _RegisterMachine.identity(regs)
+    reg.apply(targets, u, [(t, dims[names.index(t)]) for t in targets])
     assert np.max(np.abs(reg.matrix(order) - rows_in(perm))) < 1e-12
     rest_order = data.draw(st.permutations(rest))
-    reg = _RegisterMachine.identity(lay.registers)
+    reg = _RegisterMachine.identity(regs)
     reg.apply(targets, u, [("G", len(u))])
     assert np.max(np.abs(reg.matrix(["G"] + rest_order) - rows_in(
         axes + [names.index(m) for m in rest_order]))) < 1e-12
 
     psi = ket(*(rng.normal(size=total) + 1j * rng.normal(size=total)))
-    for s in (PureState(psi, lay),
-              MixedState(random_density(total, rng), lay)):
+    for s in (PureState(psi), MixedState(random_density(total, rng))):
         pure = isinstance(s, PureState)
         rho = np.outer(psi, psi.conj()) if pure else s.matrix
-        out = applied(s, u, targets)
+        out = applied(s, regs, u, targets)
         if pure:
             assert np.max(np.abs(out - big @ psi)) < 1e-12
         else:
             ref = big @ rho @ big.conj().T
             assert np.max(np.abs(out - ref)) < 1e-12
-        moved = reordered(s, order)
+        moved = reordered(s, regs, order)
         if pure:
             ref = psi.reshape(dims).transpose(perm).reshape(-1)
             assert np.array_equal(moved, ref)
@@ -555,16 +563,17 @@ def test_register_helpers_match_dense_references(data):
             ref = rho.reshape(dims * 2).transpose(
                 perm + [n + p for p in perm]).reshape(total, total)
             assert np.array_equal(moved, ref)
-        red = loaded(s).reduced(targets)
+        red = loaded(s, regs).reduced(targets)
         assert np.max(np.abs(red - reduced_ref(rho, dims, axes))) < 1e-12
 
 
 # ---------------------------------------------------------------- measure
 
-def measure(state, povm, rng, names=("Q",)):
-    """The machine's sampled measurement of `names` on `state`: (outcome,
-    probabilities, post-measurement array)."""
-    reg = loaded(state)
+def measure(state, povm, rng, names=("Q",), regs=None):
+    """The machine's sampled measurement of `names` on `state` over `regs`
+    (one register Q by default): (outcome, probabilities, post-measurement
+    array)."""
+    reg = loaded(state, regs or [("Q", state.dim)])
     outcome, probs = reg.measure(names, povm, rng)
     return outcome, probs, reg.state
 
@@ -580,7 +589,7 @@ def test_measure_definite_outcome():
 
 def test_measure_maximally_mixed_is_uniform():
     povm = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    rho = MixedState(np.eye(2) / 2, [("Q", 2)])
+    rho = MixedState(np.eye(2) / 2)
     _, probs, _ = measure(rho, povm, np.random.default_rng(0))
     assert np.allclose(probs, [0.5, 0.5], atol=1e-12)
 
@@ -592,7 +601,7 @@ def test_measure_remote_prep_success_probability():
     proj = np.outer(plus.conj(), plus).conj()  # entrywise conjugate projector
     povm = Povm([proj, np.eye(2) - proj])
     _, probs, _ = measure(max_entangled(2), povm, np.random.default_rng(1),
-                          names=["A"])
+                          names=["A"], regs=PAIR)
     assert abs(probs[0] - 0.5) < 1e-12
 
 
@@ -618,7 +627,7 @@ def test_measure_probability_sums_random_pairs():
     rng = np.random.default_rng(31)
     for _ in range(1000):
         d = int(rng.integers(2, 6))
-        rho = MixedState(random_density(d, rng), [("Q", d)])
+        rho = MixedState(random_density(d, rng))
         k = int(rng.integers(2, 5))
         raw = [random_density(d, rng) * rng.uniform(0.2, 1.0) for _ in range(k)]
         total = sum(raw)
@@ -635,7 +644,7 @@ def test_fidelity_basic_values():
     zero, one = qubit_state(1, 0), qubit_state(0, 1)
     assert fidelity(zero, zero) == pytest.approx(1.0, abs=1e-12)
     assert fidelity(zero, one) == pytest.approx(0.0, abs=1e-12)
-    half = MixedState(np.eye(2) / 2, [("Q", 2)])
+    half = MixedState(np.eye(2) / 2)
     assert fidelity(zero, half) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -643,8 +652,8 @@ def test_fidelity_commuting_mixed_states():
     # For commuting (diagonal) states the Uhlmann value is (sum sqrt(p q))^2.
     p = np.array([0.7, 0.3])
     q = np.array([0.4, 0.6])
-    a = MixedState(np.diag(p), [("Q", 2)])
-    b = MixedState(np.diag(q), [("Q", 2)])
+    a = MixedState(np.diag(p))
+    b = MixedState(np.diag(q))
     expect = np.sum(np.sqrt(p * q)) ** 2
     assert fidelity(a, b) == pytest.approx(expect, abs=1e-12)
 
@@ -653,8 +662,8 @@ def test_fidelity_symmetric_and_one_iff_equal():
     rng = np.random.default_rng(37)
     for _ in range(50):
         d = int(rng.integers(2, 5))
-        a = MixedState(random_density(d, rng), [("Q", d)])
-        b = MixedState(random_density(d, rng), [("Q", d)])
+        a = MixedState(random_density(d, rng))
+        b = MixedState(random_density(d, rng))
         fab, fba = fidelity(a, b), fidelity(b, a)
         assert abs(fab - fba) < 1e-10
         assert fidelity(a, a) == pytest.approx(1.0, abs=1e-10)
@@ -668,11 +677,11 @@ def test_fidelity_dimension_mismatch():
 
 def test_fidelity_unitary_invariance():
     rng = np.random.default_rng(41)
-    a = MixedState(random_density(4, rng), [("Q", 4)])
-    b = MixedState(random_density(4, rng), [("Q", 4)])
+    a = MixedState(random_density(4, rng))
+    b = MixedState(random_density(4, rng))
     u = random_unitary(4, rng)
-    ua = MixedState(u @ a.matrix @ u.conj().T, [("Q", 4)])
-    ub = MixedState(u @ b.matrix @ u.conj().T, [("Q", 4)])
+    ua = MixedState(u @ a.matrix @ u.conj().T)
+    ub = MixedState(u @ b.matrix @ u.conj().T)
     assert fidelity(ua, ub) == pytest.approx(fidelity(a, b), abs=1e-10)
 
 
