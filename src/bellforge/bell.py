@@ -43,7 +43,7 @@ from .classicalcc import (
 from .protocols import CommProtocol, MemorylessProtocol, TruthTable, _simulate
 from .remoteprep import batch_size, index_cost_bits, rsp_povm
 from .states import CapExceededError, InvariantError, PureState
-from .teleport import depolarizing_parameter
+from .teleport import _integral, depolarizing_parameter
 
 # Correlation rows must be normalized to this tolerance.
 ATOL_TABLE = 1e-9
@@ -52,9 +52,14 @@ ATOL_TABLE = 1e-9
 # times the binary leaf) this large.
 ALPHABET_CAP = 2 ** 16
 
-# Sampled mode draws at most this many trials per input pair; each trial
-# holds one int64 index per level plus its leaf draw in memory at once.
+# Sampled mode draws at most this many trials per input pair.  The cap
+# bounds time: each pair in flight holds one cell index per trial, one byte
+# or two (the narrowest type that fits the path alphabet), plus one chunk's
+# temporaries.
 TRIALS_CAP = 10 ** 7
+
+# Sampled mode draws, folds and tallies trials this many at a time.
+_CHUNK = 2 ** 16
 
 # The exact local bound accepts at most this many Alice index maps,
 # (n1 * n3^n2)^|X|; its partition search walks none of them, but their
@@ -85,8 +90,7 @@ class PortSchedule:
     def __post_init__(self):
         counts = tuple(self.port_counts)
         dims = tuple(self.port_dims)
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                   for v in counts + dims):
+        if not all(map(_integral, counts + dims)):
             raise ValueError(f"port counts {counts} and dimensions {dims} "
                              f"must be integers")
         counts = tuple(map(int, counts))
@@ -236,6 +240,7 @@ def generate_correlations(p: MemorylessProtocol, s: PortSchedule,
     pairs = [(x, y) for x in range(size) for y in range(size)]
     counts = s.port_counts
     uniform = np.full(counts, 1.0 / math.prod(counts))
+    cell_type = np.min_scalar_type(path_cells - 1)
     streams = np.random.default_rng(seed).spawn(len(pairs))
     lams = [1.0 if on else depolarizing_parameter(n, d)
             for on, n, d in zip(mask, counts, s.port_dims)]
@@ -247,14 +252,22 @@ def generate_correlations(p: MemorylessProtocol, s: PortSchedule,
         if mode == "exact":
             return uniform[..., np.newaxis] * term
         # Each trial's cell of counts + (2,), flat and in C order, built in
-        # place in the order the ports and then the outcome are drawn.
-        flat = np.zeros(trials, dtype=np.int64)
+        # place in the order the ports and then the outcome are drawn.  Each
+        # level draws int64 digits and casts them: split into chunks, those
+        # draws are the values of one full-length draw, while a narrower
+        # draw dtype would change the stream.
+        cell = np.zeros(trials, dtype=cell_type)
         for c in counts:
-            flat *= c
-            flat += rng.integers(0, c, size=trials)
-        flat *= 2
-        flat += rng.random(trials) < term[1]
-        tally = np.bincount(flat, minlength=path_cells)
+            for lo in range(0, trials, _CHUNK):
+                part = cell[lo:lo + _CHUNK]
+                part *= c
+                part += rng.integers(0, c, size=part.size).astype(cell_type)
+        tally = np.zeros(path_cells, dtype=np.int64)
+        for lo in range(0, trials, _CHUNK):
+            part = cell[lo:lo + _CHUNK]
+            part *= 2
+            part += rng.random(part.size) < term[1]
+            tally += np.bincount(part, minlength=path_cells)
         return tally.reshape(counts + (2,)) / trials
 
     results = thread_map(one_pair, list(zip(pairs, streams)))

@@ -117,7 +117,15 @@ def _port_names(prefix: str, N: int) -> list[str]:
     return [f"{prefix}{i}" for i in range(1, N + 1)]
 
 
+def _integral(v) -> bool:
+    """A Python or numpy integer; a bool is not one."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _check_ports(N: int, d: int) -> None:
+    if not (_integral(N) and _integral(d)):
+        raise ValueError(f"port count N={N!r} and dimension d={d!r} must be "
+                         f"integers")
     if N < 1:
         raise ValueError(f"port count N={N} must be >= 1")
     if d < 2:
@@ -402,7 +410,7 @@ def dense_entanglement_fidelity(N: int, d: int) -> float:
     return float(np.sum(probs * fids) / probs.sum())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def depolarizing_parameter(N: int, d: int) -> float:
     """Contraction lam = (d^2 F - 1)/(d^2 - 1) of the depolarizing channel
     rho -> lam rho + (1 - lam) I/d that each outcome induces, with F from

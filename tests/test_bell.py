@@ -7,6 +7,7 @@ enumeration, direct two-port joint summation) before being pinned here.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -412,14 +413,15 @@ class TestBellValue:
             (QRAC_BELL[2] - 0.5) / 0.25, abs=1e-9)
 
 
-def add_at_tables(ml, s, trials, seed):
+def add_at_tables(ml, s, trials, seed, ideal=False):
     """Sampled tables from the same per-pair streams, each tallied with
-    np.add.at over the kept tuple of draws."""
+    np.add.at over the kept tuple of draws, every level's full-length draw
+    made at once; `ideal` makes every step a perfect channel."""
     counts = s.port_counts
     size = ml.proto.truth.num_inputs
     pairs = [(x, y) for x in range(size) for y in range(size)]
     streams = np.random.default_rng(seed).spawn(len(pairs))
-    lams = [depolarizing_parameter(n, d)
+    lams = [1.0 if ideal else depolarizing_parameter(n, d)
             for n, d in zip(counts, s.port_dims)]
     out = {}
     for (x, y), rng in zip(pairs, streams):
@@ -480,6 +482,51 @@ class TestSampledMode:
                 assert got.tables.keys() == want.keys()
                 for key, table in want.items():
                     assert got.tables[key].tobytes() == table.tobytes()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_chunked_tally_crosses_chunk_boundaries(self, threads, eligible,
+                                                    monkeypatch):
+        # Two full chunks and a ragged third; the three-port level of the
+        # multi-level protocol draws through rejection sampling.
+        monkeypatch.setenv("BELLFORGE_THREADS", threads)
+        _, multi, _ = eligible[8]
+        trials = 2 * bell._CHUNK + 3
+        for ml, counts in [(qrac_ml(), (4,)), (multi, (3, 2, 2))]:
+            s = bell.PortSchedule.for_protocol(ml, counts)
+            got = bell.generate_correlations(ml, s, mode="sampled",
+                                             trials=trials, seed=5)
+            want = add_at_tables(ml, s, trials, 5)
+            for key, table in want.items():
+                assert got.tables[key].tobytes() == table.tobytes()
+
+    def test_cell_index_spans_the_alphabet_cap(self):
+        # 2^15 ports and the binary leaf fill ALPHABET_CAP cells exactly,
+        # the widest cell index sampled mode forms; a wrapped index would
+        # move counts to the wrong cells.
+        ml = qrac_ml()
+        s = bell.PortSchedule.for_protocol(ml, (2 ** 15,))
+        assert 2 * s.port_counts[0] == bell.ALPHABET_CAP
+        got = bell.generate_correlations(ml, s, mode="sampled", trials=300,
+                                         seed=3, ideal=True)
+        want = add_at_tables(ml, s, 300, 3, ideal=True)
+        for key, table in want.items():
+            assert got.tables[key].tobytes() == table.tobytes()
+
+    def test_sampled_memory_stays_small(self, monkeypatch):
+        # One byte per trial for the cell index plus one chunk's draws;
+        # full-length int64 draws held about 17 MB here.
+        monkeypatch.setenv("BELLFORGE_THREADS", "1")
+        ml = qrac_ml()
+        s = bell.PortSchedule.for_protocol(ml, (4,))
+        bell.generate_correlations(ml, s, mode="sampled", trials=10, seed=0)
+        tracemalloc.start()
+        try:
+            bell.generate_correlations(ml, s, mode="sampled",
+                                       trials=10 ** 6, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
     def test_mode_fields_recorded(self):
         ml = qrac_ml()

@@ -444,6 +444,24 @@ def test_fidelity_checks_ports_before_the_cap(N, d):
             fidelity_of(N, d)
 
 
+@pytest.mark.parametrize("N,d", [(2, 2.5), (True, 2), (2, True), (2.5, 2),
+                                 (3.0, 2), (2, 2.0), ("2", 2), (None, 2)])
+def test_fidelity_refuses_non_integer_ports(N, d):
+    # A non-integer dimension used to yield a number, and a float port
+    # count a TypeError from range().  The cached depolarizing parameter
+    # must not answer from the entry of an equal integer, here (2, 2).
+    depolarizing_parameter(2, 2)
+    for fidelity_of in (entanglement_fidelity, dense_entanglement_fidelity,
+                        depolarizing_parameter):
+        with pytest.raises(ValueError, match="must be integers"):
+            fidelity_of(N, d)
+
+
+def test_fidelity_accepts_numpy_integers():
+    assert entanglement_fidelity(np.int64(2), np.int32(2)) == \
+        entanglement_fidelity(2, 2)
+
+
 # ---------------------------------------------------------------- fidelity
 
 def test_entanglement_fidelity_single_port_exact():
