@@ -1,141 +1,65 @@
 """bellforge: port-based teleportation, remote state preparation, and
-communication-derived Bell certification on exact dense linear algebra."""
+communication-derived Bell certification on exact dense linear algebra.
+
+Every exported name is imported from its home module on first access
+(PEP 562), so `import bellforge` loads no submodule and not numpy.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .states import (
-    ATOL_NORM,
-    ATOL_HERM,
-    ATOL_POVM,
-    ATOL_UNITARY,
-    MAX_TOTAL_DIM,
-    CapExceededError,
-    InvariantError,
-    PureState,
-    MixedState,
-    Povm,
-    fidelity,
-    max_entangled,
-)
-from .protocols import (
-    TruthTable,
-    CommProtocol,
-    MemorylessProtocol,
-    run_exact,
-    success_probability,
-    builtin_qrac,
-    random_protocol,
-)
-from .transforms import (
-    to_single_qubit_rounds,
-    memory_span_basis,
-    to_memoryless,
-)
-from .teleport import (
-    PbtMeasurement,
-    build_pbt_povm,
-    teleport_branches,
-    entanglement_fidelity,
-)
-from .remoteprep import (
-    RspAttempt,
-    rsp_povm,
-    rsp_attempt,
-    index_cost_bits,
-)
-from .classicalcc import (
-    BudgetOracle,
-    CCQueryResult,
-    best_success_one_way,
-    best_success_tree,
-    distributional_cc,
-    build_cc_table,
-    chernoff_repeats,
-    majority_amplify,
-    pumping_bound,
-)
-from .bell import (
-    PortSchedule,
-    CorrelationTable,
-    BellReport,
-    OneWayStats,
-    NonlinearCheck,
-    generate_correlations,
-    simulate_with_classical_comm,
-    bell_value,
-    lhv_bound,
-    lhv_strategies,
-    lhv_table,
-    violation_ratio,
-    ratio_lower_bound,
-    margin_ratio_lower_bound,
-    asymptotic_ratio_one_way,
-    asymptotic_ratio_two_way,
-    one_way_correlations,
-    nonlinear_bell_check,
-    observation_bound,
-    one_way_linear_bell,
-)
+# Home module -> the names it exports.  This table is the one list:
+# `__all__` and the lazy lookup are both read off it.
+_HOMES = {
+    "states": (
+        "ATOL_NORM", "ATOL_HERM", "ATOL_POVM", "ATOL_UNITARY",
+        "MAX_TOTAL_DIM", "CapExceededError", "InvariantError", "PureState",
+        "MixedState", "Povm", "fidelity", "max_entangled",
+    ),
+    "protocols": (
+        "TruthTable", "CommProtocol", "MemorylessProtocol", "run_exact",
+        "success_probability", "builtin_qrac", "random_protocol",
+    ),
+    "transforms": (
+        "to_single_qubit_rounds", "memory_span_basis", "to_memoryless",
+    ),
+    "teleport": (
+        "PbtMeasurement", "build_pbt_povm", "teleport_branches",
+        "entanglement_fidelity",
+    ),
+    "remoteprep": (
+        "RspAttempt", "rsp_povm", "rsp_attempt", "index_cost_bits",
+    ),
+    "classicalcc": (
+        "BudgetOracle", "CCQueryResult", "best_success_one_way",
+        "best_success_tree", "distributional_cc", "build_cc_table",
+        "chernoff_repeats", "majority_amplify", "pumping_bound",
+    ),
+    "bell": (
+        "PortSchedule", "CorrelationTable", "BellReport", "OneWayStats",
+        "NonlinearCheck", "generate_correlations",
+        "simulate_with_classical_comm", "bell_value", "lhv_bound",
+        "lhv_strategies", "lhv_table", "violation_ratio",
+        "ratio_lower_bound", "margin_ratio_lower_bound",
+        "asymptotic_ratio_one_way", "asymptotic_ratio_two_way",
+        "one_way_correlations", "nonlinear_bell_check", "observation_bound",
+        "one_way_linear_bell",
+    ),
+}
+_HOME_OF = {name: home for home, names in _HOMES.items() for name in names}
 
-__all__ = [
-    "PbtMeasurement",
-    "build_pbt_povm",
-    "teleport_branches",
-    "entanglement_fidelity",
-    "RspAttempt",
-    "rsp_povm",
-    "rsp_attempt",
-    "index_cost_bits",
-    "TruthTable",
-    "CommProtocol",
-    "MemorylessProtocol",
-    "run_exact",
-    "success_probability",
-    "builtin_qrac",
-    "random_protocol",
-    "to_single_qubit_rounds",
-    "memory_span_basis",
-    "to_memoryless",
-    "BudgetOracle",
-    "CCQueryResult",
-    "best_success_one_way",
-    "best_success_tree",
-    "distributional_cc",
-    "build_cc_table",
-    "chernoff_repeats",
-    "majority_amplify",
-    "pumping_bound",
-    "PortSchedule",
-    "CorrelationTable",
-    "BellReport",
-    "OneWayStats",
-    "NonlinearCheck",
-    "generate_correlations",
-    "simulate_with_classical_comm",
-    "bell_value",
-    "lhv_bound",
-    "lhv_strategies",
-    "lhv_table",
-    "violation_ratio",
-    "ratio_lower_bound",
-    "margin_ratio_lower_bound",
-    "asymptotic_ratio_one_way",
-    "asymptotic_ratio_two_way",
-    "one_way_correlations",
-    "nonlinear_bell_check",
-    "observation_bound",
-    "one_way_linear_bell",
-    "__version__",
-    "ATOL_NORM",
-    "ATOL_HERM",
-    "ATOL_POVM",
-    "ATOL_UNITARY",
-    "MAX_TOTAL_DIM",
-    "CapExceededError",
-    "InvariantError",
-    "PureState",
-    "MixedState",
-    "Povm",
-    "fidelity",
-    "max_entangled",
-]
+__all__ = ["__version__", *_HOME_OF]
+
+
+def __getattr__(name):
+    home = _HOME_OF.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{home}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

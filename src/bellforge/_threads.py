@@ -8,7 +8,6 @@ byte-identical regardless of the worker count.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
@@ -32,5 +31,6 @@ def thread_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
     n = thread_count()
     if n == 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=n) as pool:
         return list(pool.map(fn, items))

@@ -241,7 +241,11 @@ def generate_correlations(p: MemorylessProtocol, s: PortSchedule,
     counts = s.port_counts
     uniform = np.full(counts, 1.0 / math.prod(counts))
     cell_type = np.min_scalar_type(path_cells - 1)
-    streams = np.random.default_rng(seed).spawn(len(pairs))
+    # Exact mode reads no stream, and spawning them imports numpy.random.
+    if mode == "sampled":
+        streams = np.random.default_rng(seed).spawn(len(pairs))
+    else:
+        streams = [None] * len(pairs)
     lams = [1.0 if on else depolarizing_parameter(n, d)
             for on, n, d in zip(mask, counts, s.port_dims)]
 

@@ -51,7 +51,6 @@ between budgets at different success levels.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -327,6 +326,7 @@ def distributional_cc(t: TruthTable, p: float, method: str = "one_way",
 
 
 def _table_key(t: TruthTable) -> str:
+    import hashlib
     h = hashlib.sha256()
     h.update(str(t.n).encode())
     h.update(np.ascontiguousarray(t.f).tobytes())

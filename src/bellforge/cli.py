@@ -12,6 +12,12 @@ fixed config and seed produce byte-identical output at any worker count
 (BELLFORGE_THREADS).  Wall-clock timing goes to stderr only, never into
 the report.  Exit codes: 0 success, 1 usage or config error, 2 resource
 cap exceeded, 3 invariant failure.
+
+Each command imports the library modules it calls inside its own body, so
+a process loads only those: beyond `serialize`, `_threads` and `states`,
+pbt-bench loads `teleport`; cc loads `protocols` and `classicalcc`; oneway
+loads those two and `bell`, which brings `remoteprep` and `teleport`; and
+bell-certify loads all of these plus `transforms`.
 """
 
 from __future__ import annotations
@@ -25,30 +31,22 @@ import os
 import sys
 import time
 from itertools import product
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from . import __version__
 from ._threads import thread_count
-from .bell import (
-    OneWayStats, PortSchedule, bell_value, generate_correlations,
-    lhv_bound, nonlinear_bell_check, observation_bound,
-    one_way_correlations, one_way_linear_bell,
-)
-from .classicalcc import (
-    BudgetOracle, chernoff_repeats, distributional_cc, pumping_bound,
-)
-from .protocols import (
-    CommProtocol, TruthTable, builtin_qrac, success_probability,
-)
 from .serialize import (
     SCHEMA_VERSION, atomic_write_text, dumps_canonical, is_json_int,
     is_json_number, load_protocol, report_to_dict, truth_from_dict,
 )
-from .states import CapExceededError, InvariantError, Povm
-from .teleport import build_pbt_povm, entanglement_fidelity
-from .transforms import to_memoryless, to_single_qubit_rounds
+from .states import CapExceededError, InvariantError
+
+if TYPE_CHECKING:
+    from .bell import OneWayStats
+    from .classicalcc import BudgetOracle
+    from .protocols import CommProtocol, TruthTable
 
 
 class UsageError(Exception):
@@ -153,6 +151,10 @@ def _validate_config(cfg: dict[str, Any]) -> None:
         parent = os.path.dirname(os.path.abspath(cfg["out"]))
         _require(os.path.isdir(parent),
                  f"output directory does not exist: {parent}")
+        # The report replaces `out` by a rename, which no directory takes.
+        _require(os.path.basename(cfg["out"]) not in ("", ".", "..")
+                 and not os.path.isdir(cfg["out"]),
+                 f"out must name a file, not a directory: {cfg['out']}")
     if cmd == "pbt-bench":
         _require(is_json_int(cfg["d"]) and cfg["d"] >= 2,
                  f"d must be an integer >= 2, got {cfg['d']!r}")
@@ -219,6 +221,8 @@ def _validate_protocol_ref(ref: Any) -> None:
 def _const_protocol() -> CommProtocol:
     """One-round protocol computing the constant-1 function: the message
     is ignored and Bob's observable always fires on outcome 1."""
+    from .protocols import CommProtocol, TruthTable
+    from .states import Povm
     truth = TruthTable(n=1, f=np.ones((2, 2), dtype=int),
                        mu=np.full((2, 2), 0.25))
     eye = np.eye(2, dtype=np.complex128)
@@ -232,6 +236,7 @@ def _const_protocol() -> CommProtocol:
 
 
 def _resolve_protocol(ref: str) -> CommProtocol:
+    from .protocols import builtin_qrac
     if ref == "builtin:qrac":
         return builtin_qrac()
     if ref == "builtin:const1":
@@ -243,6 +248,7 @@ def _resolve_protocol(ref: str) -> CommProtocol:
 
 
 def _resolve_truth(ref: str) -> TruthTable:
+    from .protocols import TruthTable, builtin_qrac
     if ref == "qrac":
         return builtin_qrac().truth
     if ref == "eq1":
@@ -257,6 +263,7 @@ def _resolve_truth(ref: str) -> TruthTable:
 
 def cmd_pbt_bench(cfg: dict[str, Any],
                   warnings: list[str]) -> tuple[dict[str, Any], int]:
+    from .teleport import build_pbt_povm, entanglement_fidelity
     d = cfg["d"]
     rows = []
     all_hold = True
@@ -280,6 +287,11 @@ def cmd_pbt_bench(cfg: dict[str, Any],
 
 def cmd_bell_certify(cfg: dict[str, Any],
                      warnings: list[str]) -> tuple[dict[str, Any], int]:
+    from .bell import (
+        PortSchedule, bell_value, generate_correlations, lhv_bound,
+    )
+    from .classicalcc import distributional_cc
+    from .transforms import to_memoryless, to_single_qubit_rounds
     source = _resolve_protocol(cfg["protocol"])
     try:
         ml = to_memoryless(to_single_qubit_rounds(source))
@@ -352,6 +364,7 @@ def cmd_bell_certify(cfg: dict[str, Any],
 
 def _box_stats(t: TruthTable, flag: tuple[int, ...],
                answer: tuple[int, ...]) -> OneWayStats:
+    from .bell import OneWayStats
     p_a = 0.0
     hit = 0.0
     for x, y in t.support():
@@ -387,6 +400,7 @@ def _sweep_boxes(t: TruthTable, doc: dict[str, Any]):
 
 def _run_sweep(t: TruthTable, path: str, deltas: list[float],
                oracle: BudgetOracle) -> dict[str, Any]:
+    from .bell import nonlinear_bell_check
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -419,6 +433,12 @@ def _run_sweep(t: TruthTable, path: str, deltas: list[float],
 
 def cmd_oneway(cfg: dict[str, Any],
                warnings: list[str]) -> tuple[dict[str, Any], int]:
+    from .bell import (
+        nonlinear_bell_check, observation_bound, one_way_correlations,
+        one_way_linear_bell,
+    )
+    from .classicalcc import BudgetOracle
+    from .protocols import success_probability
     source = _resolve_protocol(cfg["protocol"])
     try:
         table, stats = one_way_correlations(source)
@@ -455,6 +475,7 @@ def cmd_oneway(cfg: dict[str, Any],
 
 def cmd_cc(cfg: dict[str, Any],
            warnings: list[str]) -> tuple[dict[str, Any], int]:
+    from .classicalcc import BudgetOracle, chernoff_repeats, pumping_bound
     t = _resolve_truth(cfg["function"])
     if t.n > 3:
         raise UsageError(f"function has n={t.n} input bits per party; "

@@ -15,13 +15,13 @@ import math
 import os
 import sys
 import tempfile
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .bell import BellReport, PortSchedule
-from .protocols import CommProtocol, TruthTable
-from .states import Povm
+if TYPE_CHECKING:
+    from .bell import BellReport, PortSchedule
+    from .protocols import CommProtocol, TruthTable
 
 SCHEMA_VERSION = 1
 
@@ -90,6 +90,7 @@ def truth_to_dict(t: TruthTable) -> dict[str, Any]:
 
 
 def truth_from_dict(d: dict[str, Any]) -> TruthTable:
+    from .protocols import TruthTable
     if not isinstance(d, dict):
         raise ValueError("a truth table must be a JSON object")
     return TruthTable(n=_int_field(d["n"], "n"),
@@ -127,6 +128,8 @@ def protocol_to_dict(p: CommProtocol) -> dict[str, Any]:
 
 
 def protocol_from_dict(d: dict[str, Any]) -> CommProtocol:
+    from .protocols import CommProtocol
+    from .states import Povm
     if not isinstance(d, dict) or d.get("format") != "bellforge-protocol":
         raise ValueError("not a protocol document (missing format tag)")
     if _int_field(d.get("schema_version", 0), "schema_version") \

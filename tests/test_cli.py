@@ -137,10 +137,17 @@ class TestConfigHandling:
         assert code == 1
         assert "--seed" in err
 
-    def test_missing_out_directory(self, capsys):
+    def test_missing_out_directory(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "cc", "--out", "/no/such/dir/r.json")
         assert code == 1
         assert "output directory" in err
+        # An existing directory is refused before any work, not at the
+        # final rename.
+        for out in (str(tmp_path), f"{tmp_path}/new/", f"{tmp_path}/."):
+            code, out_text, err = run_cli(capsys, "cc", "--out", out)
+            assert (code, out_text) == (1, "")
+            assert "not a directory" in err
+        assert os.listdir(tmp_path) == []
 
     def test_bad_format_flag(self, capsys):
         code, _, err = run_cli(capsys, "cc", "--format", "xml")

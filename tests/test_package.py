@@ -1,21 +1,85 @@
-"""Tests for the package's exported names."""
+"""Tests for the package's exported names and the modules each command
+loads."""
 
-import types
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
 
 import bellforge
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+EXAMPLES = os.path.join(REPO, "docs", "examples", "v1")
 
 
 def test_exports_resolve_once_each():
     names = bellforge.__all__
     assert len(names) == len(set(names))
     for name in names:
-        assert hasattr(bellforge, name), name
+        if name == "__version__":
+            continue
+        home = importlib.import_module(
+            f"bellforge.{bellforge._HOME_OF[name]}")
+        assert getattr(bellforge, name) is getattr(home, name), name
 
 
 def test_every_public_binding_is_exported():
-    # Catches a name dropped from one of `__init__`'s two lists (the
-    # imports and `__all__`) but not the other.
-    bound = {name for name, value in vars(bellforge).items()
-             if not name.startswith("_")
-             and not isinstance(value, types.ModuleType)}
-    assert bound == set(bellforge.__all__) - {"__version__"}
+    # A star import resolves every name of `__all__` through the lazy
+    # lookup, whatever earlier tests have already resolved.
+    bound: dict = {}
+    exec("from bellforge import *", bound)
+    del bound["__builtins__"]
+    assert set(bound) == set(bellforge.__all__)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        bellforge.no_such_name
+
+
+def imported_modules(*args: str) -> set[str]:
+    """Every module a fresh `python -X importtime ARGS` process imports."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          capture_output=True, text=True, cwd=REPO,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:") and "|" in line}
+
+
+def bellforge_modules(modules: set[str]) -> set[str]:
+    return {m.partition(".")[2] for m in modules
+            if m.startswith("bellforge.")}
+
+
+def test_import_loads_no_submodule_and_no_numpy():
+    modules = imported_modules("-c", "import bellforge")
+    assert "bellforge" in modules
+    assert bellforge_modules(modules) == set()
+    assert "numpy" not in modules
+
+
+BASE = {"cli", "serialize", "_threads", "states"}
+
+
+@pytest.mark.parametrize("command,config,extra", [
+    ("pbt-bench", "pbt_bench.config.json", {"teleport"}),
+    ("cc", "cc.config.json", {"protocols", "classicalcc"}),
+    ("bell-certify", "bell_certify.config.json",
+     {"protocols", "classicalcc", "remoteprep", "teleport", "bell",
+      "transforms"}),
+    ("oneway", "oneway.config.json",
+     {"protocols", "classicalcc", "remoteprep", "teleport", "bell"}),
+])
+def test_each_command_loads_only_its_modules(tmp_path, command, config,
+                                             extra):
+    modules = imported_modules(
+        "-m", "bellforge", command,
+        "--config", os.path.join(EXAMPLES, config),
+        "--out", str(tmp_path / "report.json"))
+    assert bellforge_modules(modules) == BASE | extra
+    if command == "bell-certify":  # the shipped config is exact
+        assert "numpy.random" not in modules
