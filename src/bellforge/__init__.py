@@ -25,8 +25,7 @@ _HOMES = {
         "to_single_qubit_rounds", "memory_span_basis", "to_memoryless",
     ),
     "teleport": (
-        "PbtMeasurement", "build_pbt_povm", "teleport_branches",
-        "entanglement_fidelity",
+        "PbtMeasurement", "build_pbt_povm", "entanglement_fidelity",
     ),
     "remoteprep": (
         "RspAttempt", "rsp_povm", "rsp_attempt", "index_cost_bits",

@@ -605,21 +605,25 @@ def nonlinear_bell_check(stats: OneWayStats, delta: float,
         raise ValueError(f"delta={delta} is so small that 1/delta overflows")
     if oracle is None:
         oracle = BudgetOracle(stats.truth)
-    target = (1.0 - delta) * stats.p_b + delta / 2.0
+    # `OneWayStats` grants p_b 1e-12 past [0, 1]; the oracle takes [0, 1].
+    p_b = min(max(stats.p_b, 0.0), 1.0)
+    target = (1.0 - delta) * p_b + delta / 2.0
     rhs = oracle(target)
     if math.isinf(rhs):
         raise ValueError(
             f"communication oracle cannot certify target {target}")
-    if stats.p_a <= 0.0:
+    # A flag rate of 0, or one so small that 1/p_a overflows, costs
+    # unboundedly many bits.
+    inv_a = 1.0 / float(stats.p_a) if stats.p_a > 0.0 else math.inf
+    if math.isinf(inv_a):
         lhs: float = math.inf
     else:
-        lhs = math.ceil(math.log2(1.0 / stats.p_a)
+        lhs = math.ceil(math.log2(inv_a)
                         + math.log2(math.log2(1.0 / delta))
                         - _CEIL_GUARD) + 1
     holds = bool(lhs >= rhs - 1e-12)
-    heuristic_lhs = math.inf if stats.p_a <= 0 else \
-        math.log2(1.0 / stats.p_a)
-    heuristic_rhs = oracle(stats.p_b)
+    heuristic_lhs = math.log2(inv_a)
+    heuristic_rhs = oracle(p_b)
     c23 = oracle(2.0 / 3.0)
     eps_t = max(target - 0.5, 0.0)
     if target > 2.0 / 3.0:
@@ -643,9 +647,12 @@ def observation_bound(p_succ: float, truth: TruthTable,
     oracle((1-delta) p + delta/2) - log2 log2 (1/delta), minus 2.
 
     Negative results mean the bound is vacuous at the probed scale.  By
-    default a one-way `BudgetOracle` for `truth` is the oracle."""
-    if not 0.0 <= p_succ <= 1.0:
+    default a one-way `BudgetOracle` for `truth` is the oracle.  p_succ
+    may stray past [0, 1] by 1e-12, as `OneWayStats` allows, and is
+    clipped to it."""
+    if not -1e-12 <= p_succ <= 1.0 + 1e-12:
         raise ValueError(f"success {p_succ} outside [0, 1]")
+    p_succ = min(max(p_succ, 0.0), 1.0)
     if oracle is None:
         oracle = BudgetOracle(truth)
     best = -math.inf

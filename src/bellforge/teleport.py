@@ -39,30 +39,19 @@ restricted permutation is checked, and its N images are summed, one at a
 time, against the identity, the one check loosened to ATOL_PBT_POVM.
 Pi_1 is block-diagonal, so the measurement's margins are the least
 minimum eigenvalue and the largest completeness deviation over the
-sectors.  The dense build over the whole space, one `eigh` of S and one
-orbit check of Pi_1, is kept as `dense_pbt_povm`, the reference the
-sector build is tested against and the measurement behind
-`dense_entanglement_fidelity`.
+sectors.  The index permutations of the port swaps are read off the
+register machine (`states._RegisterMachine`), so this module permutes no
+axes of its own.
 
 The resource, N maximally entangled pairs, is fixed by (N, d), so the
-measurement is the only port-teleportation object.  The outcome branches
-load the purified input and the pairs as one ket on the register machine
-(`states._RegisterMachine`); one square root of E_1 is taken, and for
-outcome z it is applied to the measured registers with A_1 and A_z
-exchanged, which is sqrt(E_z).  The receiver's output is then the reduced
-state of B_z.  The index permutations of the port swaps are read off the
-machine too, so this module permutes no axes of its own.
-
-`entanglement_fidelity` never builds that measurement.  For this scheme the
+measurement is the only port-teleportation object, and
+`entanglement_fidelity` never builds it.  For this scheme the
 entanglement fidelity has a closed form over Young diagrams
   F = d^-(N+2) sum_{alpha |- N-1} (sum_{mu = alpha + box} sqrt(d_mu m_mu))^2
 with d_mu and m_mu the dimensions of the symmetric-group and U(d) irreps
 labelled by mu (diagrams with at most d rows), from Studzinski, Strelchuk,
 Mozrzymas and Horodecki, Sci. Rep. 7, 10871 (2017); for d = 2 it is the
-formula of Ishizaka and Hiroshima, PRL 101, 240501 (2008).  The dense
-computation over the measurement's outcome branches is kept as
-`dense_entanglement_fidelity`, the reference the closed form is tested
-against.
+formula of Ishizaka and Hiroshima, PRL 101, 240501 (2008).
 """
 
 from __future__ import annotations
@@ -77,12 +66,9 @@ from .states import (
     MAX_TOTAL_DIM,
     CapExceededError,
     InvariantError,
-    MixedState,
     _RegisterMachine,
     _sym,
     check_povm_orbit,
-    max_entangled,
-    psd_sqrt,
 )
 
 # Relative eigenvalue cutoff for the pseudo-inverse square root of S.
@@ -193,8 +179,8 @@ def _charge_sectors(N: int, d: int) -> list[np.ndarray]:
 
 def build_pbt_povm(N: int, d: int) -> PbtMeasurement:
     """Pretty-good measurement for N ports of dimension d, built one charge
-    sector (`_charge_sectors`) at a time as the module docstring describes;
-    `dense_pbt_povm` is its reference.  In a sector with global indices
+    sector (`_charge_sectors`) at a time as the module docstring describes.
+    In a sector with global indices
     idx, sigma_1's block is 1/(d d^(N-1)) where a_0 = a_1, b_0 = b_1 and
     the other ports agree, and 0 elsewhere; the port swap p_i acts as
     pos[p_i[idx]], with pos an index's place in its sector."""
@@ -237,101 +223,6 @@ def build_pbt_povm(N: int, d: int) -> PbtMeasurement:
                           completeness_dev=max(c for _, c in margins))
 
 
-def dense_pbt_povm(N: int, d: int) -> PbtMeasurement:
-    """Pretty-good measurement for N ports of dimension d, built over the
-    whole space: the reference for `build_pbt_povm`."""
-    _check_ports(N, d)
-    dim = _capped_dim("measurement dimension d^(N+1)", d, N + 1)
-    phi = max_entangled(d).amplitudes.real
-    rest = d ** (N - 1)
-    sig1 = np.kron(np.outer(phi, phi), np.eye(rest)) / rest
-    perms = _port_swaps(N, d)
-    S = np.zeros((dim, dim))
-    for p in perms:
-        S = S + sig1[np.ix_(p, p)]
-    w, v = np.linalg.eigh(_sym(S))
-    cut = PINV_CUTOFF * w.max()
-    on_supp = w > cut
-    inv_root = np.where(on_supp, 1.0 / np.sqrt(np.where(on_supp, w, 1.0)), 0.0)
-    s_irt = (v * inv_root) @ v.T
-    p_supp = (v * on_supp.astype(float)) @ v.T
-    remainder = (np.eye(dim) - p_supp) / N
-    elem1 = _sym(s_irt @ sig1 @ s_irt + remainder)
-    min_eig, comp_dev = check_povm_orbit(elem1, perms, atol=ATOL_PBT_POVM)
-    for a in (elem1, *perms):
-        a.setflags(write=False)
-    return PbtMeasurement(N=N, d=d, e1=elem1,
-                          port_swaps=tuple(perms), min_eigenvalue=min_eig,
-                          completeness_dev=comp_dev)
-
-
-def _purify(rho: MixedState) -> np.ndarray:
-    """Purification of a d-dim state: array psi[r, a] with reference index r,
-    so that sum_r psi[r,:] psi[r,:]^dag = rho."""
-    w, v = np.linalg.eigh(_sym(rho.matrix))
-    w = np.clip(w, 0.0, None)
-    w = w / w.sum()
-    return (v * np.sqrt(w)).T.astype(np.complex128)
-
-
-def _branches(psi_in: np.ndarray, meas: PbtMeasurement,
-              with_reference: bool) -> list[tuple[float, np.ndarray]]:
-    """(probability, unnormalized reduced matrix) of every outcome z.
-
-    psi_in has shape (d_ref, d): a purified input with its reference index
-    R first.  The reduced matrix lives on B_z, preceded by R when
-    `with_reference` is set; dividing by the probability normalizes it.
-    E_z = P_1z E_1 P_1z, so the root of E_1 applied to (A_0, A_1..A_N)
-    with A_1 and A_z exchanged is sqrt(E_z): one square root serves every
-    outcome.  The N pairs are formed here, after the cap check: with
-    registers (A_1..A_N, B_1..B_N) their product flattens to the identity
-    over the collective port index, scaled d^(-N/2).
-    """
-    N, d = meas.N, meas.d
-    if psi_in.shape[1] != d:
-        raise ValueError(f"input dimension {psi_in.shape[1]} != port dim {d}")
-    dn = d ** N
-    total = psi_in.size * dn * dn
-    if total > MAX_TOTAL_DIM:
-        raise CapExceededError(
-            f"purified joint dimension {total} exceeds {MAX_TOTAL_DIM}")
-    pairs = (np.eye(dn, dtype=np.complex128) / math.sqrt(dn)).reshape(-1)
-    joint = np.kron(psi_in.reshape(-1), pairs)
-    regs = [("R", psi_in.shape[0]), ("A0", d)] + [
-        (n, d) for n in _port_names("A", N) + _port_names("B", N)]
-    root = psd_sqrt(meas.e1)
-    keep = ["R"] if with_reference else []
-    out = []
-    for z in range(1, N + 1):
-        reg = _RegisterMachine(regs, joint)
-        names = _measured_ports(N, z)
-        reg.apply(names, root, [(n, d) for n in names])
-        raw = reg.reduced(keep + [f"B{z}"])
-        out.append((float(np.trace(raw).real), raw))
-    return out
-
-
-def teleport_branches(input_state: MixedState, meas: PbtMeasurement
-                      ) -> list[tuple[float, MixedState]]:
-    """All N outcome branches: (probability, output on the selected port).
-
-    The output for outcome z is purely the reduced state of the receiver's
-    z-th port; no outcome-dependent correction exists anywhere in this path.
-    """
-    d = meas.d
-    branches = _branches(_purify(input_state), meas, with_reference=False)
-    out = []
-    for prob, raw in branches:
-        if prob < 1e-300:
-            # outcome numerically impossible; report the maximally mixed port
-            rho = np.eye(d) / d
-        else:
-            rho = _sym(raw / prob)
-            rho = rho / np.trace(rho).real
-        out.append((prob, MixedState(rho)))
-    return out
-
-
 def _partitions(n: int, rows: int, largest: int | None = None):
     """Partitions of n into at most `rows` parts, as non-increasing tuples."""
     if n == 0:
@@ -363,11 +254,12 @@ def entanglement_fidelity(N: int, d: int) -> float:
 
     Evaluates the Young-diagram closed form in the module docstring in log
     space, each term scaled by d^-(N+2)/2 so that no intermediate exceeds
-    1.  The cap d^(2N+2) <= 2**20 of `dense_entanglement_fidelity` applies
-    here too, so both accept the same (N, d).
+    1.  The form allocates nothing; the cap d^(2N+2) <= 2**20 stays so
+    that no input's acceptance changes until a cap on the form's own cost
+    replaces it.
     """
     _check_ports(N, d)
-    _capped_dim("purified joint dimension d^(2N+2)", d, 2 * N + 2)
+    _capped_dim("entanglement fidelity cap d^(2N+2)", d, 2 * N + 2)
     log_scale = (N + 2) * math.log(d)
     total = 0.0
     for alpha in _partitions(N - 1, d):
@@ -380,34 +272,6 @@ def entanglement_fidelity(N: int, d: int) -> float:
             inner += math.exp(0.5 * (_log_irrep_dims(mu, d) - log_scale))
         total += inner * inner
     return total
-
-
-def dense_entanglement_fidelity(N: int, d: int) -> float:
-    """Reference for `entanglement_fidelity` from the outcome branches.
-
-    The sender's half of |Phi+(d)>, held against an external reference, is
-    teleported; the result is the fidelity of (reference (x) output) with
-    |Phi+(d)>, averaged exactly over all N outcomes.  Every outcome must
-    have probability 1/N to within 1e-9.  The cap d^(2N+2) <= 2**20 is
-    checked before the measurement is built.
-    """
-    _check_ports(N, d)
-    _capped_dim("purified joint dimension d^(2N+2)", d, 2 * N + 2)
-    meas = dense_pbt_povm(N, d)
-    phi = max_entangled(d).amplitudes
-    psi_in = phi.reshape(d, d)  # reference index first; symmetric anyway
-    branches = _branches(psi_in, meas, with_reference=True)
-    probs = np.empty(N)
-    fids = np.empty(N)
-    for z, (prob, raw) in enumerate(branches, start=1):
-        probs[z - 1] = prob
-        # <Phi| raw |Phi> / prob, computed without forming the quotient
-        val = float(np.real(phi.conj() @ raw @ phi))
-        fids[z - 1] = val / prob if prob > 1e-300 else 0.0
-    if np.max(np.abs(N * probs - 1.0)) > 1e-9:
-        raise InvariantError(f"teleportation outcomes not uniform for N={N}, "
-                             f"d={d}: {probs}")
-    return float(np.sum(probs * fids) / probs.sum())
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -8,6 +8,7 @@ enumeration, direct two-port joint summation) before being pinned here.
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,14 +20,14 @@ from bellforge.protocols import (
 )
 from bellforge.remoteprep import batch_size
 from bellforge.states import (
-    CapExceededError, InvariantError, MixedState, _RegisterMachine,
+    CapExceededError, InvariantError, _RegisterMachine,
     max_entangled, psd_sqrt, random_density,
 )
 from bellforge.teleport import (
-    build_pbt_povm, depolarizing_parameter,
-    entanglement_fidelity, teleport_branches,
+    build_pbt_povm, depolarizing_parameter, entanglement_fidelity,
 )
 from bellforge.transforms import to_memoryless, to_single_qubit_rounds
+import pbt_reference as ref
 
 # Success of the built-in random-access protocol, cos^2(pi/8).
 QRAC_SUCCESS = 0.8535533905932737
@@ -113,15 +114,16 @@ class TestDepolarizingLeg:
         rng = np.random.default_rng(31)
         lam = depolarizing_parameter(n_ports, d)
         meas = build_pbt_povm(n_ports, d)
+        elements = [meas.element(z) for z in range(1, n_ports + 1)]
         for rank in (1, d):
             rho = random_density(d, rng, rank=rank)
-            branches = teleport_branches(MixedState(rho), meas)
+            branches = ref.outputs(rho, elements)
             for prob, _ in branches:
                 assert prob == pytest.approx(1.0 / n_ports, abs=1e-12)
-            direct = branches[0][1].matrix
+            direct = branches[0][1]
             assert np.max(np.abs(depolarized(rho, lam) - direct)) < 1e-12
             for _, other in branches[1:]:
-                assert np.max(np.abs(other.matrix - direct)) < 1e-12
+                assert np.max(np.abs(other - direct)) < 1e-12
 
     def test_single_port_fully_depolarizes(self):
         rng = np.random.default_rng(32)
@@ -822,6 +824,30 @@ class TestNonlinearCheck:
             bell.nonlinear_bell_check(stats, 0.25,
                                       oracle=lambda t: math.inf)
 
+    def test_subnormal_flag_rate_costs_unbounded_bits(self):
+        # 1/p_a overflows at a subnormal flag rate, as it does when p_a is
+        # 0: both sides of the flag cost are infinite, and the check holds.
+        # It used to end in an OverflowError from math.ceil.
+        for p_a in (1e-320, np.float64(1e-320)):
+            stats = bell.OneWayStats(p_a=p_a, p_b=1.0, truth=xor_truth())
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                chk = bell.nonlinear_bell_check(stats, 0.25)
+            assert chk.lhs_bits == math.inf
+            assert chk.heuristic_lhs == math.inf
+            assert chk.holds and chk.pumped_holds
+            assert not chk.heuristic_violated
+
+    def test_flag_success_past_one_is_clipped(self):
+        # An always-correct protocol's flagged success can sum to 1 + 1
+        # ulp, which the oracle refused, even at a target of 1 + 1 ulp.
+        truth = xor_truth()
+        over = bell.OneWayStats(p_a=0.5, p_b=1.0000000000000002, truth=truth)
+        exact = bell.OneWayStats(p_a=0.5, p_b=1.0, truth=truth)
+        for delta in (0.25, 1e-300):
+            assert bell.nonlinear_bell_check(over, delta) == \
+                bell.nonlinear_bell_check(exact, delta)
+
     def test_deterministic_boxes_hold(self):
         # Every deterministic flag box on the two-input XOR scenario
         # satisfies the rigorous inequality on the whole delta grid.
@@ -852,6 +878,18 @@ class TestNonlinearCheck:
         assert bound == pytest.approx(-1.0, abs=1e-12)
         with pytest.raises(ValueError):
             bell.observation_bound(1.2, stats.truth)
+
+    def test_observation_bound_clips_rounding(self):
+        # An always-correct protocol's success can sum to 1 + 1 ulp.  Like
+        # `OneWayStats`, the bound grants 1e-12 past [0, 1] and clips.
+        truth = xor_truth()
+        assert bell.observation_bound(1.0000000000000002, truth) == \
+            bell.observation_bound(1.0, truth)
+        assert bell.observation_bound(-1e-13, truth) == \
+            bell.observation_bound(0.0, truth)
+        for bad in (1.0 + 1e-11, -1e-11):
+            with pytest.raises(ValueError, match="outside"):
+                bell.observation_bound(bad, truth)
 
 
 class TestOneWayLinearBell:

@@ -16,7 +16,10 @@ import pytest
 
 from bellforge import cli
 from bellforge import serialize as sz
-from bellforge.protocols import CommProtocol, builtin_qrac, random_protocol
+from bellforge.protocols import (
+    CommProtocol, TruthTable, builtin_qrac, random_protocol,
+    success_probability,
+)
 from bellforge.states import Povm, random_unitary
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -460,6 +463,60 @@ class TestOneway:
         assert code == 0
         assert json.loads(out)["results"]["sweep"]["boxes"] == 256
         assert searched == [0, 1, 2]
+
+    @pytest.mark.parametrize("case,theta", [
+        ("subnormal-flag-rate", None),
+        ("success-past-one", 0.04100334448160536),
+        ("flag-success-past-one", 0.5601503759398496)],
+        ids=["subnormal-flag-rate", "success-past-one",
+             "flag-success-past-one"])
+    def test_degenerate_protocol_reports(self, tmp_path, case, theta):
+        # A sweep box flagged only on a subnormal mu entry, where 1/p_a
+        # overflows; and always-correct protocols (Bob's projector matches
+        # Alice's rotated message) whose success, or flagged success, sums
+        # to 1 + 1 ulp.  Each used to end in a traceback.
+        cfg = {"command": "oneway", "protocol": str(tmp_path / "p.json")}
+        if theta is None:
+            with open(os.path.join(REPO, "docs", "examples", "v1",
+                                   "protocol_qrac.json")) as fh:
+                doc = json.load(fh)
+            doc["truth"]["mu"] = [[1e-320, 0, 0, 0], [0, 0, 0, 0],
+                                  [0.5, 0.5, 0, 0], [0, 0, 0, 0]]
+            sweep = {"format": "bellforge-oneway-sweep", "boxes": [
+                {"flag": [1, 0, 0, 0], "answer": [0, 0, 0, 0]}]}
+            (tmp_path / "s.json").write_text(json.dumps(sweep))
+            cfg["sweep_file"] = str(tmp_path / "s.json")
+        else:
+            rot = np.array([[np.cos(theta), -np.sin(theta)],
+                            [np.sin(theta), np.cos(theta)]])
+            proj = np.outer(rot[:, 0], rot[:, 0])
+            proto = CommProtocol(
+                truth=TruthTable(n=1, f=np.array([[0, 0], [1, 1]]),
+                                 mu=np.full((2, 2), 0.25)),
+                rounds=1, a0_dim=2, b0_dim=1, m_out_dims=(2,),
+                m_back_dims=(), a_dims=(1,), b_dims=(), anc_a_dims=(1,),
+                anc_b_dims=(), alice_ops=({0: rot, 1: rot[:, ::-1]},),
+                bob_ops=(), observables={
+                    y: Povm([proj, np.eye(2) - proj]) for y in (0, 1)})
+            doc = sz.protocol_to_dict(proto)
+        (tmp_path / "p.json").write_text(json.dumps(doc))
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bellforge", "oneway", "--config",
+             str(tmp_path / "c.json")],
+            cwd=REPO, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        res = json.loads(proc.stdout)["results"]
+        if theta is None:
+            assert res["sweep"]["all_hold"] is True
+            assert res["sweep"]["worst_margin_bits"] == "Infinity"
+        elif case == "success-past-one":
+            assert success_probability(proto) == 1.0000000000000002
+            assert res["observation_qubit_bound"]["value"] == -1.0
+        else:
+            assert res["p_b"]["value"] == 1.0000000000000002
+            assert all(chk["holds"] for chk in res["checks"])
 
     def test_delta_outside_unit_interval(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"
