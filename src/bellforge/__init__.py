@@ -21,9 +21,7 @@ _HOMES = {
         "TruthTable", "CommProtocol", "MemorylessProtocol", "run_exact",
         "success_probability", "builtin_qrac", "random_protocol",
     ),
-    "transforms": (
-        "to_single_qubit_rounds", "memory_span_basis", "to_memoryless",
-    ),
+    "transforms": ("to_single_qubit_rounds", "to_memoryless"),
     "teleport": (
         "PbtMeasurement", "build_pbt_povm", "entanglement_fidelity",
     ),

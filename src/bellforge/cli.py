@@ -9,7 +9,11 @@ Four subcommands cover the library surface:
 
 Reports are canonical JSON (sorted keys, shortest-roundtrip floats), so a
 fixed config and seed produce byte-identical output at any worker count
-(BELLFORGE_THREADS).  Wall-clock timing goes to stderr only, never into
+(BELLFORGE_THREADS), on one numpy/BLAS build with one BLAS thread count;
+another build or BLAS thread count may move round-off-sized entries.
+`python -m bellforge` lets idle OpenBLAS workers sleep instead of spin
+(see `__main__`); a user's OPENBLAS_THREAD_TIMEOUT wins, and no number
+depends on it.  Wall-clock timing goes to stderr only, never into
 the report.  Exit codes: 0 success, 1 usage or config error, 2 resource
 cap exceeded, 3 invariant failure.
 
@@ -67,6 +71,11 @@ _DEFAULTS: dict[str, dict[str, Any]] = {
 # Samples per input pair of a sampled run whose config sets no trials.
 _SAMPLED_TRIALS = 10000
 _PUMPING_EPSILONS = (0.1, 0.125, 1.0 / 6.0)
+# Most nonlinear checks one `oneway` box sweep may run (boxes x deltas).
+# A check costs about 8 us, plus about 30 us per box for its statistics,
+# on a 2-core x86 host: 65,536 deterministic boxes (an 8-input table) x 16
+# deltas = 2^20 checks take about 10 s.  The shipped sweep runs 256 x 4.
+SWEEP_CHECK_CAP = 2 ** 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -384,9 +393,6 @@ def _sweep_boxes(t: TruthTable, doc: dict[str, Any]):
             for answer in product((0, 1), repeat=size):
                 yield flag, answer
         return
-    if not isinstance(boxes, list):
-        raise UsageError("sweep file needs boxes: \"deterministic\" or a "
-                         "list of {flag, answer} objects")
     for i, box in enumerate(boxes):
         box = box if isinstance(box, dict) else {}
         flag, answer = box.get("flag"), box.get("answer")
@@ -398,9 +404,10 @@ def _sweep_boxes(t: TruthTable, doc: dict[str, Any]):
         yield tuple(flag), tuple(answer)
 
 
-def _run_sweep(t: TruthTable, path: str, deltas: list[float],
-               oracle: BudgetOracle) -> dict[str, Any]:
-    from .bell import nonlinear_bell_check
+def _load_sweep(t: TruthTable, path: str, deltas: list[float]
+                ) -> tuple[dict[str, Any], list[float]]:
+    """Read a sweep file: its document and deltas, refused with
+    CapExceededError when boxes x deltas exceeds SWEEP_CHECK_CAP."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -414,6 +421,25 @@ def _run_sweep(t: TruthTable, path: str, deltas: list[float],
              "sweep deltas must be a non-empty list")
     for d in sweep_deltas:
         _require_delta(d, "sweep delta")
+    boxes = doc.get("boxes")
+    if boxes == "deterministic":
+        count = 4 ** t.num_inputs
+    elif isinstance(boxes, list):
+        count = len(boxes)
+    else:
+        raise UsageError("sweep file needs boxes: \"deterministic\" or a "
+                         "list of {flag, answer} objects")
+    checks = count * len(sweep_deltas)
+    if checks > SWEEP_CHECK_CAP:
+        raise CapExceededError(
+            f"sweep of {count} boxes x {len(sweep_deltas)} deltas = "
+            f"{checks} checks exceeds {SWEEP_CHECK_CAP}")
+    return doc, sweep_deltas
+
+
+def _run_sweep(t: TruthTable, doc: dict[str, Any], sweep_deltas: list[float],
+               oracle: BudgetOracle) -> dict[str, Any]:
+    from .bell import nonlinear_bell_check
     count = 0
     failures = 0
     worst = math.inf
@@ -440,6 +466,9 @@ def cmd_oneway(cfg: dict[str, Any],
     from .classicalcc import BudgetOracle
     from .protocols import success_probability
     source = _resolve_protocol(cfg["protocol"])
+    sweep = None
+    if cfg["sweep_file"] is not None:
+        sweep = _load_sweep(source.truth, cfg["sweep_file"], cfg["deltas"])
     try:
         table, stats = one_way_correlations(source)
     except ValueError as e:
@@ -467,9 +496,8 @@ def cmd_oneway(cfg: dict[str, Any],
         "observation_qubit_bound": {"value": obs, "method": "cc_derived"},
         "merged_linear": report_to_dict(merged),
     }
-    if cfg["sweep_file"] is not None:
-        results["sweep"] = _run_sweep(source.truth, cfg["sweep_file"],
-                                      cfg["deltas"], oracle)
+    if sweep is not None:
+        results["sweep"] = _run_sweep(source.truth, *sweep, oracle)
     return results, 0
 
 

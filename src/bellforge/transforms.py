@@ -8,7 +8,7 @@ ledger, the registers it holds between rounds, and one rule (`_arrivals`)
 says what reaches a round: nothing before Alice's first round, else the
 shuttle the other party just sent, a data qubit or a pinned |0> pad.  On
 that form, for a fixed input, a party's memory after round i is spanned by
-at most 2^i vectors (`memory_span_basis`), because each round moves exactly
+at most 2^i vectors (`_span_chain`), because each round moves exactly
 one data qubit and an empty return leg is always exactly |0>.
 `to_memoryless` exploits the small span: each round the sender compresses
 its whole memory onto that span and appends it to the transmission, so
@@ -223,30 +223,6 @@ def _span_chain(p: CommProtocol, party: str, v: int):
             cur[0, 0] = 1.0  # dimension-1 memory: trivial state
         chain.append(cur)
     return chain
-
-
-def memory_span_basis(p: CommProtocol, party: str, round_index: int,
-                      input_value: int) -> np.ndarray:
-    """Orthonormal basis (rows) spanning the party's possible memory states
-    after its round `round_index` (1-based), over all communication
-    histories, for a fixed own input.
-
-    At most 2^i vectors; a dimension-1 (absent) memory yields an empty
-    basis.  The bound is guaranteed for protocols produced by
-    to_single_qubit_rounds; for hand-built single-qubit protocols every
-    incoming leg is treated as potentially data-carrying.
-    """
-    ops, mem, _ = p.party(party)
-    _check_single_qubit_form(p)
-    n = len(ops)
-    if not 1 <= round_index <= n:
-        raise ValueError(f"round_index {round_index} outside 1..{n}")
-    size = p.truth.num_inputs
-    if not 0 <= input_value < size:
-        raise ValueError(f"input {input_value} outside 0..{size - 1}")
-    if mem[round_index] == 1:
-        return np.zeros((0, 1), dtype=np.complex128)
-    return _span_chain(p, party, input_value)[round_index - 1]
 
 
 def _completion_unitary(basis: np.ndarray, big: int, alpha: int) -> np.ndarray:

@@ -464,6 +464,44 @@ class TestOneway:
         assert json.loads(out)["results"]["sweep"]["boxes"] == 256
         assert searched == [0, 1, 2]
 
+    @pytest.mark.parametrize("boxes,deltas,cap,code", [
+        ("deterministic", 4097, None, 2),  # 256 x 4097 = 1,048,832 checks
+        ("deterministic", 4, 1024, 0),  # the shipped sweep, at the cap
+        ("deterministic", 5, 1024, 2),
+        ("list", 2, 5, 2),  # 3 boxes x 2 deltas
+    ], ids=["real-cap", "at-cap", "over-cap", "box-list"])
+    def test_sweep_check_cap(self, capsys, monkeypatch, tmp_path, boxes,
+                             deltas, cap, code):
+        # Boxes x deltas over SWEEP_CHECK_CAP is refused with exit 2 and
+        # the count, before any check runs.
+        from bellforge import bell
+        if cap is not None:
+            monkeypatch.setattr(cli, "SWEEP_CHECK_CAP", cap)
+        calls = []
+        real = bell.nonlinear_bell_check
+        monkeypatch.setattr(bell, "nonlinear_bell_check",
+                            lambda *a: calls.append(1) or real(*a))
+        if boxes == "list":
+            boxes = [{"flag": [1, 0, 0, 0], "answer": [0, 0, 0, 0]}] * 3
+        sweep = {"format": "bellforge-oneway-sweep", "boxes": boxes,
+                 "deltas": [0.5 / (i + 1) for i in range(deltas)]}
+        (tmp_path / "s.json").write_text(json.dumps(sweep))
+        (tmp_path / "c.json").write_text(json.dumps(
+            {"sweep_file": str(tmp_path / "s.json")}))
+        got, out, _ = run_cli(capsys, "oneway", "--config",
+                              str(tmp_path / "c.json"))
+        assert got == code
+        doc = json.loads(out)
+        if code == 0:
+            assert doc["results"]["sweep"]["boxes"] == 256
+            return
+        count = 256 if boxes == "deterministic" else 3
+        assert doc["error"]["code"] == "cap_exceeded"
+        assert doc["error"]["reason"] == (
+            f"sweep of {count} boxes x {deltas} deltas = {count * deltas} "
+            f"checks exceeds {cli.SWEEP_CHECK_CAP}")
+        assert calls == []
+
     @pytest.mark.parametrize("case,theta", [
         ("subnormal-flag-rate", None),
         ("success-past-one", 0.04100334448160536),
@@ -649,8 +687,8 @@ class TestCc:
                                     "2,1.0"]
 
 
-def run_subprocess(args, out_path, threads):
-    env = dict(os.environ, BELLFORGE_THREADS=str(threads))
+def run_subprocess(args, out_path, threads, **env_extra):
+    env = dict(os.environ, BELLFORGE_THREADS=str(threads), **env_extra)
     proc = subprocess.run(
         [sys.executable, "-m", "bellforge", *args, "--out", str(out_path)],
         env=env, cwd=REPO, capture_output=True, text=True)
@@ -686,11 +724,36 @@ class TestReproducibility:
     def test_shipped_report_regenerates(self, tmp_path, cmd, config, report,
                                         threads):
         examples = os.path.join(REPO, "docs", "examples", "v1")
-        fresh = run_subprocess(
-            [cmd, "--config", os.path.join(examples, config)],
-            tmp_path / "r.json", threads=threads)
         with open(os.path.join(examples, report), "rb") as fh:
-            assert fresh == fh.read()
+            shipped = fh.read()
+        # pbt-bench, the BLAS-heaviest command, also runs with OpenBLAS's
+        # default spin timeout preset: how idle workers wait moves no byte.
+        envs = [{}, {"OPENBLAS_THREAD_TIMEOUT": "28"}] \
+            if cmd == "pbt-bench" else [{}]
+        for env in envs:
+            fresh = run_subprocess(
+                [cmd, "--config", os.path.join(examples, config)],
+                tmp_path / "r.json", threads=threads, **env)
+            assert fresh == shipped, env
+
+    def test_idle_blas_workers_sleep(self):
+        # `python -m bellforge` does one thread of work; OpenBLAS workers
+        # left spinning after each small BLAS call would push its CPU time
+        # well past its wall time on a multi-core host.
+        env = dict(os.environ)
+        env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+        start = time.perf_counter()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bellforge", "cc", "--config",
+             os.path.join(REPO, "docs", "examples", "v1", "cc.config.json")],
+            env=env, cwd=REPO, stdin=subprocess.DEVNULL,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        cpu = usage.ru_utime + usage.ru_stime
+        assert cpu <= 1.15 * wall + 0.03, (cpu, wall)
 
     def test_timing_only_on_stderr(self, tmp_path):
         env = dict(os.environ, BELLFORGE_THREADS="1")

@@ -19,7 +19,6 @@ from bellforge import (
     Povm,
     TruthTable,
     builtin_qrac,
-    memory_span_basis,
     random_protocol,
     run_exact,
     success_probability,
@@ -641,70 +640,42 @@ def test_split_rejects_absent_intermediate_message():
 
 
 # ---------------------------------------------------------------------------
-# memory_span_basis
+# _span_chain: memory-span bases after each round
 
 
 def test_span_basis_round_one_has_at_most_two_vectors(corpus):
     for p in corpus[:6]:
         sp = to_single_qubit_rounds(p)
-        basis = memory_span_basis(sp, "alice", 1, 0)
+        basis = _span_chain(sp, "alice", 0)[0]
         assert basis.shape[0] <= 2
-
-
-def test_span_basis_empty_for_absent_memory():
-    sp = to_single_qubit_rounds(builtin_qrac())
-    basis = memory_span_basis(sp, "alice", 1, 2)
-    assert basis.shape == (0, 1)
 
 
 def test_span_basis_product_memory_protocol_has_one_vector_per_round():
     p = _product_memory_protocol()
     for x in range(2):
         for i in (1, 2):
-            basis = memory_span_basis(p, "alice", i, x)
+            basis = _span_chain(p, "alice", x)[i - 1]
             assert basis.shape == (1, 2)
             assert np.linalg.norm(basis[0]) == pytest.approx(1.0, abs=1e-12)
-        basis = memory_span_basis(p, "bob", 1, x)
+        basis = _span_chain(p, "bob", x)[0]
         assert basis.shape == (1, 2)
 
 
 def test_span_basis_cardinality_and_orthonormality_on_corpus(corpus):
-    # One span chain per (party, input) serves every round; one direct
-    # memory_span_basis call per protocol pins the chain to what it returns.
+    # One span chain per (party, input) serves every round.
     for p in corpus:
         sp = to_single_qubit_rounds(p)
-        chains = {party: _span_chain(sp, party, 1)
-                  for party in ("alice", "bob")}
-        last = sp.rounds
-        direct = memory_span_basis(sp, "alice", last, 1)
-        if sp.party("alice")[1][last] == 1:
-            assert direct.shape == (0, 1)
-        else:
-            np.testing.assert_array_equal(direct, chains["alice"][last - 1])
         for party, nrounds in (("alice", sp.rounds), ("bob", sp.rounds - 1)):
+            chain = _span_chain(sp, party, 1)
             mem = sp.party(party)[1]
             for i in range(1, nrounds + 1):
                 if mem[i] == 1:
-                    continue  # absent memory: the basis is empty
-                basis = chains[party][i - 1]
+                    continue  # absent memory: a trivial state
+                basis = chain[i - 1]
                 assert basis.shape[0] <= 2 ** i
                 gram = basis @ basis.conj().T
                 np.testing.assert_allclose(gram, np.eye(len(basis)),
                                            atol=1e-10)
-
-
-def test_span_basis_validates_arguments():
-    sp = to_single_qubit_rounds(builtin_qrac())
-    with pytest.raises(ValueError):
-        memory_span_basis(sp, "carol", 1, 0)
-    with pytest.raises(ValueError):
-        memory_span_basis(sp, "alice", 0, 0)
-    with pytest.raises(ValueError):
-        memory_span_basis(sp, "alice", 2, 0)
-    with pytest.raises(ValueError):
-        memory_span_basis(sp, "alice", 1, 9)
-    with pytest.raises(ValueError, match="single-qubit"):
-        memory_span_basis(_two_qubit_one_way(), "alice", 1, 0)
 
 
 # ---------------------------------------------------------------------------
