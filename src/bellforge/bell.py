@@ -488,6 +488,12 @@ def asymptotic_ratio_two_way(n: float, c: float = 1.0) -> float:
         c * 10.0 * math.log2(n) ** 2 / n ** 0.25)
 
 
+def _near_unit(val):
+    """Whether a rate (or each of an array of rates) lies in [0, 1] up to
+    the 1e-12 that `OneWayStats` grants."""
+    return (-1e-12 <= val) & (val <= 1.0 + 1e-12)
+
+
 @dataclass(frozen=True)
 class OneWayStats:
     """Success statistics of the remote-preparation route.
@@ -501,7 +507,7 @@ class OneWayStats:
 
     def __post_init__(self):
         for name, val in (("p_a", self.p_a), ("p_b", self.p_b)):
-            if not -1e-12 <= val <= 1.0 + 1e-12:
+            if not _near_unit(val):
                 raise InvariantError(f"{name}={val} outside [0, 1]")
 
     @property
@@ -590,6 +596,26 @@ class NonlinearCheck:
     pumped_holds: bool
 
 
+def _check_delta(delta: float) -> None:
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta={delta} must lie in (0, 1)")
+    if math.isinf(1.0 / delta):
+        raise ValueError(f"delta={delta} is so small that 1/delta overflows")
+
+
+def _merge_bits(p_a: float, delta: float) -> float:
+    """Left side of the rigorous nonlinear check: the flag-merging
+    protocol's ceil(log2(1/p_a) + log2 log2(1/delta)) + 1 bits.  A flag
+    rate of 0, or one so small that 1/p_a overflows, costs unboundedly
+    many bits."""
+    inv_a = 1.0 / float(p_a) if p_a > 0.0 else math.inf
+    if math.isinf(inv_a):
+        return math.inf
+    return float(math.ceil(math.log2(inv_a)
+                           + math.log2(math.log2(1.0 / delta))
+                           - _CEIL_GUARD) + 1)
+
+
 def nonlinear_bell_check(stats: OneWayStats, delta: float,
                          oracle: Callable[[float], float] | None = None
                          ) -> NonlinearCheck:
@@ -599,10 +625,7 @@ def nonlinear_bell_check(stats: OneWayStats, delta: float,
     to reach the target success under its distribution; by default a
     one-way `BudgetOracle` for the stats' table answers the call's queries.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta={delta} must lie in (0, 1)")
-    if math.isinf(1.0 / delta):
-        raise ValueError(f"delta={delta} is so small that 1/delta overflows")
+    _check_delta(delta)
     if oracle is None:
         oracle = BudgetOracle(stats.truth)
     # `OneWayStats` grants p_b 1e-12 past [0, 1]; the oracle takes [0, 1].
@@ -612,17 +635,10 @@ def nonlinear_bell_check(stats: OneWayStats, delta: float,
     if math.isinf(rhs):
         raise ValueError(
             f"communication oracle cannot certify target {target}")
-    # A flag rate of 0, or one so small that 1/p_a overflows, costs
-    # unboundedly many bits.
-    inv_a = 1.0 / float(stats.p_a) if stats.p_a > 0.0 else math.inf
-    if math.isinf(inv_a):
-        lhs: float = math.inf
-    else:
-        lhs = math.ceil(math.log2(inv_a)
-                        + math.log2(math.log2(1.0 / delta))
-                        - _CEIL_GUARD) + 1
+    lhs = _merge_bits(stats.p_a, delta)
     holds = bool(lhs >= rhs - 1e-12)
-    heuristic_lhs = math.log2(inv_a)
+    heuristic_lhs = math.log2(1.0 / float(stats.p_a)) if stats.p_a > 0.0 \
+        else math.inf
     heuristic_rhs = oracle(p_b)
     c23 = oracle(2.0 / 3.0)
     eps_t = max(target - 0.5, 0.0)
@@ -638,6 +654,69 @@ def nonlinear_bell_check(stats: OneWayStats, delta: float,
         heuristic_violated=bool(heuristic_lhs < heuristic_rhs - 1e-12),
         pumped_rhs=float(pumped),
         pumped_holds=bool(lhs >= pumped - 1e-12))
+
+
+def _deterministic_boxes(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every deterministic box on `size` inputs per party, as boolean flag
+    and answer arrays of shape (4^size, size).  Row k holds the bits of k,
+    most significant first: the flag is the high `size` bits, the answer
+    the low ones, the order of `itertools.product` over flag, then
+    answer."""
+    k = np.arange(4 ** size)
+    bits = np.empty((k.size, 2 * size), dtype=bool)
+    for j in range(2 * size):
+        bits[:, j] = (k >> (2 * size - 1 - j)) & 1
+    return bits[:, :size], bits[:, size:]
+
+
+def _nonlinear_box_sweep(t: TruthTable, flags: np.ndarray,
+                         answers: np.ndarray, deltas: Sequence[float],
+                         oracle: BudgetOracle) -> tuple[int, float]:
+    """Rigorous nonlinear checks of many flag boxes at every delta: the
+    number of (box, delta) checks that fail, and the least margin lhs - rhs
+    in bits (inf with no boxes).
+
+    Row i of the boolean arrays `flags` and `answers` is box i: flag[x] says
+    whether Alice announces success on input x, answer[y] is Bob's output
+    on input y.  Each check is the rigorous verdict of
+    `nonlinear_bell_check` on the box's `OneWayStats`, bit for bit: p_a
+    and the hit mass add mu over `support()` in its order, skipping
+    entries the box does not take (as adding 0.0 would, exactly); the left
+    side is `_merge_bits` once per distinct (p_a, delta); and the right
+    side is one oracle query per delta over all boxes.
+    """
+    for delta in deltas:
+        _check_delta(delta)
+    p_a = np.zeros(len(flags))
+    hit = np.zeros(len(flags))
+    for x, y in t.support():
+        m = t.mu[x, y]
+        np.add(p_a, m, out=p_a, where=flags[:, x])
+        np.add(hit, m, out=hit,
+               where=flags[:, x] & (answers[:, y] == bool(t.f[x, y])))
+    p_b = np.full(len(flags), 0.5)
+    np.divide(hit, p_a, out=p_b, where=p_a > 0.0)
+    bad = np.flatnonzero(~(_near_unit(p_a) & _near_unit(p_b)))
+    if bad.size:  # raises the first bad box's error
+        OneWayStats(p_a=float(p_a[bad[0]]), p_b=float(p_b[bad[0]]), truth=t)
+    np.clip(p_b, 0.0, 1.0, out=p_b)
+    rates, rate_of = np.unique(p_a, return_inverse=True)
+    failures = 0
+    worst = math.inf
+    for delta in deltas:
+        delta = float(delta)
+        target = (1.0 - delta) * p_b + delta / 2.0
+        rhs = oracle(target)
+        uncertified = np.isinf(rhs)
+        if uncertified.any():
+            raise ValueError(f"communication oracle cannot certify target "
+                             f"{float(target[uncertified][0])}")
+        lhs = np.array([_merge_bits(a, delta)
+                        for a in rates.tolist()])[rate_of]
+        failures += int(np.count_nonzero(~(lhs >= rhs - 1e-12)))
+        if lhs.size:
+            worst = min(worst, float((lhs - rhs).min()))
+    return failures, worst
 
 
 def observation_bound(p_succ: float, truth: TruthTable,

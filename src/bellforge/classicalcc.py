@@ -258,14 +258,36 @@ def best_success_tree(t: TruthTable, bits: int) -> float:
     return best
 
 
-def _least_budget(rows: Iterable[tuple[int, float]], p: float) -> float:
+def _reaches(success: float, p: float | np.ndarray) -> bool | np.ndarray:
+    """Whether a searched success reaches target p (elementwise on
+    arrays): success >= p - _TARGET_SLACK."""
+    return success >= p - _TARGET_SLACK
+
+
+def _least_budget(rows: Iterable[tuple[int, float]],
+                  p: float | np.ndarray) -> float | np.ndarray:
     """The inverse rule: the first budget c of (c, success) rows whose
-    success reaches p - _TARGET_SLACK, or inf.  Rows are consumed only as
-    far as the answer."""
-    for c, val in rows:
-        if val >= p - _TARGET_SLACK:
-            return c
-    return math.inf
+    success reaches p, or inf.  `p` is one target, answered with an int or
+    inf, or an array of them, answered elementwise with a float array;
+    each row then meets every open target, since float rows need not be
+    monotone.  Rows are consumed only while some target is unmet."""
+    if not isinstance(p, np.ndarray):
+        for c, val in rows:
+            if _reaches(val, p):
+                return c
+        return math.inf
+    need = np.full(p.shape, math.inf)
+    unmet = np.ones(p.shape, dtype=bool)
+    rows = iter(rows)
+    while unmet.any():
+        row = next(rows, None)
+        if row is None:
+            break
+        c, val = row
+        reached = unmet & _reaches(val, p)
+        need[reached] = c
+        unmet &= ~reached
+    return need
 
 
 class BudgetOracle:
@@ -299,8 +321,11 @@ class BudgetOracle:
             self._searched.append(search(self.t, len(self._searched)))
         return self._searched[bits]
 
-    def __call__(self, p: float) -> float:
-        if not 0.0 <= p <= 1.0:
+    def __call__(self, p: float | np.ndarray) -> float | np.ndarray:
+        """Least budget reaching target p, or inf; an array of targets is
+        answered elementwise (`_least_budget`)."""
+        inside = (0.0 <= p) & (p <= 1.0)
+        if not (inside.all() if isinstance(inside, np.ndarray) else inside):
             raise ValueError(f"target success p={p} must lie in [0, 1]")
         return _least_budget(
             ((c, self.success(c)) for c in range(self.max_bits + 1)), p)

@@ -34,7 +34,6 @@ import math
 import os
 import sys
 import time
-from itertools import product
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -48,7 +47,6 @@ from .serialize import (
 from .states import CapExceededError, InvariantError
 
 if TYPE_CHECKING:
-    from .bell import OneWayStats
     from .classicalcc import BudgetOracle
     from .protocols import CommProtocol, TruthTable
 
@@ -72,9 +70,11 @@ _DEFAULTS: dict[str, dict[str, Any]] = {
 _SAMPLED_TRIALS = 10000
 _PUMPING_EPSILONS = (0.1, 0.125, 1.0 / 6.0)
 # Most nonlinear checks one `oneway` box sweep may run (boxes x deltas).
-# A check costs about 8 us, plus about 30 us per box for its statistics,
-# on a 2-core x86 host: 65,536 deterministic boxes (an 8-input table) x 16
-# deltas = 2^20 checks take about 10 s.  The shipped sweep runs 256 x 4.
+# The sweep evaluates all boxes as arrays, one pass per delta: on a 2-core
+# x86 host, 65,536 deterministic boxes (an 8-input table) x 16 deltas =
+# 2^20 checks take 0.06-0.1 s once the budgets are searched, where one
+# `nonlinear_bell_check` per check takes 18 s.  The shipped sweep runs
+# 256 x 4.
 SWEEP_CHECK_CAP = 2 ** 20
 
 
@@ -371,28 +371,14 @@ def cmd_bell_certify(cfg: dict[str, Any],
     return results, 0
 
 
-def _box_stats(t: TruthTable, flag: tuple[int, ...],
-               answer: tuple[int, ...]) -> OneWayStats:
-    from .bell import OneWayStats
-    p_a = 0.0
-    hit = 0.0
-    for x, y in t.support():
-        if flag[x]:
-            p_a += t.mu[x, y]
-            if answer[y] == t.f[x, y]:
-                hit += t.mu[x, y]
-    p_b = hit / p_a if p_a > 0 else 0.5
-    return OneWayStats(p_a=p_a, p_b=p_b, truth=t)
-
-
-def _sweep_boxes(t: TruthTable, doc: dict[str, Any]):
+def _sweep_boxes(t: TruthTable, doc: dict[str, Any]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The sweep's flags and answers as 0/1 arrays, one row per box."""
+    from .bell import _deterministic_boxes
     size = t.num_inputs
     boxes = doc.get("boxes")
     if boxes == "deterministic":
-        for flag in product((0, 1), repeat=size):
-            for answer in product((0, 1), repeat=size):
-                yield flag, answer
-        return
+        return _deterministic_boxes(size)
     for i, box in enumerate(boxes):
         box = box if isinstance(box, dict) else {}
         flag, answer = box.get("flag"), box.get("answer")
@@ -401,7 +387,9 @@ def _sweep_boxes(t: TruthTable, doc: dict[str, Any]):
                 and all(is_json_int(v) and v in (0, 1) for v in flag + answer)):
             raise UsageError(f"sweep box {i} needs 0/1 lists of length "
                              f"{size} for flag and answer")
-        yield tuple(flag), tuple(answer)
+    rows = np.array([box["flag"] + box["answer"] for box in boxes],
+                    dtype=bool).reshape(len(boxes), 2 * size)
+    return rows[:, :size], rows[:, size:]
 
 
 def _load_sweep(t: TruthTable, path: str, deltas: list[float]
@@ -439,20 +427,11 @@ def _load_sweep(t: TruthTable, path: str, deltas: list[float]
 
 def _run_sweep(t: TruthTable, doc: dict[str, Any], sweep_deltas: list[float],
                oracle: BudgetOracle) -> dict[str, Any]:
-    from .bell import nonlinear_bell_check
-    count = 0
-    failures = 0
-    worst = math.inf
-    for flag, answer in _sweep_boxes(t, doc):
-        stats = _box_stats(t, flag, answer)
-        count += 1
-        for delta in sweep_deltas:
-            chk = nonlinear_bell_check(stats, float(delta), oracle)
-            margin = chk.lhs_bits - chk.rhs_bits
-            worst = min(worst, margin)
-            if not chk.holds:
-                failures += 1
-    return {"boxes": count, "deltas": [float(d) for d in sweep_deltas],
+    from .bell import _nonlinear_box_sweep
+    flags, answers = _sweep_boxes(t, doc)
+    failures, worst = _nonlinear_box_sweep(t, flags, answers, sweep_deltas,
+                                           oracle)
+    return {"boxes": len(flags), "deltas": [float(d) for d in sweep_deltas],
             "failures": failures, "all_hold": failures == 0,
             "worst_margin_bits": worst, "method": "cc_derived"}
 

@@ -473,14 +473,16 @@ class TestOneway:
     def test_sweep_check_cap(self, capsys, monkeypatch, tmp_path, boxes,
                              deltas, cap, code):
         # Boxes x deltas over SWEEP_CHECK_CAP is refused with exit 2 and
-        # the count, before any check runs.
+        # the count, before any check runs: neither a single check nor the
+        # sweep's array kernel is called.
         from bellforge import bell
         if cap is not None:
             monkeypatch.setattr(cli, "SWEEP_CHECK_CAP", cap)
         calls = []
-        real = bell.nonlinear_bell_check
-        monkeypatch.setattr(bell, "nonlinear_bell_check",
-                            lambda *a: calls.append(1) or real(*a))
+        for name in ("nonlinear_bell_check", "_nonlinear_box_sweep"):
+            real = getattr(bell, name)
+            monkeypatch.setattr(bell, name, lambda *a, real=real, name=name:
+                                calls.append(name) or real(*a))
         if boxes == "list":
             boxes = [{"flag": [1, 0, 0, 0], "answer": [0, 0, 0, 0]}] * 3
         sweep = {"format": "bellforge-oneway-sweep", "boxes": boxes,
@@ -494,6 +496,7 @@ class TestOneway:
         doc = json.loads(out)
         if code == 0:
             assert doc["results"]["sweep"]["boxes"] == 256
+            assert calls.count("_nonlinear_box_sweep") == 1
             return
         count = 256 if boxes == "deterministic" else 3
         assert doc["error"]["code"] == "cap_exceeded"
