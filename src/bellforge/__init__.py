@@ -29,8 +29,7 @@ _HOMES = {
         "RspAttempt", "rsp_povm", "rsp_attempt", "index_cost_bits",
     ),
     "classicalcc": (
-        "BudgetOracle", "CCQueryResult", "best_success_one_way",
-        "best_success_tree", "distributional_cc", "build_cc_table",
+        "BudgetOracle", "best_success_one_way", "best_success_tree",
         "chernoff_repeats", "majority_amplify", "pumping_bound",
     ),
     "bell": (

@@ -644,6 +644,8 @@ def nonlinear_bell_check(stats: OneWayStats, delta: float,
     eps_t = max(target - 0.5, 0.0)
     if target > 2.0 / 3.0:
         pumped = float(c23)
+    elif eps_t == 0.0:  # the pumping bound is vacuous, even if c23 is inf
+        pumped = 0.0
     else:
         pumped = eps_t ** 2 / 3.0 * c23
     return NonlinearCheck(

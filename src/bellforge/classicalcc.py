@@ -35,14 +35,14 @@ The caps count Alice's (a1 * a3^a2)^|X| maps all the same (ENUM_CAP).
 The searched quantity is distributional: the best average success under mu
 for a fixed budget.  Its inverse (minimum bits to reach a target success)
 is a lower-bound surrogate for worst-case complexity, and reports built on
-top of these oracles label it as such.  A :class:`BudgetOracle` answers
-that inverse for one table and method from a memo of searched budgets.
-It searches budgets in ascending order, each at most once, and only as
-far as the current target needs, so the many targets of a sweep cost a
-handful of searches.  The memo is lazy rather than a full table because
-search cost grows steeply with the budget: on an n = 4 table one-way
-budget 2 is already past ENUM_CAP, while a target that budget 0 reaches
-needs one map.
+top of these oracles label it as such.  One :class:`BudgetOracle` per
+table and method answers both that inverse and the budget-to-success
+table, from one memo of searched budgets.  It searches budgets in
+ascending order, each at most once, and only as far as the current target
+or table needs, so the many targets of a sweep cost a handful of
+searches.  The memo is lazy rather than a full table because search
+cost grows steeply with the budget: on an n = 4 table one-way budget 2 is
+already past ENUM_CAP, while a target that budget 0 reaches needs one map.
 
 Alongside the search live the standard repetition helpers: Chernoff repeat
 counts, majority-vote amplification, and the quadratic "pumping" relation
@@ -52,9 +52,8 @@ between budgets at different success levels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -264,41 +263,15 @@ def _reaches(success: float, p: float | np.ndarray) -> bool | np.ndarray:
     return success >= p - _TARGET_SLACK
 
 
-def _least_budget(rows: Iterable[tuple[int, float]],
-                  p: float | np.ndarray) -> float | np.ndarray:
-    """The inverse rule: the first budget c of (c, success) rows whose
-    success reaches p, or inf.  `p` is one target, answered with an int or
-    inf, or an array of them, answered elementwise with a float array;
-    each row then meets every open target, since float rows need not be
-    monotone.  Rows are consumed only while some target is unmet."""
-    if not isinstance(p, np.ndarray):
-        for c, val in rows:
-            if _reaches(val, p):
-                return c
-        return math.inf
-    need = np.full(p.shape, math.inf)
-    unmet = np.ones(p.shape, dtype=bool)
-    rows = iter(rows)
-    while unmet.any():
-        row = next(rows, None)
-        if row is None:
-            break
-        c, val = row
-        reached = unmet & _reaches(val, p)
-        need[reached] = c
-        unmet &= ~reached
-    return need
-
-
 class BudgetOracle:
     """p -> minimum bits whose best success reaches p, for one table and
     method; inf if no budget up to `max_bits` (default n, where success 1
     is always reachable one-way) gets there.
 
     Searched successes are memoised per budget, searched in ascending order
-    and only as far as a query or `success` needs (module docstring).  The
-    memo lives as long as the oracle, so a caller shares one oracle across
-    the queries of one command and nothing outlives it.
+    and only as far as a query, a `table` or `success` needs (module
+    docstring).  The memo lives as long as the oracle, so a caller shares
+    one oracle across the queries of one command and nothing outlives it.
     """
 
     def __init__(self, t: TruthTable, method: str = "one_way",
@@ -313,6 +286,8 @@ class BudgetOracle:
     def success(self, bits: int) -> float:
         """Best success at `bits`, searching any smaller budget not yet
         searched first."""
+        if bits < 0:
+            raise ValueError(f"bits={bits} must be >= 0")
         # Looked up per call, so that a replacement of the module attribute
         # (a test spy or a timing wrapper) sees every search.
         search = best_success_one_way if self.method == "one_way" else \
@@ -322,32 +297,40 @@ class BudgetOracle:
         return self._searched[bits]
 
     def __call__(self, p: float | np.ndarray) -> float | np.ndarray:
-        """Least budget reaching target p, or inf; an array of targets is
-        answered elementwise (`_least_budget`)."""
+        """Least budget whose success reaches target p, or inf.  `p` is one
+        target, answered with an int or inf, or an array of them, answered
+        elementwise with a float array; each budget then meets every open
+        target, since searched successes need not be monotone.  Budgets are
+        searched only while some target is unmet."""
         inside = (0.0 <= p) & (p <= 1.0)
         if not (inside.all() if isinstance(inside, np.ndarray) else inside):
             raise ValueError(f"target success p={p} must lie in [0, 1]")
-        return _least_budget(
-            ((c, self.success(c)) for c in range(self.max_bits + 1)), p)
+        budgets = range(self.max_bits + 1)
+        if not isinstance(p, np.ndarray):
+            for c in budgets:
+                if _reaches(self.success(c), p):
+                    return c
+            return math.inf
+        need = np.full(p.shape, math.inf)
+        unmet = np.ones(p.shape, dtype=bool)
+        for c in budgets:
+            if not unmet.any():
+                break
+            reached = unmet & _reaches(self.success(c), p)
+            need[reached] = c
+            unmet &= ~reached
+        return need
 
-    def table(self, max_bits: int | None = None) -> "CCQueryResult":
-        """Budget table over 0..max_bits (default the oracle's), read from
-        and filling the same memo."""
+    def table(self, max_bits: int | None = None
+              ) -> tuple[tuple[int, float], ...]:
+        """Budget table ((bits, success), ...) over 0..max_bits (default
+        the oracle's), read from and filling the same memo."""
         if max_bits is None:
             max_bits = self.max_bits
         if max_bits >= TABLE_ROW_CAP:
             raise CapExceededError(f"budget table to {max_bits} bits has more "
                                    f"than {TABLE_ROW_CAP} rows")
-        rows = tuple((c, self.success(c)) for c in range(max_bits + 1))
-        return CCQueryResult(key=_table_key(self.t), method=self.method,
-                             success=rows)
-
-
-def distributional_cc(t: TruthTable, p: float, method: str = "one_way",
-                      max_bits: int | None = None) -> float:
-    """Minimum bits whose best success reaches p: one query of a fresh
-    :class:`BudgetOracle`."""
-    return BudgetOracle(t, method, max_bits)(p)
+        return tuple((c, self.success(c)) for c in range(max_bits + 1))
 
 
 def _table_key(t: TruthTable) -> str:
@@ -357,28 +340,6 @@ def _table_key(t: TruthTable) -> str:
     h.update(np.ascontiguousarray(t.f).tobytes())
     h.update(np.round(t.mu, 12).tobytes())
     return h.hexdigest()[:16]
-
-
-@dataclass(frozen=True)
-class CCQueryResult:
-    """Budget-to-success table for one (f, mu) pair.
-
-    `key` identifies the function and distribution (content hash), and
-    `success` maps each budget 0..max_bits to the searched optimum.
-    """
-    key: str
-    method: str
-    success: tuple[tuple[int, float], ...]
-
-    def min_bits(self, p: float) -> float:
-        """Inverse lookup: least tabulated budget reaching p."""
-        return _least_budget(self.success, p)
-
-
-def build_cc_table(t: TruthTable, max_bits: int | None = None,
-                   method: str = "one_way") -> CCQueryResult:
-    """Budget table over 0..max_bits (default n)."""
-    return BudgetOracle(t, method).table(max_bits)
 
 
 def chernoff_repeats(epsilon: float) -> int:

@@ -42,7 +42,7 @@ from . import __version__
 from ._threads import thread_count
 from .serialize import (
     SCHEMA_VERSION, atomic_write_text, dumps_canonical, is_json_int,
-    is_json_number, load_protocol, report_to_dict, truth_from_dict,
+    is_json_number, load_protocol, truth_from_dict,
 )
 from .states import CapExceededError, InvariantError
 
@@ -299,7 +299,7 @@ def cmd_bell_certify(cfg: dict[str, Any],
     from .bell import (
         PortSchedule, bell_value, generate_correlations, lhv_bound,
     )
-    from .classicalcc import distributional_cc
+    from .classicalcc import BudgetOracle
     from .transforms import to_memoryless, to_single_qubit_rounds
     source = _resolve_protocol(cfg["protocol"])
     try:
@@ -335,7 +335,7 @@ def cmd_bell_certify(cfg: dict[str, Any],
     used = exact_info if exact_info is not None else cc_info
     report = bell_value(table, used["delta"], used["method"])
 
-    need = distributional_cc(source.truth, report.bell_value, method="tree")
+    need = BudgetOracle(source.truth, "tree")(report.bell_value)
     budget = schedule.budget_bits
     violated = report.shifted_value > used["delta"] + 1e-9
     if violated:
@@ -366,7 +366,7 @@ def cmd_bell_certify(cfg: dict[str, Any],
         "budget": {"budget_bits": budget, "classical_need_bits": need},
         "verdict": "VIOLATED" if violated else "NOT-VIOLATED",
         "explanation": explanation,
-        "bell_report": report_to_dict(report),
+        "bell_report": dataclasses.asdict(report),
     }
     return results, 0
 
@@ -473,7 +473,7 @@ def cmd_oneway(cfg: dict[str, Any],
         "p_b": {"value": stats.p_b, "method": "exact"},
         "checks": checks,
         "observation_qubit_bound": {"value": obs, "method": "cc_derived"},
-        "merged_linear": report_to_dict(merged),
+        "merged_linear": dataclasses.asdict(merged),
     }
     if sweep is not None:
         results["sweep"] = _run_sweep(source.truth, *sweep, oracle)
@@ -482,7 +482,9 @@ def cmd_oneway(cfg: dict[str, Any],
 
 def cmd_cc(cfg: dict[str, Any],
            warnings: list[str]) -> tuple[dict[str, Any], int]:
-    from .classicalcc import BudgetOracle, chernoff_repeats, pumping_bound
+    from .classicalcc import (
+        BudgetOracle, _table_key, chernoff_repeats, pumping_bound,
+    )
     t = _resolve_truth(cfg["function"])
     if t.n > 3:
         raise UsageError(f"function has n={t.n} input bits per party; "
@@ -493,9 +495,8 @@ def cmd_cc(cfg: dict[str, Any],
     # searched once.  n bits always reach success 1, so the oracle's
     # default range answers every target a longer table would.
     need = BudgetOracle(t, method)
-    cc_table = need.table(bits)
     rows = [{"bits": c, "success": v, "method": "cc_derived"}
-            for c, v in cc_table.success]
+            for c, v in need.table(bits)]
     two_thirds = need(2.0 / 3.0)
     pump_rows = []
     for eps in _PUMPING_EPSILONS:
@@ -512,7 +513,7 @@ def cmd_cc(cfg: dict[str, Any],
         })
     results = {
         "function": cfg["function"],
-        "table_key": cc_table.key,
+        "table_key": _table_key(t),
         "search_method": method,
         "table": rows,
         "chernoff": {"epsilon": 1.0 / 6.0,

@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 if TYPE_CHECKING:
-    from .bell import BellReport, PortSchedule
     from .protocols import CommProtocol, TruthTable
 
 SCHEMA_VERSION = 1
@@ -168,28 +167,6 @@ def protocol_from_dict(d: dict[str, Any]) -> CommProtocol:
 def load_protocol(path: str) -> CommProtocol:
     with open(path, "r", encoding="utf-8") as fh:
         return protocol_from_dict(json.load(fh))
-
-
-def schedule_to_dict(s: PortSchedule | None) -> dict[str, Any] | None:
-    if s is None:
-        return None
-    return {"port_counts": list(s.port_counts),
-            "port_dims": list(s.port_dims)}
-
-
-def report_to_dict(rep: BellReport) -> dict[str, Any]:
-    return {
-        "bell_value": rep.bell_value,
-        "shifted_value": rep.shifted_value,
-        "classical_delta": rep.classical_delta,
-        "classical_method": rep.classical_method,
-        "ratio": rep.ratio,
-        "schedule": schedule_to_dict(rep.schedule),
-        "mode": rep.mode,
-        "seed": rep.seed,
-        "budget_bits": rep.budget_bits,
-        "meta": rep.meta,
-    }
 
 
 def _sanitize(obj: Any) -> Any:

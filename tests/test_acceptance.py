@@ -27,8 +27,8 @@ import numpy as np
 import pytest
 
 from bellforge import (
-    OneWayStats, PortSchedule, TruthTable, bell_value, build_cc_table,
-    builtin_qrac, chernoff_repeats, distributional_cc,
+    BudgetOracle, OneWayStats, PortSchedule, TruthTable, bell_value,
+    builtin_qrac, chernoff_repeats,
     entanglement_fidelity, generate_correlations, lhv_bound, lhv_strategies,
     lhv_table, majority_amplify, margin_ratio_lower_bound,
     nonlinear_bell_check, pumping_bound, random_protocol, ratio_lower_bound,
@@ -271,10 +271,10 @@ def test_criterion_5_soundness_sweep():
 def test_criterion_6_classical_table():
     start = time.monotonic()
     qrac = builtin_qrac().truth
-    table = build_cc_table(qrac, max_bits=2)
-    exact = tuple(table.success)
+    oracle = BudgetOracle(qrac)
+    exact = oracle.table(2)
     table_ok = exact == ((0, 0.5), (1, 0.75), (2, 1.0))
-    need = distributional_cc(qrac, 0.76)
+    need = oracle(0.76)
     record(6, table_ok and need == 2, time.monotonic() - start, 60,
            f"exhaustive table {dict(exact)} matches the exact optima; "
            f"bits to reach success 0.76 = {need}")
@@ -296,9 +296,10 @@ def test_criterion_7_amplification():
 
     pump_failures = 0
     for truth in (builtin_qrac().truth, xor_truth(), eq_truth()):
-        c23 = distributional_cc(truth, 2.0 / 3.0)
+        need = BudgetOracle(truth)
+        c23 = need(2.0 / 3.0)
         for e in (0.1, 0.125, 1.0 / 6.0):
-            c_eps = distributional_cc(truth, 0.5 + e)
+            c_eps = need(0.5 + e)
             if c23 > pumping_bound(c_eps, e) + 1e-12:
                 pump_failures += 1
     record(7, reps_ok and amp_ok and pump_failures == 0,

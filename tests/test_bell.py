@@ -838,6 +838,19 @@ class TestNonlinearCheck:
             assert chk.holds and chk.pumped_holds
             assert not chk.heuristic_violated
 
+    def test_vacuous_pumping_bound_is_zero_bits(self):
+        # At a target of at most 1/2 the pumped bound is 0 bits, also when
+        # the oracle cannot reach 2/3: it used to be 0 * inf = nan.
+        qrac = builtin_qrac().truth
+        stats = bell.OneWayStats(p_a=0.5, p_b=0.5, truth=qrac)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chk = bell.nonlinear_bell_check(
+                stats, 0.5, BudgetOracle(qrac, max_bits=0))
+        assert chk.target == 0.5 and chk.rhs_bits == 0.0
+        assert chk.pumped_rhs == 0.0 and chk.pumped_holds
+        assert bell.nonlinear_bell_check(stats, 0.5) == chk
+
     def test_flag_success_past_one_is_clipped(self):
         # An always-correct protocol's flagged success can sum to 1 + 1
         # ulp, which the oracle refused, even at a target of 1 + 1 ulp.

@@ -16,16 +16,14 @@ import pytest
 from bellforge import classicalcc
 from bellforge.classicalcc import (
     BudgetOracle,
-    CCQueryResult,
     ENUM_CAP,
     TABLE_ROW_CAP,
     _genuine_splits,
+    _table_key,
     _tree_split_value,
     best_success_one_way,
     best_success_tree,
-    build_cc_table,
     chernoff_repeats,
-    distributional_cc,
     majority_amplify,
     pumping_bound,
 )
@@ -65,8 +63,8 @@ def random_truth(rng: np.random.Generator, n: int) -> TruthTable:
 
 def distributional_cc_reference(t: TruthTable, p: float,
                                 method: str) -> float:
-    """The search loop `distributional_cc` ran before the budget oracle:
-    every query restarts at budget 0 and keeps nothing."""
+    """The search loop one query ran before the budget oracle: every query
+    restarts at budget 0 and keeps nothing."""
     search = {"one_way": best_success_one_way,
               "tree": best_success_tree}[method]
     for c in range(t.n + 1):
@@ -185,52 +183,57 @@ class TestTree:
 
 
 class TestDistributionalCC:
+    """Single budget queries, each on a fresh oracle."""
+
     def test_qrac_thresholds(self):
         t = qrac_truth()
-        assert distributional_cc(t, 0.76) == 2
-        assert distributional_cc(t, 0.75) == 1
-        assert distributional_cc(t, 0.5) == 0
-        assert distributional_cc(t, 1.0) == 2
+        assert BudgetOracle(t)(0.76) == 2
+        assert BudgetOracle(t)(0.75) == 1
+        assert BudgetOracle(t)(0.5) == 0
+        assert BudgetOracle(t)(1.0) == 2
 
     def test_unreachable_returns_inf(self):
-        assert distributional_cc(qrac_truth(), 1.0, max_bits=1) == math.inf
+        assert BudgetOracle(qrac_truth(), max_bits=1)(1.0) == math.inf
 
     def test_monotone_in_target(self):
         t = eq2_truth()
         targets = [0.2, 0.75, 0.8, 0.85, 1.0]
-        needs = [distributional_cc(t, p) for p in targets]
+        needs = [BudgetOracle(t)(p) for p in targets]
         assert all(b >= a for a, b in zip(needs, needs[1:]))
 
     def test_validation(self):
         with pytest.raises(ValueError, match="target"):
-            distributional_cc(qrac_truth(), 1.5)
+            BudgetOracle(qrac_truth())(1.5)
         with pytest.raises(ValueError, match="method"):
-            distributional_cc(qrac_truth(), 0.6, method="psychic")
+            BudgetOracle(qrac_truth(), method="psychic")
 
     def test_tree_method(self):
-        assert distributional_cc(qrac_truth(), 1.0, method="tree") == 2
+        assert BudgetOracle(qrac_truth(), method="tree")(1.0) == 2
 
 
 class TestCCTable:
     def test_qrac_table(self):
-        res = build_cc_table(qrac_truth())
-        assert res.success == ((0, 0.5), (1, 0.75), (2, 1.0))
-        assert res.method == "one_way"
-        assert res.min_bits(0.76) == 2
-        assert res.min_bits(0.74) == 1
-        assert res.min_bits(1.1) == math.inf
+        oracle = BudgetOracle(qrac_truth())
+        assert oracle.table() == ((0, 0.5), (1, 0.75), (2, 1.0))
+        assert oracle.method == "one_way"
+        assert oracle(0.76) == 2
+        assert oracle(0.74) == 1
+        # Past success 1 the table found no budget; the oracle refuses
+        # such a target outright.
+        with pytest.raises(ValueError, match="target"):
+            oracle(1.1)
 
     def test_key_content_addressed(self):
-        a = build_cc_table(qrac_truth())
-        b = build_cc_table(qrac_truth())
-        c = build_cc_table(eq2_truth())
-        assert a.key == b.key
-        assert a.key != c.key
-        assert isinstance(a, CCQueryResult)
+        a = _table_key(qrac_truth())
+        b = _table_key(qrac_truth())
+        c = _table_key(eq2_truth())
+        assert a == b
+        assert a != c
+        assert isinstance(BudgetOracle(qrac_truth()).table(), tuple)
 
     def test_bad_method(self):
         with pytest.raises(ValueError, match="method"):
-            build_cc_table(qrac_truth(), method="oracle")
+            BudgetOracle(qrac_truth(), method="oracle")
 
 
 class TestBudgetOracle:
@@ -241,15 +244,15 @@ class TestBudgetOracle:
     def test_matches_reference_and_table(self, n, method, seed):
         rng = np.random.default_rng(seed)
         t = random_truth(rng, n)
-        table = build_cc_table(t, method=method)
+        tabled = BudgetOracle(t, method)
         targets = [0.0, 1.0] + [
-            v + e for _, v in table.success for e in (-1e-12, 0.0, 1e-12)
+            v + e for _, v in tabled.table() for e in (-1e-12, 0.0, 1e-12)
             if 0.0 <= v + e <= 1.0]
         want = [distributional_cc_reference(t, p, method) for p in targets]
-        assert [table.min_bits(p) for p in targets] == want
+        assert [tabled(p) for p in targets] == want
         oracle = BudgetOracle(t, method)
         assert [oracle(p) for p in targets] == want
-        assert [distributional_cc(t, p, method) for p in targets] == want
+        assert [BudgetOracle(t, method)(p) for p in targets] == want
         # Memo state left by earlier queries must not change any answer.
         order = rng.permutation(len(targets))
         shuffled = BudgetOracle(t, method)
@@ -273,7 +276,7 @@ class TestBudgetOracle:
         # a full table is refused while a target budget 0 reaches is not.
         t = random_truth(np.random.default_rng(37), 4)
         with pytest.raises(CapExceededError):
-            build_cc_table(t)
+            BudgetOracle(t).table()
         searched = spy_searches(monkeypatch)
         assert BudgetOracle(t)(0.5) == 0
         assert searched == [0]
@@ -281,14 +284,14 @@ class TestBudgetOracle:
     def test_table_shares_memo(self, monkeypatch):
         searched = spy_searches(monkeypatch)
         oracle = BudgetOracle(qrac_truth())
-        assert oracle.table(1).success == ((0, 0.5), (1, 0.75))
+        assert oracle.table(1) == ((0, 0.5), (1, 0.75))
         assert oracle(1.0) == 2
-        assert oracle.table().success == ((0, 0.5), (1, 0.75), (2, 1.0))
+        assert oracle.table() == ((0, 0.5), (1, 0.75), (2, 1.0))
         assert searched == [0, 1, 2]
 
     def test_table_row_cap(self, monkeypatch):
         oracle = BudgetOracle(qrac_truth())
-        rows = oracle.table(TABLE_ROW_CAP - 1).success
+        rows = oracle.table(TABLE_ROW_CAP - 1)
         assert len(rows) == TABLE_ROW_CAP
         assert all(v == 1.0 for _, v in rows[2:])
         searched = spy_searches(monkeypatch)
@@ -296,8 +299,22 @@ class TestBudgetOracle:
             with pytest.raises(CapExceededError, match="rows"):
                 oracle.table(bits)
             with pytest.raises(CapExceededError, match="rows"):
-                build_cc_table(qrac_truth(), max_bits=bits)
+                BudgetOracle(qrac_truth()).table(bits)
         assert searched == []
+
+    def test_negative_budget_refused(self, monkeypatch):
+        # A negative budget used to index the memo from its end once
+        # searches had run (success(-1) read budget 2's 1.0), and raised
+        # IndexError on a fresh oracle.
+        searched = spy_searches(monkeypatch)
+        for warm in (False, True):
+            oracle = BudgetOracle(qrac_truth())
+            if warm:
+                assert oracle(1.0) == 2
+            for bits in (-1, -3):
+                with pytest.raises(ValueError, match=">= 0"):
+                    oracle.success(bits)
+        assert searched == [0, 1, 2]
 
 
 class TestChernoff:
@@ -380,7 +397,8 @@ class TestPumping:
         # 3 / eps^2 times bits at success 1/2 + eps.
         truths = [qrac_truth(), eq2_truth(), xor_truth()]
         for t in truths:
-            need_23 = distributional_cc(t, 2.0 / 3.0)
+            need = BudgetOracle(t)
+            need_23 = need(2.0 / 3.0)
             for eps in (1.0 / 6.0, 0.1, 0.05):
-                need_eps = distributional_cc(t, 0.5 + eps)
+                need_eps = need(0.5 + eps)
                 assert need_23 <= pumping_bound(need_eps, eps) + 1e-12
