@@ -731,7 +731,7 @@ def observation_bound(p_succ: float, truth: TruthTable,
     default a one-way `BudgetOracle` for `truth` is the oracle.  p_succ
     may stray past [0, 1] by 1e-12, as `OneWayStats` allows, and is
     clipped to it."""
-    if not -1e-12 <= p_succ <= 1.0 + 1e-12:
+    if not _near_unit(p_succ):
         raise ValueError(f"success {p_succ} outside [0, 1]")
     p_succ = min(max(p_succ, 0.0), 1.0)
     if oracle is None:

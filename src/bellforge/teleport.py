@@ -18,9 +18,7 @@ Every matrix in that recipe is real, so the build runs in float64.  The
 measurement is covariant under port permutations, Pi_i = P_1i Pi_1 P_1i
 with P_1i the swap of ports A_1 and A_i, and S commutes with every P_1i;
 so only Pi_1 is formed, and Pi_i is the exact index permutation of Pi_1
-that exchanges the A_1 and A_i axes on rows and columns.
-`PbtMeasurement` keeps Pi_1 and the N permutations and forms Pi_i only on
-request.
+that exchanges the A_1 and A_i digits on rows and columns.
 
 The measurement is also covariant under U (x) conj(U)^(x)N (Studzinski et
 al. below), so for diagonal U it conserves a charge per level k: [a_0 = k]
@@ -28,20 +26,20 @@ minus the number of ports with a_i = k, for a basis index (a_0,
 a_1..a_N).  sigma_i, S, S^(-1/2), the support projector and Pi_1 have no
 entries between sectors of different charge, and every port swap maps
 each sector onto itself.  `build_pbt_povm` therefore runs sector by
-sector: each sector's sigma_1 block comes from the digits of its indices,
-its S block from the port swaps restricted to it, and one `eigh` per
-sector replaces the eigendecomposition of the whole of S.  The support
-cutoff stays global, 1e-12 of the largest eigenvalue over all sectors, so
-every S block is diagonalized before any block of Pi_1 is formed.
-Validation runs once per orbit and sector (`states.check_povm_orbit`):
-each block of Pi_1 gets the element check of every `Povm`, each
-restricted permutation is checked, and its N images are summed, one at a
-time, against the identity, the one check loosened to ATOL_PBT_POVM.
-Pi_1 is block-diagonal, so the measurement's margins are the least
-minimum eigenvalue and the largest completeness deviation over the
-sectors.  The index permutations of the port swaps are read off the
-register machine (`states._RegisterMachine`), so this module permutes no
-axes of its own.
+sector: each sector's sigma_1 block and its port swaps come from the
+digits of its indices, its S block is the sum of the swapped sigma_1
+blocks, and one `eigh` per sector replaces the eigendecomposition of the
+whole of S.  The support cutoff stays global, 1e-12 of the largest
+eigenvalue over all sectors, so every S block is diagonalized before any
+block of Pi_1 is formed.  Validation runs once per orbit and sector
+(`states.check_povm_orbit`): each block of Pi_1 gets the element check of
+every `Povm`, each sector's swaps are checked, and its N images are
+summed, one at a time, against the identity, the one check loosened to
+ATOL_PBT_POVM.  Pi_1 is block-diagonal, so the measurement's margins are
+the least minimum eigenvalue and the largest completeness deviation over
+the sectors.  The sectors are the measurement: `PbtMeasurement` keeps
+each sector's indices, its block of Pi_1 and its swaps, and assembles a
+dense Pi_i only when `element` asks for it.
 
 The resource, N maximally entangled pairs, is fixed by (N, d), so the
 measurement is the only port-teleportation object, and
@@ -66,7 +64,6 @@ from .states import (
     MAX_TOTAL_DIM,
     CapExceededError,
     InvariantError,
-    _RegisterMachine,
     _sym,
     check_povm_orbit,
 )
@@ -81,26 +78,26 @@ ATOL_PBT_POVM = 1e-9
 @dataclass(frozen=True, eq=False)
 class PbtMeasurement:
     """Square-root measurement over the input register plus all sender
-    port halves (A_0, A_1..A_N): the read-only float64 E_1 (`e1`), the
-    permutation p_i of the swap of ports A_1 and A_i (`port_swaps[i - 1]`),
-    which maps E_1 to E_i, and the margins of the orbit check."""
+    port halves (A_0, A_1..A_N), as its charge sectors, and the margins of
+    the orbit check.  Each sector is `(idx, block, swaps)`: its ascending
+    basis indices, its read-only float64 block of E_1, and the swap of
+    ports A_1 and A_i (`swaps[i - 1]`) as positions within `idx`."""
     N: int
     d: int
-    e1: np.ndarray
-    port_swaps: tuple[np.ndarray, ...]
+    sectors: tuple[tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]], ...]
     min_eigenvalue: float
     completeness_dev: float
 
     def element(self, z: int) -> np.ndarray:
-        """E_z = P_1z E_1 P_1z for z = 1..N, formed on each call."""
+        """E_z = P_1z E_1 P_1z for z = 1..N, assembled on each call."""
         if not 1 <= z <= self.N:
             raise IndexError(f"outcome {z} outside 1..{self.N}")
-        p = self.port_swaps[z - 1]
-        return self.e1[np.ix_(p, p)]
-
-
-def _port_names(prefix: str, N: int) -> list[str]:
-    return [f"{prefix}{i}" for i in range(1, N + 1)]
+        dim = self.d ** (self.N + 1)
+        out = np.zeros((dim, dim))
+        for idx, block, swaps in self.sectors:
+            q = swaps[z - 1]
+            out[np.ix_(idx, idx)] = block[np.ix_(q, q)]
+        return out
 
 
 def _integral(v) -> bool:
@@ -134,27 +131,6 @@ def _capped_dim(what: str, d: int, e: int) -> int:
     return dim
 
 
-def _measured_ports(N: int, i: int) -> list[str]:
-    """The measured registers (A_0, A_1..A_N) with A_1 and A_i exchanged."""
-    names = ["A0"] + _port_names("A", N)
-    names[1], names[i] = names[i], names[1]
-    return names
-
-
-def _port_swaps(N: int, d: int) -> list[np.ndarray]:
-    """Index permutation p_i of each port swap, i = 1..N: P_1i m P_1i is
-    m[np.ix_(p_i, p_i)] for any operator m on (A_0, A_1..A_N).  p_i is the
-    ket arange(d^(N+1)) regrouped on the register machine with A_1 and A_i
-    exchanged."""
-    ports = [(n, d) for n in _measured_ports(N, 1)]
-    perms = []
-    for i in range(1, N + 1):
-        reg = _RegisterMachine(ports, np.arange(d ** (N + 1)))
-        reg.apply(_measured_ports(N, i), None, ports)
-        perms.append(reg.state)
-    return perms
-
-
 def _charge_sectors(N: int, d: int) -> list[np.ndarray]:
     """The basis indices of (A_0, A_1..A_N), ascending, grouped by charge.
 
@@ -177,36 +153,41 @@ def _charge_sectors(N: int, d: int) -> list[np.ndarray]:
     return np.split(order, np.cumsum(np.bincount(label))[:-1])
 
 
+def _sector_swaps(N: int, d: int, idx: np.ndarray) -> list[np.ndarray]:
+    """The swap of ports A_1 and A_i, i = 1..N, on one charge sector with
+    ascending indices idx, as positions within idx.  Exchanging the digits
+    a_1 and a_i moves an index by (a_i - a_1)(d^(N-1) - d^(N-i))."""
+    a1 = idx // d ** (N - 1) % d
+    return [np.searchsorted(idx, idx + (idx // d ** (N - i) % d - a1)
+                            * (d ** (N - 1) - d ** (N - i)))
+            for i in range(1, N + 1)]
+
+
 def build_pbt_povm(N: int, d: int) -> PbtMeasurement:
     """Pretty-good measurement for N ports of dimension d, built one charge
     sector (`_charge_sectors`) at a time as the module docstring describes.
-    In a sector with global indices
-    idx, sigma_1's block is 1/(d d^(N-1)) where a_0 = a_1, b_0 = b_1 and
-    the other ports agree, and 0 elsewhere; the port swap p_i acts as
-    pos[p_i[idx]], with pos an index's place in its sector."""
+    In a sector with indices idx, sigma_1's block is 1/(d d^(N-1)) where
+    a_0 = a_1, b_0 = b_1 and the other ports agree, and 0 elsewhere."""
     _check_ports(N, d)
-    dim = _capped_dim("measurement dimension d^(N+1)", d, N + 1)
+    _capped_dim("measurement dimension d^(N+1)", d, N + 1)
     rest = d ** (N - 1)
-    perms = _port_swaps(N, d)
-    pos = np.empty(dim, dtype=np.intp)
     blocks = []
     for idx in _charge_sectors(N, d):
-        pos[idx] = np.arange(len(idx))
         ports = idx // rest
         paired = ports // d == ports % d
         others = idx % rest
         sig = (paired[:, None] & paired & (others[:, None] == others)
                ) / (d * rest)
-        local = [pos[p[idx]] for p in perms]
+        swaps = _sector_swaps(N, d, idx)
         S = np.zeros_like(sig)
-        for q in local:
+        for q in swaps:
             S = S + sig[np.ix_(q, q)]
         w, v = np.linalg.eigh(_sym(S))
-        blocks.append((idx, sig, local, w, v))
+        blocks.append((idx, sig, swaps, w, v))
     cut = PINV_CUTOFF * max(w.max() for *_, w, _ in blocks)
-    e1 = np.zeros((dim, dim))
+    sectors = []
     margins = []
-    for idx, sig, local, w, v in blocks:
+    for idx, sig, swaps, w, v in blocks:
         on_supp = w > cut
         inv_root = np.where(on_supp,
                             1.0 / np.sqrt(np.where(on_supp, w, 1.0)), 0.0)
@@ -214,11 +195,11 @@ def build_pbt_povm(N: int, d: int) -> PbtMeasurement:
         p_supp = (v * on_supp.astype(float)) @ v.T
         remainder = (np.eye(len(idx)) - p_supp) / N
         elem = _sym(s_irt @ sig @ s_irt + remainder)
-        margins.append(check_povm_orbit(elem, local, atol=ATOL_PBT_POVM))
-        e1[np.ix_(idx, idx)] = elem
-    for a in (e1, *perms):
-        a.setflags(write=False)
-    return PbtMeasurement(N=N, d=d, e1=e1, port_swaps=tuple(perms),
+        margins.append(check_povm_orbit(elem, swaps, atol=ATOL_PBT_POVM))
+        for a in (idx, elem, *swaps):
+            a.setflags(write=False)
+        sectors.append((idx, elem, tuple(swaps)))
+    return PbtMeasurement(N=N, d=d, sectors=tuple(sectors),
                           min_eigenvalue=min(m for m, _ in margins),
                           completeness_dev=max(c for _, c in margins))
 

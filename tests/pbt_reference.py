@@ -38,6 +38,18 @@ def swap_ports(m, N, d, i):
     return m.reshape((d,) * (2 * (N + 1))).transpose(axes).reshape(m.shape)
 
 
+def port_swaps(N, d):
+    """Index permutation p_i of the swap of ports A_1 and A_i, i = 1..N,
+    built from the digits of every basis index of A_0 A_1 .. A_N:
+    P_1i m P_1i is m[np.ix_(p_i, p_i)]."""
+    perms = []
+    for i in range(1, N + 1):
+        digits = np.indices((d,) * (N + 1)).reshape(N + 1, -1)
+        digits[[1, i]] = digits[[i, 1]]
+        perms.append(np.ravel_multi_index(tuple(digits), (d,) * (N + 1)))
+    return perms
+
+
 def pbt_povm(N, d, dtype=np.float64):
     """(signal operators sigma_1..sigma_N, element) in `dtype` arithmetic:
     every signal operator is the pair projector on (A_0, A_1), moved to its

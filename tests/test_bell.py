@@ -900,7 +900,7 @@ class TestNonlinearCheck:
             bell.observation_bound(1.0, truth)
         assert bell.observation_bound(-1e-13, truth) == \
             bell.observation_bound(0.0, truth)
-        for bad in (1.0 + 1e-11, -1e-11):
+        for bad in (1.0 + 1e-11, -1e-11, math.nan):
             with pytest.raises(ValueError, match="outside"):
                 bell.observation_bound(bad, truth)
 

@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 import types
 
 import numpy as np
@@ -58,7 +59,7 @@ def _elements(meas):
 
 def test_povm_single_port_is_identity():
     meas = build_pbt_povm(1, 2)
-    assert len(meas.port_swaps) == 1
+    assert all(len(swaps) == 1 for _, _, swaps in meas.sectors)
     assert np.allclose(meas.element(1), np.eye(4), atol=1e-9)
 
 
@@ -90,7 +91,7 @@ def _swap_matrix(N, d, i):
 def test_povm_matches_direct_complex_build(N, d):
     meas = build_pbt_povm(N, d)
     sigs, element = ref.pbt_povm(N, d, np.complex128)
-    assert len(meas.port_swaps) == N
+    assert all(len(swaps) == N for _, _, swaps in meas.sectors)
     # sigma_1 in real arithmetic, moved to port i by the swap matrix, is
     # that port's signal operator.
     phi = max_entangled(d).amplitudes.real
@@ -99,9 +100,11 @@ def test_povm_matches_direct_complex_build(N, d):
     for i, want in enumerate(sigs, start=1):
         v = _swap_matrix(N, d, i)
         assert np.max(np.abs(v @ sig1 @ v.T - want)) <= 1e-12
-    assert meas.e1.dtype == np.float64
-    assert not meas.e1.flags.writeable
-    assert all(not p.flags.writeable for p in meas.port_swaps)
+    for idx, block, swaps in meas.sectors:
+        assert block.dtype == np.float64
+        assert not block.flags.writeable
+        assert not idx.flags.writeable
+        assert all(not q.flags.writeable for q in swaps)
     for z in range(1, N + 1):
         assert np.max(np.abs(meas.element(z) - element(z))) <= 1e-12
 
@@ -111,11 +114,18 @@ def test_swap_ports_matches_transpose(N, d):
     rng = np.random.default_rng(N * d)
     dim = d ** (N + 1)
     m = rng.normal(size=(dim, dim))
-    perms = tp._port_swaps(N, d)
+    perms = ref.port_swaps(N, d)
     assert len(perms) == N
     for i, p in enumerate(perms, start=1):
         assert np.array_equal(m[np.ix_(p, p)],
                               ref.swap_ports(m, N, d, i))
+    # Each sector's swaps, read off its index digits, are the reference
+    # permutations restricted to the sector, as positions within it.
+    for idx in tp._charge_sectors(N, d):
+        local = tp._sector_swaps(N, d, idx)
+        assert len(local) == N
+        for q, p in zip(local, perms):
+            assert np.array_equal(idx[q], p[idx])
 
 
 @pytest.mark.parametrize("N,d", POVM_CASES)
@@ -128,8 +138,8 @@ def test_povm_orbit_matches_per_element_check(N, d):
     # differs from it only by eigensolver rounding, bounded by dim * eps
     # for elements of norm at most 1.
     meas = build_pbt_povm(N, d)
-    first = meas.e1
-    least, dev = check_povm_orbit(first, tp._port_swaps(N, d),
+    first = meas.element(1)
+    least, dev = check_povm_orbit(first, ref.port_swaps(N, d),
                                   atol=tp.ATOL_PBT_POVM)
     dim = d ** (N + 1)
     eps = np.finfo(float).eps
@@ -145,12 +155,13 @@ def test_povm_orbit_matches_per_element_check(N, d):
     assert least - slow.min_eigenvalue <= dim * eps
 
 
-def test_measurement_stores_one_element():
+def test_measurement_keeps_no_dense_array():
     meas = build_pbt_povm(4, 2)
-    square = [k for k, v in vars(meas).items()
-              if isinstance(v, np.ndarray) and v.ndim == 2]
-    assert square == ["e1"]
-    assert np.array_equal(meas.element(1), meas.e1)
+    assert not [k for k, v in vars(meas).items()
+                if isinstance(v, np.ndarray)]
+    dim = 2 ** 5
+    assert sum(len(idx) for idx, _, _ in meas.sectors) == dim
+    assert meas.element(1).shape == (dim, dim)
     for z in (0, 5):
         with pytest.raises(IndexError, match="outside 1..4"):
             meas.element(z)
@@ -206,7 +217,7 @@ def test_charge_sectors_block_the_measurement(N, d):
     for idx, first in zip(sectors, firsts):
         assert (charges[idx] == first).all()
     assert len({c.tobytes() for c in firsts}) == len(sectors)
-    for p in tp._port_swaps(N, d):
+    for p in ref.port_swaps(N, d):
         assert np.array_equal(label[p], label)
     across = label[:, None] != label
     e1 = ref.pbt_povm(N, d)[1](1)
@@ -219,7 +230,7 @@ def test_sector_build_matches_dense_reference(N, d):
     # eigenvalue, and the completeness of its N port-swapped images.
     got = build_pbt_povm(N, d)
     want = ref.pbt_povm(N, d)[1](1)
-    assert np.max(np.abs(got.e1 - want)) <= 1e-12
+    assert np.max(np.abs(got.element(1) - want)) <= 1e-12
     images = [ref.swap_ports(want, N, d, i) for i in range(1, N + 1)]
     dev = np.max(np.abs(sum(images) - np.eye(d ** (N + 1))))
     assert abs(got.completeness_dev - dev) <= 1e-12
@@ -233,13 +244,27 @@ def test_povm_port_permutation_covariance(N, d):
     meas = build_pbt_povm(N, d)
     for z in range(2, N + 1):
         v = _swap_matrix(N, d, z)
-        moved = v @ meas.e1 @ v.T
+        moved = v @ meas.element(1) @ v.T
         assert np.max(np.abs(moved - meas.element(z))) <= 1e-9
 
 
 def test_povm_cap():
     with pytest.raises(CapExceededError):
         build_pbt_povm(20, 2)  # 2^21 measurement dimension
+
+
+def test_build_peak_stays_below_dense_element():
+    # The sectors are the measurement: the build's traced peak stays below
+    # the d^(2N+2) float64 entries of a dense E_1 (36.5 MiB at (6, 3)).
+    build_pbt_povm(2, 3)  # imports and first-call caches outside the trace
+    tracemalloc.start()
+    try:
+        meas = build_pbt_povm(6, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 ** 14 * 8
+    assert len(meas.sectors) > 1
 
 
 # ------------------------------------------------------------- teleport
@@ -416,7 +441,7 @@ def test_closed_form_builds_no_measurement(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dense port-teleportation path reached")
 
-    for name in ("build_pbt_povm", "_port_swaps", "_charge_sectors"):
+    for name in ("build_pbt_povm", "_sector_swaps", "_charge_sectors"):
         monkeypatch.setattr(tp, name, refuse)
     assert entanglement_fidelity(9, 2) == pytest.approx(
         pbt_fidelity_qubit(9), abs=1e-12)

@@ -448,7 +448,8 @@ class TestCapRule:
 
 
 def test_threaded_split_bitwise_invariant(monkeypatch):
-    # 65,536 Alice maps at n = 3: eight batches of 8192.
+    # The split value does not read BELLFORGE_THREADS: the same bits at
+    # one thread and at two.
     t = tables(700, 3, 1)[0]
     values = []
     for threads in ("1", "2"):
