@@ -265,8 +265,8 @@ def _reaches(success: float, p: float | np.ndarray) -> bool | np.ndarray:
 
 class BudgetOracle:
     """p -> minimum bits whose best success reaches p, for one table and
-    method; inf if no budget up to `max_bits` (default n, where success 1
-    is always reachable one-way) gets there.
+    method; inf if no budget up to n, where success 1 is always reachable
+    one-way, gets there.
 
     Searched successes are memoised per budget, searched in ascending order
     and only as far as a query, a `table` or `success` needs (module
@@ -274,13 +274,11 @@ class BudgetOracle:
     one oracle across the queries of one command and nothing outlives it.
     """
 
-    def __init__(self, t: TruthTable, method: str = "one_way",
-                 max_bits: int | None = None):
+    def __init__(self, t: TruthTable, method: str = "one_way"):
         if method not in ("one_way", "tree"):
             raise ValueError(f"unknown method {method!r}")
         self.t = t
         self.method = method
-        self.max_bits = t.n if max_bits is None else max_bits
         self._searched: list[float] = []
 
     def success(self, bits: int) -> float:
@@ -305,7 +303,7 @@ class BudgetOracle:
         inside = (0.0 <= p) & (p <= 1.0)
         if not (inside.all() if isinstance(inside, np.ndarray) else inside):
             raise ValueError(f"target success p={p} must lie in [0, 1]")
-        budgets = range(self.max_bits + 1)
+        budgets = range(self.t.n + 1)
         if not isinstance(p, np.ndarray):
             for c in budgets:
                 if _reaches(self.success(c), p):
@@ -324,9 +322,11 @@ class BudgetOracle:
     def table(self, max_bits: int | None = None
               ) -> tuple[tuple[int, float], ...]:
         """Budget table ((bits, success), ...) over 0..max_bits (default
-        the oracle's), read from and filling the same memo."""
+        n), read from and filling the same memo."""
         if max_bits is None:
-            max_bits = self.max_bits
+            max_bits = self.t.n
+        if max_bits < 0:
+            raise ValueError(f"bits={max_bits} must be >= 0")
         if max_bits >= TABLE_ROW_CAP:
             raise CapExceededError(f"budget table to {max_bits} bits has more "
                                    f"than {TABLE_ROW_CAP} rows")

@@ -11,8 +11,8 @@ The measurement operators follow the pretty-good-measurement recipe
   sigma_i = (proj onto |Phi+> on input x port i) (x) I/d^(N-1)
   Pi_i    = S^(-1/2) sigma_i S^(-1/2) + (I - P_supp)/N,  S = sum_j sigma_j
 with the inverse square root taken on the support of S (eigenvalues below
-1e-12 of the largest are treated as zero) and the off-support identity
-shared uniformly so the family is complete.
+1e-12 of the largest, (N+d-1)/d^N, are treated as zero) and the
+off-support identity shared uniformly so the family is complete.
 
 Every matrix in that recipe is real, so the build runs in float64.  The
 measurement is covariant under port permutations, Pi_i = P_1i Pi_1 P_1i
@@ -29,9 +29,9 @@ each sector onto itself.  `build_pbt_povm` therefore runs sector by
 sector: each sector's sigma_1 block and its port swaps come from the
 digits of its indices, its S block is the sum of the swapped sigma_1
 blocks, and one `eigh` per sector replaces the eigendecomposition of the
-whole of S.  The support cutoff stays global, 1e-12 of the largest
-eigenvalue over all sectors, so every S block is diagonalized before any
-block of Pi_1 is formed.  Validation runs once per orbit and sector
+whole of S.  The support cutoff is 1e-12 of S's largest eigenvalue,
+(N+d-1)/d^N in closed form (Studzinski et al. below), so each sector is
+finished before the next is built.  Validation runs once per orbit and sector
 (`states.check_povm_orbit`): each block of Pi_1 gets the element check of
 every `Povm`, each sector's swaps are checked, and its N images are
 summed, one at a time, against the identity, the one check loosened to
@@ -68,7 +68,8 @@ from .states import (
     check_povm_orbit,
 )
 
-# Relative eigenvalue cutoff for the pseudo-inverse square root of S.
+# Cutoff for S's pseudo-inverse square root, relative to S's largest
+# eigenvalue (N+d-1)/d^N.
 PINV_CUTOFF = 1e-12
 # The PGM elements pass through several matrix factorizations; completeness
 # holds to 1e-9 rather than the raw POVM tolerance.
@@ -164,14 +165,17 @@ def _sector_swaps(N: int, d: int, idx: np.ndarray) -> list[np.ndarray]:
 
 
 def build_pbt_povm(N: int, d: int) -> PbtMeasurement:
-    """Pretty-good measurement for N ports of dimension d, built one charge
-    sector (`_charge_sectors`) at a time as the module docstring describes.
-    In a sector with indices idx, sigma_1's block is 1/(d d^(N-1)) where
-    a_0 = a_1, b_0 = b_1 and the other ports agree, and 0 elsewhere."""
+    """Pretty-good measurement for N ports of dimension d, built and
+    finished one charge sector (`_charge_sectors`) at a time as the module
+    docstring describes.  In a sector with indices idx, sigma_1's block is
+    1/(d d^(N-1)) where a_0 = a_1, b_0 = b_1 and the other ports agree, and
+    0 elsewhere."""
     _check_ports(N, d)
     _capped_dim("measurement dimension d^(N+1)", d, N + 1)
     rest = d ** (N - 1)
-    blocks = []
+    cut = PINV_CUTOFF * (N + d - 1) / d ** N
+    sectors = []
+    margins = []
     for idx in _charge_sectors(N, d):
         ports = idx // rest
         paired = ports // d == ports % d
@@ -182,12 +186,7 @@ def build_pbt_povm(N: int, d: int) -> PbtMeasurement:
         S = np.zeros_like(sig)
         for q in swaps:
             S = S + sig[np.ix_(q, q)]
-        w, v = np.linalg.eigh(_sym(S))
-        blocks.append((idx, sig, swaps, w, v))
-    cut = PINV_CUTOFF * max(w.max() for *_, w, _ in blocks)
-    sectors = []
-    margins = []
-    for idx, sig, swaps, w, v in blocks:
+        w, v = np.linalg.eigh(S)
         on_supp = w > cut
         inv_root = np.where(on_supp,
                             1.0 / np.sqrt(np.where(on_supp, w, 1.0)), 0.0)

@@ -840,13 +840,14 @@ class TestNonlinearCheck:
 
     def test_vacuous_pumping_bound_is_zero_bits(self):
         # At a target of at most 1/2 the pumped bound is 0 bits, also when
-        # the oracle cannot reach 2/3: it used to be 0 * inf = nan.
+        # the oracle cannot reach 2/3: it used to be 0 * inf = nan.  The
+        # stub oracle certifies targets up to 1/2 only.
         qrac = builtin_qrac().truth
         stats = bell.OneWayStats(p_a=0.5, p_b=0.5, truth=qrac)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             chk = bell.nonlinear_bell_check(
-                stats, 0.5, BudgetOracle(qrac, max_bits=0))
+                stats, 0.5, lambda p: 0 if p <= 0.5 else math.inf)
         assert chk.target == 0.5 and chk.rhs_bits == 0.0
         assert chk.pumped_rhs == 0.0 and chk.pumped_holds
         assert bell.nonlinear_bell_check(stats, 0.5) == chk

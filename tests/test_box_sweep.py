@@ -136,13 +136,13 @@ def test_empty_box_list():
 
 
 def test_uncertified_target_raises():
-    # Budget 0 stops short of an always-right box's target, 0.75.
+    # A stub oracle certifies no target, here an always-right box's 0.75.
     t = builtin_qrac().truth
     doc = {"boxes": [{"flag": [1, 0, 0, 0], "answer": t.f[0].tolist()}]}
     for run in (ref.run_sweep, cli._run_sweep):
         with pytest.raises(ValueError,
                            match="cannot certify target 0.75$"):
-            run(t, doc, [0.5], BudgetOracle(t, max_bits=0))
+            run(t, doc, [0.5], lambda p: np.full(np.shape(p), np.inf))
 
 
 def test_flag_rate_past_one_raises_like_the_loop():

@@ -192,9 +192,6 @@ class TestDistributionalCC:
         assert BudgetOracle(t)(0.5) == 0
         assert BudgetOracle(t)(1.0) == 2
 
-    def test_unreachable_returns_inf(self):
-        assert BudgetOracle(qrac_truth(), max_bits=1)(1.0) == math.inf
-
     def test_monotone_in_target(self):
         t = eq2_truth()
         targets = [0.2, 0.75, 0.8, 0.85, 1.0]
@@ -288,6 +285,15 @@ class TestBudgetOracle:
         assert oracle(1.0) == 2
         assert oracle.table() == ((0, 0.5), (1, 0.75), (2, 1.0))
         assert searched == [0, 1, 2]
+
+    def test_negative_table_refused(self, monkeypatch):
+        # Like `success`: a table to -1 bits is refused, not empty.
+        searched = spy_searches(monkeypatch)
+        oracle = BudgetOracle(qrac_truth())
+        for call in (oracle.table, oracle.success):
+            with pytest.raises(ValueError, match=r"^bits=-1 must be >= 0$"):
+                call(-1)
+        assert searched == []
 
     def test_table_row_cap(self, monkeypatch):
         oracle = BudgetOracle(qrac_truth())

@@ -188,9 +188,10 @@ def test_sector_build_checks_one_spectrum_per_sector(N, d, monkeypatch):
     calls = _spy_eigensolvers(monkeypatch)
     build_pbt_povm(N, d)
     dim = d ** (N + 1)
-    # Every S block, then every E_1 block's element check.
-    assert calls == ([("eigh", (n, n)) for n in sizes]
-                     + [("eigvalsh", (n, n)) for n in sizes])
+    # One sector at a time: its S block, then its E_1 block's element
+    # check.
+    assert calls == [(name, (n, n)) for n in sizes
+                     for name in ("eigh", "eigvalsh")]
     assert len(sizes) > 1
     assert all(shape != (dim, dim) for _, shape in calls)
 
@@ -222,6 +223,18 @@ def test_charge_sectors_block_the_measurement(N, d):
     across = label[:, None] != label
     e1 = ref.pbt_povm(N, d)[1](1)
     assert np.abs(e1[across]).max(initial=0.0) <= 1e-15
+
+
+@pytest.mark.parametrize("N,d", POVM_CASES)
+def test_signal_sum_spectrum_has_closed_form_top_and_gap(N, d):
+    # The build's support cutoff is PINV_CUTOFF times (N+d-1)/d^N, so that
+    # must be S's largest eigenvalue, and every other eigenvalue must be
+    # round-off or far above the cutoff.
+    sigs, _ = ref.pbt_povm(N, d)
+    w = np.linalg.eigvalsh(sum(sigs))
+    top = (N + d - 1) / d ** N
+    assert abs(w.max() - top) <= 1e-12 * top
+    assert ((w < 1e-14 * top) | (w > 1e-3 * top)).all()
 
 
 @pytest.mark.parametrize("N,d", POVM_CASES + [(9, 2)])
@@ -256,6 +269,10 @@ def test_povm_cap():
 def test_build_peak_stays_below_dense_element():
     # The sectors are the measurement: the build's traced peak stays below
     # the d^(2N+2) float64 entries of a dense E_1 (36.5 MiB at (6, 3)).
+    # Past the blocks it keeps, the build holds one sector's working
+    # arrays at a time: below 13 float64 copies of the largest sector
+    # (about 9 measured), where holding every sector's sigma_1 block and
+    # eigenvectors until all spectra are known took about 18.
     build_pbt_povm(2, 3)  # imports and first-call caches outside the trace
     tracemalloc.start()
     try:
@@ -265,6 +282,11 @@ def test_build_peak_stays_below_dense_element():
         tracemalloc.stop()
     assert peak < 3 ** 14 * 8
     assert len(meas.sectors) > 1
+    kept = sum(a.nbytes for idx, block, swaps in meas.sectors
+               for a in (idx, block, *swaps))
+    largest = max(len(idx) for idx, _, _ in meas.sectors)
+    assert largest == 210
+    assert peak - kept < 13 * largest ** 2 * 8
 
 
 # ------------------------------------------------------------- teleport
