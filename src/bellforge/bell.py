@@ -7,7 +7,9 @@ then form a tree (one level per transmitted message); reading the leaf
 measurement along a root-to-leaf path defines correlations that need no
 communication at all, and weighting the paths by the input distribution
 gives a linear Bell functional whose classical value is tied to the
-classical communication cost of the underlying function.
+classical communication cost of the underlying function.  A run's
+distributions form one array, indexed by the input pair and then the
+outcomes (`CorrelationTable`).
 
 Because the port resource is symmetric under port permutations, every
 teleportation outcome is uniform and the conditional state on the selected
@@ -132,10 +134,12 @@ class PortSchedule:
 
 @dataclass(frozen=True, eq=False)
 class CorrelationTable:
-    """Joint outcome distributions, one array per input pair (x, y).
+    """Joint outcome distributions of every input pair, as one read-only
+    float64 array: `tables[x, y]` is the distribution of pair (x, y), so the
+    shape is (|X|, |Y|) + `axes`.
 
-    For teleportation tables the array axes are the port indices along the
-    realized root-to-leaf path followed by the binary leaf outcome; all
+    For teleportation tables the outcome axes are the port indices along
+    the realized root-to-leaf path followed by the binary leaf outcome; all
     off-path outcome variables (the receiver acts on every port, so there
     are exponentially many) are marginalized out, and their alphabet sizes
     sit in `meta["full_alphabets"]`.  For the one-way route the axes are
@@ -143,8 +147,7 @@ class CorrelationTable:
     """
     truth: TruthTable
     schedule: PortSchedule | None
-    axes: tuple[int, ...]
-    tables: dict[tuple[int, int], np.ndarray]
+    tables: np.ndarray
     mode: str
     seed: int | None = None
     trials: int | None = None
@@ -152,31 +155,32 @@ class CorrelationTable:
 
     def __post_init__(self):
         size = self.truth.num_inputs
-        keys = {(x, y) for x in range(size) for y in range(size)}
-        if set(self.tables) != keys:
-            raise ValueError("tables must cover every input pair")
+        a = np.asarray(self.tables, dtype=np.float64)
+        if a.shape[:2] != (size, size):
+            raise ValueError(f"tables shape {a.shape} does not lead with the "
+                             f"input pairs ({size}, {size})")
+        object.__setattr__(self, "tables", a)
         if self.schedule is not None \
                 and self.axes != self.schedule.port_counts + (2,):
             raise ValueError(f"table axes {self.axes} do not match schedule "
                              f"alphabets {self.schedule.port_counts} + (2,)")
-        clean = {}
-        for key, arr in self.tables.items():
-            a = np.asarray(arr, dtype=np.float64)
-            if a.shape != self.axes:
-                raise ValueError(
-                    f"table {key}: shape {a.shape}, expected {self.axes}")
-            if not np.isfinite(a).all():
+        for key in np.ndindex(size, size):
+            arr = a[key]
+            if not np.isfinite(arr).all():
                 raise ValueError(f"table {key} has a non-finite entry")
-            if a.min() < -1e-12:
+            if arr.min() < -1e-12:
                 raise InvariantError(
-                    f"table {key}: negative probability {a.min()}")
-            total = a.sum()
+                    f"table {key}: negative probability {arr.min()}")
+            total = arr.sum()
             if abs(total - 1.0) > ATOL_TABLE:
                 raise InvariantError(
                     f"table {key}: sums to {total}, expected 1")
-            a.setflags(write=False)
-            clean[key] = a
-        object.__setattr__(self, "tables", clean)
+        a.setflags(write=False)
+
+    @property
+    def axes(self) -> tuple[int, ...]:
+        """Outcome alphabet sizes of one input pair's distribution."""
+        return self.tables.shape[2:]
 
 
 def _full_alphabets(s: PortSchedule) -> dict[str, Any]:
@@ -275,9 +279,9 @@ def generate_correlations(p: MemorylessProtocol, s: PortSchedule,
         return tally.reshape(counts + (2,)) / trials
 
     results = thread_map(one_pair, list(zip(pairs, streams)))
-    tables = dict(zip(pairs, results))
     return CorrelationTable(
-        truth=proto.truth, schedule=s, axes=counts + (2,), tables=tables,
+        truth=proto.truth, schedule=s,
+        tables=np.stack(results).reshape((size, size) + counts + (2,)),
         mode=mode, seed=seed, trials=trials if mode == "sampled" else None,
         meta={"ideal": all(mask) if len(set(mask)) == 1 else list(mask),
               "full_alphabets": _full_alphabets(s)})
@@ -305,7 +309,7 @@ def _path_value(table: CorrelationTable) -> float:
     t = table.truth
     value = 0.0
     for x, y in t.support():
-        value += t.mu[x, y] * table.tables[(x, y)][..., t.f[x, y]].sum()
+        value += t.mu[x, y] * table.tables[x, y][..., t.f[x, y]].sum()
     return float(value)
 
 
@@ -423,23 +427,20 @@ def lhv_table(t: TruthTable, s: PortSchedule, alice: tuple,
               bob: tuple) -> CorrelationTable:
     """Correlation table of one deterministic local strategy."""
     size = t.num_inputs
-    tables = {}
-    for x in range(size):
-        for y in range(size):
-            arr = np.zeros(s.port_counts + (2,))
-            if s.levels == 1:
-                (a1,), (leaf,) = alice, bob
-                i1 = int(a1[x])
-                arr[i1, int(leaf[y, i1])] = 1.0
-            else:
-                (a1, a3), (b2, leaf) = alice, bob
-                i1 = int(a1[x])
-                i2 = int(b2[y, i1])
-                i3 = int(a3[x, i1, i2])
-                arr[i1, i2, i3, int(leaf[y, i1, i2, i3])] = 1.0
-            tables[(x, y)] = arr
-    return CorrelationTable(truth=t, schedule=s, axes=s.port_counts + (2,),
-                            tables=tables, mode="lhv")
+    x, y = np.indices((size, size))
+    if s.levels == 1:
+        (a1,), (leaf,) = alice, bob
+        i1 = a1[x]
+        path = (i1, leaf[y, i1])
+    else:
+        (a1, a3), (b2, leaf) = alice, bob
+        i1 = a1[x]
+        i2 = b2[y, i1]
+        i3 = a3[x, i1, i2]
+        path = (i1, i2, i3, leaf[y, i1, i2, i3])
+    tables = np.zeros((size, size) + s.port_counts + (2,))
+    tables[(x, y) + path] = 1.0
+    return CorrelationTable(truth=t, schedule=s, tables=tables, mode="lhv")
 
 
 def violation_ratio(quantum_shifted: float, classical_delta: float) -> float:
@@ -514,10 +515,6 @@ class OneWayStats:
     def n(self) -> int:
         return self.truth.n
 
-    @property
-    def mu(self) -> np.ndarray:
-        return self.truth.mu
-
 
 def one_way_correlations(p: CommProtocol | MemorylessProtocol
                          ) -> tuple[CorrelationTable, OneWayStats]:
@@ -543,24 +540,18 @@ def one_way_correlations(p: CommProtocol | MemorylessProtocol
     phi = np.zeros(d * d * b0, dtype=np.complex128)
     for j in range(d):
         phi[(j * d + j) * b0] = 1.0 / math.sqrt(d)
-    tables = {}
+    tables = np.zeros((size, size, 2, 2))
     for x in range(size):
-        message = PureState(proto.alice_ops[0][x][:, 0])
-        flag = rsp_povm(message)
-        for y in range(size):
-            obs = proto.observables[y]
-            arr = np.zeros((2, 2))
-            for b in range(2):
-                op = np.kron(flag.elements[0], obs.elements[b])
-                arr[1, b] = float(np.real(phi.conj() @ op @ phi))
-                op = np.kron(flag.elements[1], obs.elements[b])
-                arr[0, b] = float(np.real(phi.conj() @ op @ phi))
-            tables[(x, y)] = arr
+        flag = rsp_povm(PureState(proto.alice_ops[0][x][:, 0]))
+        for y, a, b in product(range(size), range(2), range(2)):
+            op = np.kron(flag.elements[1 - a],  # flag 1 is element 0
+                         proto.observables[y].elements[b])
+            tables[x, y, a, b] = float(np.real(phi.conj() @ op @ phi))
     t = proto.truth
     p_a = 0.0
     p_b = 0.0
     for x, y in t.support():
-        arr = tables[(x, y)]
+        arr = tables[x, y]
         hit = arr[1, :].sum()
         p_a += t.mu[x, y] * hit
         p_b += t.mu[x, y] * arr[1, t.f[x, y]] / hit
@@ -568,7 +559,7 @@ def one_way_correlations(p: CommProtocol | MemorylessProtocol
         raise InvariantError(
             f"flag rate {p_a} deviates from 1/d = {1.0 / d}")
     table = CorrelationTable(
-        truth=t, schedule=None, axes=(2, 2), tables=tables, mode="one_way",
+        truth=t, schedule=None, tables=tables, mode="one_way",
         meta={"message_dim": d})
     return table, OneWayStats(p_a=float(p_a), p_b=float(p_b), truth=t)
 
@@ -762,7 +753,7 @@ def one_way_linear_bell(table: CorrelationTable, stats: OneWayStats,
     t = stats.truth
     value = 0.0
     for x, y in t.support():
-        arr = table.tables[(x, y)]
+        arr = table.tables[x, y]
         hit_rate = arr[1, :].sum()
         hit_correct = arr[1, t.f[x, y]]
         q = 1.0 - hit_rate

@@ -257,12 +257,6 @@ def best_success_tree(t: TruthTable, bits: int) -> float:
     return best
 
 
-def _reaches(success: float, p: float | np.ndarray) -> bool | np.ndarray:
-    """Whether a searched success reaches target p (elementwise on
-    arrays): success >= p - _TARGET_SLACK."""
-    return success >= p - _TARGET_SLACK
-
-
 class BudgetOracle:
     """p -> minimum bits whose best success reaches p, for one table and
     method; inf if no budget up to n, where success 1 is always reachable
@@ -297,27 +291,24 @@ class BudgetOracle:
     def __call__(self, p: float | np.ndarray) -> float | np.ndarray:
         """Least budget whose success reaches target p, or inf.  `p` is one
         target, answered with an int or inf, or an array of them, answered
-        elementwise with a float array; each budget then meets every open
-        target, since searched successes need not be monotone.  Budgets are
-        searched only while some target is unmet."""
-        inside = (0.0 <= p) & (p <= 1.0)
-        if not (inside.all() if isinstance(inside, np.ndarray) else inside):
+        elementwise with a float array.  One loop serves both: each budget
+        meets every open target, since searched successes need not be
+        monotone, and budgets are searched only while some target is
+        unmet."""
+        targets = np.asarray(p, dtype=np.float64)
+        if not ((0.0 <= targets) & (targets <= 1.0)).all():
             raise ValueError(f"target success p={p} must lie in [0, 1]")
-        budgets = range(self.t.n + 1)
-        if not isinstance(p, np.ndarray):
-            for c in budgets:
-                if _reaches(self.success(c), p):
-                    return c
-            return math.inf
-        need = np.full(p.shape, math.inf)
-        unmet = np.ones(p.shape, dtype=bool)
-        for c in budgets:
+        need = np.full(targets.shape, math.inf)
+        unmet = np.ones(targets.shape, dtype=bool)
+        for c in range(self.t.n + 1):
             if not unmet.any():
                 break
-            reached = unmet & _reaches(self.success(c), p)
+            reached = unmet & (self.success(c) >= targets - _TARGET_SLACK)
             need[reached] = c
             unmet &= ~reached
-        return need
+        if isinstance(p, np.ndarray):
+            return need
+        return math.inf if unmet else int(need)
 
     def table(self, max_bits: int | None = None
               ) -> tuple[tuple[int, float], ...]:

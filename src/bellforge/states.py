@@ -302,8 +302,8 @@ class _RegisterMachine:
               out_regs: Iterable[tuple]) -> None:
         """Apply `u` to the named registers (in order) and regroup the image
         into `out_regs`; `u=None` only regroups.  A density matrix takes u
-        on the row block and conj(u) on the column block: O(D^2 block), not
-        kron's O(D^3)."""
+        on the row block and conj(u) on the column block, each side one
+        GEMM: O(D^2 block), not kron's O(D^3)."""
         in_names, block, rest = self._front(in_names)
         out_regs = list(out_regs)
         if math.prod(d for _, d in out_regs) != block:
@@ -315,8 +315,10 @@ class _RegisterMachine:
                                  f"register block {in_names} of dimension "
                                  f"{block}")
             t = u @ self.state.reshape(block, -1)
-            if self.state.ndim == 2:
-                t = np.matmul(u.conj(), t.reshape(-1, block, rest))
+            if self.state.ndim == 2:  # column block in front for one GEMM
+                t = t.reshape(-1, block, rest).swapaxes(0, 1)
+                t = (u.conj() @ t.reshape(block, -1)).reshape(block, -1, rest)
+                t = t.swapaxes(0, 1)
             self.state = t.reshape(self.state.shape)
         kept = {n: d for n, d in self.regs.items() if n not in in_names}
         self.regs = {n: d for n, d in out_regs if d > 1} | kept

@@ -194,7 +194,8 @@ class TestGenerateCorrelations:
         ml = qrac_ml()
         s = bell.PortSchedule.for_protocol(ml, (1,))
         table = bell.generate_correlations(ml, s)
-        for (x, y), arr in table.tables.items():
+        for x, y in np.ndindex(table.tables.shape[:2]):
+            arr = table.tables[x, y]
             obs = ml.proto.observables[y]
             direct = np.array([float(np.trace(e).real) / 2.0
                                for e in obs.elements])
@@ -204,7 +205,7 @@ class TestGenerateCorrelations:
         ml = qrac_ml()
         s = bell.PortSchedule.for_protocol(ml, (2,))
         table = bell.generate_correlations(ml, s)
-        for arr in table.tables.values():
+        for arr in table.tables.reshape((-1,) + table.axes):
             assert arr.sum() == pytest.approx(1.0, abs=1e-9)
             assert arr.min() >= -1e-12
 
@@ -303,25 +304,23 @@ class TestGenerateCorrelations:
 
 class TestCorrelationTable:
     def _tables(self, fill=0.25):
-        return {(x, y): np.full((2, 2), fill) for x in range(4)
-                for y in range(4)}
+        return np.full((4, 4, 2, 2), fill)
 
     def test_axes_must_match_schedule(self):
         truth = builtin_qrac().truth
-        tables = {(x, y): np.full((4, 2), 0.125) for x in range(4)
-                  for y in range(4)}
+        tables = np.full((4, 4, 4, 2), 0.125)
         table = bell.CorrelationTable(
             truth=truth, schedule=bell.PortSchedule((4,), (2,)),
-            axes=(4, 2), tables=tables, mode="exact")
+            tables=tables, mode="exact")
         assert table.axes == (4, 2)
         for counts in ((2,), (4, 1, 1)):
             with pytest.raises(ValueError, match="do not match schedule"):
                 bell.CorrelationTable(
                     truth=truth, schedule=bell.PortSchedule(
                         counts, (2,) * len(counts)),
-                    axes=(4, 2), tables=tables, mode="exact")
+                    tables=tables, mode="exact")
         # A one-way table carries no schedule and keeps its own axes.
-        bell.CorrelationTable(truth=truth, schedule=None, axes=(2, 2),
+        bell.CorrelationTable(truth=truth, schedule=None,
                               tables=self._tables(), mode="one_way")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -335,7 +334,42 @@ class TestCorrelationTable:
                                              r"non-finite entry"):
             bell.CorrelationTable(
                 truth=builtin_qrac().truth,
-                schedule=bell.PortSchedule((2,), (2,)), axes=(2, 2),
+                schedule=bell.PortSchedule((2,), (2,)),
+                tables=tables, mode="exact")
+
+    def test_tables_are_one_read_only_array(self):
+        table = bell.CorrelationTable(
+            truth=builtin_qrac().truth, schedule=bell.PortSchedule((2,), (2,)),
+            tables=np.full((4, 4, 2, 2), 0.25, dtype=np.float32),
+            mode="exact")
+        assert table.tables.dtype == np.float64
+        assert table.tables.shape == (4, 4, 2, 2)
+        assert table.axes == (2, 2)
+        assert not table.tables.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(4, 3, 2, 2), (16, 2, 2), (2, 4, 4),
+                                       (4,), ()])
+    def test_refuses_leading_shape_other_than_input_pairs(self, shape):
+        with pytest.raises(ValueError, match=r"does not lead with the input "
+                                             r"pairs \(4, 4\)"):
+            bell.CorrelationTable(
+                truth=builtin_qrac().truth, schedule=None,
+                tables=np.full(shape, 0.25), mode="one_way")
+
+    @pytest.mark.parametrize("row, error, message", [
+        ([0.25, np.nan, 0.25, 0.25], ValueError, " has a non-finite entry"),
+        ([-0.25, 0.75, 0.25, 0.25], bell.InvariantError,
+         ": negative probability -0.25"),
+        ([0.3, 0.3, 0.3, 0.3], bell.InvariantError, ": sums to 1.2"),
+    ], ids=["non-finite", "negative", "unnormalised"])
+    def test_names_first_bad_pair(self, row, error, message):
+        tables = self._tables()
+        tables[3, 0] = np.inf  # a later pair, never reached
+        tables[1, 2] = np.reshape(row, (2, 2))
+        with pytest.raises(error, match=r"^table \(1, 2\)" + message):
+            bell.CorrelationTable(
+                truth=builtin_qrac().truth,
+                schedule=bell.PortSchedule((2,), (2,)),
                 tables=tables, mode="exact")
 
 
@@ -370,11 +404,9 @@ class TestBellValue:
     def test_uniform_table_gives_half(self):
         truth = builtin_qrac().truth
         s = bell.PortSchedule((2,), (2,))
-        tables = {(x, y): np.full((2, 2), 0.25)
-                  for x in range(4) for y in range(4)}
+        tables = np.full((4, 4, 2, 2), 0.25)
         table = bell.CorrelationTable(
-            truth=truth, schedule=s, axes=(2, 2), tables=tables,
-            mode="exact")
+            truth=truth, schedule=s, tables=tables, mode="exact")
         rep = bell.bell_value(table)
         assert rep.bell_value == pytest.approx(0.5, abs=1e-15)
         assert rep.shifted_value == pytest.approx(0.0, abs=1e-15)
@@ -463,10 +495,11 @@ class TestSampledMode:
                                        seed=9)
         c = bell.generate_correlations(ml, s, mode="sampled", trials=500,
                                        seed=10)
-        for key in a.tables:
+        pairs = list(np.ndindex(a.tables.shape[:2]))
+        for key in pairs:
             assert np.array_equal(a.tables[key], b.tables[key])
         assert any(not np.array_equal(a.tables[k], c.tables[k])
-                   for k in a.tables)
+                   for k in pairs)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_bincount_tally_matches_add_at(self, threads, eligible,
@@ -481,7 +514,7 @@ class TestSampledMode:
                 got = bell.generate_correlations(ml, s, mode="sampled",
                                                  trials=3000, seed=seed)
                 want = add_at_tables(ml, s, 3000, seed)
-                assert got.tables.keys() == want.keys()
+                assert set(np.ndindex(got.tables.shape[:2])) == want.keys()
                 for key, table in want.items():
                     assert got.tables[key].tobytes() == table.tobytes()
 
@@ -752,9 +785,30 @@ class TestLhvSweep:
         s = bell.PortSchedule((2,), (2,))
         for alice, bob in list(bell.lhv_strategies(truth, s))[:8]:
             table = bell.lhv_table(truth, s, alice, bob)
-            for arr in table.tables.values():
+            for arr in table.tables.reshape((-1,) + table.axes):
                 assert arr.sum() == pytest.approx(1.0)
                 assert arr.max() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("counts", [(2,), (2, 2, 1), (1, 2, 2)])
+    def test_strategy_table_marks_the_realised_path(self, counts):
+        # Each pair's one certain cell, read off the strategy one index at
+        # a time, against the table's single fancy-indexed assignment.
+        truth = xor_truth()
+        s = bell.PortSchedule(counts, (2,) * len(counts))
+        strategies = bell.lhv_strategies(truth, s)
+        for alice, bob in itertools.islice(strategies, 0, None, 97):
+            table = bell.lhv_table(truth, s, alice, bob)
+            for x, y in np.ndindex(2, 2):
+                i1 = int(alice[0][x])
+                if s.levels == 1:
+                    cell = (i1, int(bob[0][y, i1]))
+                else:
+                    i2 = int(bob[0][y, i1])
+                    i3 = int(alice[1][x, i1, i2])
+                    cell = (i1, i2, i3, int(bob[1][y, i1, i2, i3]))
+                want = np.zeros(s.port_counts + (2,))
+                want[cell] = 1.0
+                assert np.array_equal(table.tables[x, y], want)
 
     def test_sweep_cap(self):
         gen = bell.lhv_strategies(
@@ -772,7 +826,7 @@ class TestOneWayRoute:
 
     def test_flag_rate_per_pair(self):
         table, _ = bell.one_way_correlations(qrac_ml())
-        for arr in table.tables.values():
+        for arr in table.tables.reshape((-1,) + table.axes):
             assert arr.sum() == pytest.approx(1.0, abs=1e-12)
             assert arr[1, :].sum() == pytest.approx(0.5, abs=1e-12)
 

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bellforge import classicalcc
 from bellforge.classicalcc import (
@@ -255,6 +256,39 @@ class TestBudgetOracle:
         shuffled = BudgetOracle(t, method)
         assert [shuffled(targets[i]) for i in order] == \
             [want[i] for i in order]
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_scalar_answers_equal_array_answers(self, data):
+        # One target and an array of them take the same loop: each scalar
+        # answer equals its array entry and is an int (or inf).
+        n = data.draw(st.integers(1, 3))
+        method = data.draw(st.sampled_from(
+            ["one_way", "tree"] if n < 3 else ["one_way"]))
+        t = random_truth(np.random.default_rng(
+            data.draw(st.integers(0, 2 ** 32 - 1))), n)
+        edges = sorted({min(max(v + e, 0.0), 1.0)
+                        for _, v in BudgetOracle(t, method).table()
+                        for e in (-1e-12, 0.0, 1e-12)})
+        targets = data.draw(st.lists(
+            st.one_of(st.floats(0.0, 1.0), st.sampled_from(edges)),
+            min_size=1, max_size=8))
+        batch = BudgetOracle(t, method)(np.array(targets))
+        assert batch.dtype == np.float64 and batch.shape == (len(targets),)
+        oracle = BudgetOracle(t, method)
+        for i, (p, want) in enumerate(zip(targets, batch)):
+            got = oracle(np.float64(p) if i % 2 else p)
+            assert got == want
+            assert type(got) is int or got is math.inf
+
+    def test_unreachable_target_is_inf(self, monkeypatch):
+        monkeypatch.setattr(classicalcc, "best_success_one_way",
+                            lambda t, bits: 0.5)
+        oracle = BudgetOracle(qrac_truth())
+        assert oracle(0.75) is math.inf
+        assert oracle(0.5) == 0
+        assert np.array_equal(oracle(np.array([0.75, 0.5])),
+                              [math.inf, 0.0])
 
     def test_each_budget_searched_once(self, monkeypatch):
         searched = spy_searches(monkeypatch)

@@ -478,6 +478,23 @@ def test_register_machine_matches_dense_references(data):
         assert abs(p_mixed.sum() - 1.0) < 1e-12
 
 
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.data())
+def test_density_apply_matches_batched_product(data):
+    # Each side of u rho u^dag is one GEMM; the batch of thin block x block
+    # by block x rest products per row, which the column side once was, is
+    # the reference.
+    block, rest = data.draw(st.integers(2, 6)), data.draw(st.integers(1, 6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    dim = block * rest
+    rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    u = random_unitary(block, rng)
+    reg = _RegisterMachine([("A", block), ("B", rest)], rho.copy())
+    reg.apply(["A"], u, [("A", block)])
+    rows = u @ rho.reshape(block, -1)
+    want = np.matmul(u.conj(), rows.reshape(-1, block, rest))
+    assert np.max(np.abs(reg.state - want.reshape(dim, dim))) < 1e-12
+
 
 def test_register_machine_rejects_mismatched_regroup():
     reg = _RegisterMachine()
