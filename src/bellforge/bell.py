@@ -64,9 +64,9 @@ TRIALS_CAP = 10 ** 7
 _CHUNK = 2 ** 16
 
 # The exact local bound accepts at most this many Alice index maps,
-# (n1 * n3^n2)^|X|; its partition search walks none of them, but their
-# count decides acceptance.  `lhv_strategies` counts every full strategy
-# against it.
+# (n1 * n3^n2)^|X| at three levels (`classicalcc._capped`); its partition
+# search walks none of them, but their count decides acceptance.
+# `lhv_strategies` counts every full strategy against it.
 LHV_CAP = 10 ** 7
 
 # Coefficient of the budget-ratio bound sqrt(classical/quantum).
@@ -354,25 +354,17 @@ def bell_value(table: CorrelationTable, delta: float | None = None,
         meta=dict(table.meta) if table.meta else None)
 
 
-def _lhv_legs(s: PortSchedule) -> tuple[int, int, int]:
-    """Leg alphabets (n1, n2, n3) of the outcome tree's local strategies:
-    (n1, 1, 1) for one level, the port counts for three."""
-    if s.levels not in (1, 3):
-        raise CapExceededError(
-            f"local-strategy search supports 1 or 3 levels, got {s.levels}")
-    return (s.port_counts + (1, 1))[:3]
-
-
 def _lhv_exact(t: TruthTable, s: PortSchedule) -> float:
     """Best functional value over deterministic local strategies.
 
-    This is the communication search of `classicalcc` with the leg
-    alphabets of `_lhv_legs`, since only a3[x, a1[x], .] is ever read:
-    Alice's best partition of her inputs against Bob's exact best labels
-    and leaf bits, once her (n1 * n3^n2)^|X| index maps fit LHV_CAP.
+    A local strategy on the outcome tree is a deterministic protocol whose
+    legs carry the kept port indices, so this is the communication search
+    of `classicalcc` with the port counts as leg alphabets, for any number
+    of levels: Alice's and Bob's best index maps and Bob's leaf bits, once
+    her index maps (n1 * n3^n2)^|X| at three levels fit LHV_CAP.
     """
     return _best_response(_weights(t), _capped(
-        t.num_inputs, _lhv_legs(s), LHV_CAP, "deterministic strategy space"))
+        t.num_inputs, s.port_counts, LHV_CAP, "deterministic strategy space"))
 
 
 def lhv_bound(t: TruthTable, s: PortSchedule, *, method: str) -> float:
@@ -402,8 +394,11 @@ def lhv_strategies(t: TruthTable, s: PortSchedule) -> Iterator[tuple]:
     bob = (leaf[y, i1],); for three levels, alice = (a1[x], a3[x, i1, i2])
     and bob = (b2[y, i1], leaf[y, i1, i2, i3]).
     """
+    if s.levels not in (1, 3):
+        raise CapExceededError(
+            f"strategy enumeration supports 1 or 3 levels, got {s.levels}")
     size = t.num_inputs
-    n1, n2, n3 = _lhv_legs(s)
+    n1, n2, n3 = (s.port_counts + (1, 1))[:3]
     per_x, per_y = n1 * n3 ** (n1 * n2), n2 ** n1
     cells = size * n1 * n2 * n3
     if per_x ** size * per_y ** size * 2 ** cells > LHV_CAP:

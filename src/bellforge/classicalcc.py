@@ -10,27 +10,24 @@ Bob's input, so its optimum decomposes pointwise.  Shared randomness never
 helps against a fixed distribution (the value is linear in the strategy
 mixture), so the deterministic optimum is the optimum.
 
-Bob's reply is solved the same way, so only Alice's side is searched.
-In a protocol of up to three legs Alice sends k1 = m1[x], Bob answers
-k2 = m2[y, k1] and Alice sends k3 = m3[x, k2]; one-way is a2 = a3 = 1 for
-leg alphabets (a1, a2, a3).  With Alice's maps fixed, each choice of Bob's
-(k2 per (y, k1), b per (y, k1, k2, k3)) touches its own terms of the score,
-so his best response is exact: value = sum_{y,k1} max_k2 sum_k3 max_b S,
-S[b, y, k1, k2, k3] = sum_x mu(x, y) [f(x, y) = b] [m1[x] = k1]
-[m3[x, k2] = k3].  That score is a sum over Alice's message classes, so
-the best map is a best partition of the inputs, found by a (max, +)
-recursion over subsets instead of walking Alice's (a1 * a3^a2)^|X| maps.
-With V(R, C) = sum_{y in C} max_b sum_{x in R} W[b, x, y]:
+The messages are solved by the same argument, one leg at a time.  A
+deterministic protocol whose legs, sent by Alice, Bob, Alice, ... in turn,
+have alphabets (a1, a2, ...) cuts X x Y into one rectangle S x T per
+transcript.  Deciding on S x T earns V(S, T) = sum_{y in T} max_b
+sum_{x in S} W[b, x, y], with W[b, x, y] = mu(x, y) [f(x, y) = b].  An
+Alice leg of a messages earns on S x T the best split of S into at most a
+classes, each worth what the later legs earn on it, and a Bob leg the best
+split of T; from the last leg back to the first, this gives the value on
+X x Y.  Legs of one message are dropped first, one party's consecutive
+legs become one leg with the product alphabet, and a last Bob leg, which
+nobody reads, is dropped.  Each split is a (max, +) recursion over subsets
+instead of a walk over Alice's maps.  The S axis is kept only while an
+Alice leg is to come and the T axis only while a Bob leg is, so a one-way
+search pairs only the 3^|X| subsets (S, T of S) of X.
 
-- if a2 = 1 or a3 = 1 (Bob's reply cannot steer Alice's last message),
-  the value is the best split of X into at most a1 * a3 classes of
-  V(R, Y);
-- otherwise B_T(C), the best a3-split of T under V(., C), is what one
-  class T of the first message earns on the inputs C of Bob's that send
-  one reply; G(T) is the best a2-split of Y under B_T, and the value is
-  the best a1-split of X under G.
-
-The caps count Alice's (a1 * a3^a2)^|X| maps all the same (ENUM_CAP).
+The caps count Alice's maps all the same (ENUM_CAP): per input, one
+message at each of her legs for every reply sequence Bob can have sent
+before it, (a1 * a3^a2)^|X| for three legs.
 
 The searched quantity is distributional: the best average success under mu
 for a fixed budget.  Its inverse (minimum bits to reach a target success)
@@ -53,21 +50,22 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import groupby
 from typing import Callable
 
 import numpy as np
 
 from .protocols import TruthTable
-from .states import CapExceededError
+from .states import _PRINT_DIGITS, CapExceededError
 
-# Hard cap on the number of Alice maps of one search, (a1 * a3^a2)^|X| for
-# leg alphabets (a1, a2, a3).  The partition recursion walks no maps; the
-# cap counts those an exhaustive enumeration walks (the reference of the
-# strategy-search tests), so that which inputs are accepted does not depend
-# on the search method.  It also bounds the recursion: a level forms the
-# 3^|X| subset-pair table only if it has 3 or more parts or serves a split
-# with a2, a3 >= 2, so a1 * a3^a2 >= 3; with power-of-two alphabets that
-# is >= 4 and |X| <= 8 (4^16 > ENUM_CAP), and bell.LHV_CAP refuses 3^16.
+# Hard cap on the number of Alice maps of one search (`_capped`).  The
+# partition recursion walks no maps; the cap counts those an exhaustive
+# enumeration walks (the reference of the strategy-search tests), so that
+# which inputs are accepted does not depend on the search method.  It also
+# bounds the recursion: a split forms the 3^n subset-pair table only if it
+# has 3 or more parts or is not its party's first leg, and either way Alice
+# has 3 or more maps per input, 4 or more with power-of-two alphabets; so
+# |X| <= 8 (4^16 > ENUM_CAP), and bell.LHV_CAP refuses 3^16.
 ENUM_CAP = 10 ** 8
 
 # A budget table holds at most this many rows (budgets 0..TABLE_ROW_CAP-1).
@@ -101,15 +99,22 @@ def _maps(start: int, stop: int, slots: int, alphabet: int) -> np.ndarray:
     return out
 
 
-def _capped(nx: int, legs: tuple[int, int, int], cap: int,
-            what: str) -> tuple[int, int, int]:
-    """Return `legs` if its (a1 * a3^a2)^nx Alice maps fit in `cap`."""
-    a1, a2, a3 = legs
-    count = (a1 * a3 ** a2) ** nx
+def _capped(nx: int, legs: tuple[int, ...], cap: int,
+            what: str) -> tuple[int, ...]:
+    """Return `legs` if Alice's maps (module docstring) fit in `cap`.  A
+    count with more digits than Python prints is past the cap and is never
+    formed: the message writes it as a product of powers."""
+    powers = [(a, math.prod(legs[1:k:2])) for k, a in enumerate(legs)
+              if k % 2 == 0]
+    text = "*".join(f"{a}^{r}" if r > 1 else f"{a}" for a, r in powers)
+    text = f"{what}: ({text})^{nx}"
+    # ceil(log2 a) bits a message, so 2^(bits/2) <= count <= 2^bits.
+    bits = nx * sum(r * (a - 1).bit_length() for a, r in powers)
+    if bits > 3 * _PRINT_DIGITS:
+        raise CapExceededError(f"{text} Alice maps exceeds {cap}")
+    count = math.prod(a ** r for a, r in powers) ** nx
     if count > cap:
-        raise CapExceededError(
-            f"{what}: ({a1}*{a3}^{a2})^{nx} = {count} Alice maps exceeds "
-            f"{cap}")
+        raise CapExceededError(f"{text} = {count} Alice maps exceeds {cap}")
     return legs
 
 
@@ -166,27 +171,28 @@ def _partition(v: np.ndarray, parts: int, n: int,
     return (v + best[..., ::-1]).max(axis=-1)
 
 
-def _best_response(w: np.ndarray, legs: tuple[int, int, int]) -> float:
-    """Best score of deterministic protocols with leg alphabets `legs` on
-    weights W[b, x, y]: Alice's best partition of her inputs against Bob's
-    exact best response (module docstring).  Callers cap the map count
-    with `_capped` first."""
-    a1, a2, a3 = legs
+def _best_response(w: np.ndarray, legs: tuple[int, ...]) -> float:
+    """Best score on weights W[b, x, y] of deterministic protocols whose
+    legs, sent by Alice, Bob, Alice, ... in turn, have alphabets `legs`:
+    the rectangle recursion of the module docstring.  Callers cap the map
+    count with `_capped` first."""
     _, nx, ny = w.shape
-    one_way = a2 == 1 or a3 == 1      # Bob's reply cannot steer Alice
-    if one_way and min(a1 * a3, nx) == 1:
+    kept = [(k % 2, a) for k, a in enumerate(legs) if a > 1]
+    seq = [(party, math.prod(a for _, a in run))     # Alice = 0, Bob = 1
+           for party, run in groupby(kept, key=lambda leg: leg[0])]
+    if seq and seq[-1][0] == 1:          # nobody reads Bob's last message
+        seq.pop()
+    if not seq:
         # One class, X itself: no subset table, however large X is.
         return float(w.sum(axis=1).max(axis=0).sum())
-    u = _subset_sums(w.transpose(0, 2, 1)).max(axis=0)   # (y, R)
-    if one_way:
-        return float(_partition(u.sum(axis=0), a1 * a3, nx, whole=True))
-    v = _subset_sums(u.T)                                # V(R, C) at [R, C]
-    if a1 == 1:
-        b = _partition(v.T, a3, nx, whole=True)          # B_X(C)
-        return float(_partition(b, a2, ny, whole=True))
-    b = _partition(v.T, a3, nx)                          # B_T(C) at [C, T]
-    g = _partition(b.T, a2, ny, whole=True)              # G(T)
-    return float(_partition(g, a1, nx, whole=True))
+    u = _subset_sums(w.transpose(0, 2, 1)).max(axis=0)   # (y, S)
+    # V(S, T) at [T, S] while a Bob leg is to come, else V(S, Y) at [S];
+    # each split leaves the other party's axis last.
+    v = _subset_sums(u.T).T if len(seq) > 1 else u.sum(axis=0)
+    for k in range(len(seq) - 1, -1, -1):
+        party, a = seq[k]
+        v = _partition(v, a, (nx, ny)[party], whole=k < 2).T
+    return float(v)
 
 
 def best_success_one_way(t: TruthTable, bits: int) -> float:
@@ -202,7 +208,7 @@ def best_success_one_way(t: TruthTable, bits: int) -> float:
     if bits >= t.n:
         # Sending x itself lets the decision rule output f(x, y) directly.
         return 1.0
-    legs = _capped(t.num_inputs, (2 ** bits, 1, 1), ENUM_CAP,
+    legs = _capped(t.num_inputs, (2 ** bits,), ENUM_CAP,
                    "one-way strategy space")
     return _best_response(_weights(t), legs)
 

@@ -41,6 +41,7 @@ ATOL_POVM = 1e-10       # POVM completeness (sum to identity)
 ATOL_UNITARY = 1e-10    # unitarity of applied operators
 PROB_FLOOR = 1e-14      # measurement refuses to sample below this total mass
 MAX_TOTAL_DIM = 2 ** 20  # hard cap on any state's total dimension
+_PRINT_DIGITS = 4300    # Python's default limit on the digits of a printed int
 
 
 class CapExceededError(RuntimeError):

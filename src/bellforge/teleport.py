@@ -61,6 +61,7 @@ from functools import lru_cache
 import numpy as np
 
 from .states import (
+    _PRINT_DIGITS,
     MAX_TOTAL_DIM,
     CapExceededError,
     InvariantError,
@@ -114,10 +115,6 @@ def _check_ports(N: int, d: int) -> None:
         raise ValueError(f"port count N={N} must be >= 1")
     if d < 2:
         raise ValueError(f"port dimension d={d} must be >= 2")
-
-
-# Python's default limit on the digits of a printed int.
-_PRINT_DIGITS = 4300
 
 
 def _capped_dim(what: str, d: int, e: int) -> int:

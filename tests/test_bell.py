@@ -7,6 +7,7 @@ enumeration, direct two-port joint summation) before being pinned here.
 
 import itertools
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -738,12 +739,23 @@ class TestLhvBound:
         with pytest.raises(ValueError):
             bell.lhv_bound(truth, bell.PortSchedule((2,), (2,)),
                            method="guess")
-        with pytest.raises(CapExceededError):
-            bell.lhv_bound(truth, bell.PortSchedule((2, 2), (2, 2)),
-                           method="exact")
+        # Nobody reads Bob's last leg, so two levels are worth one.
+        assert bell.lhv_bound(truth, bell.PortSchedule((2, 2), (2, 2)),
+                              method="exact") == bell.lhv_bound(
+            truth, bell.PortSchedule((2,), (2,)), method="exact")
         with pytest.raises(CapExceededError):
             bell.lhv_bound(truth, bell.PortSchedule((64,), (2,)),
                            method="exact")
+
+    def test_cap_past_the_print_limit(self):
+        # Alice's maps over 15 legs of 1000 have about 10^22 digits: the
+        # refusal names them as a product, and forms no such integer.
+        s = bell.PortSchedule((1000,) * 15, (2,) * 15)
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError,
+                           match=r"\^4 Alice maps exceeds 10000000$"):
+            bell.lhv_bound(builtin_qrac().truth, s, method="exact")
+        assert time.perf_counter() - start < 1.0
 
 
 class TestLhvSweep:
@@ -815,6 +827,15 @@ class TestLhvSweep:
             builtin_qrac().truth, bell.PortSchedule((4,), (2,)))
         with pytest.raises(CapExceededError):
             next(iter(gen))
+
+    def test_sweep_refuses_other_level_counts(self):
+        # The sweep is the 1- and 3-level reference; the exact bound
+        # itself takes any level count.
+        s = bell.PortSchedule((2,) * 5, (2,) * 5)
+        with pytest.raises(CapExceededError, match="1 or 3 levels"):
+            next(iter(bell.lhv_strategies(xor_truth(), s)))
+        assert bell.lhv_bound(xor_truth(), s, method="exact") \
+            == pytest.approx(0.5, abs=1e-12)
 
 
 class TestOneWayRoute:

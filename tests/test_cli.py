@@ -363,6 +363,12 @@ class TestBellCertify:
         assert not any("downgraded" in w for w in doc["warnings"])
         assert doc["config"]["mode"] == "exact"
         assert doc["results"]["bell"]["method"] == "exact"
+        # Five levels: the local bound is the exact search's, not the
+        # looser cc_derived one.
+        classical = doc["results"]["classical"]
+        assert classical["used"] == "exact"
+        assert classical["exact"]["delta"] == pytest.approx(0.5, abs=1e-12)
+        assert not any("enumeration skipped" in w for w in doc["warnings"])
 
     def test_sampled_run_needs_seed_and_tracks_exact(self, capsys, tmp_path):
         proto = member3_protocol_file(tmp_path)

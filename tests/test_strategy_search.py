@@ -10,9 +10,13 @@ replaced: it walks every Alice map in chunks against Bob's best response.
 leg alphabets instead of bit budgets, so that it also covers port-count
 schedules), and `lhv_exact_reference` loops over every pair of index
 strategies in Python.  The last two do not use Bob's best response, so
-agreement at 1e-12 checks that argument as well as the recursion.
+agreement at 1e-12 checks that argument as well as the recursion.  For leg
+sequences of any length, `protocol_tree_reference` tries every labelling
+of the sender's inputs at every node of the protocol tree, on explicit
+input sets and with the legs as given.
 """
 
+import math
 from functools import lru_cache
 from itertools import product
 
@@ -122,6 +126,34 @@ def lhv_exact_reference(t: TruthTable, s: bell.PortSchedule) -> float:
                     acc[y, a1, i2, a3[a1, i2], :] += w[:, x, y]
             best = max(best, float(acc.max(axis=4).sum()))
     return best
+
+
+def protocol_tree_reference(w: np.ndarray, legs: tuple[int, ...]) -> float:
+    """Best score on weights W[b, x, y] of deterministic protocol trees
+    whose legs, sent by Alice, Bob, Alice, ... in turn, have alphabets
+    `legs`.  A node's inputs are a rectangle S x T; the sender's message
+    is every labelling of her or his inputs in it, each message value
+    leads to its own subtree, and a leaf earns Bob's best bit per y."""
+    _, nx, ny = w.shape
+
+    @lru_cache(maxsize=None)
+    def value(s: tuple[int, ...], t: tuple[int, ...], k: int) -> float:
+        if k == len(legs):
+            return sum(max(sum(w[b, x, y] for x in s) for b in (0, 1))
+                       for y in t)
+        alice = k % 2 == 0
+        own = s if alice else t
+        best = -math.inf
+        for labels in product(range(legs[k]), repeat=len(own)):
+            total = 0.0
+            for m in range(legs[k]):
+                part = tuple(i for i, lab in zip(own, labels) if lab == m)
+                total += value(part, t, k + 1) if alice else \
+                    value(s, part, k + 1)
+            best = max(best, total)
+        return best
+
+    return value(tuple(range(nx)), tuple(range(ny)), 0)
 
 
 @lru_cache(maxsize=32)
@@ -266,6 +298,61 @@ class TestAgainstEnumeration:
             assert abs(cc._best_response(w, legs) - want) <= TOL, legs
 
 
+class TestAnyLegSequence:
+    # 1-legs, two and four levels, consecutive legs of one party once the
+    # 1-legs are gone, and a last Bob leg.
+    LEGS = [(1,), (3,), (1, 1, 1), (2, 2), (3, 2), (1, 3), (2, 1, 2),
+            (2, 2, 2, 2), (1, 2, 2, 2), (2, 1, 2, 2), (2, 2, 1, 3),
+            (3, 3, 3, 3), (2, 2, 2, 2, 2), (3, 1, 2, 3, 2), (2, 3, 2, 3, 2),
+            (1, 2, 1, 2, 1), (3, 3, 3, 3, 3), (2, 1, 1, 2, 1)]
+
+    @staticmethod
+    def weights(rng: np.random.Generator, nx: int, ny: int) -> np.ndarray:
+        mu = rng.random((nx, ny))
+        f = rng.integers(0, 2, size=(nx, ny))
+        return np.stack([np.where(f == b, mu / mu.sum(), 0.0)
+                         for b in (0, 1)])
+
+    @pytest.mark.parametrize("nx, ny", [(1, 3), (2, 2), (3, 2), (3, 3)])
+    def test_listed_sequences(self, nx, ny):
+        rng = np.random.default_rng(1100 + 10 * nx + ny)
+        for legs in self.LEGS:
+            w = self.weights(rng, nx, ny)
+            want = protocol_tree_reference(w, legs)
+            got = cc._best_response(w, legs)
+            assert abs(got - want) <= TOL, (nx, ny, legs, got, want)
+
+    def test_random_sequences(self):
+        rng = np.random.default_rng(1120)
+        for _ in range(60):
+            nx, ny = (int(v) for v in rng.integers(1, 4, size=2))
+            legs = tuple(int(a) for a in
+                         rng.integers(1, 4, size=rng.integers(1, 6)))
+            w = self.weights(rng, nx, ny)
+            want = protocol_tree_reference(w, legs)
+            got = cc._best_response(w, legs)
+            assert abs(got - want) <= TOL, (nx, ny, legs, got, want)
+
+    @pytest.mark.parametrize("split", [(1, 1, 1), (2, 2, 2), (2, 1, 2)])
+    def test_tree_reference_against_enumeration(self, split):
+        # The tree reference is itself checked against the walk over every
+        # (Alice, Bob) map pair.
+        for t in tables(1130, 1, 3):
+            want = tree_split_reference(t, *split)
+            got = protocol_tree_reference(cc._weights(t), split)
+            assert abs(got - want) <= TOL, (split, got, want)
+
+    def test_lhv_schedules(self):
+        # The exact local bound takes any level count, corpus member 3's
+        # five among them.
+        t = tables(1140, 1, 1)[0]
+        for counts in [(2, 2), (2, 2, 2, 2), (2, 2, 2, 2, 2),
+                       (2, 2, 1, 2, 2), (1, 2, 2, 2, 2)]:
+            got = lhv_kernel(t, counts)
+            want = protocol_tree_reference(cc._weights(t), counts)
+            assert abs(got - want) <= TOL, counts
+
+
 class TestPartition:
     @staticmethod
     def values(seed: int, n: int, batch: int = 2) -> np.ndarray:
@@ -386,7 +473,8 @@ def _accepted(search, *args) -> bool:
 
 def test_pair_table_stays_small_under_the_caps(monkeypatch):
     # The 3^n pair table is never formed past n = 8 subset elements, for
-    # any search the caps accept on four-bit inputs (ENUM_CAP comment).
+    # any search the caps accept on four-bit inputs, whatever its number
+    # of legs (ENUM_CAP comment).
     formed = []
     pairs = cc._subset_pairs
 
@@ -403,11 +491,13 @@ def test_pair_table_stays_small_under_the_caps(monkeypatch):
         for split in cc._genuine_splits(bits):
             if _accepted(cc._tree_split_value, t, *split):
                 accepted.append(("tree", split))
-    for levels in (1, 3):
+    for levels in (1, 2, 3, 4, 5):
         for counts in product(range(1, 6), repeat=levels):
             if _accepted(lhv_kernel, t, counts):
                 accepted.append(("lhv", counts))
     assert ("one_way", 1) in accepted and ("lhv", (2, 4, 1)) in accepted
+    for counts in [(2, 5), (2, 3, 1, 4), (1, 1, 2, 5, 1), (2, 3, 1, 4, 1)]:
+        assert ("lhv", counts) in accepted, counts
     assert formed == [] or max(formed) <= 8, formed
     # The spy sees the table where a search forms it.
     cc.best_success_one_way(tables(1001, 3, 1)[0], 2)
@@ -431,6 +521,17 @@ class TestCapRule:
             cc._tree_split_value(t, 0, 2, 2)
         with pytest.raises(CapExceededError, match=r"= 16777216 Alice"):
             lhv_kernel(t, (64,))
+
+    def test_count_for_any_leg_sequence(self):
+        # Alice sends each leg once per reply sequence Bob can have sent
+        # before it: 2 * 4^4 * 8^(4 * 8) maps per input on member 3's legs.
+        count = (2 * 4 ** 4 * 8 ** 32) ** 2
+        with pytest.raises(CapExceededError,
+                           match=rf"\(2\*4\^4\*8\^32\)\^2 = {count} Alice"):
+            cc._capped(2, (2, 4, 4, 8, 8), count - 1, "legs")
+        assert cc._capped(2, (2, 4, 4, 8, 8), count, "legs") == \
+            (2, 4, 4, 8, 8)
+        assert cc._capped(3, (5, 7), 125, "legs") == (5, 7)
 
     def test_every_split_checked_before_any_search(self, monkeypatch):
         # n = 4, 3 bits: split (1, 1, 1) fits a cap of 10^15 but (0, 1, 2)
