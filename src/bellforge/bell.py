@@ -15,9 +15,11 @@ Because the port resource is symmetric under port permutations, every
 teleportation outcome is uniform and the conditional state on the selected
 port does not depend on the outcome.  The path-indexed joint distribution
 therefore factorizes into a uniform prefix over indices times the terminal
-Born distribution of the noise-degraded protocol run, which is what the
-exact mode computes; all outcome variables off the realized path are
-marginalized out (their alphabets are recorded for reporting).
+Born distribution of the noise-degraded protocol run.  The functional reads
+only the leaf outcome on the realized path, so a table keeps just that
+leaf distribution per input pair; the per-path statistics follow from it
+and the schedule's port counts, and all outcome variables off the realized
+path are marginalized out (their alphabets are recorded for reporting).
 
 The port measurement also commutes with U (x) conj(U), so that channel is
 depolarizing: a leg of dimension d maps rho to lam rho + (1 - lam) I/d with
@@ -50,17 +52,16 @@ from .teleport import _integral, depolarizing_parameter
 # Correlation rows must be normalized to this tolerance.
 ATOL_TABLE = 1e-9
 
-# Correlation tables are limited to path-alphabet products (index levels
-# times the binary leaf) this large.
+# Schedules are limited to path-alphabet products (index levels times the
+# binary leaf) this large.  A table holds only the leaf, so the cap bounds
+# no allocation; it stays so that no input's acceptance changes.
 ALPHABET_CAP = 2 ** 16
 
 # Sampled mode draws at most this many trials per input pair.  The cap
-# bounds time: each pair in flight holds one cell index per trial, one byte
-# or two (the narrowest type that fits the path alphabet), plus one chunk's
-# temporaries.
+# bounds time only: each pair in flight holds one chunk's draws.
 TRIALS_CAP = 10 ** 7
 
-# Sampled mode draws, folds and tallies trials this many at a time.
+# Sampled mode draws and tallies trials this many at a time.
 _CHUNK = 2 ** 16
 
 # The exact local bound accepts at most this many Alice index maps,
@@ -138,8 +139,11 @@ class CorrelationTable:
     float64 array: `tables[x, y]` is the distribution of pair (x, y), so the
     shape is (|X|, |Y|) + `axes`.
 
-    For teleportation tables the outcome axes are the port indices along
-    the realized root-to-leaf path followed by the binary leaf outcome; all
+    For teleportation and local-strategy tables the one axis is the binary
+    leaf outcome on the realized root-to-leaf path.  In exact mode the
+    port indices along that path are uniform and independent of the leaf,
+    so the per-path statistics are the uniform prefix over the schedule's
+    port counts times this row; no report field carries table cells.  The
     off-path outcome variables (the receiver acts on every port, so there
     are exponentially many) are marginalized out, and their alphabet sizes
     sit in `meta["full_alphabets"]`.  For the one-way route the axes are
@@ -160,10 +164,9 @@ class CorrelationTable:
             raise ValueError(f"tables shape {a.shape} does not lead with the "
                              f"input pairs ({size}, {size})")
         object.__setattr__(self, "tables", a)
-        if self.schedule is not None \
-                and self.axes != self.schedule.port_counts + (2,):
+        if self.schedule is not None and self.axes != (2,):
             raise ValueError(f"table axes {self.axes} do not match schedule "
-                             f"alphabets {self.schedule.port_counts} + (2,)")
+                             f"leaf axes (2,)")
         for key in np.ndindex(size, size):
             arr = a[key]
             if not np.isfinite(arr).all():
@@ -204,13 +207,16 @@ def generate_correlations(p: MemorylessProtocol, s: PortSchedule,
                           seed: int | None = None,
                           ideal: bool | Sequence[bool] = False
                           ) -> CorrelationTable:
-    """Path-indexed outcome distributions of the teleportation pipeline.
+    """Leaf distribution on the realized path of the teleportation
+    pipeline, one row per input pair.
 
-    exact mode computes every branch weight in closed form; sampled mode
-    draws `trials` runs per input pair from per-pair derived substreams of
-    `seed`.  The ideal flag replaces each teleportation step by a perfect
-    channel (the infinite-port surrogate) while keeping the index tree; a
-    sequence of per-level flags bypasses only the selected transmissions.
+    exact mode computes the terminal distribution in closed form; the
+    per-path statistics are the schedule's uniform port prefix times it.
+    sampled mode draws `trials` runs per input pair from per-pair derived
+    substreams of `seed` and reports each pair's leaf frequencies.  The
+    ideal flag replaces each teleportation step by a perfect channel (the
+    infinite-port surrogate) while keeping the index tree; a sequence of
+    per-level flags bypasses only the selected transmissions.
     """
     if not isinstance(p, MemorylessProtocol):
         raise TypeError("correlations need a memoryless protocol; convert "
@@ -235,16 +241,15 @@ def generate_correlations(p: MemorylessProtocol, s: PortSchedule,
         raise CapExceededError(
             f"path alphabet product {path_cells} exceeds {ALPHABET_CAP}")
     if mode == "sampled":
-        if trials is None or trials < 1:
-            raise ValueError("sampled mode needs trials >= 1")
+        if not _integral(trials) or trials < 1:
+            raise ValueError(f"sampled mode needs an integer trials >= 1, "
+                             f"got {trials!r}")
         if trials > TRIALS_CAP:
             raise CapExceededError(
                 f"sampled trials {trials} exceed {TRIALS_CAP}")
     size = proto.truth.num_inputs
     pairs = [(x, y) for x in range(size) for y in range(size)]
     counts = s.port_counts
-    uniform = np.full(counts, 1.0 / math.prod(counts))
-    cell_type = np.min_scalar_type(path_cells - 1)
     # Exact mode reads no stream, and spawning them imports numpy.random.
     if mode == "sampled":
         streams = np.random.default_rng(seed).spawn(len(pairs))
@@ -258,30 +263,23 @@ def generate_correlations(p: MemorylessProtocol, s: PortSchedule,
         term = np.clip(_simulate(proto, x, y, lams), 0.0, None)
         term = term / term.sum()
         if mode == "exact":
-            return uniform[..., np.newaxis] * term
-        # Each trial's cell of counts + (2,), flat and in C order, built in
-        # place in the order the ports and then the outcome are drawn.  Each
-        # level draws int64 digits and casts them: split into chunks, those
-        # draws are the values of one full-length draw, while a narrower
-        # draw dtype would change the stream.
-        cell = np.zeros(trials, dtype=cell_type)
+            return term
+        # Each trial draws its port at every level, then its leaf.  Only the
+        # leaf is tallied; the port draws are thrown away and made only so
+        # that the stream, and with it every seeded report, keeps its bytes.
+        # Each level draws int64 digits in chunks, which are the values of
+        # one full-length draw.
+        chunks = [min(_CHUNK, trials - lo) for lo in range(0, trials, _CHUNK)]
         for c in counts:
-            for lo in range(0, trials, _CHUNK):
-                part = cell[lo:lo + _CHUNK]
-                part *= c
-                part += rng.integers(0, c, size=part.size).astype(cell_type)
-        tally = np.zeros(path_cells, dtype=np.int64)
-        for lo in range(0, trials, _CHUNK):
-            part = cell[lo:lo + _CHUNK]
-            part *= 2
-            part += rng.random(part.size) < term[1]
-            tally += np.bincount(part, minlength=path_cells)
-        return tally.reshape(counts + (2,)) / trials
+            for n in chunks:
+                rng.integers(0, c, size=n)
+        hits = sum(np.count_nonzero(rng.random(n) < term[1]) for n in chunks)
+        return np.array([trials - hits, hits]) / trials
 
     results = thread_map(one_pair, list(zip(pairs, streams)))
     return CorrelationTable(
         truth=proto.truth, schedule=s,
-        tables=np.stack(results).reshape((size, size) + counts + (2,)),
+        tables=np.stack(results).reshape(size, size, 2),
         mode=mode, seed=seed, trials=trials if mode == "sampled" else None,
         meta={"ideal": all(mask) if len(set(mask)) == 1 else list(mask),
               "full_alphabets": _full_alphabets(s)})
@@ -301,7 +299,8 @@ def simulate_with_classical_comm(table: CorrelationTable
     and the leaf outcome there is the protocol's output; the cost is the
     bits needed to name one index per level of the table's schedule.
     """
-    return _path_value(table), _schedule(table).budget_bits
+    bits = _schedule(table).budget_bits
+    return _path_value(table), bits
 
 
 def _path_value(table: CorrelationTable) -> float:
@@ -309,7 +308,7 @@ def _path_value(table: CorrelationTable) -> float:
     t = table.truth
     value = 0.0
     for x, y in t.support():
-        value += t.mu[x, y] * table.tables[x, y][..., t.f[x, y]].sum()
+        value += t.mu[x, y] * table.tables[x, y, t.f[x, y]]
     return float(value)
 
 
@@ -420,21 +419,20 @@ def lhv_strategies(t: TruthTable, s: PortSchedule) -> Iterator[tuple]:
 
 def lhv_table(t: TruthTable, s: PortSchedule, alice: tuple,
               bob: tuple) -> CorrelationTable:
-    """Correlation table of one deterministic local strategy."""
+    """Correlation table of one deterministic local strategy: a 1 at the
+    leaf outcome on each pair's realized path."""
     size = t.num_inputs
     x, y = np.indices((size, size))
     if s.levels == 1:
         (a1,), (leaf,) = alice, bob
-        i1 = a1[x]
-        path = (i1, leaf[y, i1])
+        out = leaf[y, a1[x]]
     else:
         (a1, a3), (b2, leaf) = alice, bob
         i1 = a1[x]
         i2 = b2[y, i1]
-        i3 = a3[x, i1, i2]
-        path = (i1, i2, i3, leaf[y, i1, i2, i3])
-    tables = np.zeros((size, size) + s.port_counts + (2,))
-    tables[(x, y) + path] = 1.0
+        out = leaf[y, i1, i2, a3[x, i1, i2]]
+    tables = np.zeros((size, size, 2))
+    tables[x, y, out] = 1.0
     return CorrelationTable(truth=t, schedule=s, tables=tables, mode="lhv")
 
 

@@ -195,12 +195,13 @@ class TestGenerateCorrelations:
         ml = qrac_ml()
         s = bell.PortSchedule.for_protocol(ml, (1,))
         table = bell.generate_correlations(ml, s)
+        assert table.axes == (2,)
         for x, y in np.ndindex(table.tables.shape[:2]):
             arr = table.tables[x, y]
             obs = ml.proto.observables[y]
             direct = np.array([float(np.trace(e).real) / 2.0
                                for e in obs.elements])
-            assert np.max(np.abs(arr[0] - direct)) < 1e-12
+            assert np.max(np.abs(arr - direct)) < 1e-12
 
     def test_rows_normalized(self):
         ml = qrac_ml()
@@ -212,8 +213,10 @@ class TestGenerateCorrelations:
 
     def test_marginal_rule_against_direct_summation(self):
         # Rebuild the full two-port joint (outcome, both terminal bits)
-        # from raw branch tensors and check that summing out the
-        # unselected port's bit reproduces the path-marginal table.
+        # from raw branch tensors.  Summing out the unselected port's bit
+        # gives the same marginal on either port (the port symmetry that
+        # lets a table drop its port axes), and the two add up to the
+        # table's leaf row.
         ml = qrac_ml()
         proto = ml.proto
         s = bell.PortSchedule.for_protocol(ml, (2,))
@@ -228,6 +231,7 @@ class TestGenerateCorrelations:
             branches = [root @ joint for root in roots]
             for y in range(4):
                 els = proto.observables[y].elements
+                marginals = []
                 for z, branch in enumerate(branches):
                     t = branch.reshape(-1, 2, 2)
                     rho = np.einsum("aij,akl->ijkl", t, t.conj())
@@ -238,10 +242,11 @@ class TestGenerateCorrelations:
                             op = np.kron(els[o1], els[o2])
                             full[o1, o2] = float(
                                 np.trace(op @ rho).real)
-                    marginal = full.sum(axis=1) if z == 0 \
-                        else full.sum(axis=0)
-                    dev = np.abs(marginal - table.tables[(x, y)][z])
-                    assert np.max(dev) < 1e-10
+                    marginals.append(full.sum(axis=1) if z == 0
+                                     else full.sum(axis=0))
+                assert np.max(np.abs(marginals[0] - marginals[1])) < 1e-10
+                dev = np.abs(marginals[0] + marginals[1] - table.tables[x, y])
+                assert np.max(dev) < 1e-10
 
     def test_requires_memoryless(self):
         with pytest.raises(TypeError):
@@ -260,6 +265,17 @@ class TestGenerateCorrelations:
             bell.generate_correlations(ml, s, mode="fancy")
         with pytest.raises(ValueError):
             bell.generate_correlations(ml, s, mode="sampled")
+
+    @pytest.mark.parametrize("trials", [1000.0, True, "1000", None, 0])
+    def test_sampled_trials_must_be_a_positive_integer(self, trials):
+        ml = qrac_ml()
+        s = bell.PortSchedule.for_protocol(ml, (2,))
+        with pytest.raises(ValueError, match="integer trials >= 1"):
+            bell.generate_correlations(ml, s, mode="sampled", trials=trials,
+                                       seed=1)
+        table = bell.generate_correlations(ml, s, mode="sampled",
+                                           trials=np.int64(10), seed=1)
+        assert table.trials == 10
 
     def test_trials_cap_refuses_before_drawing(self, monkeypatch):
         ml = qrac_ml()
@@ -304,33 +320,35 @@ class TestGenerateCorrelations:
 
 
 class TestCorrelationTable:
-    def _tables(self, fill=0.25):
-        return np.full((4, 4, 2, 2), fill)
+    def _tables(self, fill=0.5):
+        return np.full((4, 4, 2), fill)
 
     def test_axes_must_match_schedule(self):
+        # A scheduled table holds the leaf alone, whatever the port counts.
         truth = builtin_qrac().truth
-        tables = np.full((4, 4, 4, 2), 0.125)
-        table = bell.CorrelationTable(
-            truth=truth, schedule=bell.PortSchedule((4,), (2,)),
-            tables=tables, mode="exact")
-        assert table.axes == (4, 2)
-        for counts in ((2,), (4, 1, 1)):
-            with pytest.raises(ValueError, match="do not match schedule"):
+        for counts in ((4,), (4, 1, 1)):
+            table = bell.CorrelationTable(
+                truth=truth, schedule=bell.PortSchedule(
+                    counts, (2,) * len(counts)),
+                tables=self._tables(), mode="exact")
+            assert table.axes == (2,)
+        for shape in ((4, 4, 4, 2), (4, 4, 2, 2), (4, 4, 3)):
+            with pytest.raises(ValueError, match=r"do not match schedule "
+                                                 r"leaf axes \(2,\)"):
                 bell.CorrelationTable(
-                    truth=truth, schedule=bell.PortSchedule(
-                        counts, (2,) * len(counts)),
-                    tables=tables, mode="exact")
+                    truth=truth, schedule=bell.PortSchedule((4,), (2,)),
+                    tables=np.full(shape, 1.0 / math.prod(shape[2:])),
+                    mode="exact")
         # A one-way table carries no schedule and keeps its own axes.
         bell.CorrelationTable(truth=truth, schedule=None,
-                              tables=self._tables(), mode="one_way")
+                              tables=np.full((4, 4, 2, 2), 0.25),
+                              mode="one_way")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_refuses_non_finite_entries(self, bad):
         # Checked before the sign and sum checks, which NaN passes.
         tables = self._tables()
-        cell = np.full((2, 2), 0.25)
-        cell[0, 1] = bad
-        tables[(1, 2)] = cell
+        tables[1, 2, 1] = bad
         with pytest.raises(ValueError, match=r"table \(1, 2\) has a "
                                              r"non-finite entry"):
             bell.CorrelationTable(
@@ -341,11 +359,11 @@ class TestCorrelationTable:
     def test_tables_are_one_read_only_array(self):
         table = bell.CorrelationTable(
             truth=builtin_qrac().truth, schedule=bell.PortSchedule((2,), (2,)),
-            tables=np.full((4, 4, 2, 2), 0.25, dtype=np.float32),
+            tables=np.full((4, 4, 2), 0.5, dtype=np.float32),
             mode="exact")
         assert table.tables.dtype == np.float64
-        assert table.tables.shape == (4, 4, 2, 2)
-        assert table.axes == (2, 2)
+        assert table.tables.shape == (4, 4, 2)
+        assert table.axes == (2,)
         assert not table.tables.flags.writeable
 
     @pytest.mark.parametrize("shape", [(4, 3, 2, 2), (16, 2, 2), (2, 4, 4),
@@ -358,15 +376,14 @@ class TestCorrelationTable:
                 tables=np.full(shape, 0.25), mode="one_way")
 
     @pytest.mark.parametrize("row, error, message", [
-        ([0.25, np.nan, 0.25, 0.25], ValueError, " has a non-finite entry"),
-        ([-0.25, 0.75, 0.25, 0.25], bell.InvariantError,
-         ": negative probability -0.25"),
-        ([0.3, 0.3, 0.3, 0.3], bell.InvariantError, ": sums to 1.2"),
+        ([0.5, np.nan], ValueError, " has a non-finite entry"),
+        ([-0.25, 1.25], bell.InvariantError, ": negative probability -0.25"),
+        ([0.6, 0.6], bell.InvariantError, ": sums to 1.2"),
     ], ids=["non-finite", "negative", "unnormalised"])
     def test_names_first_bad_pair(self, row, error, message):
         tables = self._tables()
         tables[3, 0] = np.inf  # a later pair, never reached
-        tables[1, 2] = np.reshape(row, (2, 2))
+        tables[1, 2] = row
         with pytest.raises(error, match=r"^table \(1, 2\)" + message):
             bell.CorrelationTable(
                 truth=builtin_qrac().truth,
@@ -405,7 +422,7 @@ class TestBellValue:
     def test_uniform_table_gives_half(self):
         truth = builtin_qrac().truth
         s = bell.PortSchedule((2,), (2,))
-        tables = np.full((4, 4, 2, 2), 0.25)
+        tables = np.full((4, 4, 2), 0.5)
         table = bell.CorrelationTable(
             truth=truth, schedule=s, tables=tables, mode="exact")
         rep = bell.bell_value(table)
@@ -449,9 +466,10 @@ class TestBellValue:
 
 
 def add_at_tables(ml, s, trials, seed, ideal=False):
-    """Sampled tables from the same per-pair streams, each tallied with
-    np.add.at over the kept tuple of draws, every level's full-length draw
-    made at once; `ideal` makes every step a perfect channel."""
+    """Sampled tables from the same per-pair streams, each drawn at full
+    length: every level's port draws, then the leaf draws, with only the
+    leaf tallied by np.add.at; `ideal` makes every step a perfect
+    channel."""
     counts = s.port_counts
     size = ml.proto.truth.num_inputs
     pairs = [(x, y) for x in range(size) for y in range(size)]
@@ -462,10 +480,11 @@ def add_at_tables(ml, s, trials, seed, ideal=False):
     for (x, y), rng in zip(pairs, streams):
         term = np.clip(bell._simulate(ml.proto, x, y, lams), 0.0, None)
         term = term / term.sum()
-        arr = np.zeros(counts + (2,))
-        draws = tuple(rng.integers(0, c, size=trials) for c in counts)
+        arr = np.zeros(2)
+        for c in counts:
+            rng.integers(0, c, size=trials)
         outs = (rng.random(trials) < term[1]).astype(np.int64)
-        np.add.at(arr, draws + (outs,), 1.0)
+        np.add.at(arr, outs, 1.0)
         out[(x, y)] = arr / trials
     return out
 
@@ -483,7 +502,7 @@ class TestSampledMode:
         b_samp = bell.bell_value(sampled).bell_value
         var = 0.0
         for x, y in truth.support():
-            p = exact.tables[(x, y)][..., truth.f[x, y]].sum()
+            p = exact.tables[x, y, truth.f[x, y]]
             var += truth.mu[x, y] ** 2 * p * (1.0 - p) / trials
         assert abs(b_samp - b_exact) <= 4.0 * math.sqrt(var)
 
@@ -536,9 +555,9 @@ class TestSampledMode:
                 assert got.tables[key].tobytes() == table.tobytes()
 
     def test_cell_index_spans_the_alphabet_cap(self):
-        # 2^15 ports and the binary leaf fill ALPHABET_CAP cells exactly,
-        # the widest cell index sampled mode forms; a wrapped index would
-        # move counts to the wrong cells.
+        # 2^15 ports and the binary leaf fill ALPHABET_CAP path cells
+        # exactly: the widest schedule still runs on the replayed stream,
+        # and one more port is refused.
         ml = qrac_ml()
         s = bell.PortSchedule.for_protocol(ml, (2 ** 15,))
         assert 2 * s.port_counts[0] == bell.ALPHABET_CAP
@@ -547,10 +566,15 @@ class TestSampledMode:
         want = add_at_tables(ml, s, 300, 3, ideal=True)
         for key, table in want.items():
             assert got.tables[key].tobytes() == table.tobytes()
+        wide = bell.PortSchedule.for_protocol(ml, (2 ** 15 + 1,))
+        with pytest.raises(CapExceededError,
+                           match=f"exceeds {bell.ALPHABET_CAP}$"):
+            bell.generate_correlations(ml, wide, mode="sampled", trials=300,
+                                       seed=3, ideal=True)
 
-    def test_sampled_memory_stays_small(self, monkeypatch):
-        # One byte per trial for the cell index plus one chunk's draws;
-        # full-length int64 draws held about 17 MB here.
+    @staticmethod
+    def _sampled_peak(monkeypatch, trials):
+        """`tracemalloc` peak of one sampled qrac [4] run on one thread."""
         monkeypatch.setenv("BELLFORGE_THREADS", "1")
         ml = qrac_ml()
         s = bell.PortSchedule.for_protocol(ml, (4,))
@@ -558,11 +582,20 @@ class TestSampledMode:
         tracemalloc.start()
         try:
             bell.generate_correlations(ml, s, mode="sampled",
-                                       trials=10 ** 6, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
+                                       trials=trials, seed=0)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2 ** 20
+
+    def test_sampled_memory_stays_small(self, monkeypatch):
+        # One chunk's draws per pair in flight; full-length int64 draws held
+        # about 17 MB here.
+        assert self._sampled_peak(monkeypatch, 10 ** 6) < 4 * 2 ** 20
+
+    def test_sampled_memory_does_not_grow_with_trials(self, monkeypatch):
+        # Nothing is held per trial: at TRIALS_CAP the peak stays one
+        # chunk's draws, where a one-byte cell index per trial took 10 MB.
+        assert self._sampled_peak(monkeypatch, bell.TRIALS_CAP) < 2 ** 20
 
     def test_mode_fields_recorded(self):
         ml = qrac_ml()
@@ -803,8 +836,9 @@ class TestLhvSweep:
 
     @pytest.mark.parametrize("counts", [(2,), (2, 2, 1), (1, 2, 2)])
     def test_strategy_table_marks_the_realised_path(self, counts):
-        # Each pair's one certain cell, read off the strategy one index at
-        # a time, against the table's single fancy-indexed assignment.
+        # The leaf each pair's realised path ends in, read off the strategy
+        # one index at a time, against the table's single fancy-indexed
+        # assignment.
         truth = xor_truth()
         s = bell.PortSchedule(counts, (2,) * len(counts))
         strategies = bell.lhv_strategies(truth, s)
@@ -813,13 +847,13 @@ class TestLhvSweep:
             for x, y in np.ndindex(2, 2):
                 i1 = int(alice[0][x])
                 if s.levels == 1:
-                    cell = (i1, int(bob[0][y, i1]))
+                    leaf = int(bob[0][y, i1])
                 else:
                     i2 = int(bob[0][y, i1])
                     i3 = int(alice[1][x, i1, i2])
-                    cell = (i1, i2, i3, int(bob[1][y, i1, i2, i3]))
-                want = np.zeros(s.port_counts + (2,))
-                want[cell] = 1.0
+                    leaf = int(bob[1][y, i1, i2, i3])
+                want = np.zeros(2)
+                want[leaf] = 1.0
                 assert np.array_equal(table.tables[x, y], want)
 
     def test_sweep_cap(self):
