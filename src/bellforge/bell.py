@@ -58,11 +58,13 @@ ATOL_TABLE = 1e-9
 ALPHABET_CAP = 2 ** 16
 
 # Sampled mode draws at most this many trials per input pair.  The cap
-# bounds time only: each pair in flight holds one chunk's draws.
+# bounds time only: each pair in flight holds one chunk of leaf draws.
 TRIALS_CAP = 10 ** 7
 
-# Sampled mode draws and tallies trials this many at a time.
-_CHUNK = 2 ** 16
+# Sampled mode draws and tallies trials this many at a time: each pair in
+# flight holds 9 bytes per trial of a chunk (the doubles and the
+# comparison's booleans).  The split moves no byte of a report.
+_CHUNK = 2 ** 14
 
 # The exact local bound accepts at most this many Alice index maps,
 # (n1 * n3^n2)^|X| at three levels (`classicalcc._capped`); its partition
@@ -247,6 +249,7 @@ def generate_correlations(p: MemorylessProtocol, s: PortSchedule,
         if trials > TRIALS_CAP:
             raise CapExceededError(
                 f"sampled trials {trials} exceed {TRIALS_CAP}")
+        trials = int(trials)  # `PCG64.advance` refuses a numpy integer
     size = proto.truth.num_inputs
     pairs = [(x, y) for x in range(size) for y in range(size)]
     counts = s.port_counts
@@ -257,6 +260,9 @@ def generate_correlations(p: MemorylessProtocol, s: PortSchedule,
         streams = [None] * len(pairs)
     lams = [1.0 if on else depolarizing_parameter(n, d)
             for on, n, d in zip(mask, counts, s.port_dims)]
+    skip = None
+    if mode == "sampled" and all(c & (c - 1) == 0 for c in counts):
+        skip = (trials * sum(c > 1 for c in counts) + 1) // 2
 
     def one_pair(job) -> np.ndarray:
         (x, y), rng = job
@@ -267,12 +273,20 @@ def generate_correlations(p: MemorylessProtocol, s: PortSchedule,
         # Each trial draws its port at every level, then its leaf.  Only the
         # leaf is tallied; the port draws are thrown away and made only so
         # that the stream, and with it every seeded report, keeps its bytes.
-        # Each level draws int64 digits in chunks, which are the values of
-        # one full-length draw.
+        # A port count below 2^32 takes one 32-bit word of PCG64 per draw,
+        # two to a 64-bit step, and a power of two rejects none (1 takes no
+        # word at all).  So when every count is a power of two, one advance
+        # skips exactly the steps the draws would read; the leaf's `random`
+        # reads whole steps, never the half-used one the advance drops.
+        # Any other count draws its digits, whose rejections depend on the
+        # data.
         chunks = [min(_CHUNK, trials - lo) for lo in range(0, trials, _CHUNK)]
-        for c in counts:
-            for n in chunks:
-                rng.integers(0, c, size=n)
+        if skip is not None:
+            rng.bit_generator.advance(skip)
+        else:
+            for c in counts:
+                for n in chunks:
+                    rng.integers(0, c, size=n)
         hits = sum(np.count_nonzero(rng.random(n) < term[1]) for n in chunks)
         return np.array([trials - hits, hits]) / trials
 

@@ -554,6 +554,62 @@ class TestSampledMode:
             for key, table in want.items():
                 assert got.tables[key].tobytes() == table.tobytes()
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_port_advance_matches_add_at(self, threads, eligible,
+                                         monkeypatch):
+        # Power-of-two schedules, 1-port levels included, skip their port
+        # draws with one advance; odd counts leave a half-used step, and
+        # the last count crosses two chunk boundaries.
+        monkeypatch.setenv("BELLFORGE_THREADS", threads)
+        _, multi, _ = eligible[8]
+        cases = [(qrac_ml(), (1,)), (multi, (4, 2, 4)), (multi, (1, 2, 1)),
+                 (multi, (1, 1, 1))]
+        for ml, counts in cases:
+            s = bell.PortSchedule.for_protocol(ml, counts)
+            for trials in (1, 2999, 2 * bell._CHUNK + 3):
+                got = bell.generate_correlations(
+                    ml, s, mode="sampled", trials=np.int64(trials), seed=4)
+                want = add_at_tables(ml, s, trials, 4)
+                for key, table in want.items():
+                    assert got.tables[key].tobytes() == table.tobytes(), \
+                        (counts, trials, key)
+
+    def test_only_other_port_counts_draw_port_digits(self, eligible,
+                                                     monkeypatch):
+        calls = []
+
+        class Counting(np.random.Generator):
+            def integers(self, *args, **kwargs):
+                calls.append(args)
+                return super().integers(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: Counting(np.random.PCG64(seed)))
+        _, multi, _ = eligible[8]
+        pairs = multi.proto.truth.num_inputs ** 2
+        for counts, levels in [((4, 2, 4), 0), ((3, 2, 2), 3)]:
+            calls.clear()
+            s = bell.PortSchedule.for_protocol(multi, counts)
+            bell.generate_correlations(multi, s, mode="sampled", trials=10,
+                                       seed=1)
+            assert len(calls) == levels * pairs, counts
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 8, 15])
+    @pytest.mark.parametrize("n", [1, 2, 7, 3000])
+    def test_power_of_two_draws_take_half_a_step_each(self, k, n):
+        # The port-draw skip rests on this numpy behaviour: below 2^32, each
+        # int64 draw over a power-of-two range takes one 32-bit word with no
+        # rejection, two to a PCG64 step, and a range of 1 takes none.
+        drawn = np.random.default_rng(3)
+        drawn.integers(0, 2 ** k, size=n)
+        skipped = np.random.default_rng(3)
+        skipped.bit_generator.advance(0 if k == 0 else -(-n // 2))
+        assert drawn.bit_generator.state["state"] == \
+            skipped.bit_generator.state["state"], (
+            f"numpy {np.__version__} no longer draws integers(0, 2**{k}) "
+            f"as one 32-bit word each; the port-draw advance in "
+            f"bell.generate_correlations is no longer exact")
+
     def test_cell_index_spans_the_alphabet_cap(self):
         # 2^15 ports and the binary leaf fill ALPHABET_CAP path cells
         # exactly: the widest schedule still runs on the replayed stream,
@@ -573,9 +629,9 @@ class TestSampledMode:
                                        seed=3, ideal=True)
 
     @staticmethod
-    def _sampled_peak(monkeypatch, trials):
-        """`tracemalloc` peak of one sampled qrac [4] run on one thread."""
-        monkeypatch.setenv("BELLFORGE_THREADS", "1")
+    def _sampled_peak(monkeypatch, trials, threads="1"):
+        """`tracemalloc` peak of one sampled qrac [4] run."""
+        monkeypatch.setenv("BELLFORGE_THREADS", threads)
         ml = qrac_ml()
         s = bell.PortSchedule.for_protocol(ml, (4,))
         bell.generate_correlations(ml, s, mode="sampled", trials=10, seed=0)
@@ -588,14 +644,20 @@ class TestSampledMode:
             tracemalloc.stop()
 
     def test_sampled_memory_stays_small(self, monkeypatch):
-        # One chunk's draws per pair in flight; full-length int64 draws held
-        # about 17 MB here.
+        # One chunk of leaf draws per pair in flight, never a draw as long
+        # as the trial count.
         assert self._sampled_peak(monkeypatch, 10 ** 6) < 4 * 2 ** 20
 
     def test_sampled_memory_does_not_grow_with_trials(self, monkeypatch):
         # Nothing is held per trial: at TRIALS_CAP the peak stays one
-        # chunk's draws, where a one-byte cell index per trial took 10 MB.
+        # chunk of leaf draws and their comparison.
         assert self._sampled_peak(monkeypatch, bell.TRIALS_CAP) < 2 ** 20
+
+    def test_sampled_memory_is_one_chunk_per_thread(self, monkeypatch):
+        # Each of two threads holds one chunk's doubles and booleans,
+        # 9 bytes a trial, plus the pool's fixed overhead.
+        peak = self._sampled_peak(monkeypatch, bell.TRIALS_CAP, threads="2")
+        assert peak < 2 * bell._CHUNK * 9 + 2 ** 17
 
     def test_mode_fields_recorded(self):
         ml = qrac_ml()

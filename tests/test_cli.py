@@ -726,10 +726,13 @@ class TestReproducibility:
     @pytest.mark.parametrize("cmd,config,report", [
         ("bell-certify", "bell_certify.config.json",
          "report_bell_certify.json"),
+        ("bell-certify", "bell_certify_sampled.config.json",
+         "report_bell_certify_sampled.json"),
         ("cc", "cc.config.json", "report_cc.json"),
         ("oneway", "oneway_sweep.config.json", "report_oneway_sweep.json"),
         ("pbt-bench", "pbt_bench.config.json", "report_pbt_bench.json"),
-    ], ids=["bell-certify", "cc", "oneway-sweep", "pbt-bench"])
+    ], ids=["bell-certify", "bell-certify-sampled", "cc", "oneway-sweep",
+            "pbt-bench"])
     def test_shipped_report_regenerates(self, tmp_path, cmd, config, report,
                                         threads):
         examples = os.path.join(REPO, "docs", "examples", "v1")
