@@ -1,8 +1,11 @@
-"""Deterministic thread pool helper.
+"""Deterministic thread map.
 
 Worker count comes from the BELLFORGE_THREADS environment variable
-(default 1).  Results are always returned in input order, so outputs are
-byte-identical regardless of the worker count.
+(default 1).  A map over `items` runs on min(BELLFORGE_THREADS, len(items))
+workers: the calling thread is worker 0, and the rest are plain threads
+started for this one map and joined before it returns.  Results are always
+returned in input order, so outputs are byte-identical regardless of the
+worker count.
 """
 
 from __future__ import annotations
@@ -26,11 +29,44 @@ def thread_count() -> int:
 
 
 def thread_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-    """map() across the configured pool, preserving input order."""
+    """[fn(x) for x in items] on n = min(thread_count(), len(items))
+    workers, in input order.
+
+    With n <= 1 the items run serially on the calling thread.  Otherwise
+    worker k runs items k, k+n, k+2n, ... in increasing order; worker 0 is
+    the calling thread, and the other n - 1 are started here.  A worker
+    stops at the first `Exception` its `fn` raises.  Once every started
+    thread is joined, the exception of the lowest failing index is raised:
+    every item below it ran and returned, so it is the exception a serial
+    map would raise.  Anything that is not an `Exception`, such as a
+    KeyboardInterrupt in the calling thread, propagates after the join.
+    """
     items = list(items)
-    n = thread_count()
-    if n == 1 or len(items) <= 1:
+    n = min(thread_count(), len(items))
+    if n <= 1:
         return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    import threading
+    results: list = [None] * len(items)
+    errors: dict[int, Exception] = {}
+
+    def work(k: int) -> None:
+        for i in range(k, len(items), n):
+            try:
+                results[i] = fn(items[i])
+            except Exception as e:
+                errors[i] = e
+                return
+
+    started = []
+    try:
+        for k in range(1, n):
+            t = threading.Thread(target=work, args=(k,))
+            t.start()
+            started.append(t)
+        work(0)
+    finally:
+        for t in started:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
+    return results

@@ -655,7 +655,7 @@ class TestSampledMode:
 
     def test_sampled_memory_is_one_chunk_per_thread(self, monkeypatch):
         # Each of two threads holds one chunk's doubles and booleans,
-        # 9 bytes a trial, plus the pool's fixed overhead.
+        # 9 bytes a trial, plus the threads' fixed overhead.
         peak = self._sampled_peak(monkeypatch, bell.TRIALS_CAP, threads="2")
         assert peak < 2 * bell._CHUNK * 9 + 2 ** 17
 

@@ -718,9 +718,40 @@ class TestReproducibility:
         args = ["bell-certify", "--config", str(cfg), "--seed", "11"]
         a = run_subprocess(args, tmp_path / "a.json", threads=1)
         b = run_subprocess(args, tmp_path / "b.json", threads=3)
-        assert a == b
+        # More threads than qrac's 16 input pairs: 15 start beside the
+        # caller, one pair each.
+        c = run_subprocess(args, tmp_path / "c.json", threads=17)
+        assert a == b == c
         doc = json.loads(a)
         assert doc["results"]["bell"]["method"] == "sampled"
+
+    def test_threaded_invariant_failure_is_exit_three(self, capsys,
+                                                      monkeypatch, tmp_path):
+        # An invariant failure in a started thread reaches the caller and
+        # ends in the machine-readable report.  Pair (2, 3) is item 11 of
+        # qrac's 16, so with two workers it runs off the calling thread.
+        from bellforge import bell
+        from bellforge.states import InvariantError
+        simulate = bell._simulate
+
+        def failing(proto, x, y, lams):
+            if (x, y) == (2, 3):
+                raise InvariantError("pair (2, 3) fails")
+            return simulate(proto, x, y, lams)
+
+        monkeypatch.setattr(bell, "_simulate", failing)
+        monkeypatch.setenv("BELLFORGE_THREADS", "2")
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"schedule": [4], "mode": "sampled",
+                                   "trials": 2000}))
+        code, out, err = run_cli(capsys, "bell-certify", "--config",
+                                 str(cfg), "--seed", "11")
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["error"] == {"code": "invariant_failure",
+                                "reason": "pair (2, 3) fails"}
+        assert err == "error: invariant failure: pair (2, 3) fails\n"
+        assert "Traceback" not in out + err
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("cmd,config,report", [

@@ -39,11 +39,12 @@ def test_unknown_name_raises_attribute_error():
         bellforge.no_such_name
 
 
-def imported_modules(*args: str) -> set[str]:
-    """Every module a fresh `python -X importtime ARGS` process imports."""
+def imported_modules(*args: str, env: dict | None = None) -> set[str]:
+    """Every module a fresh `python -X importtime ARGS` process imports,
+    with `env` added to its environment."""
     proc = subprocess.run([sys.executable, "-X", "importtime", *args],
                           capture_output=True, text=True, cwd=REPO,
-                          timeout=300)
+                          env=dict(os.environ, **(env or {})), timeout=300)
     assert proc.returncode == 0, proc.stderr
     return {line.rsplit("|", 1)[1].strip()
             for line in proc.stderr.splitlines()
@@ -63,14 +64,14 @@ def test_import_loads_no_submodule_and_no_numpy():
 
 
 BASE = {"cli", "serialize", "_threads", "states"}
+CERTIFY = {"protocols", "classicalcc", "remoteprep", "teleport", "bell",
+           "transforms"}
 
 
 @pytest.mark.parametrize("command,config,extra", [
     ("pbt-bench", "pbt_bench.config.json", {"teleport"}),
     ("cc", "cc.config.json", {"protocols", "classicalcc"}),
-    ("bell-certify", "bell_certify.config.json",
-     {"protocols", "classicalcc", "remoteprep", "teleport", "bell",
-      "transforms"}),
+    ("bell-certify", "bell_certify.config.json", CERTIFY),
     ("oneway", "oneway.config.json",
      {"protocols", "classicalcc", "remoteprep", "teleport", "bell"}),
 ])
@@ -83,3 +84,16 @@ def test_each_command_loads_only_its_modules(tmp_path, command, config,
     assert bellforge_modules(modules) == BASE | extra
     if command == "bell-certify":  # the shipped config is exact
         assert "numpy.random" not in modules
+
+
+def test_threaded_sampled_run_loads_no_executor(tmp_path):
+    # A threaded map starts plain threads; the executor machinery and
+    # the logging it pulls in stay unloaded.
+    modules = imported_modules(
+        "-m", "bellforge", "bell-certify",
+        "--config", os.path.join(EXAMPLES, "bell_certify_sampled.config.json"),
+        "--out", str(tmp_path / "report.json"),
+        env={"BELLFORGE_THREADS": "2"})
+    assert bellforge_modules(modules) == BASE | CERTIFY
+    for name in ("concurrent.futures", "logging", "queue"):
+        assert name not in modules, name
