@@ -46,19 +46,15 @@ from .classicalcc import (
     best_success_tree)
 from .protocols import CommProtocol, MemorylessProtocol, TruthTable, _simulate
 from .remoteprep import batch_size, index_cost_bits, rsp_povm
-from .states import CapExceededError, InvariantError, PureState
-from .teleport import _integral, depolarizing_parameter
+from .states import _PRINT_DIGITS, CapExceededError, InvariantError, PureState
+from .teleport import _check_ports, _integral, depolarizing_parameter
 
 # Correlation rows must be normalized to this tolerance.
 ATOL_TABLE = 1e-9
 
-# Schedules are limited to path-alphabet products (index levels times the
-# binary leaf) this large.  A table holds only the leaf, so the cap bounds
-# no allocation; it stays so that no input's acceptance changes.
-ALPHABET_CAP = 2 ** 16
-
 # Sampled mode draws at most this many trials per input pair.  The cap
-# bounds time only: each pair in flight holds one chunk of leaf draws.
+# bounds time only: each pair in flight holds one chunk of leaf draws, and
+# a trial costs at most one port draw per level, whatever the port counts.
 TRIALS_CAP = 10 ** 7
 
 # Sampled mode draws and tallies trials this many at a time: each pair in
@@ -93,24 +89,16 @@ class PortSchedule:
     port_dims: tuple[int, ...]
 
     def __post_init__(self):
-        counts = tuple(self.port_counts)
-        dims = tuple(self.port_dims)
-        if not all(map(_integral, counts + dims)):
-            raise ValueError(f"port counts {counts} and dimensions {dims} "
-                             f"must be integers")
-        counts = tuple(map(int, counts))
-        dims = tuple(map(int, dims))
+        counts, dims = tuple(self.port_counts), tuple(self.port_dims)
         if len(counts) != len(dims):
             raise ValueError(
                 f"{len(counts)} port counts vs {len(dims)} dimensions")
         if len(counts) == 0:
             raise ValueError("schedule needs at least one step")
-        if any(c < 1 for c in counts):
-            raise ValueError(f"port counts must be >= 1, got {counts}")
-        if any(d < 2 for d in dims):
-            raise ValueError(f"port dimensions must be >= 2, got {dims}")
-        object.__setattr__(self, "port_counts", counts)
-        object.__setattr__(self, "port_dims", dims)
+        for c, d in zip(counts, dims):
+            _check_ports(c, d)
+        object.__setattr__(self, "port_counts", tuple(map(int, counts)))
+        object.__setattr__(self, "port_dims", tuple(map(int, dims)))
 
     @classmethod
     def for_protocol(cls, p: CommProtocol | MemorylessProtocol,
@@ -138,8 +126,8 @@ class PortSchedule:
 @dataclass(frozen=True, eq=False)
 class CorrelationTable:
     """Joint outcome distributions of every input pair, as one read-only
-    float64 array: `tables[x, y]` is the distribution of pair (x, y), so the
-    shape is (|X|, |Y|) + `axes`.
+    float64 copy of the given array: `tables[x, y]` is the distribution of
+    pair (x, y), so the shape is (|X|, |Y|) + `axes`.
 
     For teleportation and local-strategy tables the one axis is the binary
     leaf outcome on the realized root-to-leaf path.  In exact mode the
@@ -161,7 +149,7 @@ class CorrelationTable:
 
     def __post_init__(self):
         size = self.truth.num_inputs
-        a = np.asarray(self.tables, dtype=np.float64)
+        a = np.array(self.tables, dtype=np.float64)
         if a.shape[:2] != (size, size):
             raise ValueError(f"tables shape {a.shape} does not lead with the "
                              f"input pairs ({size}, {size})")
@@ -238,10 +226,11 @@ def generate_correlations(p: MemorylessProtocol, s: PortSchedule,
                              f"match {s.levels} transmission levels")
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
-    path_cells = 2 * math.prod(s.port_counts)
-    if path_cells > ALPHABET_CAP:
+    # No port count is capped, but the meta must print their product.
+    alphabets = _full_alphabets(s)
+    if alphabets["leaf_variable_count"] >= 10 ** _PRINT_DIGITS:
         raise CapExceededError(
-            f"path alphabet product {path_cells} exceeds {ALPHABET_CAP}")
+            f"port-count product has more than {_PRINT_DIGITS} digits")
     if mode == "sampled":
         if not _integral(trials) or trials < 1:
             raise ValueError(f"sampled mode needs an integer trials >= 1, "
@@ -261,7 +250,7 @@ def generate_correlations(p: MemorylessProtocol, s: PortSchedule,
     lams = [1.0 if on else depolarizing_parameter(n, d)
             for on, n, d in zip(mask, counts, s.port_dims)]
     skip = None
-    if mode == "sampled" and all(c & (c - 1) == 0 for c in counts):
+    if mode == "sampled" and all(2 ** 32 % c == 0 for c in counts):
         skip = (trials * sum(c > 1 for c in counts) + 1) // 2
 
     def one_pair(job) -> np.ndarray:
@@ -273,9 +262,9 @@ def generate_correlations(p: MemorylessProtocol, s: PortSchedule,
         # Each trial draws its port at every level, then its leaf.  Only the
         # leaf is tallied; the port draws are thrown away and made only so
         # that the stream, and with it every seeded report, keeps its bytes.
-        # A port count below 2^32 takes one 32-bit word of PCG64 per draw,
+        # A port count up to 2^32 takes one 32-bit word of PCG64 per draw,
         # two to a 64-bit step, and a power of two rejects none (1 takes no
-        # word at all).  So when every count is a power of two, one advance
+        # word at all).  So when every count divides 2^32, one advance
         # skips exactly the steps the draws would read; the leaf's `random`
         # reads whole steps, never the half-used one the advance drops.
         # Any other count draws its digits, whose rejections depend on the
@@ -296,7 +285,7 @@ def generate_correlations(p: MemorylessProtocol, s: PortSchedule,
         tables=np.stack(results).reshape(size, size, 2),
         mode=mode, seed=seed, trials=trials if mode == "sampled" else None,
         meta={"ideal": all(mask) if len(set(mask)) == 1 else list(mask),
-              "full_alphabets": _full_alphabets(s)})
+              "full_alphabets": alphabets})
 
 
 def _schedule(table: CorrelationTable) -> PortSchedule:
@@ -517,10 +506,6 @@ class OneWayStats:
         for name, val in (("p_a", self.p_a), ("p_b", self.p_b)):
             if not _near_unit(val):
                 raise InvariantError(f"{name}={val} outside [0, 1]")
-
-    @property
-    def n(self) -> int:
-        return self.truth.n
 
 
 def one_way_correlations(p: CommProtocol | MemorylessProtocol

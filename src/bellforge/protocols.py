@@ -36,7 +36,8 @@ def _as_matrix(m) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TruthTable:
-    """Boolean target f over n-bit inputs per party, with distribution mu."""
+    """Boolean target f over n-bit inputs per party, with distribution mu;
+    both are held as read-only copies of the given arrays."""
     n: int
     f: np.ndarray
     mu: np.ndarray
@@ -48,7 +49,7 @@ class TruthTable:
         # is never formed, and the message writes it as 2^n.
         size = 2 ** self.n if self.n < 64 else f"2^{self.n}"
         f = np.asarray(self.f)
-        mu = np.asarray(self.mu, dtype=np.float64)
+        mu = np.array(self.mu, dtype=np.float64)
         if f.shape != (size, size) or mu.shape != (size, size):
             raise ValueError(
                 f"tables must be {size}x{size} for n={self.n}")
@@ -91,7 +92,9 @@ def _freeze_ops(ops, rounds: int, num_inputs: int, what: str):
 @dataclass(frozen=True)
 class CommProtocol:
     """Explicit-matrix two-party protocol.  See module docstring for the
-    register flow; dimension 1 means a register is absent."""
+    register flow; dimension 1 means a register is absent.  A complex128
+    operator is adopted and made read-only, not copied: a copy would double
+    a rewrite's largest allocation, its round operators."""
     truth: TruthTable
     rounds: int
     a0_dim: int
@@ -178,14 +181,6 @@ class CommProtocol:
             return self.bob_ops, (self.b0_dim,) + self.b_dims, self.anc_b_dims
         raise ValueError(f"party must be 'alice' or 'bob', got {who!r}")
 
-    @property
-    def message_qubits(self) -> float:
-        """Total transmitted qubits across both directions."""
-        total = 0.0
-        for d in self.m_out_dims + self.m_back_dims:
-            total += np.log2(d)
-        return total
-
 
 @dataclass(frozen=True)
 class MemorylessProtocol:
@@ -208,14 +203,6 @@ class MemorylessProtocol:
             raise InvariantError(
                 f"memoryless cost {self.qubit_cost} exceeds "
                 f"{q}^2 + 2*{q} = {q * q + 2 * q}")
-
-    @property
-    def truth(self) -> TruthTable:
-        return self.proto.truth
-
-    @property
-    def epsilon(self) -> float | None:
-        return self.proto.epsilon
 
 
 def _simulate(p: CommProtocol, x: int, y: int,

@@ -349,7 +349,6 @@ def to_memoryless(p: CommProtocol) -> MemorylessProtocol:
         alice_ops=ops["alice"], bob_ops=ops["bob"],
         observables={y: final_observable(y) for y in range(size)},
         epsilon=p.epsilon,
-        meta={"memoryless": True, "alpha": tuple(alpha), "beta": tuple(beta)},
     )
     cost = q_rounds + sum(alpha) + sum(beta)
     return MemorylessProtocol(proto=proto, qubit_cost=cost,

@@ -20,6 +20,7 @@ from bellforge.protocols import (
     TruthTable, builtin_qrac, random_protocol, success_probability,
 )
 from bellforge.remoteprep import batch_size
+from bellforge.serialize import dumps_canonical
 from bellforge.states import (
     CapExceededError, InvariantError, _RegisterMachine,
     max_entangled, psd_sqrt, random_density,
@@ -290,11 +291,28 @@ class TestGenerateCorrelations:
                 bell.generate_correlations(ml, s, mode="sampled",
                                            trials=trials, seed=1)
 
-    def test_alphabet_cap(self):
+    def test_many_ports_meet_the_fidelity_cap(self):
+        # No port count is capped as such; a noisy step's fidelity is.
         ml = qrac_ml()
         s = bell.PortSchedule.for_protocol(ml, (40000,))
-        with pytest.raises(CapExceededError):
+        with pytest.raises(CapExceededError,
+                           match="entanglement fidelity cap"):
             bell.generate_correlations(ml, s)
+
+    def test_port_count_product_must_print(self):
+        # The meta prints the product of the port counts: one with more
+        # digits than Python prints is refused before any pair runs.
+        ml = qrac_ml()
+        for count in (10 ** 4300, 10 ** 4400):
+            s = bell.PortSchedule.for_protocol(ml, (count,))
+            with pytest.raises(CapExceededError,
+                               match="more than 4300 digits"):
+                bell.generate_correlations(ml, s, ideal=True)
+        s = bell.PortSchedule.for_protocol(ml, (10 ** 4300 - 1,))
+        table = bell.generate_correlations(ml, s, ideal=True)
+        assert table.meta["full_alphabets"]["leaf_variable_count"] \
+            == 10 ** 4300 - 1
+        assert str(10 ** 4300 - 1) in dumps_canonical(table.meta)
 
     def test_three_rounds_run_exact(self, corpus):
         ml = to_memoryless(to_single_qubit_rounds(corpus[3]))
@@ -365,6 +383,15 @@ class TestCorrelationTable:
         assert table.tables.shape == (4, 4, 2)
         assert table.axes == (2,)
         assert not table.tables.flags.writeable
+
+    def test_copies_the_callers_array(self):
+        arr = self._tables()
+        table = bell.CorrelationTable(
+            truth=builtin_qrac().truth, schedule=bell.PortSchedule((2,), (2,)),
+            tables=arr, mode="exact")
+        assert arr.flags.writeable
+        arr[0, 0] = (1.0, 0.0)
+        assert table.tables[0, 0].tolist() == [0.5, 0.5]
 
     @pytest.mark.parametrize("shape", [(4, 3, 2, 2), (16, 2, 2), (2, 4, 4),
                                        (4,), ()])
@@ -610,23 +637,18 @@ class TestSampledMode:
             f"as one 32-bit word each; the port-draw advance in "
             f"bell.generate_correlations is no longer exact")
 
-    def test_cell_index_spans_the_alphabet_cap(self):
-        # 2^15 ports and the binary leaf fill ALPHABET_CAP path cells
-        # exactly: the widest schedule still runs on the replayed stream,
-        # and one more port is refused.
+    def test_wide_port_counts_replay_the_stream(self):
+        # No port count is capped: 2^15 ports (skipped by the advance) and
+        # 2^15 + 1 ports (drawn) both run on the replayed stream, and so
+        # does 2^33, whose draws take whole 64-bit steps and are made.
         ml = qrac_ml()
-        s = bell.PortSchedule.for_protocol(ml, (2 ** 15,))
-        assert 2 * s.port_counts[0] == bell.ALPHABET_CAP
-        got = bell.generate_correlations(ml, s, mode="sampled", trials=300,
-                                         seed=3, ideal=True)
-        want = add_at_tables(ml, s, 300, 3, ideal=True)
-        for key, table in want.items():
-            assert got.tables[key].tobytes() == table.tobytes()
-        wide = bell.PortSchedule.for_protocol(ml, (2 ** 15 + 1,))
-        with pytest.raises(CapExceededError,
-                           match=f"exceeds {bell.ALPHABET_CAP}$"):
-            bell.generate_correlations(ml, wide, mode="sampled", trials=300,
-                                       seed=3, ideal=True)
+        for count in (2 ** 15, 2 ** 15 + 1, 2 ** 33):
+            s = bell.PortSchedule.for_protocol(ml, (count,))
+            got = bell.generate_correlations(ml, s, mode="sampled",
+                                             trials=301, seed=3, ideal=True)
+            want = add_at_tables(ml, s, 301, 3, ideal=True)
+            for key, table in want.items():
+                assert got.tables[key].tobytes() == table.tobytes(), count
 
     @staticmethod
     def _sampled_peak(monkeypatch, trials, threads="1"):
@@ -939,7 +961,7 @@ class TestOneWayRoute:
         table, stats = bell.one_way_correlations(qrac_ml())
         assert stats.p_a == pytest.approx(0.5, abs=1e-12)
         assert stats.p_b == pytest.approx(QRAC_SUCCESS, abs=1e-10)
-        assert stats.n == 2
+        assert stats.truth.n == 2
 
     def test_flag_rate_per_pair(self):
         table, _ = bell.one_way_correlations(qrac_ml())

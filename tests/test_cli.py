@@ -392,15 +392,16 @@ class TestBellCertify:
         tol = 6.0 / (2.0 * np.sqrt(doc["config"]["trials"]))
         assert abs(doc["results"]["bell"]["value"] - exact) <= tol
 
-    def test_oversized_alphabet_is_not_downgraded(self, capsys, tmp_path):
-        # Both modes refuse the alphabet, so exact mode is kept and the
-        # cap is reported without asking for a seed.
+    def test_oversized_schedule_is_not_downgraded(self, capsys, tmp_path):
+        # Both modes refuse 40000 qubit ports at the fidelity cap, so exact
+        # mode is kept and the cap is reported without asking for a seed.
         cfg = tmp_path / "c.json"
         cfg.write_text('{"schedule": [40000]}')
         code, out, _ = run_cli(capsys, "bell-certify", "--config", str(cfg))
         assert code == 2
         doc = json.loads(out)
         assert doc["error"]["code"] == "cap_exceeded"
+        assert "entanglement fidelity cap" in doc["error"]["reason"]
         assert doc["config"]["mode"] == "exact"
 
     @pytest.mark.parametrize("dims,bad", [((3, 1, 3, 1), "message 0"),

@@ -8,6 +8,7 @@ the two-bits-in-one-qubit protocol are cos^2(pi/8) and friends.
 
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -25,7 +26,12 @@ from bellforge import (
     to_memoryless,
     to_single_qubit_rounds,
 )
+from bellforge.bell import (
+    PortSchedule, bell_value, generate_correlations,
+    simulate_with_classical_comm,
+)
 from bellforge.states import random_unitary
+from bellforge.teleport import entanglement_fidelity
 from bellforge.transforms import _span_chain
 
 QRAC_SUCCESS = 0.8535533905932737  # cos^2(pi/8)
@@ -264,6 +270,27 @@ def _memory_free_two_rounds():
     )
 
 
+def _memory_free_three_rounds():
+    """Three rounds of single-qubit messages with no persistent registers:
+    five qubit legs carry x, then x xor y, through two Hadamards."""
+    f = [[0, 1], [1, 0]]
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+    p0 = np.diag([1.0, 0.0])
+    povm = Povm([p0, np.eye(2) - p0])
+    return CommProtocol(
+        truth=_uniform_truth(1, f),
+        rounds=3, a0_dim=2, b0_dim=1,
+        m_out_dims=(2, 2, 2), m_back_dims=(2, 2),
+        a_dims=(1, 1, 1), b_dims=(1, 1),
+        anc_a_dims=(1, 1, 1), anc_b_dims=(1, 1),
+        alice_ops=({0: np.eye(2), 1: flip}, {0: h, 1: h},
+                   {0: np.eye(2), 1: np.eye(2)}),
+        bob_ops=({0: np.eye(2), 1: flip}, {0: h, 1: h}),
+        observables={0: povm, 1: povm},
+    )
+
+
 def _pairs(p):
     size = p.truth.num_inputs
     return [(x, y) for x in range(size) for y in range(size)]
@@ -299,6 +326,17 @@ def test_truth_table_rejects_wrong_shape():
     with pytest.raises(ValueError):
         TruthTable(n=2, f=np.zeros((2, 2), dtype=np.int8),
                    mu=np.full((2, 2), 0.25))
+
+
+def test_truth_table_copies_the_callers_arrays():
+    f = np.array([[0, 1], [1, 0]], dtype=np.int8)
+    mu = np.full((2, 2), 0.25)
+    t = TruthTable(n=1, f=f, mu=mu)
+    assert f.flags.writeable and mu.flags.writeable
+    f[0, 0] = 1
+    mu[0, 0] = 0.5
+    assert t.f[0, 0] == 0 and t.mu[0, 0] == 0.25
+    assert not (t.f.flags.writeable or t.mu.flags.writeable)
 
 
 def test_truth_table_support_skips_zero_weight():
@@ -427,9 +465,13 @@ def test_run_exact_rejects_out_of_range_inputs():
         run_exact(p, 0, -1)
 
 
+def _message_qubits(p):
+    return sum(math.log2(d) for _, d in p.legs)
+
+
 def test_message_qubits_counts_both_directions():
-    assert builtin_qrac().message_qubits == 1.0
-    assert _random_q4_protocol().message_qubits == 4.0
+    assert _message_qubits(builtin_qrac()) == 1.0
+    assert _message_qubits(_random_q4_protocol()) == 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +619,7 @@ def test_split_preserves_corpus_distributions(corpus):
     for i, p in enumerate(corpus):
         sp = to_single_qubit_rounds(p)
         assert sp.rounds == CORPUS_QUBITS[i]
-        assert sp.rounds == round(p.message_qubits)
+        assert sp.rounds == round(_message_qubits(p))
         assert all(d == 2 for d in sp.m_out_dims + sp.m_back_dims)
         for x, y in _pairs(p):
             assert run_exact(sp, x, y) == pytest.approx(
@@ -725,8 +767,34 @@ def test_memoryless_random_q4_protocol_round_trip():
 def test_memoryless_epsilon_and_truth_pass_through():
     sp = to_single_qubit_rounds(builtin_qrac())
     ml = to_memoryless(sp)
-    assert ml.epsilon == sp.epsilon
-    assert ml.truth is sp.truth
+    assert ml.proto.epsilon == sp.epsilon
+    assert ml.proto.truth is sp.truth
+
+
+def test_five_leg_memory_free_protocol_runs_at_nine_ports():
+    # 9 qubit ports per leg is the most the fidelity cap admits; five legs
+    # make 2 * 9^5 = 118,098 path cells, which no cap counts any more.
+    p = _memory_free_three_rounds()
+    ml = to_memoryless(p)
+    assert ml.proto is p and len(p.legs) == 5
+    s = PortSchedule.for_protocol(ml, (9,) * 5)
+    ideal = generate_correlations(ml, s, ideal=True)
+    success, bits = simulate_with_classical_comm(ideal)
+    assert success == pytest.approx(success_probability(p), abs=1e-12)
+    assert bits == pytest.approx(5 * math.log2(9), abs=1e-12)
+    # Depolarizing commutes with every unitary, so the five legs act as one
+    # contraction lam^5 on the basis state Bob reads: the noisy value is
+    # 1/2 + lam^5 / 2 for the nine-port contraction lam.
+    exact = bell_value(generate_correlations(ml, s)).bell_value
+    lam = (4.0 * entanglement_fidelity(9, 2) - 1.0) / 3.0
+    assert exact == pytest.approx(0.5 + lam ** 5 / 2.0, abs=1e-12)
+    trials = 4000
+    sampled = generate_correlations(ml, s, mode="sampled", trials=trials,
+                                    seed=2)
+    assert sampled.meta["full_alphabets"]["leaf_variable_count"] == 9 ** 5
+    # The value averages 4 pairs of 4000 trials: sigma <= 1/(4 sqrt(4000)).
+    assert abs(bell_value(sampled).bell_value - exact) \
+        <= 6.0 / (4.0 * math.sqrt(trials))
 
 
 def test_memoryless_requires_single_qubit_rounds():
