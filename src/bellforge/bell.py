@@ -42,8 +42,7 @@ import numpy as np
 
 from ._threads import thread_map
 from .classicalcc import (
-    _CEIL_GUARD, BudgetOracle, _best_response, _capped, _maps, _weights,
-    best_success_tree)
+    _CEIL_GUARD, BudgetOracle, _best_response, _weights, best_success_tree)
 from .protocols import CommProtocol, MemorylessProtocol, TruthTable, _simulate
 from .remoteprep import batch_size, index_cost_bits, rsp_povm
 from .states import _PRINT_DIGITS, CapExceededError, InvariantError, PureState
@@ -62,10 +61,9 @@ TRIALS_CAP = 10 ** 7
 # comparison's booleans).  The split moves no byte of a report.
 _CHUNK = 2 ** 14
 
-# The exact local bound accepts at most this many Alice index maps,
-# (n1 * n3^n2)^|X| at three levels (`classicalcc._capped`); its partition
-# search walks none of them, but their count decides acceptance.
-# `lhv_strategies` counts every full strategy against it.
+# `lhv_strategies` yields at most this many full local strategies.  The
+# exact local bound walks none: its search counts its own array cells
+# (`classicalcc.CELL_CAP`).
 LHV_CAP = 10 ** 7
 
 # Coefficient of the budget-ratio bound sqrt(classical/quantum).
@@ -239,6 +237,9 @@ def generate_correlations(p: MemorylessProtocol, s: PortSchedule,
             raise CapExceededError(
                 f"sampled trials {trials} exceed {TRIALS_CAP}")
         trials = int(trials)  # `PCG64.advance` refuses a numpy integer
+        if max(s.port_counts) > 2 ** 63:  # numpy's largest integer draw
+            raise CapExceededError(f"sampled mode draws port indices below "
+                                   f"2^63, got {max(s.port_counts)} ports")
     size = proto.truth.num_inputs
     pairs = [(x, y) for x in range(size) for y in range(size)]
     counts = s.port_counts
@@ -362,11 +363,9 @@ def _lhv_exact(t: TruthTable, s: PortSchedule) -> float:
     A local strategy on the outcome tree is a deterministic protocol whose
     legs carry the kept port indices, so this is the communication search
     of `classicalcc` with the port counts as leg alphabets, for any number
-    of levels: Alice's and Bob's best index maps and Bob's leaf bits, once
-    her index maps (n1 * n3^n2)^|X| at three levels fit LHV_CAP.
+    of levels: Alice's and Bob's best index maps and Bob's leaf bits.
     """
-    return _best_response(_weights(t), _capped(
-        t.num_inputs, s.port_counts, LHV_CAP, "deterministic strategy space"))
+    return _best_response(_weights(t), s.port_counts)
 
 
 def lhv_bound(t: TruthTable, s: PortSchedule, *, method: str) -> float:
@@ -401,14 +400,23 @@ def lhv_strategies(t: TruthTable, s: PortSchedule) -> Iterator[tuple]:
             f"strategy enumeration supports 1 or 3 levels, got {s.levels}")
     size = t.num_inputs
     n1, n2, n3 = (s.port_counts + (1, 1))[:3]
-    per_x, per_y = n1 * n3 ** (n1 * n2), n2 ** n1
     cells = size * n1 * n2 * n3
+    # The 2^cells leaf maps alone bound the count from below, so a count
+    # past the cap by them is never formed.
+    if cells >= LHV_CAP.bit_length():
+        raise CapExceededError(f"strategy enumeration has 2^{cells} leaf maps")
+    per_x, per_y = n1 * n3 ** (n1 * n2), n2 ** n1
     if per_x ** size * per_y ** size * 2 ** cells > LHV_CAP:
         raise CapExceededError("strategy enumeration too large")
-    a3_rows = _maps(0, per_x // n1, n1 * n2, n3).reshape(-1, n1, n2)
-    b2_rows = _maps(0, per_y, n1, n2)
+
+    def rows(alphabet: int, slots: int) -> np.ndarray:
+        """Every row of `slots` base-`alphabet` digits, in counting order."""
+        return np.indices((alphabet,) * slots).reshape(slots, -1).T
+
+    a3_rows = rows(n3, n1 * n2).reshape(-1, n1, n2)
+    b2_rows = rows(n2, n1)
     leaf_shape = (size, n1) if s.levels == 1 else (size, n1, n2, n3)
-    leaves = _maps(0, 2 ** cells, cells, 2).reshape((-1,) + leaf_shape)
+    leaves = rows(2, cells).reshape((-1,) + leaf_shape)
     leaves.flags.writeable = False  # shared by every yield
     for aidx in product(range(per_x), repeat=size):
         a1 = np.array([c % n1 for c in aidx], dtype=np.int64)

@@ -25,9 +25,8 @@ instead of a walk over Alice's maps.  The S axis is kept only while an
 Alice leg is to come and the T axis only while a Bob leg is, so a one-way
 search pairs only the 3^|X| subsets (S, T of S) of X.
 
-The caps count Alice's maps all the same (ENUM_CAP): per input, one
-message at each of her legs for every reply sequence Bob can have sent
-before it, (a1 * a3^a2)^|X| for three legs.
+The search counts the array cells it will fill and refuses past CELL_CAP
+before it allocates any (`_search_cells`); its callers apply no rule.
 
 The searched quantity is distributional: the best average success under mu
 for a fixed budget.  Its inverse (minimum bits to reach a target success)
@@ -39,7 +38,7 @@ ascending order, each at most once, and only as far as the current target
 or table needs, so the many targets of a sweep cost a handful of
 searches.  The memo is lazy rather than a full table because search
 cost grows steeply with the budget: on an n = 4 table one-way budget 2 is
-already past ENUM_CAP, while a target that budget 0 reaches needs one map.
+past CELL_CAP, while a target that budget 0 reaches searches nothing.
 
 Alongside the search live the standard repetition helpers: Chernoff repeat
 counts, majority-vote amplification, and the quadratic "pumping" relation
@@ -56,17 +55,13 @@ from typing import Callable
 import numpy as np
 
 from .protocols import TruthTable
-from .states import _PRINT_DIGITS, CapExceededError
+from .states import CapExceededError
 
-# Hard cap on the number of Alice maps of one search (`_capped`).  The
-# partition recursion walks no maps; the cap counts those an exhaustive
-# enumeration walks (the reference of the strategy-search tests), so that
-# which inputs are accepted does not depend on the search method.  It also
-# bounds the recursion: a split forms the 3^n subset-pair table only if it
-# has 3 or more parts or is not its party's first leg, and either way Alice
-# has 3 or more maps per input, 4 or more with power-of-two alphabets; so
-# |X| <= 8 (4^16 > ENUM_CAP), and bell.LHV_CAP refuses 3^16.
-ENUM_CAP = 10 ** 8
+# Hard cap on the array cells of one rectangle search (`_search_cells`),
+# whose float64 arrays hold at most two per counted cell.  A pair-table
+# level fills 3^n cells, so the table is formed only for n <= 15 elements
+# (3^16 > CELL_CAP): on truth tables, |X| <= 8.
+CELL_CAP = 2 ** 25
 
 # A budget table holds at most this many rows (budgets 0..TABLE_ROW_CAP-1).
 TABLE_ROW_CAP = 2 ** 12
@@ -88,36 +83,6 @@ def _weights(t: TruthTable) -> np.ndarray:
     return np.where(f == b, t.mu[np.newaxis, :, :], 0.0)
 
 
-def _maps(start: int, stop: int, slots: int, alphabet: int) -> np.ndarray:
-    """Rows are base-`alphabet` digit expansions of start..stop-1, shape
-    (stop - start, slots)."""
-    idx = np.arange(start, stop)
-    out = np.empty((stop - start, slots), dtype=np.int64)
-    for j in range(slots - 1, -1, -1):
-        out[:, j] = idx % alphabet
-        idx = idx // alphabet
-    return out
-
-
-def _capped(nx: int, legs: tuple[int, ...], cap: int,
-            what: str) -> tuple[int, ...]:
-    """Return `legs` if Alice's maps (module docstring) fit in `cap`.  A
-    count with more digits than Python prints is past the cap and is never
-    formed: the message writes it as a product of powers."""
-    powers = [(a, math.prod(legs[1:k:2])) for k, a in enumerate(legs)
-              if k % 2 == 0]
-    text = "*".join(f"{a}^{r}" if r > 1 else f"{a}" for a, r in powers)
-    text = f"{what}: ({text})^{nx}"
-    # ceil(log2 a) bits a message, so 2^(bits/2) <= count <= 2^bits.
-    bits = nx * sum(r * (a - 1).bit_length() for a, r in powers)
-    if bits > 3 * _PRINT_DIGITS:
-        raise CapExceededError(f"{text} Alice maps exceeds {cap}")
-    count = math.prod(a ** r for a, r in powers) ** nx
-    if count > cap:
-        raise CapExceededError(f"{text} = {count} Alice maps exceeds {cap}")
-    return legs
-
-
 def _subset_sums(a: np.ndarray) -> np.ndarray:
     """s[..., R] = sum of a[..., i] over the set bits i of R: the last axis
     of length n becomes one of length 2^n."""
@@ -133,17 +98,30 @@ def _subset_sums(a: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _subset_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every pair (S, T) of bitmasks over n elements with T a subset of S,
-    3^n of them, grouped by S in ascending order: read-only (t, r, starts)
-    with t = T, r = S ^ T, and S's group starting at starts[S]."""
-    digits = _maps(0, 3 ** n, n, 3)      # per element: 0 out, 1 S\T, 2 T
-    bits = 1 << np.arange(n)
-    s = (digits >= 1) @ bits
-    order = np.argsort(s, kind="stable")
-    t, r = ((digits == 2) @ bits)[order], ((digits == 1) @ bits)[order]
-    starts = np.searchsorted(s[order], np.arange(2 ** n))
+    3^n of them, grouped by S in ascending order: read-only int32 (t, r,
+    starts) with t = T, r = S ^ T, and S's group starting at starts[S];
+    its j-th member is j's bits deposited on S's set bits, lowest first."""
+    sizes = np.ones(1, dtype=np.int32)
+    for _ in range(n):                   # |S's group| = 2^popcount(S)
+        sizes = np.concatenate([sizes, 2 * sizes])
+    starts = np.cumsum(sizes, dtype=np.int32) - sizes
+    s = np.repeat(np.arange(2 ** n, dtype=np.int32), sizes)
+    j = np.arange(3 ** n, dtype=np.int32) - starts[s]
+    t = np.zeros_like(j)
+    for i in range(n):
+        on = (s >> i) & 1
+        t |= (j & on) << i
+        j >>= on
+    r = s ^ t
     for a in (t, r, starts):
         a.flags.writeable = False
     return t, r, starts
+
+
+def _levels(parts: int, n: int, whole: bool) -> int:
+    """Levels of `_partition`; it forms the pair table for 2 or more."""
+    parts = max(1, min(parts, n))
+    return parts - 1 if whole else parts
 
 
 def _partition(v: np.ndarray, parts: int, n: int,
@@ -156,26 +134,43 @@ def _partition(v: np.ndarray, parts: int, n: int,
     `_subset_pairs`.  With `whole` only S = all n elements is returned, and
     its last level is a single 2^n pass.
     """
-    parts = max(1, min(parts, n))
-    levels = parts - 1 if whole else parts
+    levels = _levels(parts, n, whole)
     best = v
     if levels > 1:
         t, r, starts = _subset_pairs(n)
-        vt = v[..., t]
+        vt = np.take(v, t, axis=-1)
+        pair = np.empty_like(vt)
         for _ in range(levels - 1):
-            best = np.maximum.reduceat(vt + best[..., r], starts, axis=-1)
+            # "clip" writes straight into `pair`; "raise" would buffer.
+            np.take(best, r, axis=-1, out=pair, mode="clip")
+            pair += vt
+            best = np.maximum.reduceat(pair, starts, axis=-1)
     if not whole:
         return best
-    if parts == 1:
+    if levels == 0:
         return best[..., -1]
     return (v + best[..., ::-1]).max(axis=-1)
+
+
+def _search_cells(nx: int, ny: int, seq: list[tuple[int, int]]) -> int:
+    """Array cells `_best_response` fills on its merged legs `seq`: the
+    subset sums, then per split of n elements a 2^n pass and 3^n cells a
+    pair-table level, times the other party's 2^n while both axes stay."""
+    sizes = (nx, ny)
+    cells = 2 * ny * 2 ** nx + (2 ** (nx + ny) if len(seq) > 1 else 0)
+    for k, (party, a) in enumerate(seq):
+        n = sizes[party]
+        levels = _levels(a, n, whole=k < 2)
+        split = 2 ** n + max(levels - 1, 0) * 3 ** n
+        cells += split * (2 ** sizes[1 - party] if k else 1)
+    return cells
 
 
 def _best_response(w: np.ndarray, legs: tuple[int, ...]) -> float:
     """Best score on weights W[b, x, y] of deterministic protocols whose
     legs, sent by Alice, Bob, Alice, ... in turn, have alphabets `legs`:
-    the rectangle recursion of the module docstring.  Callers cap the map
-    count with `_capped` first."""
+    the rectangle recursion of the module docstring, refused before any
+    allocation past CELL_CAP."""
     _, nx, ny = w.shape
     kept = [(k % 2, a) for k, a in enumerate(legs) if a > 1]
     seq = [(party, math.prod(a for _, a in run))     # Alice = 0, Bob = 1
@@ -185,6 +180,11 @@ def _best_response(w: np.ndarray, legs: tuple[int, ...]) -> float:
     if not seq:
         # One class, X itself: no subset table, however large X is.
         return float(w.sum(axis=1).max(axis=0).sum())
+    cells = _search_cells(nx, ny, seq)
+    if cells > CELL_CAP:
+        raise CapExceededError(
+            f"rectangle search on {nx} x {ny} inputs fills {cells} array "
+            f"cells, more than {CELL_CAP}")
     u = _subset_sums(w.transpose(0, 2, 1)).max(axis=0)   # (y, S)
     # V(S, T) at [T, S] while a Bob leg is to come, else V(S, Y) at [S];
     # each split leaves the other party's axis last.
@@ -208,9 +208,7 @@ def best_success_one_way(t: TruthTable, bits: int) -> float:
     if bits >= t.n:
         # Sending x itself lets the decision rule output f(x, y) directly.
         return 1.0
-    legs = _capped(t.num_inputs, (2 ** bits,), ENUM_CAP,
-                   "one-way strategy space")
-    return _best_response(_weights(t), legs)
+    return _best_response(_weights(t), (2 ** bits,))
 
 
 def _genuine_splits(bits: int) -> list[tuple[int, int, int]]:
@@ -228,38 +226,26 @@ def _genuine_splits(bits: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _split_legs(t: TruthTable, c1: int, c2: int,
-                c3: int) -> tuple[int, int, int]:
-    return _capped(t.num_inputs, (2 ** c1, 2 ** c2, 2 ** c3), ENUM_CAP,
-                   f"tree strategy space for split ({c1},{c2},{c3})")
-
-
 def _tree_split_value(t: TruthTable, c1: int, c2: int, c3: int) -> float:
     """Best success over deterministic three-leg protocols with leg budgets
-    (c1, c2, c3): Alice's best partition against Bob's exact best response,
-    once the split's (2^c1 * 2^(c3 * 2^c2))^|X| Alice maps fit ENUM_CAP."""
-    return _best_response(_weights(t), _split_legs(t, c1, c2, c3))
+    (c1, c2, c3): Alice's best partition against Bob's exact best
+    response."""
+    return _best_response(_weights(t), (2 ** c1, 2 ** c2, 2 ** c3))
 
 
 def best_success_tree(t: TruthTable, bits: int) -> float:
     """Best average success with `bits` total bits over up to three
     alternating transmissions A->B, B->A, A->B (a fourth cannot help since
     Bob decides): the one-way optimum or any genuine split, whichever is
-    larger.
-
-    Interactive splits are searched exactly, after every split's map count
-    has been checked against ENUM_CAP.
+    larger.  Interactive splits are searched exactly.
     """
     if bits < 0:
         raise ValueError(f"bits={bits} must be >= 0")
     best = best_success_one_way(t, bits)
     if best >= 1.0 - 1e-15:
         return best
-    splits = _genuine_splits(bits)
-    for split in splits:
-        _split_legs(t, *split)
-    for c1, c2, c3 in splits:
-        best = max(best, _tree_split_value(t, c1, c2, c3))
+    for split in _genuine_splits(bits):
+        best = max(best, _tree_split_value(t, *split))
     return best
 
 

@@ -329,7 +329,7 @@ def cmd_bell_certify(cfg: dict[str, Any],
                                          method="exact"),
                       "method": "exact"}
     except CapExceededError as e:
-        warnings.append(f"exact strategy enumeration skipped: {e}")
+        warnings.append(f"exact local bound skipped: {e}")
     cc_delta = lhv_bound(source.truth, schedule, method="cc_derived")
     cc_info = {"delta": cc_delta, "method": "cc_derived"}
     used = exact_info if exact_info is not None else cc_info
@@ -486,9 +486,6 @@ def cmd_cc(cfg: dict[str, Any],
         BudgetOracle, _table_key, chernoff_repeats, pumping_bound,
     )
     t = _resolve_truth(cfg["function"])
-    if t.n > 3:
-        raise UsageError(f"function has n={t.n} input bits per party; "
-                         f"cc supports n <= 3")
     bits = cfg["bits"] if cfg["bits"] is not None else t.n
     method = cfg["method"]
     # The table rows and the targets share one memo, so each budget is

@@ -71,6 +71,14 @@ def qrac_ml():
     return to_memoryless(builtin_qrac())
 
 
+def random_truth(n, seed):
+    rng = np.random.default_rng(seed)
+    size = 2 ** n
+    mu = rng.random((size, size))
+    return TruthTable(n=n, f=rng.integers(0, 2, size=(size, size)),
+                      mu=mu / mu.sum())
+
+
 def xor_truth():
     f = np.array([[0, 1], [1, 0]])
     return TruthTable(n=1, f=f, mu=np.full((2, 2), 0.25))
@@ -650,6 +658,23 @@ class TestSampledMode:
             for key, table in want.items():
                 assert got.tables[key].tobytes() == table.tobytes(), count
 
+    def test_sampled_port_counts_stop_at_two_to_the_63(self, monkeypatch):
+        # numpy draws integers below 2^63 only: 2^63 ports replay the
+        # stream, and 2^63 + 1 or 2^64 are refused before any pair runs.
+        ml = qrac_ml()
+        s = bell.PortSchedule.for_protocol(ml, (2 ** 63,))
+        got = bell.generate_correlations(ml, s, mode="sampled", trials=301,
+                                         seed=3, ideal=True)
+        want = add_at_tables(ml, s, 301, 3, ideal=True)
+        for key, table in want.items():
+            assert got.tables[key].tobytes() == table.tobytes()
+        monkeypatch.setattr(bell, "thread_map", None)
+        for count in (2 ** 63 + 1, 2 ** 64):
+            s = bell.PortSchedule.for_protocol(ml, (count,))
+            with pytest.raises(CapExceededError, match=r"below 2\^63"):
+                bell.generate_correlations(ml, s, mode="sampled",
+                                           trials=301, seed=3, ideal=True)
+
     @staticmethod
     def _sampled_peak(monkeypatch, trials, threads="1"):
         """`tracemalloc` peak of one sampled qrac [4] run."""
@@ -860,18 +885,23 @@ class TestLhvBound:
         assert bell.lhv_bound(truth, bell.PortSchedule((2, 2), (2, 2)),
                               method="exact") == bell.lhv_bound(
             truth, bell.PortSchedule((2,), (2,)), method="exact")
-        with pytest.raises(CapExceededError):
-            bell.lhv_bound(truth, bell.PortSchedule((64,), (2,)),
+        # 64 ports name any of the 4 inputs, so the local bound is 1; on
+        # 16 inputs a 4-port leg fills 2 * 3^16 pair cells, past the cap.
+        assert bell.lhv_bound(truth, bell.PortSchedule((64,), (2,)),
+                              method="exact") == 0.5
+        with pytest.raises(CapExceededError, match="88256130 array cells"):
+            bell.lhv_bound(random_truth(4, 3), bell.PortSchedule((4,), (2,)),
                            method="exact")
 
     def test_cap_past_the_print_limit(self):
-        # Alice's maps over 15 legs of 1000 have about 10^22 digits: the
-        # refusal names them as a product, and forms no such integer.
-        s = bell.PortSchedule((1000,) * 15, (2,) * 15)
+        # Fifteen legs of 10^4300 ports: their product has 64,501 digits,
+        # but the search counts the cells of the inputs' subsets, in which
+        # a leg of more ports than inputs is one of as many ports.
+        s = bell.PortSchedule((10 ** 4300,) * 15, (2,) * 15)
         start = time.perf_counter()
-        with pytest.raises(CapExceededError,
-                           match=r"\^4 Alice maps exceeds 10000000$"):
-            bell.lhv_bound(builtin_qrac().truth, s, method="exact")
+        assert bell.lhv_bound(builtin_qrac().truth, s, method="exact") == 0.5
+        with pytest.raises(CapExceededError, match="array cells, more than"):
+            bell.lhv_bound(random_truth(4, 4), s, method="exact")
         assert time.perf_counter() - start < 1.0
 
 
@@ -945,6 +975,15 @@ class TestLhvSweep:
             builtin_qrac().truth, bell.PortSchedule((4,), (2,)))
         with pytest.raises(CapExceededError):
             next(iter(gen))
+
+    def test_sweep_cap_never_forms_a_huge_count(self):
+        # 1000 ports at each of three levels: 4 * 10^9 leaf bits alone put
+        # the count past LHV_CAP, so the count itself is never formed.
+        s = bell.PortSchedule((1000,) * 3, (2,) * 3)
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError, match=r"2\^4000000000 leaf"):
+            next(iter(bell.lhv_strategies(builtin_qrac().truth, s)))
+        assert time.perf_counter() - start < 1.0
 
     def test_sweep_refuses_other_level_counts(self):
         # The sweep is the 1- and 3-level reference; the exact bound

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from bellforge import classicalcc
 from bellforge.classicalcc import (
     BudgetOracle,
-    ENUM_CAP,
+    CELL_CAP,
     TABLE_ROW_CAP,
     _genuine_splits,
     _table_key,
@@ -176,11 +176,16 @@ class TestTree:
         assert _genuine_splits(1) == []
 
     def test_space_cap(self):
-        # Split (0, 2, 2) on a 4-input function asks for 4^16 third-leg
-        # maps, past the enumeration cap.
-        with pytest.raises(CapExceededError, match="exceeds"):
-            _tree_split_value(eq2_truth(), 0, 2, 2)
-        assert 4 ** 16 > ENUM_CAP
+        # Split (0, 2, 2) on a 4-input function fills 2 * 4 * 16 + 2^8
+        # subset sums and a few pair tables, within the cap, and two-bit
+        # equality is then decided.  On 16 inputs split (0, 1, 1) keeps
+        # both 2^16 subset axes, 2^32 cells, past it.
+        assert _tree_split_value(eq2_truth(), 0, 2, 2) == 1.0
+        t = random_truth(np.random.default_rng(38), 4)
+        with pytest.raises(CapExceededError,
+                           match="fills 8592097280 array cells, more than"):
+            _tree_split_value(t, 0, 1, 1)
+        assert 2 ** 32 > CELL_CAP
 
 
 class TestDistributionalCC:
@@ -303,8 +308,9 @@ class TestBudgetOracle:
         assert searched == [0, 1]
 
     def test_lazy_past_enum_cap(self, monkeypatch):
-        # One-way budget 2 on n = 4 is 4^16 Alice maps, over ENUM_CAP, so
-        # a full table is refused while a target budget 0 reaches is not.
+        # One-way budget 2 on n = 4 fills 2 * 3^16 pair cells, over
+        # CELL_CAP, so a full table is refused while a target budget 0
+        # reaches is not.
         t = random_truth(np.random.default_rng(37), 4)
         with pytest.raises(CapExceededError):
             BudgetOracle(t).table()

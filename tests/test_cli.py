@@ -42,6 +42,28 @@ def member3_protocol_file(tmp_path) -> str:
     return str(path)
 
 
+def memory_free_five_legs() -> CommProtocol:
+    """Three rounds on n = 3 with no persistent registers: five qubit legs
+    carry x's low bit, then its xor with y's, through two Hadamards."""
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+    p0 = np.diag([1.0, 0.0])
+    inputs = range(8)
+    f = np.array([[(x ^ y) & 1 for y in inputs] for x in inputs])
+    return CommProtocol(
+        truth=TruthTable(n=3, f=f, mu=np.full((8, 8), 1.0 / 64.0)),
+        rounds=3, a0_dim=2, b0_dim=1,
+        m_out_dims=(2, 2, 2), m_back_dims=(2, 2),
+        a_dims=(1, 1, 1), b_dims=(1, 1),
+        anc_a_dims=(1, 1, 1), anc_b_dims=(1, 1),
+        alice_ops=({x: flip if x & 1 else np.eye(2) for x in inputs},
+                   {x: h for x in inputs}, {x: np.eye(2) for x in inputs}),
+        bob_ops=({y: flip if y & 1 else np.eye(2) for y in inputs},
+                 {y: h for y in inputs}),
+        observables={y: Povm([p0, np.eye(2) - p0]) for y in inputs},
+    )
+
+
 def one_round_protocol_doc(a0, anc, msg, mem) -> dict:
     """A valid one-round qrac-table protocol with Alice's start memory
     `a0`, ancilla `anc`, message `msg` and kept memory `mem`, as a
@@ -368,7 +390,32 @@ class TestBellCertify:
         classical = doc["results"]["classical"]
         assert classical["used"] == "exact"
         assert classical["exact"]["delta"] == pytest.approx(0.5, abs=1e-12)
-        assert not any("enumeration skipped" in w for w in doc["warnings"])
+        assert not any("bound skipped" in w for w in doc["warnings"])
+
+    def test_exact_bound_skipped_past_the_cell_cap(self, capsys, tmp_path):
+        # Five messages on n = 3 ride nine legs in the pipeline; at 4 ports
+        # each the exact local search would fill 39,238,466 cells, past the
+        # cap, so the report uses the communication-derived bound and says
+        # why.
+        path = tmp_path / "five_legs.json"
+        path.write_text(sz.dumps_canonical(sz.protocol_to_dict(
+            memory_free_five_legs())))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"protocol": str(path),
+                                   "schedule": [4] * 9}))
+        code, out, _ = run_cli(capsys, "bell-certify", "--config", str(cfg))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["results"]["pipeline"]["legs"] == [2, 4, 4, 2, 2, 4, 4,
+                                                      2, 2]
+        classical = doc["results"]["classical"]
+        assert classical["exact"] is None
+        assert classical["used"] == "cc_derived"
+        assert classical["cc_derived"]["delta"] == 0.5
+        assert [w for w in doc["warnings"]
+                if w.startswith("exact local bound skipped: ")] == [
+            "exact local bound skipped: rectangle search on 8 x 8 inputs "
+            "fills 39238466 array cells, more than 33554432"]
 
     def test_sampled_run_needs_seed_and_tracks_exact(self, capsys, tmp_path):
         proto = member3_protocol_file(tmp_path)
@@ -631,6 +678,8 @@ class TestCc:
         assert table == {0: 0.5, 1: 0.75}
 
     def test_too_many_input_bits(self, capsys, tmp_path):
+        # No input-bit limit of its own: on n = 4 the table runs to 1 bit,
+        # and one-way 2 bits is past the search's cell cap, exit 2.
         from bellforge.protocols import TruthTable
         t = TruthTable(n=4, f=np.zeros((16, 16), dtype=int),
                        mu=np.full((16, 16), 1.0 / 256.0))
@@ -638,9 +687,17 @@ class TestCc:
         path.write_text(json.dumps(sz.truth_to_dict(t)))
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"function": str(path)}))
-        code, _, err = run_cli(capsys, "cc", "--config", str(cfg))
-        assert code == 1
-        assert "n <= 3" in err
+        code, out, _ = run_cli(capsys, "cc", "--config", str(cfg))
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"]["code"] == "cap_exceeded"
+        assert "fills 88256130 array cells" in doc["error"]["reason"]
+        cfg.write_text(json.dumps({"function": str(path), "bits": 1}))
+        code, out, _ = run_cli(capsys, "cc", "--config", str(cfg))
+        assert code == 0
+        table = {row["bits"]: row["success"]
+                 for row in json.loads(out)["results"]["table"]}
+        assert table == {0: 1.0, 1: 1.0}
 
     def test_unknown_function_name(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"

@@ -17,6 +17,7 @@ input sets and with the legs as given.
 """
 
 import math
+import tracemalloc
 from functools import lru_cache
 from itertools import product
 
@@ -209,11 +210,10 @@ REF_MAPS = 2 ** 16
 
 
 def reference_legs(n: int) -> list[tuple[int, int, int]]:
-    """Leg triples with alphabets 1..4 that ENUM_CAP accepts at n and whose
-    maps the reference enumeration walks in at most REF_MAPS."""
+    """Leg triples with alphabets 1..4 whose maps the reference enumeration
+    walks in at most REF_MAPS."""
     return [legs for legs in product(range(1, 5), repeat=3)
-            if (legs[0] * legs[2] ** legs[1]) ** (2 ** n)
-            <= min(cc.ENUM_CAP, REF_MAPS)]
+            if (legs[0] * legs[2] ** legs[1]) ** (2 ** n) <= REF_MAPS]
 
 
 def tables(seed: int, n: int, count: int) -> list[TruthTable]:
@@ -471,10 +471,22 @@ def _accepted(search, *args) -> bool:
     return True
 
 
+def former_rule_accepts(nx: int, legs: tuple[int, ...], cap: int) -> bool:
+    """The map-count rule that used to decide acceptance: per input, Alice
+    sends each of her legs once for every reply sequence Bob can have sent
+    before it, (a1 * a3^a2 * ...)^|X| maps in all, within `cap` (10^8 for
+    the oracles, 10^7 for the exact LHV bound)."""
+    count = 1
+    for k in range(0, len(legs), 2):
+        count *= legs[k] ** math.prod(legs[1:k:2])
+    return count ** nx <= cap
+
+
 def test_pair_table_stays_small_under_the_caps(monkeypatch):
     # The 3^n pair table is never formed past n = 8 subset elements, for
-    # any search the caps accept on four-bit inputs, whatever its number
-    # of legs (ENUM_CAP comment).
+    # any search the cap accepts on four-bit inputs, whatever its number
+    # of legs (CELL_CAP comment); and every search the former map-count
+    # rule accepted is accepted.
     formed = []
     pairs = cc._subset_pairs
 
@@ -484,17 +496,25 @@ def test_pair_table_stays_small_under_the_caps(monkeypatch):
 
     monkeypatch.setattr(cc, "_subset_pairs", spy)
     t = tables(1000, 4, 1)[0]
-    accepted = []
+    nx = t.num_inputs
+    accepted, former = [], []
     for bits in range(6):
         if _accepted(cc.best_success_one_way, t, bits):
             accepted.append(("one_way", bits))
+        if bits >= t.n or former_rule_accepts(nx, (2 ** bits,), 10 ** 8):
+            former.append(("one_way", bits))
         for split in cc._genuine_splits(bits):
             if _accepted(cc._tree_split_value, t, *split):
                 accepted.append(("tree", split))
+            if former_rule_accepts(nx, tuple(2 ** c for c in split), 10 ** 8):
+                former.append(("tree", split))
     for levels in (1, 2, 3, 4, 5):
         for counts in product(range(1, 6), repeat=levels):
             if _accepted(lhv_kernel, t, counts):
                 accepted.append(("lhv", counts))
+            if former_rule_accepts(nx, counts, 10 ** 7):
+                former.append(("lhv", counts))
+    assert len(former) > 100 and set(former) <= set(accepted)
     assert ("one_way", 1) in accepted and ("lhv", (2, 4, 1)) in accepted
     for counts in [(2, 5), (2, 3, 1, 4), (1, 1, 2, 5, 1), (2, 3, 1, 4, 1)]:
         assert ("lhv", counts) in accepted, counts
@@ -502,6 +522,87 @@ def test_pair_table_stays_small_under_the_caps(monkeypatch):
     # The spy sees the table where a search forms it.
     cc.best_success_one_way(tables(1001, 3, 1)[0], 2)
     assert formed == [8]
+
+
+def random_protocol_score(w: np.ndarray, legs: tuple[int, ...],
+                          rng: np.random.Generator) -> float:
+    """Score on weights W[b, x, y] of one deterministic protocol whose
+    every message is a random labelling of the sender's input and the
+    transcript so far, with Bob's best bit per (y, transcript)."""
+    _, nx, ny = w.shape
+    x, y = np.indices((nx, ny))
+    transcript = np.zeros((nx, ny), dtype=np.int64)
+    count = 1
+    for k, a in enumerate(legs):
+        own = (x, y)[k % 2]
+        labels = rng.integers(0, a, size=((nx, ny)[k % 2], count))
+        transcript = transcript * a + labels[own, transcript]
+        count *= a
+    score = np.zeros((2, ny, count))
+    for b in (0, 1):
+        np.add.at(score[b], (y, transcript), w[b])
+    return float(score.max(axis=0).sum())
+
+
+class TestNewlyAcceptedSizes:
+    """Searches that only the cell count accepts, on three-bit inputs:
+    each value bounds every sampled protocol, grows with the legs and is
+    at most 1."""
+
+    # Tree splits and LHV schedules whose Alice maps the former rule
+    # counted past its caps; (8, 4, 4, 8, 8) fills 32,284,102 cells.
+    LEGS = [(1, 2, 4), (4, 2, 2), (2, 4, 2), (1, 4, 4), (2, 2, 8),
+            (5, 2, 2), (2, 2, 3, 2), (3, 3, 3, 3, 3), (8, 4, 4, 8, 8)]
+
+    def test_at_least_every_random_labelling(self):
+        rng = np.random.default_rng(1200)
+        for t in tables(1201, 3, 2):
+            w = cc._weights(t)
+            for legs in self.LEGS:
+                assert not former_rule_accepts(t.num_inputs, legs, 10 ** 8)
+                got = cc._best_response(w, legs)
+                assert got <= 1.0 + TOL, legs
+                best = max(random_protocol_score(w, legs, rng)
+                           for _ in range(50))
+                assert best <= got + TOL, (legs, best, got)
+
+    def test_monotone_in_the_budget(self):
+        t = tables(1210, 3, 1)[0]
+        w = cc._weights(t)
+        chains = [[(1, 2, 2), (1, 2, 4), (1, 4, 4), (2, 4, 4), (4, 4, 4)],
+                  [(2, 2, 2), (3, 2, 2), (3, 3, 2), (3, 3, 3), (3, 3, 3, 2),
+                   (3, 3, 3, 3, 3), (8, 4, 4, 8, 8)]]
+        for chain in chains:
+            values = [cc._best_response(w, legs) for legs in chain]
+            assert all(b >= a - TOL for a, b in zip(values, values[1:])), \
+                (chain, values)
+        values = [cc.best_success_tree(t, bits) for bits in range(4)]
+        assert all(b >= a - TOL for a, b in zip(values, values[1:]))
+        assert values[-1] == 1.0
+
+
+def test_peak_memory_within_the_cell_count(monkeypatch):
+    # Two float64s per counted cell and 1 MiB bound a search's traced
+    # peak, pair table included (the cache is cleared first).
+    counted = []
+    count = cc._search_cells
+
+    def spy(nx, ny, seq):
+        counted.append(count(nx, ny, seq))
+        return counted[-1]
+
+    monkeypatch.setattr(cc, "_search_cells", spy)
+    w = cc._weights(tables(1220, 3, 1)[0])
+    for legs in [(4,), (8,), (1, 1, 1, 2, 3), (2, 2, 2, 4), (1, 2, 4, 2),
+                 (1, 4, 4), (8, 4, 4, 8, 8)]:
+        cc._subset_pairs.cache_clear()
+        tracemalloc.start()
+        try:
+            cc._best_response(w, legs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * counted[-1] + 2 ** 20, (legs, peak)
 
 
 class TestCapRule:
@@ -516,36 +617,53 @@ class TestCapRule:
                 assert new <= tree_old and new <= lhv_old
 
     def test_message_names_the_count(self):
-        t = tables(600, 2, 1)[0]
-        with pytest.raises(CapExceededError, match=r"= 4294967296 Alice"):
-            cc._tree_split_value(t, 0, 2, 2)
-        with pytest.raises(CapExceededError, match=r"= 16777216 Alice"):
-            lhv_kernel(t, (64,))
-
-    def test_count_for_any_leg_sequence(self):
-        # Alice sends each leg once per reply sequence Bob can have sent
-        # before it: 2 * 4^4 * 8^(4 * 8) maps per input on member 3's legs.
-        count = (2 * 4 ** 4 * 8 ** 32) ** 2
+        # n = 4: split (0, 1, 1) keeps both 2^16 axes, 2 * 16 * 2^16 +
+        # 2^32 subset sums, then Alice's 2-class pass on both axes and
+        # Bob's on his; one-way 2 bits fills 2 * 3^16 pair cells.
+        t = tables(600, 4, 1)[0]
         with pytest.raises(CapExceededError,
-                           match=rf"\(2\*4\^4\*8\^32\)\^2 = {count} Alice"):
-            cc._capped(2, (2, 4, 4, 8, 8), count - 1, "legs")
-        assert cc._capped(2, (2, 4, 4, 8, 8), count, "legs") == \
-            (2, 4, 4, 8, 8)
-        assert cc._capped(3, (5, 7), 125, "legs") == (5, 7)
+                           match=r"fills 8592097280 array cells, more "
+                                 r"than 33554432$"):
+            cc._tree_split_value(t, 0, 1, 1)
+        with pytest.raises(CapExceededError,
+                           match=r"16 x 16 inputs fills 88256130 array"):
+            lhv_kernel(t, (4,))
+
+    def test_count_for_any_leg_sequence(self, monkeypatch):
+        # Member 3's legs on 2 x 2 inputs: 2 * 2 * 4 + 2^4 subset sums,
+        # then one 4-cell pass for Alice's whole first leg, 4 * 4 for
+        # Bob's, and (4 + 9) * 4 for each later 2-class split.  Alice's
+        # legs 5 and 7 merge into one of 35 and a last Bob leg is dropped:
+        # on 3 x 3 inputs 2 * 3 * 8 subset sums, one 8-cell pass and 27
+        # pair cells.
+        w = np.full((2, 2, 2), 0.125)
+        assert cc._search_cells(2, 2, [(0, 2), (1, 4), (0, 4), (1, 8),
+                                       (0, 8)]) == 208
+        monkeypatch.setattr(cc, "CELL_CAP", 207)
+        with pytest.raises(CapExceededError, match=r"fills 208 array cells"):
+            cc._best_response(w, (2, 4, 4, 8, 8))
+        monkeypatch.setattr(cc, "CELL_CAP", 208)
+        assert cc._best_response(w, (2, 4, 4, 8, 8)) == 0.5
+        w = np.full((2, 3, 3), 1.0 / 18.0)
+        monkeypatch.setattr(cc, "CELL_CAP", 82)
+        for legs in [(5, 1, 7), (35, 7)]:
+            with pytest.raises(CapExceededError, match=r"fills 83 array"):
+                cc._best_response(w, legs)
 
     def test_every_split_checked_before_any_search(self, monkeypatch):
-        # n = 4, 3 bits: split (1, 1, 1) fits a cap of 10^15 but (0, 1, 2)
-        # and (0, 2, 1) do not; no split may be searched before that is
-        # known.
+        # Each search counts its cells before it allocates: on n = 4 no
+        # split of 3 bits forms a subset sum, pair table or partition.
         t = tables(601, 4, 1)[0]
-        searched = []
-        monkeypatch.setattr(cc, "ENUM_CAP", 10 ** 15)
-        monkeypatch.setattr(cc, "best_success_one_way", lambda t, b: 0.5)
-        monkeypatch.setattr(cc, "_tree_split_value",
-                            lambda t, *split: searched.append(split) or 0.5)
-        with pytest.raises(CapExceededError, match=r"\(0,1,2\)"):
+        formed = []
+        for name in ("_subset_sums", "_subset_pairs", "_partition"):
+            monkeypatch.setattr(cc, name,
+                                lambda *a, name=name: formed.append(name))
+        for split in cc._genuine_splits(3):
+            with pytest.raises(CapExceededError, match="array cells"):
+                cc._tree_split_value(t, *split)
+        with pytest.raises(CapExceededError, match="array cells"):
             cc.best_success_tree(t, 3)
-        assert searched == []
+        assert formed == []
 
 
 def test_threaded_split_bitwise_invariant(monkeypatch):
