@@ -371,13 +371,26 @@ def cmd_bell_certify(cfg: dict[str, Any],
     return results, 0
 
 
-def _sweep_boxes(t: TruthTable, doc: dict[str, Any]
+def _sweep_boxes(size: int, boxes: Any, n_deltas: int
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """The sweep's flags and answers as 0/1 arrays, one row per box."""
-    from .bell import _deterministic_boxes
-    size = t.num_inputs
-    boxes = doc.get("boxes")
+    """A sweep document's boxes as 0/1 flag and answer arrays, one row per
+    box, for `size` inputs per party.  Refused with CapExceededError when
+    boxes x `n_deltas` exceeds SWEEP_CHECK_CAP, and then with UsageError
+    when `boxes` or any one box is malformed."""
     if boxes == "deterministic":
+        count = 4 ** size
+    elif isinstance(boxes, list):
+        count = len(boxes)
+    else:
+        raise UsageError("sweep file needs boxes: \"deterministic\" or a "
+                         "list of {flag, answer} objects")
+    checks = count * n_deltas
+    if checks > SWEEP_CHECK_CAP:
+        raise CapExceededError(
+            f"sweep of {count} boxes x {n_deltas} deltas = "
+            f"{checks} checks exceeds {SWEEP_CHECK_CAP}")
+    if boxes == "deterministic":
+        from .bell import _deterministic_boxes
         return _deterministic_boxes(size)
     for i, box in enumerate(boxes):
         box = box if isinstance(box, dict) else {}
@@ -393,9 +406,9 @@ def _sweep_boxes(t: TruthTable, doc: dict[str, Any]
 
 
 def _load_sweep(t: TruthTable, path: str, deltas: list[float]
-                ) -> tuple[dict[str, Any], list[float]]:
-    """Read a sweep file: its document and deltas, refused with
-    CapExceededError when boxes x deltas exceeds SWEEP_CHECK_CAP."""
+                ) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """Read and check a sweep file before any work: its boxes as flag and
+    answer arrays (`_sweep_boxes`), and its deltas."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -409,26 +422,15 @@ def _load_sweep(t: TruthTable, path: str, deltas: list[float]
              "sweep deltas must be a non-empty list")
     for d in sweep_deltas:
         _require_delta(d, "sweep delta")
-    boxes = doc.get("boxes")
-    if boxes == "deterministic":
-        count = 4 ** t.num_inputs
-    elif isinstance(boxes, list):
-        count = len(boxes)
-    else:
-        raise UsageError("sweep file needs boxes: \"deterministic\" or a "
-                         "list of {flag, answer} objects")
-    checks = count * len(sweep_deltas)
-    if checks > SWEEP_CHECK_CAP:
-        raise CapExceededError(
-            f"sweep of {count} boxes x {len(sweep_deltas)} deltas = "
-            f"{checks} checks exceeds {SWEEP_CHECK_CAP}")
-    return doc, sweep_deltas
+    flags, answers = _sweep_boxes(t.num_inputs, doc.get("boxes"),
+                                  len(sweep_deltas))
+    return flags, answers, sweep_deltas
 
 
-def _run_sweep(t: TruthTable, doc: dict[str, Any], sweep_deltas: list[float],
+def _run_sweep(t: TruthTable, flags: np.ndarray, answers: np.ndarray,
+               sweep_deltas: list[float],
                oracle: BudgetOracle) -> dict[str, Any]:
     from .bell import _nonlinear_box_sweep
-    flags, answers = _sweep_boxes(t, doc)
     failures, worst = _nonlinear_box_sweep(t, flags, answers, sweep_deltas,
                                            oracle)
     return {"boxes": len(flags), "deltas": [float(d) for d in sweep_deltas],

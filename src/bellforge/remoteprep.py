@@ -5,7 +5,10 @@ state |phi> on Bob's side, Alice measures her half against the entrywise
 complex conjugate |phi*>: on a hit (probability exactly 1/d) Bob's half
 collapses to |phi> with no correction needed on his side, and Alice sends
 him the single outcome bit.  `rsp_attempt` runs one such attempt on the
-register machine holding the pair's ket.
+register machine holding the pair's ket: it draws the outcome from the
+Born probabilities of Alice's measurement, applies that outcome's
+projector to her half, and takes Bob's state as the partial trace over
+her half, divided by the outcome's probability.
 
 Batched preparation repeats over m = `batch_size(k, p)` = ceil(k/p) fresh
 pairs, each hitting with probability p, and communicates the index of the
@@ -39,7 +42,7 @@ class RspAttempt:
     state, and the exact success probability of the measurement."""
     target: PureState
     outcome: int
-    bob_state: MixedState | None
+    bob_state: MixedState
     success_probability: float
 
 
@@ -77,8 +80,15 @@ def rsp_attempt(target: PureState, rng: np.random.Generator) -> RspAttempt:
     state, and the exact success probability tr(|phi*><phi*| I/d) = 1/d.
     """
     d = target.dim
+    povm = rsp_povm(target)
     reg = _RegisterMachine([("A", d), ("B", d)], max_entangled(d).amplitudes)
-    idx, probs = reg.measure(["A"], rsp_povm(target), rng)
-    bob = MixedState(reg.reduced(["B"]))
+    probs = reg.probs(["A"], povm)
+    clipped = np.clip(probs, 0.0, None)
+    idx = int(rng.choice(len(probs), p=clipped / clipped.sum()))
+    # Lueders' update leaves Bob the marginal Tr_A[(E (x) I) rho] / p.  E
+    # applied once to the ket gives Tr_A[(E (x) I) rho (E (x) I)], the same
+    # matrix because both elements are projectors: E^2 = E.
+    reg.apply(["A"], povm.elements[idx], [("A", d)])
+    bob = MixedState(reg.reduced(["B"]) / probs[idx])
     return RspAttempt(target=target, outcome=1 if idx == 0 else 0,
                       bob_state=bob, success_probability=float(probs[0]))

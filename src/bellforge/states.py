@@ -10,7 +10,6 @@ Conventions used throughout:
 
 * register order is the kron order of the underlying array,
 * the maximally entangled state is |Phi+> = sum_i |ii> / sqrt(d),
-* measurements update via the Lueders rule sqrt(E) rho sqrt(E) / p,
 * Hermitian matrices are symmetrized as (M + M^dag)/2 before any
   eigendecomposition.
 
@@ -20,8 +19,7 @@ block and regroups the image into new registers.  Protocol runs drive it on
 a ket or a density matrix.  In operator mode it starts from the identity,
 held as the ket sum_i |i>|i> with a trailing column register, so the same
 steps compose the unitaries that the protocol rewrites build.  It also
-takes partial traces and Born probabilities, and samples a measurement
-with its Lueders update.
+takes partial traces and Born probabilities.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ ATOL_EIG = 1e-10        # eigenvalue floor for density matrices / POVM elements
 ATOL_TRACE = 1e-10      # trace-one for density matrices
 ATOL_POVM = 1e-10       # POVM completeness (sum to identity)
 ATOL_UNITARY = 1e-10    # unitarity of applied operators
-PROB_FLOOR = 1e-14      # measurement refuses to sample below this total mass
 MAX_TOTAL_DIM = 2 ** 20  # hard cap on any state's total dimension
 _PRINT_DIGITS = 4300    # Python's default limit on the digits of a printed int
 
@@ -281,10 +278,6 @@ class _RegisterMachine:
             self.state = np.kron(self.state, zero)
             self.regs[name] = dim
 
-    def rename(self, old, new) -> None:
-        """Re-key register `old` as `new` (no-op when `old` is absent)."""
-        self.regs = {(new if n == old else n): d for n, d in self.regs.items()}
-
     def _front(self, names: Iterable) -> tuple[list, int, int]:
         """Move the present `names` to the front of the kron order; return
         them, their block dimension and the remaining dimension."""
@@ -356,25 +349,6 @@ class _RegisterMachine:
         reduced = self.reduced(names)
         return np.array([np.einsum("ij,ji->", e, reduced).real
                          for e in povm.elements])
-
-    def measure(self, names: Iterable, povm: Povm,
-                rng: np.random.Generator) -> tuple[int, np.ndarray]:
-        """Sample a POVM outcome on the named register block and return
-        (outcome, probabilities).  The state becomes the Lueders update
-        sqrt(E) rho sqrt(E) / p.  Raises if every outcome has probability
-        below 1e-14."""
-        names = [n for n in names if n in self.regs]
-        probs = self.probs(names, povm)
-        if probs.max() < PROB_FLOOR:
-            raise InvariantError("all POVM outcome probabilities below 1e-14")
-        clipped = np.clip(probs, 0.0, None)
-        outcome = int(rng.choice(len(clipped), p=clipped / clipped.sum()))
-        self.apply(names, psd_sqrt(povm.elements[outcome]),
-                   [(n, self.regs[n]) for n in names])
-        self.state = self.state / (np.linalg.norm(self.state)
-                                   if self.state.ndim == 1
-                                   else np.trace(self.state).real)
-        return outcome, probs
 
 
 def fidelity(a: State, b: State) -> float:

@@ -102,8 +102,8 @@ def _split_party(p: CommProtocol, msgs, sched, party: str, arrivals):
             reg = _RegisterMachine.identity(cols + anc)
             if ell is not None:
                 reg.apply(sel, ops[ell][v], outs)
-            reg.rename(sent, "sh")  # what leaves is the outgoing shuttle
-            by_input[v] = reg.matrix(["sh"] + list(held))
+            # `sent`, the outgoing shuttle, leads; it is never in `held`.
+            by_input[v] = reg.matrix([sent] + list(held))
         round_ops.append(by_input)
         mem_dims.append(prod(held.values()))
         anc_dims.append(prod(d for _, d in anc))

@@ -1,7 +1,7 @@
 """The `oneway` box sweep against its per-box reference loop.
 
-`cli._run_sweep` evaluates every box as arrays; `sweep_reference` is the
-loop it replaced, one `nonlinear_bell_check` per box and delta.  Every
+`cli._sweep_boxes` parses the boxes into arrays and `cli._run_sweep`
+evaluates them; `sweep_reference` is the loop they replaced, one `nonlinear_bell_check` per box and delta.  Every
 report field must agree exactly, `inf` included, and so must the
 canonical bytes.
 """
@@ -26,9 +26,16 @@ EXAMPLES = os.path.join(REPO, "docs", "examples", "v1")
 FIELDS = ("boxes", "failures", "all_hold", "worst_margin_bits")
 
 
+def cli_sweep(t, doc, deltas, oracle):
+    """The CLI's sweep of the document `doc`: parse, then evaluate."""
+    flags, answers = cli._sweep_boxes(t.num_inputs, doc.get("boxes"),
+                                      len(deltas))
+    return cli._run_sweep(t, flags, answers, deltas, oracle)
+
+
 def assert_matches_reference(t, doc, deltas):
     want = ref.run_sweep(t, doc, deltas, BudgetOracle(t))
-    got = cli._run_sweep(t, doc, deltas, BudgetOracle(t))
+    got = cli_sweep(t, doc, deltas, BudgetOracle(t))
     for key in FIELDS:
         assert got[key] == want[key], key
         assert type(got[key]) is type(want[key]), key
@@ -60,9 +67,11 @@ def test_shipped_sweep():
     with open(os.path.join(EXAMPLES, "oneway_sweep.config.json")) as fh:
         cfg = json.load(fh)
     t = builtin_qrac().truth
-    doc, deltas = cli._load_sweep(
-        t, os.path.join(REPO, cfg["sweep_file"]), cfg["deltas"])
-    got = assert_matches_reference(t, doc, deltas)
+    path = os.path.join(REPO, cfg["sweep_file"])
+    flags, answers, deltas = cli._load_sweep(t, path, cfg["deltas"])
+    with open(path) as fh:
+        got = assert_matches_reference(t, json.load(fh), deltas)
+    assert got == cli._run_sweep(t, flags, answers, deltas, BudgetOracle(t))
     with open(os.path.join(EXAMPLES, "report_oneway_sweep.json")) as fh:
         assert got == json.load(fh)["results"]["sweep"]
 
@@ -139,7 +148,7 @@ def test_uncertified_target_raises():
     # A stub oracle certifies no target, here an always-right box's 0.75.
     t = builtin_qrac().truth
     doc = {"boxes": [{"flag": [1, 0, 0, 0], "answer": t.f[0].tolist()}]}
-    for run in (ref.run_sweep, cli._run_sweep):
+    for run in (ref.run_sweep, cli_sweep):
         with pytest.raises(ValueError,
                            match="cannot certify target 0.75$"):
             run(t, doc, [0.5], lambda p: np.full(np.shape(p), np.inf))
@@ -155,7 +164,7 @@ def test_flag_rate_past_one_raises_like_the_loop():
     doc = {"boxes": [{"flag": [1, 0], "answer": [0, 0]},
                      {"flag": [1, 1], "answer": [0, 1]}]}
     messages = []
-    for run in (ref.run_sweep, cli._run_sweep):
+    for run in (ref.run_sweep, cli_sweep):
         with pytest.raises(InvariantError) as err:
             run(t, doc, [0.5], BudgetOracle(builtin_qrac().truth))
         messages.append(str(err.value))
@@ -180,8 +189,8 @@ def test_sweep_at_check_cap_is_small():
     assert 4 ** t.num_inputs * len(deltas) == cli.SWEEP_CHECK_CAP
     tracemalloc.start()
     try:
-        got = cli._run_sweep(t, {"boxes": "deterministic"}, deltas,
-                             BudgetOracle(t))
+        got = cli_sweep(t, {"boxes": "deterministic"}, deltas,
+                        BudgetOracle(t))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -559,6 +559,31 @@ class TestOneway:
             f"checks exceeds {cli.SWEEP_CHECK_CAP}")
         assert calls == []
 
+    def test_malformed_sweep_box_refused_before_any_work(
+            self, capsys, monkeypatch, tmp_path):
+        # The whole sweep document is checked when it is read: a bad second
+        # box exits 1 before the correlations or the success probability
+        # of the protocol are computed.
+        from bellforge import bell, protocols
+        calls = []
+        for module, name in ((bell, "one_way_correlations"),
+                             (protocols, "success_probability")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, real=real, name=name:
+                                calls.append(name) or real(*a))
+        boxes = [{"flag": [1, 0, 0, 0], "answer": [0, 0, 0, 0]},
+                 {"flag": [1, 0], "answer": [0, 1]}]
+        (tmp_path / "s.json").write_text(json.dumps(
+            {"format": "bellforge-oneway-sweep", "boxes": boxes}))
+        (tmp_path / "c.json").write_text(json.dumps(
+            {"sweep_file": str(tmp_path / "s.json")}))
+        code, out, err = run_cli(capsys, "oneway", "--config",
+                                 str(tmp_path / "c.json"))
+        assert code == 1
+        assert "sweep box 1 needs 0/1 lists of length 4 for flag and " \
+            "answer" in err
+        assert calls == []
+
     @pytest.mark.parametrize("case,theta", [
         ("subnormal-flag-rate", None),
         ("success-past-one", 0.04100334448160536),

@@ -30,7 +30,7 @@ from bellforge.bell import (
     PortSchedule, bell_value, generate_correlations,
     simulate_with_classical_comm,
 )
-from bellforge.states import random_unitary
+from bellforge.states import _RegisterMachine, random_unitary
 from bellforge.teleport import entanglement_fidelity
 from bellforge.transforms import _span_chain
 
@@ -753,6 +753,58 @@ def test_memoryless_preserves_corpus_distributions(corpus):
         for x, y in _pairs(p):
             assert run_exact(ml, x, y) == pytest.approx(
                 run_exact(p, x, y), abs=MEMORYLESS_ATOL)
+
+
+def _real_orthogonal(d, rng):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)))
+    return q * np.sign(np.diagonal(r))
+
+
+def _realified(p, rng):
+    """`p` with every operator a seeded real orthogonal matrix and every
+    observable a real projector pair: the same shapes, all of them real."""
+    ops = {who: tuple({v: _real_orthogonal(len(u), rng) for v, u in r.items()}
+                      for r in p.party(who)[0]) for who in ("alice", "bob")}
+    observables = {}
+    for y, povm in p.observables.items():
+        q = _real_orthogonal(povm.dim, rng)
+        proj = q[:, :int(rng.integers(1, povm.dim))]
+        proj = proj @ proj.T
+        observables[y] = Povm([proj, np.eye(povm.dim) - proj])
+    return dataclasses.replace(p, alice_ops=ops["alice"], bob_ops=ops["bob"],
+                               observables=observables)
+
+
+def _worst_pad(p):
+    """Largest 1 - <0|rho|0> of a party's register (Alice's or Bob's memory,
+    in memoryless form the pad) over every input pair and every leg of a
+    clean run, the leg loop of `protocols._simulate`."""
+    worst = 0.0
+    size = p.truth.num_inputs
+    for x in range(size):
+        for y in range(size):
+            own = {"alice": x, "bob": y}
+            reg = _RegisterMachine()
+            reg.add("alice", p.a0_dim)
+            reg.add("bob", p.b0_dim)
+            for k, (who, d_msg) in enumerate(p.legs):
+                ops, mem, anc = p.party(who)
+                reg.add("anc", anc[k // 2])
+                reg.apply(["M", who, "anc"], ops[k // 2][own[who]],
+                          [("M", d_msg), (who, mem[k // 2 + 1])])
+                for pad in ("alice", "bob"):
+                    if pad in reg.regs:
+                        worst = max(worst, 1.0 - reg.reduced([pad])[0, 0].real)
+    return worst
+
+
+def test_memoryless_pads_stay_blank_on_real_corpus(corpus):
+    # What a party keeps between rounds of the memoryless form is a blank
+    # pad: it reads |0> after every leg.  The corpus's shapes, made real.
+    rng = np.random.default_rng(0)
+    for i, p in enumerate(corpus):
+        ml = to_memoryless(to_single_qubit_rounds(_realified(p, rng)))
+        assert _worst_pad(ml.proto) < 1e-10, i
 
 
 def test_memoryless_random_q4_protocol_round_trip():

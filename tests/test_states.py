@@ -507,12 +507,10 @@ def test_register_machine_rejects_mismatched_regroup():
     assert reg.regs == {"A": 2, "B": 3}
 
 
-def test_operator_mode_rename_and_read_out():
+def test_operator_mode_read_out():
     reg = _RegisterMachine.identity([("A", 2), ("B", 1), ("C", 3)])
-    reg.rename("A", "X")
-    reg.rename("B", "Y")  # absent: no-op
-    assert list(reg.regs)[:2] == ["X", "C"]
-    assert np.array_equal(reg.matrix(["X", "Y", "C"]), np.eye(6))
+    assert list(reg.regs)[:2] == ["A", "C"]  # B, of dimension 1, is absent
+    assert np.array_equal(reg.matrix(["A", "B", "C"]), np.eye(6))
     with pytest.raises(ValueError, match="does not name every register"):
         reg.matrix(["C"])
 
@@ -584,63 +582,42 @@ def test_register_helpers_match_dense_references(data):
         assert np.max(np.abs(red - reduced_ref(rho, dims, axes))) < 1e-12
 
 
-# ---------------------------------------------------------------- measure
+# ------------------------------------------------- measurement probabilities
 
-def measure(state, povm, rng, names=("Q",), regs=None):
-    """The machine's sampled measurement of `names` on `state` over `regs`
-    (one register Q by default): (outcome, probabilities, post-measurement
-    array)."""
-    reg = loaded(state, regs or [("Q", state.dim)])
-    outcome, probs = reg.measure(names, povm, rng)
-    return outcome, probs, reg.state
+def born(state, povm, names=("Q",), regs=None):
+    """The machine's Born probabilities of `povm` on `names` of `state`
+    over `regs` (one register Q by default)."""
+    return loaded(state, regs or [("Q", state.dim)]).probs(names, povm)
 
 
 def test_measure_definite_outcome():
     povm = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    rho = density(qubit_state(1, 0))
-    outcome, probs, post = measure(rho, povm, np.random.default_rng(0))
-    assert outcome == 0
-    assert np.allclose(probs, [1.0, 0.0], atol=1e-12)
-    assert np.allclose(post, np.diag([1.0, 0.0]), atol=1e-12)
+    for state in (qubit_state(1, 0), density(qubit_state(1, 0))):
+        assert np.allclose(born(state, povm), [1.0, 0.0], atol=1e-12)
 
 
 def test_measure_maximally_mixed_is_uniform():
     povm = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    rho = MixedState(np.eye(2) / 2)
-    _, probs, _ = measure(rho, povm, np.random.default_rng(0))
+    probs = born(MixedState(np.eye(2) / 2), povm)
     assert np.allclose(probs, [0.5, 0.5], atol=1e-12)
 
 
 def test_measure_remote_prep_success_probability():
-    # Measuring one half of a Bell pair against a target-state projector
-    # succeeds with probability <phi| I/d |phi> = 1/d.
-    plus = ket(1, 1)
-    proj = np.outer(plus.conj(), plus).conj()  # entrywise conjugate projector
-    povm = Povm([proj, np.eye(2) - proj])
-    _, probs, _ = measure(max_entangled(2), povm, np.random.default_rng(1),
-                          names=["A"], regs=PAIR)
-    assert abs(probs[0] - 0.5) < 1e-12
-
-
-def test_measure_luders_update_projective():
-    plus = density(qubit_state(1, 1))
-    povm = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    outcome, probs, post = measure(plus, povm, np.random.default_rng(2))
-    assert np.allclose(probs, [0.5, 0.5], atol=1e-12)
-    expect = np.zeros((2, 2))
-    expect[outcome, outcome] = 1.0
-    assert np.allclose(post, expect, atol=1e-12)
-
-
-def test_measure_sampling_follows_probabilities():
-    povm = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    rho = density(qubit_state(np.sqrt(0.8), np.sqrt(0.2)))
-    rng = np.random.default_rng(42)
-    hits = sum(measure(rho, povm, rng)[0] for _ in range(2000))
-    assert abs(hits / 2000 - 0.2) < 0.03
+    # Measuring one half of a maximally entangled pair against a
+    # target-state projector succeeds with probability <phi| I/d |phi> = 1/d.
+    rng = np.random.default_rng(1)
+    for d in (2, 3, 4):
+        phi = random_unitary(d, rng)[:, 0].conj()
+        proj = np.outer(phi, phi.conj())
+        povm = Povm([proj, np.eye(d) - proj])
+        probs = born(max_entangled(d), povm, names=["A"],
+                     regs=[("A", d), ("B", d)])
+        assert np.allclose(probs, [1 / d, 1 - 1 / d], atol=1e-12)
 
 
 def test_measure_probability_sums_random_pairs():
+    # Random POVMs on random density matrices: each probability is
+    # tr(E rho), and they sum to 1.
     rng = np.random.default_rng(31)
     for _ in range(1000):
         d = int(rng.integers(2, 6))
@@ -650,9 +627,10 @@ def test_measure_probability_sums_random_pairs():
         total = sum(raw)
         inv_root = np.linalg.inv(psd_sqrt(total))
         povm = Povm([inv_root @ m @ inv_root for m in raw])
-        _, probs, post = measure(rho, povm, rng)
+        probs = born(rho, povm)
+        want = [np.trace(e @ rho.matrix).real for e in povm.elements]
+        assert np.max(np.abs(probs - want)) < 1e-12
         assert abs(probs.sum() - 1.0) < 1e-10
-        assert abs(np.trace(post).real - 1.0) < 1e-10
 
 
 # --------------------------------------------------------------- fidelity
